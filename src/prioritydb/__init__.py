@@ -49,6 +49,7 @@ from .model import (
     BodyAtom,
     Database,
     Fact,
+    Instance,
     Literal,
     Schema,
     UniversalConstraint,

@@ -13,21 +13,24 @@ set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_BUDGET, Budget, InputError
+from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
     BodyAtom,
     Constant,
     Database,
     Fact,
+    Instance,
     Literal,
     Schema,
     Term,
     UniversalConstraint,
     fact_key,
-    facts_universe,
     ground_body,
+    universe_constants,
+    violates_ground,
 )
 from .repairs import RepairSet, delta_repairs, sorted_repair_set
 
@@ -51,14 +54,6 @@ class UpdateAction:
 
     add: bool
     fact: Fact
-
-    def fixed_literal(self) -> Literal:
-        """The literal this action makes true."""
-        return Literal(self.fact, positive=self.add)
-
-    def flipped_literal(self) -> Literal:
-        """The literal this action makes false."""
-        return Literal(self.fact, positive=not self.add)
 
     def __str__(self) -> str:
         return f"{'+' if self.add else '-'}{self.fact}"
@@ -102,9 +97,6 @@ class AIC:
     def constraint(self) -> UniversalConstraint:
         return UniversalConstraint(self.body, self.inequalities)
 
-    def constants(self) -> frozenset[Constant]:
-        return self.constraint().constants()
-
     def schema_pairs(self) -> frozenset[tuple[str, int]]:
         return self.constraint().schema_pairs()
 
@@ -120,11 +112,17 @@ class GroundAIC:
     updates: frozenset[UpdateAction]
 
     def violated_by(self, db: Database) -> bool:
-        return all((l.fact in db) == l.positive for l in self.lits)
+        return violates_ground(db, self.lits)
 
-    def non_updatable(self) -> frozenset[Literal]:
-        fixed = {u.flipped_literal() for u in self.updates}
-        return frozenset(l for l in self.lits if l not in fixed)
+    @cached_property
+    def asserters(self) -> frozenset[UpdateAction]:
+        """The actions that make the non-updatable literals true, i.e. the
+        body literals that no update action of the rule falsifies."""
+        return frozenset(
+            UpdateAction(l.positive, l.fact)
+            for l in self.lits
+            if repair_action_for(l) not in self.updates
+        )
 
 
 def ground_rules(
@@ -147,12 +145,8 @@ def ground_rules(
 
 
 def rules_constants(db: Database, rules: Sequence[AIC]) -> frozenset[Constant]:
-    out = set()
-    for fact in db:
-        out |= set(fact.args)
-    for rule in rules:
-        out |= rule.constants()
-    return frozenset(out)
+    """The grounding pool of the rules: update atoms only repeat body terms."""
+    return universe_constants(db, constraints_of(rules))
 
 
 def constraints_of(rules: Sequence[AIC]) -> tuple[UniversalConstraint, ...]:
@@ -165,14 +159,13 @@ def constraints_of(rules: Sequence[AIC]) -> tuple[UniversalConstraint, ...]:
 
 
 def consistent_actions(actions: Iterable[UpdateAction]) -> bool:
-    by_fact: dict[Fact, set[bool]] = {}
-    for action in actions:
-        by_fact.setdefault(action.fact, set()).add(action.add)
-    return all(len(signs) == 1 for signs in by_fact.values())
+    """No fact is both added and removed."""
+    actions = set(actions)
+    return len({a.fact for a in actions}) == len(actions)
 
 
 def apply_actions(db: Database, actions: Iterable[UpdateAction]) -> Database:
-    actions = list(actions)
+    actions = set(actions)
     if not consistent_actions(actions):
         raise InputError("action set adds and removes the same fact")
     removed = {a.fact for a in actions if not a.add}
@@ -230,6 +223,7 @@ def is_well_founded(
     search memoizes on that set.
     """
     seen: set[frozenset[UpdateAction]] = set()
+    firing = {a: [r for r in ground if a in r.updates] for a in actions}
 
     def reachable(applied: frozenset[UpdateAction]) -> bool:
         if applied == actions:
@@ -239,9 +233,7 @@ def is_well_founded(
         seen.add(applied)
         state = apply_actions(db, applied)
         for action in sorted(actions - applied, key=action_key):
-            if any(
-                action in rule.updates and rule.violated_by(state) for rule in ground
-            ):
+            if any(rule.violated_by(state) for rule in firing[action]):
                 if reachable(applied | {action}):
                     return True
         return False
@@ -303,19 +295,17 @@ def is_grounded(
     actions: frozenset[UpdateAction],
     db: Database,
     ground: frozenset[GroundAIC],
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Definition-direct check over the normalized rules: every proper subset
     leaves some rule violated whose action lies in the remaining actions."""
-    normalized = normalize_ground(ground)
-    members = sorted(actions, key=action_key)
-    DEFAULT_BUDGET.check_universe(len(members), "action set")
-    for mask in range(1 << len(members)):
-        subset = frozenset(m for i, m in enumerate(members) if mask & (1 << i))
+    normalized = [r for r in normalize_ground(ground) if r.updates <= actions]
+    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
         if subset == actions:
             continue
         state = apply_actions(db, subset)
         if not any(
-            rule.violated_by(state) and rule.updates <= actions - subset
+            not rule.updates & subset and rule.violated_by(state)
             for rule in normalized
         ):
             return False
@@ -326,15 +316,14 @@ def is_grounded_via_pruned_rules(
     actions: frozenset[UpdateAction],
     db: Database,
     ground: frozenset[GroundAIC],
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Oracle path: an r-update is grounded exactly when it stays minimal for
     the rule set pruned to its own actions."""
     pruned = restrict_rules_to_actions(ground, actions)
     if not satisfies_rules(apply_actions(db, actions), pruned):
         return False
-    members = sorted(actions, key=action_key)
-    for mask in range(1 << len(members)):
-        subset = frozenset(m for i, m in enumerate(members) if mask & (1 << i))
+    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
         if subset == actions:
             continue
         if satisfies_rules(apply_actions(db, subset), pruned):
@@ -358,12 +347,7 @@ def _closed_under(
 ) -> bool:
     """Closed action sets honor every rule whose non-updatable literals they
     assert: they must then contain one of the rule's update actions."""
-    fixed = {a.fixed_literal() for a in actions}
-    for rule in ground:
-        if all(l in fixed for l in rule.non_updatable()):
-            if not rule.updates & actions:
-                return False
-    return True
+    return all(rule.updates & actions or not rule.asserters <= actions for rule in ground)
 
 
 def is_justified(
@@ -371,6 +355,7 @@ def is_justified(
     db: Database,
     ground: frozenset[GroundAIC],
     universe: frozenset[Fact],
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """The actions plus all no-effect actions form a minimal closed set
     containing the no-effect actions."""
@@ -378,15 +363,15 @@ def is_justified(
     idle = no_effect_actions(db, updated, universe)
     if not _closed_under(idle | actions, ground):
         return False
-    members = sorted(actions, key=action_key)
-    DEFAULT_BUDGET.check_universe(len(members), "action set")
-    for mask in range(1 << len(members)):
-        subset = frozenset(m for i, m in enumerate(members) if mask & (1 << i))
+    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
         if subset == actions:
             continue
         if _closed_under(idle | subset, ground):
             return False
     return True
+
+
+R_UPDATE_CLASSES = ("founded", "wellfounded", "grounded", "justified")
 
 
 @dataclass(frozen=True)
@@ -397,6 +382,11 @@ class RUpdate:
     grounded: bool
     justified: bool
 
+    def classes(self) -> dict[str, bool]:
+        """Membership in each support class, by its command-line name."""
+        flags = (self.founded, self.well_founded, self.grounded, self.justified)
+        return dict(zip(R_UPDATE_CLASSES, flags))
+
 
 def classify_r_updates(
     db: Database,
@@ -404,21 +394,44 @@ def classify_r_updates(
     rules: Sequence[AIC],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
-    constants = rules_constants(db, rules)
-    ground = ground_rules(rules, constants)
-    universe = facts_universe(db, schema, constants)
+    inst = Instance(db, schema, constraints_of(rules))
+    return classify_updates(inst, rules, r_updates(db, schema, rules, budget), budget)
+
+
+def classify_updates(
+    inst: Instance,
+    rules: Sequence[AIC],
+    updates: Iterable[frozenset[UpdateAction]],
+    budget: Budget = DEFAULT_BUDGET,
+) -> tuple[RUpdate, ...]:
+    """The support properties of the given r-updates of ``inst.db``, where
+    ``inst`` holds the rules' bodies as constraints."""
+    ground = ground_rules(rules, inst.constants)
     out = []
-    for actions in r_updates(db, schema, rules, budget):
+    for actions in updates:
         out.append(
             RUpdate(
                 actions,
-                founded=is_founded(actions, db, ground),
-                well_founded=is_well_founded(actions, db, ground),
-                grounded=is_grounded(actions, db, ground),
-                justified=is_justified(actions, db, ground, universe),
+                founded=is_founded(actions, inst.db, ground),
+                well_founded=is_well_founded(actions, inst.db, ground),
+                grounded=is_grounded(actions, inst.db, ground, budget),
+                justified=is_justified(actions, inst.db, ground, inst.facts, budget),
             )
         )
     return tuple(sorted(out, key=lambda u: sorted(map(action_key, u.actions))))
+
+
+def reached_by_kind(db: Database, table: Sequence[RUpdate], kind: str) -> RepairSet:
+    """Databases reached by the classified r-updates with the given support
+    property."""
+    if kind not in ("all",) + R_UPDATE_CLASSES:
+        raise InputError(f"unknown r-update class: {kind}")
+    chosen = [
+        apply_actions(db, u.actions)
+        for u in table
+        if kind == "all" or u.classes()[kind]
+    ]
+    return sorted_repair_set("delta", chosen)
 
 
 def repairs_of_kind(
@@ -429,21 +442,7 @@ def repairs_of_kind(
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
     """Databases reached by the r-updates with the given support property."""
-    flags = {
-        "all": lambda u: True,
-        "founded": lambda u: u.founded,
-        "wellfounded": lambda u: u.well_founded,
-        "grounded": lambda u: u.grounded,
-        "justified": lambda u: u.justified,
-    }
-    if kind not in flags:
-        raise InputError(f"unknown r-update class: {kind}")
-    chosen = [
-        apply_actions(db, u.actions)
-        for u in classify_r_updates(db, schema, rules, budget)
-        if flags[kind](u)
-    ]
-    return sorted_repair_set("delta", chosen)
+    return reached_by_kind(db, classify_r_updates(db, schema, rules, budget), kind)
 
 
 @dataclass(frozen=True)
@@ -562,9 +561,7 @@ def _fmt(rule: GroundAIC) -> str:
 def _consistent_rule_set(ground: Sequence[GroundAIC], budget: Budget) -> bool:
     """Some database over the mentioned facts satisfies every rule."""
     mentioned = sorted({l.fact for rule in ground for l in rule.lits}, key=fact_key)
-    budget.check_universe(len(mentioned), "mentioned fact set")
-    for mask in range(1 << len(mentioned)):
-        db = frozenset(f for i, f in enumerate(mentioned) if mask & (1 << i))
-        if satisfies_rules(db, ground):
-            return True
-    return False
+    return any(
+        satisfies_rules(db, ground)
+        for db in subsets(mentioned, budget, "mentioned fact set")
+    )

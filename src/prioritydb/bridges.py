@@ -10,7 +10,7 @@ rules; and well-behaved active rules back to a prioritized database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .aic import (
@@ -18,19 +18,23 @@ from .aic import (
     GroundAIC,
     UpdateAtom,
     action_key,
+    actions_between,
     check_properties,
+    classify_r_updates,
+    classify_updates,
+    constraints_of,
     ground_rules,
+    reached_by_kind,
     repair_action_for,
-    repairs_of_kind,
     rules_constants,
 )
-from .conflicts import conflicts
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .model import (
     BodyAtom,
     Constant,
     Database,
     Fact,
+    Instance,
     Literal,
     Schema,
     Term,
@@ -38,15 +42,13 @@ from .model import (
     fact_key,
     is_variable,
     literal_key,
-    literal_universe,
-    universe_constants,
 )
 from .priorities import (
     PrioritizedDatabase,
     PriorityRelation,
     optimal_repairs,
 )
-from .repairs import RepairSet, delta_repairs
+from .repairs import RepairSet, delta_repairs_of
 
 
 def signed_predicate_name(name: str, schema: Schema) -> str:
@@ -82,22 +84,21 @@ def to_denial(
 ) -> DenialImage:
     """Encode negative literals as facts of fresh absence predicates, with one
     ground denial constraint per conflict."""
+    return _denial_image(Instance(db, schema, tuple(constraints)))
+
+
+def _denial_image(inst: Instance) -> DenialImage:
     mapping = []
-    pairs = list(schema.predicates)
-    for name, arity in schema.predicates:
-        signed = signed_predicate_name(name, schema)
+    pairs = list(inst.schema.predicates)
+    for name, arity in inst.schema.predicates:
+        signed = signed_predicate_name(name, inst.schema)
         mapping.append((name, signed))
         pairs.append((signed, arity))
     signed_schema = Schema.of(pairs)
     image = DenialImage(frozenset(), signed_schema, (), tuple(mapping))
-    constants = universe_constants(db, constraints)
-    lits = literal_universe(db, schema, constants)
-    signed_db = image.signed_literals(lits)
+    signed_db = image.signed_literals(inst.literals)
     denials = []
-    for conflict in sorted(
-        conflicts(db, schema, tuple(constraints)),
-        key=lambda e: sorted(map(literal_key, e)),
-    ):
+    for conflict in sorted(inst.conflicts, key=lambda e: sorted(map(literal_key, e))):
         body = tuple(
             BodyAtom(True, fact.predicate, fact.args)
             for fact in sorted(image.signed_literals(conflict), key=fact_key)
@@ -127,21 +128,19 @@ def check_denial_image(
 ) -> tuple[DenialImage, DenialCorrespondence]:
     """Build the signed-image instance and verify that conflicts and repairs
     correspond under the signing map."""
-    image = to_denial(db, schema, constraints)
-    constants = universe_constants(db, constraints)
-    source_conflicts = conflicts(db, schema, tuple(constraints))
-    image_conflicts = conflicts(image.db, image.schema, image.constraints)
+    source = Instance(db, schema, tuple(constraints))
+    image = _denial_image(source)
+    target = Instance(image.db, image.schema, image.constraints)
+    source_conflicts = source.conflicts
+    image_conflicts = target.conflicts
     expected_conflicts = {
         image.signed_literals(e) for e in source_conflicts
     }
     got_conflicts = {frozenset(e_lit.fact for e_lit in e) for e in image_conflicts}
-    source_repairs = delta_repairs(db, schema, tuple(constraints), budget)
-    image_repairs = delta_repairs(image.db, image.schema, image.constraints, budget)
-    from .model import agreement
-
+    source_repairs = delta_repairs_of(source, budget)
+    image_repairs = delta_repairs_of(target, budget)
     expected_repairs = {
-        image.signed_literals(agreement(db, schema, r, constants))
-        for r in source_repairs
+        image.signed_literals(source.agreement(r)) for r in source_repairs
     }
     return image, DenialCorrespondence(
         conflicts_match=expected_conflicts == got_conflicts,
@@ -215,14 +214,13 @@ class EquivalenceReport:
 
 def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport:
     rules = ground_rules_as_aics(priority_to_rules(pdb))
+    table = classify_r_updates(pdb.db, pdb.schema, rules, pdb.budget)
     return EquivalenceReport(
         pareto=optimal_repairs(pdb, "pareto"),
-        founded=repairs_of_kind(pdb.db, pdb.schema, rules, "founded", pdb.budget),
-        grounded=repairs_of_kind(pdb.db, pdb.schema, rules, "grounded", pdb.budget),
-        justified=repairs_of_kind(pdb.db, pdb.schema, rules, "justified", pdb.budget),
-        well_founded=repairs_of_kind(
-            pdb.db, pdb.schema, rules, "wellfounded", pdb.budget
-        ),
+        founded=reached_by_kind(pdb.db, table, "founded"),
+        grounded=reached_by_kind(pdb.db, table, "grounded"),
+        justified=reached_by_kind(pdb.db, table, "justified"),
+        well_founded=reached_by_kind(pdb.db, table, "wellfounded"),
     )
 
 
@@ -286,8 +284,6 @@ def _partitions(items: Sequence[Term]):
 def _canonical_constraint(constraint: UniversalConstraint) -> UniversalConstraint:
     """Canonicalize up to variable renaming: over all atom orders, rename
     variables in first-occurrence order and keep the least rendering."""
-    from itertools import permutations
-
     best: Optional[tuple] = None
     chosen = constraint
     for order in permutations(constraint.body):
@@ -440,8 +436,6 @@ def rules_to_priority(
     """Derive preference edges from the update actions of the body-minimal
     violated ground rules: the literal kept outranks the one repaired, provided
     no such rule also offers to repair the kept literal."""
-    from .aic import constraints_of
-
     report = check_properties(rules, db, budget)
     warnings = []
     if not report.closed_under_resolution:
@@ -450,8 +444,7 @@ def rules_to_priority(
         warnings.append("rule set does not preserve actions under resolution")
     if not report.preserves_actions_strengthening:
         warnings.append("rule set does not preserve actions under strengthening")
-    constants = rules_constants(db, rules)
-    ground = ground_rules(rules, constants)
+    ground = ground_rules(rules, rules_constants(db, rules))
     minimal = frozenset(
         rule
         for rule in ground
@@ -546,13 +539,15 @@ def check_roundtrip(
     )
     conflict_set = pdb.conflicts()
     binary = all(len(e) <= 2 for e in conflict_set)
+    updates = [actions_between(db, repair) for repair in pdb.delta_repairs()]
+    table = classify_updates(pdb.instance, rules, updates, budget)
     return RoundTripReport(
         applicable=not derived.property_warnings,
         binary_conflicts=binary,
         pareto=optimal_repairs(pdb, "pareto"),
-        founded=repairs_of_kind(db, schema, rules, "founded", budget),
-        grounded=repairs_of_kind(db, schema, rules, "grounded", budget),
-        justified=repairs_of_kind(db, schema, rules, "justified", budget),
+        founded=reached_by_kind(db, table, "founded"),
+        grounded=reached_by_kind(db, table, "grounded"),
+        justified=reached_by_kind(db, table, "justified"),
         cycle=None,
         warnings=derived.property_warnings,
     )

@@ -15,25 +15,16 @@ from typing import Optional, Sequence
 from . import bridges, query as query_mod, textio
 from .aic import (
     AIC,
+    R_UPDATE_CLASSES,
     check_properties,
     classify_r_updates,
-    ground_rules,
-    is_founded,
-    is_grounded,
-    is_justified,
-    is_well_founded,
+    classify_updates,
+    constraints_of,
     r_updates,
-    rules_constants,
 )
-from .conflicts import conflict_hypergraph, conflicts, max_conflict_size
+from .conflicts import ConflictHypergraph, max_conflict_size
 from .errors import Budget, BudgetExceededError, InputError
-from .model import (
-    Database,
-    Schema,
-    UniversalConstraint,
-    facts_universe,
-    schema_from,
-)
+from .model import Database, Instance, Schema, UniversalConstraint, schema_from
 from .priorities import (
     PrioritizedDatabase,
     PriorityRelation,
@@ -43,7 +34,12 @@ from .priorities import (
     optimal_repairs,
     score_structure_from_scores,
 )
-from .repairs import delta_repairs, is_delta_repair, subset_repairs, superset_repairs
+from .repairs import (
+    delta_repairs_of,
+    is_delta_repair_of,
+    subset_repairs_of,
+    superset_repairs_of,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -53,7 +49,8 @@ EXIT_BUDGET = 3
 
 class Workspace:
     """Artifacts loaded from files, with a schema inferred across all of them
-    unless one is declared explicitly."""
+    unless one is declared explicitly.  Every command reads the one instance
+    built from them."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -85,11 +82,13 @@ class Workspace:
         self.schema = inferred if declared is None else declared.merged_with(inferred)
         for fact in self.db:
             self.schema.check_fact(fact)
+        self.base = PrioritizedDatabase(
+            self.db, self.schema, self.constraints, budget=self.budget
+        )
+        self.instance = self.base.instance
 
     def pdb(self) -> PrioritizedDatabase:
-        pdb = PrioritizedDatabase(
-            self.db, self.schema, self.constraints, self.priority, self.budget
-        )
+        pdb = self.base.with_priority(self.priority)
         report = pdb.validate()
         if not report.ok:
             if report.cycle:
@@ -105,7 +104,7 @@ class Workspace:
         if not self.scores:
             return None
         structure, derived = score_structure_from_scores(
-            self.scores, conflicts(self.db, self.schema, self.constraints)
+            self.scores, self.instance.conflicts
         )
         for strong, weak in self.priority.edges:
             if not derived.outranks(strong, weak):
@@ -130,7 +129,7 @@ SEMANTICS = {"brave": "brave", "cqa": "cqa", "int": "intersection"}
 
 
 def cmd_conflicts(ws: Workspace, args) -> int:
-    found = conflicts(ws.db, ws.schema, ws.constraints)
+    found = ws.instance.conflicts
     ordered = sorted(found, key=lambda e: sorted(map(textio.format_literal, e)))
     for conflict in ordered:
         print(textio.format_literal_set(conflict))
@@ -142,7 +141,7 @@ def cmd_conflicts(ws: Workspace, args) -> int:
 
 
 def hypergraph_dot(ws: Workspace) -> str:
-    graph = conflict_hypergraph(ws.db, ws.schema, ws.constraints)
+    graph = ConflictHypergraph.of(ws.instance.conflicts)
     lines = ["graph conflicts {"]
     names = {}
     for i, vertex in enumerate(graph.vertices):
@@ -162,11 +161,11 @@ def hypergraph_dot(ws: Workspace) -> str:
 
 def cmd_repairs(ws: Workspace, args) -> int:
     kinds = {
-        "delta": delta_repairs,
-        "subset": subset_repairs,
-        "superset": superset_repairs,
+        "delta": delta_repairs_of,
+        "subset": subset_repairs_of,
+        "superset": superset_repairs_of,
     }
-    result = kinds[args.kind](ws.db, ws.schema, ws.constraints, ws.budget)
+    result = kinds[args.kind](ws.instance, ws.budget)
     for repair in result:
         print(textio.format_fact_set(repair))
     print(f"{args.kind} repairs: {len(result)}")
@@ -175,15 +174,10 @@ def cmd_repairs(ws: Workspace, args) -> int:
 
 def cmd_check_repair(ws: Workspace, args) -> int:
     candidate = textio.parse_database(_read(args.repair))
-    from .model import universe_constants
-
-    universe = facts_universe(
-        ws.db, ws.schema, universe_constants(ws.db, ws.constraints)
-    )
-    if not candidate <= universe:
+    if not candidate <= ws.instance.facts:
         raise InputError("candidate repair contains facts outside the fact universe")
     if args.opt == "none":
-        verdict = is_delta_repair(candidate, ws.db, ws.schema, ws.constraints)
+        verdict = is_delta_repair_of(ws.instance, candidate)
     else:
         verdict = is_optimal_repair(candidate, ws.pdb(), args.opt)
     print("yes" if verdict else "no")
@@ -223,36 +217,21 @@ def cmd_aic(ws: Workspace, args) -> int:
     if args.action == "classify":
         table = classify_r_updates(ws.db, ws.schema, ws.rules, ws.budget)
         for entry in table:
-            flags = [
-                name
-                for name, on in (
-                    ("founded", entry.founded),
-                    ("wellfounded", entry.well_founded),
-                    ("grounded", entry.grounded),
-                    ("justified", entry.justified),
-                )
-                if on
-            ]
+            flags = [name for name, on in entry.classes().items() if on]
             label = " ".join(flags) if flags else "-"
             print(f"{textio.format_update_set(entry.actions)}: {label}")
         print(f"r-updates: {len(table)}")
         return EXIT_OK
     if args.action == "check-update":
         actions = textio.parse_updates(_read(args.update))
-        constants = rules_constants(ws.db, ws.rules)
-        ground = ground_rules(ws.rules, constants)
         if actions not in r_updates(ws.db, ws.schema, ws.rules, ws.budget):
             print("not an r-update")
             return EXIT_FALSE
-        universe = facts_universe(ws.db, ws.schema, constants)
-        checks = {
-            "founded": is_founded(actions, ws.db, ground),
-            "wellfounded": is_well_founded(actions, ws.db, ground),
-            "grounded": is_grounded(actions, ws.db, ground),
-            "justified": is_justified(actions, ws.db, ground, universe),
-        }
-        for name in ("founded", "wellfounded", "grounded", "justified"):
-            print(f"{name}: {'yes' if checks[name] else 'no'}")
+        rules_instance = Instance(ws.db, ws.schema, constraints_of(ws.rules))
+        (entry,) = classify_updates(rules_instance, ws.rules, [actions], ws.budget)
+        checks = entry.classes()
+        for name, on in checks.items():
+            print(f"{name}: {'yes' if on else 'no'}")
         if args.kind:
             return EXIT_OK if checks[args.kind] else EXIT_FALSE
         return EXIT_OK
@@ -403,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update", help="update actions file (for check-update)")
     p.add_argument(
         "--kind",
-        choices=["founded", "wellfounded", "grounded", "justified"],
+        choices=list(R_UPDATE_CLASSES),
         help="with check-update: exit 0 iff the update has this property",
     )
     p.set_defaults(func=cmd_aic)

@@ -1,84 +1,38 @@
 """Conflicts: minimal literal sets whose joint truth forces a constraint violation.
 
-The production path closes the set of ground constraint bodies under consensus
-(single-clash resolution with subsumption deletion) until only prime terms of
-the violation formula remain, then keeps the terms that lie inside the literal
-universe.  An independent path recovers the same sets as minimal hitting sets
-of the symmetric differences between the database and its repairs; it serves
-as a test oracle.
+The production path, ``Instance.conflicts``, closes the set of ground constraint
+bodies under consensus (``prime_implicants``: single-clash resolution with
+subsumption deletion) until only prime terms of the violation formula remain,
+then keeps the terms that lie inside the literal universe.  An independent
+path recovers the same sets as minimal hitting sets of the symmetric
+differences between the database and its repairs; it serves as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .model import (
     Database,
+    Instance,
     Literal,
     Schema,
     UniversalConstraint,
-    ground_all,
+    antichain,
     literal_key,
-    literal_universe,
-    universe_constants,
+    prime_implicants,  # re-exported: the consensus closure behind Instance.conflicts
 )
 
 Conflict = frozenset[Literal]
 
 
-def _antichain(terms: Iterable[frozenset]) -> set[frozenset]:
-    """Keep only the subset-minimal members."""
-    ordered = sorted(set(terms), key=len)
-    kept: list[frozenset] = []
-    for term in ordered:
-        if not any(other <= term for other in kept):
-            kept.append(term)
-    return set(kept)
-
-
-def _consistent(term: frozenset[Literal]) -> bool:
-    return len({l.fact for l in term}) == len(term)
-
-
-def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
-    """All prime implicants of a disjunction of conjunctive terms.
-
-    Iterated consensus: two terms clashing on exactly one fact produce their
-    resolvent; inconsistent resolvents are discarded and subsumed terms deleted
-    after every round, until a fixpoint is reached.
-    """
-    terms = _antichain(frozenset(b) for b in bodies)
-    while True:
-        fresh: set[frozenset[Literal]] = set()
-        term_list = sorted(terms, key=lambda t: sorted(map(literal_key, t)))
-        for i, left in enumerate(term_list):
-            for right in term_list[i + 1:]:
-                clashes = [l for l in left if l.negated() in right]
-                if len(clashes) != 1:
-                    continue
-                clash = clashes[0]
-                resolvent = (left - {clash}) | (right - {clash.negated()})
-                if not _consistent(resolvent):
-                    continue
-                if not any(t <= resolvent for t in terms):
-                    fresh.add(resolvent)
-        if not fresh:
-            return frozenset(terms)
-        terms = _antichain(terms | fresh)
-
-
-@lru_cache(maxsize=None)
 def conflicts(
-    db: Database, schema: Schema, constraints: tuple[UniversalConstraint, ...]
+    db: Database, schema: Schema, constraints: Sequence[UniversalConstraint]
 ) -> frozenset[Conflict]:
     """Conflicts of the database w.r.t. the constraints, via consensus closure."""
-    constants = universe_constants(db, constraints)
-    bodies = ground_all(constraints, constants)
-    lits = literal_universe(db, schema, constants)
-    return frozenset(t for t in prime_implicants(bodies) if t <= lits)
+    return Instance(db, schema, tuple(constraints)).conflicts
 
 
 def conflicts_via_hitting_sets(
@@ -124,7 +78,7 @@ def minimal_hitting_sets(families: Sequence[frozenset]) -> frozenset[frozenset]:
             extend(still, chosen | {element})
 
     extend(list(families), frozenset())
-    return frozenset(_antichain(found))
+    return frozenset(antichain(found))
 
 
 def is_conflict(
@@ -133,11 +87,10 @@ def is_conflict(
     schema: Schema,
     constraints: Sequence[UniversalConstraint],
 ) -> bool:
-    constants = universe_constants(db, constraints)
-    lits = literal_universe(db, schema, constants)
-    if not litset <= lits:
+    inst = Instance(db, schema, tuple(constraints))
+    if not litset <= inst.literals:
         raise InputError("literal set is not contained in the literal universe")
-    return litset in conflicts(db, schema, tuple(constraints))
+    return litset in inst.conflicts
 
 
 @dataclass(frozen=True)
@@ -148,14 +101,17 @@ class ConflictHypergraph:
     vertices: tuple[Literal, ...]
     hyperedges: tuple[Conflict, ...]
 
+    @staticmethod
+    def of(edges: Iterable[Conflict]) -> "ConflictHypergraph":
+        vertices = sorted({l for e in edges for l in e}, key=literal_key)
+        ordered_edges = sorted(edges, key=lambda e: sorted(map(literal_key, e)))
+        return ConflictHypergraph(tuple(vertices), tuple(ordered_edges))
+
 
 def conflict_hypergraph(
     db: Database, schema: Schema, constraints: Sequence[UniversalConstraint]
 ) -> ConflictHypergraph:
-    edges = conflicts(db, schema, tuple(constraints))
-    vertices = sorted({l for e in edges for l in e}, key=literal_key)
-    ordered_edges = sorted(edges, key=lambda e: sorted(map(literal_key, e)))
-    return ConflictHypergraph(tuple(vertices), tuple(ordered_edges))
+    return ConflictHypergraph.of(conflicts(db, schema, constraints))
 
 
 def max_conflict_size(conflict_set: Iterable[Conflict]) -> int:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -42,3 +45,14 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+def subsets(items: Iterable[T], budget: Budget, what: str) -> Iterator[frozenset[T]]:
+    """Every subset of ``items``, in binary-counting order over their given
+    order; the budget is checked before the first subset is built."""
+    members = list(items)
+    budget.check_universe(len(members), what)
+    return (
+        frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+        for mask in range(1 << len(members))
+    )

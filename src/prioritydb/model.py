@@ -4,7 +4,9 @@ A database is a frozenset of ground facts.  The literal universe of a database
 pairs its facts with explicit negations of every absent fact that can be built
 from the schema and the available constants.  Candidate repairs live inside
 that fact universe; ``agreement`` and ``restriction`` convert between candidate
-repairs and subsets of the literal universe and are mutually inverse.
+repairs and subsets of the literal universe and are mutually inverse.  An
+``Instance`` derives each of these, the ground bodies and the conflicts at most
+once for one database, schema and constraint set.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.
@@ -13,7 +15,7 @@ an underscore is a variable; anything else is a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -226,76 +228,100 @@ def universe_constants(
     return active_domain(db) | constraint_constants(constraints)
 
 
-@lru_cache(maxsize=None)
-def facts_universe(
-    db: Database, schema: Schema, extra_constants: frozenset[Constant] = frozenset()
-) -> frozenset[Fact]:
-    """All facts over the schema built from the database constants.
+@dataclass(frozen=True)
+class Instance:
+    """A database under a schema and constraints, with what derives from it.
 
-    ``extra_constants`` widens the constant pool (used to admit constants that
-    appear in constraints but not in the data).  An empty constant pool still
-    yields every arity-0 fact.
+    The constant pool, the fact and literal universes, the ground constraint
+    bodies and the conflicts are each computed on first use, at most once, and
+    live exactly as long as the instance.
     """
-    for fact in db:
-        schema.check_fact(fact)
-    constants = sorted(active_domain(db) | extra_constants)
-    out: set[Fact] = set()
-    for pred, arity in schema.predicates:
-        if arity == 0:
-            out.add(Fact(pred))
-        else:
-            for args in product(constants, repeat=arity):
-                out.add(Fact(pred, args))
-    return frozenset(out)
 
+    db: Database
+    schema: Schema
+    constraints: tuple[UniversalConstraint, ...] = ()
 
-def literal_universe(
-    db: Database, schema: Schema, extra_constants: frozenset[Constant] = frozenset()
-) -> frozenset[Literal]:
-    """The database facts plus explicit negations of every absent fact."""
-    universe = facts_universe(db, schema, extra_constants)
-    return frozenset(
-        Literal(fact, positive=fact in db) for fact in universe
-    )
+    @cached_property
+    def constants(self) -> frozenset[Constant]:
+        return universe_constants(self.db, self.constraints)
 
-
-def agreement(
-    db: Database,
-    schema: Schema,
-    repair: Database,
-    extra_constants: frozenset[Constant] = frozenset(),
-) -> frozenset[Literal]:
-    """Literals of the database's literal universe on which a candidate repair
-    agrees with the database: kept facts plus jointly absent facts."""
-    universe = facts_universe(db, schema, extra_constants)
-    stray = repair - universe
-    if stray:
-        raise InputError(f"candidate repair fact {sorted(stray, key=fact_key)[0]} "
-                         f"is outside the fact universe")
-    kept = repair & db
-    jointly_absent = universe - (repair | db)
-    return frozenset(
-        {Literal(f, True) for f in kept} | {Literal(f, False) for f in jointly_absent}
-    )
-
-
-def restriction(
-    db: Database,
-    schema: Schema,
-    litset: frozenset[Literal],
-    extra_constants: frozenset[Constant] = frozenset(),
-) -> Database:
-    """The candidate repair induced by a set of kept literals: retained facts
-    plus one added fact for every negative literal dropped from the universe."""
-    lits = literal_universe(db, schema, extra_constants)
-    stray = litset - lits
-    if stray:
-        raise InputError(
-            f"literal {sorted(stray, key=literal_key)[0]} is outside the literal universe"
+    @cached_property
+    def facts(self) -> frozenset[Fact]:
+        """All facts over the schema built from the constant pool; an empty
+        pool still yields every arity-0 fact."""
+        for fact in self.db:
+            self.schema.check_fact(fact)
+        constants = sorted(self.constants)
+        return frozenset(
+            Fact(pred, args)
+            for pred, arity in self.schema.predicates
+            for args in product(constants, repeat=arity)
         )
-    kept = {l.fact for l in litset if l.positive}
-    added = {l.fact for l in lits - litset if not l.positive}
-    return frozenset(kept | added)
+
+    @cached_property
+    def literals(self) -> frozenset[Literal]:
+        """The database facts plus explicit negations of every absent fact."""
+        return frozenset(Literal(fact, positive=fact in self.db) for fact in self.facts)
+
+    @cached_property
+    def bodies(self) -> frozenset[GroundConstraint]:
+        return ground_all(self.constraints, self.constants)
+
+    @cached_property
+    def conflicts(self) -> frozenset[frozenset[Literal]]:
+        """The prime implicants of the ground bodies that lie inside the
+        literal universe."""
+        return frozenset(t for t in prime_implicants(self.bodies) if t <= self.literals)
+
+    def consistent(self, candidate: Database) -> bool:
+        """No ground body is fully matched; sound for candidates inside the
+        fact universe."""
+        return not any(violates_ground(candidate, body) for body in self.bodies)
+
+    def agreement(self, repair: Database) -> frozenset[Literal]:
+        """Literals of the literal universe on which a candidate repair agrees
+        with the database: kept facts plus jointly absent facts."""
+        stray = repair - self.facts
+        if stray:
+            raise InputError(f"candidate repair fact {sorted(stray, key=fact_key)[0]} "
+                             f"is outside the fact universe")
+        kept = repair & self.db
+        jointly_absent = self.facts - (repair | self.db)
+        return frozenset(
+            {Literal(f, True) for f in kept} | {Literal(f, False) for f in jointly_absent}
+        )
+
+    def restriction(self, litset: frozenset[Literal]) -> Database:
+        """The candidate repair induced by a set of kept literals: retained facts
+        plus one added fact for every negative literal dropped from the universe."""
+        stray = litset - self.literals
+        if stray:
+            raise InputError(
+                f"literal {sorted(stray, key=literal_key)[0]} is outside the literal universe"
+            )
+        kept = {l.fact for l in litset if l.positive}
+        added = {l.fact for l in self.literals - litset if not l.positive}
+        return frozenset(kept | added)
+
+
+def facts_universe(db: Database, schema: Schema) -> frozenset[Fact]:
+    """All facts over the schema built from the database constants."""
+    return Instance(db, schema).facts
+
+
+def literal_universe(db: Database, schema: Schema) -> frozenset[Literal]:
+    """The database facts plus explicit negations of every absent fact."""
+    return Instance(db, schema).literals
+
+
+def agreement(db: Database, schema: Schema, repair: Database) -> frozenset[Literal]:
+    """The literals on which a candidate repair agrees with the database."""
+    return Instance(db, schema).agreement(repair)
+
+
+def restriction(db: Database, schema: Schema, litset: frozenset[Literal]) -> Database:
+    """The candidate repair induced by a set of kept literals."""
+    return Instance(db, schema).restriction(litset)
 
 
 def _substitutions(
@@ -331,7 +357,6 @@ def ground_body(
         yield literals, binding
 
 
-@lru_cache(maxsize=None)
 def ground(
     constraint: UniversalConstraint, constants: frozenset[Constant]
 ) -> frozenset[GroundConstraint]:
@@ -343,7 +368,6 @@ def ground(
     )
 
 
-@lru_cache(maxsize=None)
 def ground_all(
     constraints: tuple[UniversalConstraint, ...], constants: frozenset[Constant]
 ) -> frozenset[GroundConstraint]:
@@ -351,6 +375,47 @@ def ground_all(
     for constraint in constraints:
         out |= ground(constraint, constants)
     return frozenset(out)
+
+
+def antichain(terms: Iterable[frozenset]) -> set[frozenset]:
+    """Keep only the subset-minimal members."""
+    ordered = sorted(set(terms), key=len)
+    kept: list[frozenset] = []
+    for term in ordered:
+        if not any(other <= term for other in kept):
+            kept.append(term)
+    return set(kept)
+
+
+def _consistent(term: frozenset[Literal]) -> bool:
+    return len({l.fact for l in term}) == len(term)
+
+
+def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
+    """All prime implicants of a disjunction of conjunctive terms.
+
+    Iterated consensus: two terms clashing on exactly one fact produce their
+    resolvent; inconsistent resolvents are discarded and subsumed terms deleted
+    after every round, until a fixpoint is reached.
+    """
+    terms = antichain(frozenset(b) for b in bodies)
+    while True:
+        fresh: set[frozenset[Literal]] = set()
+        term_list = sorted(terms, key=lambda t: sorted(map(literal_key, t)))
+        for i, left in enumerate(term_list):
+            for right in term_list[i + 1:]:
+                clashes = [l for l in left if l.negated() in right]
+                if len(clashes) != 1:
+                    continue
+                clash = clashes[0]
+                resolvent = (left - {clash}) | (right - {clash.negated()})
+                if not _consistent(resolvent):
+                    continue
+                if not any(t <= resolvent for t in terms):
+                    fresh.add(resolvent)
+        if not fresh:
+            return frozenset(terms)
+        terms = antichain(terms | fresh)
 
 
 def violates_ground(db: Database, body: GroundConstraint) -> bool:

@@ -9,24 +9,15 @@ those optimal under some total extension of the priority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .conflicts import Conflict, conflicts
+from .conflicts import Conflict
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
-from .model import (
-    Database,
-    Literal,
-    Schema,
-    UniversalConstraint,
-    agreement,
-    literal_key,
-    literal_universe,
-    restriction,
-    universe_constants,
-)
-from .repairs import RepairSet, delta_repairs, is_delta_repair, sorted_repair_set
+from .model import Database, Instance, Literal, Schema, UniversalConstraint, literal_key
+from .repairs import RepairSet, delta_repairs_of, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
 
@@ -47,6 +38,10 @@ class PriorityRelation:
 
     def outranks(self, strong: Literal, weak: Literal) -> bool:
         return (strong, weak) in self.edges
+
+    def covers(self, gained: Iterable[Literal], lost: Iterable[Literal]) -> bool:
+        """Every lost literal is outranked by some gained one."""
+        return all(any(self.outranks(mu, lam) for mu in gained) for lam in lost)
 
     def dominated_by(self, strong: Literal) -> frozenset[Literal]:
         return frozenset(b for a, b in self.edges if a == strong)
@@ -121,29 +116,47 @@ def validate_priority(
 
 @dataclass(frozen=True)
 class PrioritizedDatabase:
+    """A prioritized instance.  It owns one ``Instance`` and its delta repairs,
+    each computed on first use; a copy made by ``with_priority`` shares both."""
+
     db: Database
     schema: Schema
     constraints: tuple[UniversalConstraint, ...]
     priority: PriorityRelation = PriorityRelation()
     budget: Budget = DEFAULT_BUDGET
 
+    @cached_property
+    def instance(self) -> Instance:
+        return Instance(self.db, self.schema, self.constraints)
+
+    @cached_property
+    def _delta_repairs(self) -> RepairSet:
+        return delta_repairs_of(self.instance, self.budget)
+
+    def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
+        copy = replace(self, priority=priority)
+        copy.__dict__["instance"] = self.instance
+        if "_delta_repairs" in self.__dict__:
+            copy.__dict__["_delta_repairs"] = self._delta_repairs
+        return copy
+
     def constants(self) -> frozenset[str]:
-        return universe_constants(self.db, self.constraints)
+        return self.instance.constants
 
     def conflicts(self) -> frozenset[Conflict]:
-        return conflicts(self.db, self.schema, self.constraints)
+        return self.instance.conflicts
 
     def literal_universe(self) -> frozenset[Literal]:
-        return literal_universe(self.db, self.schema, self.constants())
+        return self.instance.literals
 
     def delta_repairs(self) -> RepairSet:
-        return delta_repairs(self.db, self.schema, self.constraints, self.budget)
+        return self._delta_repairs
 
     def agreement(self, candidate: Database) -> frozenset[Literal]:
-        return agreement(self.db, self.schema, candidate, self.constants())
+        return self.instance.agreement(candidate)
 
     def restriction(self, litset: frozenset[Literal]) -> Database:
-        return restriction(self.db, self.schema, litset, self.constants())
+        return self.instance.restriction(litset)
 
     def validate(self) -> ValidationReport:
         return validate_priority(self.priority, self.conflicts())
@@ -154,9 +167,7 @@ def is_pareto_improvement(
 ) -> bool:
     """True when ``better`` is consistent and one of its newly kept literals
     outranks every literal sacrificed from ``repair``'s agreement set."""
-    from .model import satisfies
-
-    if not satisfies(better, pdb.constraints, pdb.constants()):
+    if not pdb.instance.consistent(better):
         return False
     mine = pdb.agreement(better)
     theirs = pdb.agreement(repair)
@@ -172,19 +183,11 @@ def is_global_improvement(
 ) -> bool:
     """True when ``better`` is consistent, differs in agreement, and every
     sacrificed literal is outranked by some newly kept one."""
-    from .model import satisfies
-
-    if not satisfies(better, pdb.constraints, pdb.constants()):
+    if not pdb.instance.consistent(better):
         return False
     mine = pdb.agreement(better)
     theirs = pdb.agreement(repair)
-    if mine == theirs:
-        return False
-    gained = mine - theirs
-    lost = theirs - mine
-    return all(
-        any(pdb.priority.outranks(mu, lam) for mu in gained) for lam in lost
-    )
+    return mine != theirs and pdb.priority.covers(mine - theirs, theirs - mine)
 
 
 def _is_pareto_optimal(repair: Database, pdb: PrioritizedDatabase) -> bool:
@@ -196,21 +199,6 @@ def _is_pareto_optimal(repair: Database, pdb: PrioritizedDatabase) -> bool:
     for lam in pdb.literal_universe() - agree:
         candidate = (agree | {lam}) - pdb.priority.dominated_by(lam)
         if not any(e <= candidate for e in conflict_set):
-            return False
-    return True
-
-
-def _is_globally_optimal(repair: Database, pdb: PrioritizedDatabase) -> bool:
-    # Any global improvement extends to one whose agreement set is that of a
-    # full repair, so scanning the other repairs is complete.
-    agree = pdb.agreement(repair)
-    for other in pdb.delta_repairs():
-        if other == repair:
-            continue
-        mine = pdb.agreement(other)
-        gained = mine - agree
-        lost = agree - mine
-        if all(any(pdb.priority.outranks(mu, lam) for mu in gained) for lam in lost):
             return False
     return True
 
@@ -251,37 +239,45 @@ def _completion_certificate(repair: Database, pdb: PrioritizedDatabase) -> bool:
     return assign(0, base_edges)
 
 
+def _optimality_test(
+    pdb: PrioritizedDatabase, kind: str
+) -> Callable[[Database], bool]:
+    """The check that a delta repair is optimal of the given kind; 'none' and
+    'delta' accept every repair."""
+    if kind in ("none", "delta"):
+        return lambda repair: True
+    if kind == "pareto":
+        return lambda repair: _is_pareto_optimal(repair, pdb)
+    if kind == "completion":
+        return lambda repair: _completion_certificate(repair, pdb)
+    if kind != "global":
+        raise InputError(f"unknown optimality kind: {kind}")
+    # Any global improvement extends to one whose agreement set is that of a
+    # full repair, so scanning the other repairs is complete.  Their agreement
+    # sets are built once per test and not kept on the database.
+    agreements = {r: pdb.agreement(r) for r in pdb.delta_repairs()}
+
+    def globally_optimal(repair: Database) -> bool:
+        agree = agreements[repair]
+        return not any(
+            other is not agree and pdb.priority.covers(other - agree, agree - other)
+            for other in agreements.values()
+        )
+
+    return globally_optimal
+
+
 def is_optimal_repair(
     repair: Database, pdb: PrioritizedDatabase, kind: str
 ) -> bool:
     """Membership check for one repair; kind is 'pareto', 'global', or
     'completion' ('none' checks plain repair membership)."""
-    if not is_delta_repair(repair, pdb.db, pdb.schema, pdb.constraints):
-        return False
-    if kind in ("none", "delta"):
-        return True
-    if kind == "pareto":
-        return _is_pareto_optimal(repair, pdb)
-    if kind == "global":
-        return _is_globally_optimal(repair, pdb)
-    if kind == "completion":
-        return _completion_certificate(repair, pdb)
-    raise InputError(f"unknown optimality kind: {kind}")
+    return is_delta_repair_of(pdb.instance, repair) and _optimality_test(pdb, kind)(repair)
 
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
-    base = pdb.delta_repairs()
-    if kind in ("none", "delta"):
-        return base
-    checks = {
-        "pareto": _is_pareto_optimal,
-        "global": _is_globally_optimal,
-        "completion": _completion_certificate,
-    }
-    if kind not in checks:
-        raise InputError(f"unknown optimality kind: {kind}")
-    keep = [r for r in base if checks[kind](r, pdb)]
-    return sorted_repair_set("delta", keep)
+    test = _optimality_test(pdb, kind)
+    return sorted_repair_set("delta", [r for r in pdb.delta_repairs() if test(r)])
 
 
 def greedy_optimal_repair(
@@ -354,10 +350,7 @@ def completion_optimal_repairs_bruteforce(pdb: PrioritizedDatabase) -> RepairSet
     produces."""
     out = set()
     for total in completions(pdb.priority, pdb.conflicts(), pdb.budget):
-        extended = PrioritizedDatabase(
-            pdb.db, pdb.schema, pdb.constraints, total, pdb.budget
-        )
-        out.add(greedy_optimal_repair(extended))
+        out.add(greedy_optimal_repair(pdb.with_priority(total)))
     return sorted_repair_set("delta", out)
 
 

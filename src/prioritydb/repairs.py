@@ -3,24 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .conflicts import Conflict, conflict_hypergraph, conflicts
-from .errors import DEFAULT_BUDGET, Budget
+from .conflicts import Conflict, ConflictHypergraph
+from .errors import DEFAULT_BUDGET, Budget, subsets
 from .model import (
     Database,
-    Fact,
+    Instance,
     Literal,
     Schema,
     UniversalConstraint,
-    agreement,
     fact_key,
-    ground_all,
     literal_key,
-    literal_universe,
-    restriction,
-    universe_constants,
 )
 
 
@@ -82,34 +76,31 @@ def maximal_independent_sets(
     yield from walk(0, set(), set())
 
 
-@lru_cache(maxsize=None)
 def delta_repairs(
     db: Database,
     schema: Schema,
-    constraints: tuple[UniversalConstraint, ...],
+    constraints: Sequence[UniversalConstraint],
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
     """Every maximal independent set of the conflict hypergraph, completed with
     the conflict-free literals and mapped back to a database."""
-    constants = universe_constants(db, constraints)
-    graph = conflict_hypergraph(db, schema, constraints)
-    free = literal_universe(db, schema, constants) - set(graph.vertices)
+    return delta_repairs_of(Instance(db, schema, tuple(constraints)), budget)
+
+
+def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
+    graph = ConflictHypergraph.of(inst.conflicts)
+    free = inst.literals - set(graph.vertices)
     out = []
     for mis in maximal_independent_sets(graph.vertices, graph.hyperedges, budget):
-        out.append(restriction(db, schema, frozenset(mis | free), constants))
+        out.append(inst.restriction(frozenset(mis | free)))
     return sorted_repair_set("delta", out)
 
 
-def _as_bitmask_problem(
-    db: Database, schema: Schema, constraints: tuple[UniversalConstraint, ...]
-):
-    constants = universe_constants(db, constraints)
-    from .model import facts_universe
-
-    universe = sorted(facts_universe(db, schema, constants), key=fact_key)
+def _as_bitmask_problem(inst: Instance):
+    universe = sorted(inst.facts, key=fact_key)
     index = {fact: i for i, fact in enumerate(universe)}
     bodies = []
-    for body in ground_all(constraints, constants):
+    for body in inst.bodies:
         pos = 0
         neg = 0
         for lit in body:
@@ -120,7 +111,7 @@ def _as_bitmask_problem(
                 neg |= bit
         bodies.append((pos, neg))
     db_mask = 0
-    for fact in db:
+    for fact in inst.db:
         db_mask |= 1 << index[fact]
     return universe, bodies, db_mask
 
@@ -137,7 +128,7 @@ def delta_repairs_bruteforce(
 ) -> RepairSet:
     """Definition-direct oracle: scan every subset of the fact universe, keep
     the consistent ones, retain those at minimal symmetric difference."""
-    universe, bodies, db_mask = _as_bitmask_problem(db, schema, constraints)
+    universe, bodies, db_mask = _as_bitmask_problem(Instance(db, schema, tuple(constraints)))
     budget.check_universe(len(universe))
     minimal_diffs: list[int] = []
     winners: list[int] = []
@@ -164,14 +155,15 @@ def is_delta_repair(
 ) -> bool:
     """A candidate repair is a symmetric-difference repair exactly when its
     agreement set is a maximal conflict-free subset of the literal universe."""
-    constants = universe_constants(db, constraints)
-    conflict_set = conflicts(db, schema, tuple(constraints))
-    agree = agreement(db, schema, candidate, constants)
-    if any(e <= agree for e in conflict_set):
+    return is_delta_repair_of(Instance(db, schema, tuple(constraints)), candidate)
+
+
+def is_delta_repair_of(inst: Instance, candidate: Database) -> bool:
+    agree = inst.agreement(candidate)
+    if any(e <= agree for e in inst.conflicts):
         return False
-    lits = literal_universe(db, schema, constants)
-    for lit in lits - agree:
-        if not any(lit in e and e - {lit} <= agree for e in conflict_set):
+    for lit in inst.literals - agree:
+        if not any(lit in e and e - {lit} <= agree for e in inst.conflicts):
             return False
     return True
 
@@ -179,19 +171,16 @@ def is_delta_repair(
 def subset_repairs(
     db: Database,
     schema: Schema,
-    constraints: tuple[UniversalConstraint, ...],
+    constraints: Sequence[UniversalConstraint],
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
     """Maximal consistent subsets of the database."""
-    budget.check_universe(len(db), "database")
-    constants = universe_constants(db, constraints)
-    bodies = ground_all(constraints, constants)
-    facts = sorted(db, key=fact_key)
-    keepers: list[frozenset[Fact]] = []
-    for mask in range(1 << len(facts)):
-        subset = frozenset(f for i, f in enumerate(facts) if mask & (1 << i))
-        if all(not _violated(subset, body) for body in bodies):
-            keepers.append(subset)
+    return subset_repairs_of(Instance(db, schema, tuple(constraints)), budget)
+
+
+def subset_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
+    facts = sorted(inst.db, key=fact_key)
+    keepers = [s for s in subsets(facts, budget, "database") if inst.consistent(s)]
     maximal = [s for s in keepers if not any(s < t for t in keepers)]
     return sorted_repair_set("subset", maximal)
 
@@ -199,25 +188,20 @@ def subset_repairs(
 def superset_repairs(
     db: Database,
     schema: Schema,
-    constraints: tuple[UniversalConstraint, ...],
+    constraints: Sequence[UniversalConstraint],
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
     """Minimal consistent supersets of the database inside the fact universe;
     may be empty."""
-    constants = universe_constants(db, constraints)
-    from .model import facts_universe
+    return superset_repairs_of(Instance(db, schema, tuple(constraints)), budget)
 
-    pool = sorted(facts_universe(db, schema, constants) - db, key=fact_key)
-    budget.check_universe(len(pool), "addition pool")
-    bodies = ground_all(constraints, constants)
-    keepers: list[frozenset[Fact]] = []
-    for mask in range(1 << len(pool)):
-        candidate = db | {f for i, f in enumerate(pool) if mask & (1 << i)}
-        if all(not _violated(candidate, body) for body in bodies):
-            keepers.append(frozenset(candidate))
+
+def superset_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
+    pool = sorted(inst.facts - inst.db, key=fact_key)
+    keepers = [
+        inst.db | added
+        for added in subsets(pool, budget, "addition pool")
+        if inst.consistent(inst.db | added)
+    ]
     minimal = [s for s in keepers if not any(t < s for t in keepers)]
     return sorted_repair_set("superset", minimal)
-
-
-def _violated(db: frozenset[Fact], body) -> bool:
-    return all((lit.fact in db) == lit.positive for lit in body)

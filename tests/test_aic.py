@@ -22,6 +22,7 @@ from prioritydb.aic import (
     is_founded,
     is_grounded,
     is_grounded_via_pruned_rules,
+    is_justified,
     is_well_founded,
     anti_normalize_ground,
     minimal_bodies_ground,
@@ -29,7 +30,8 @@ from prioritydb.aic import (
     r_updates,
     rules_constants,
 )
-from prioritydb.errors import InputError
+from prioritydb.errors import Budget, BudgetExceededError, InputError
+from prioritydb.model import facts_universe
 
 
 def table(db, schema, rules):
@@ -79,6 +81,26 @@ class TestRUpdates:
         assert got == {
             frozenset({action("al", add=True), action("be", add=True), action("ga", add=True)})
         }
+
+
+class TestBudget:
+    @pytest.mark.parametrize("check", ["grounded", "pruned", "justified"])
+    def test_caller_budget_caps_action_subsets(self, check):
+        db = prop_db("al", "be", "ga", "de")
+        schema = prop_schema("al", "be", "ga", "de")
+        rules = example5_rules()
+        ground = ground_rules(rules, rules_constants(db, rules))
+        universe = facts_universe(db, schema)
+        update = frozenset({action("be"), action("ga")})
+        assert update in r_updates(db, schema, rules)
+        run = {
+            "grounded": lambda budget: is_grounded(update, db, ground, budget),
+            "pruned": lambda budget: is_grounded_via_pruned_rules(update, db, ground, budget),
+            "justified": lambda budget: is_justified(update, db, ground, universe, budget),
+        }[check]
+        assert run(Budget())
+        with pytest.raises(BudgetExceededError):
+            run(Budget(max_universe=1))
 
 
 class TestClassification:

@@ -134,10 +134,11 @@ class TestConflictProperties:
 
     def test_soundness_and_minimality(self, example1):
         """Every conflict forces a violation; dropping any literal admits a model."""
-        from prioritydb.model import facts_universe, universe_constants
+        from prioritydb import model
 
-        constants = universe_constants(example1.db, example1.constraints)
-        universe = sorted(facts_universe(example1.db, example1.schema, constants))
+        context = model.Instance(example1.db, example1.schema, example1.constraints)
+        constants = context.constants
+        universe = sorted(context.facts)
         found = conflicts(example1.db, example1.schema, example1.constraints)
         for conflict in found:
             for mask in range(1 << len(universe)):

@@ -1,8 +1,12 @@
 """Priority relations, improvements, optimal repairs, completions, scores."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import (
+    atom,
     example3_repairs,
     fact,
     intersection_example,
@@ -11,6 +15,7 @@ from conftest import (
 )
 from prioritydb.conflicts import conflicts
 from prioritydb.errors import InputError
+from prioritydb.model import Schema, UniversalConstraint
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
@@ -26,6 +31,7 @@ from prioritydb.priorities import (
     score_structure_from_scores,
     validate_priority,
 )
+from prioritydb.repairs import delta_repairs
 
 
 class TestValidation:
@@ -299,3 +305,36 @@ class TestIntersectionExample:
         got = optimal_repairs(pdb, "pareto")
         assert len(got) == 1
         assert optimal_repairs(pdb, "global").repairs == got.repairs
+
+
+def _exclusion_pair(tag: str) -> PrioritizedDatabase:
+    """P(tag) and Q(tag) exclude each other, and P(tag) is preferred."""
+    db = frozenset({fact("P", tag), fact("Q", tag)})
+    constraint = UniversalConstraint.make([atom("P", "X"), atom("Q", "X")])
+    priority = PriorityRelation.of([(lit("P", tag), lit("Q", tag))])
+    return PrioritizedDatabase(db, Schema.of([("P", 1), ("Q", 1)]), (constraint,), priority)
+
+
+class TestInstanceContext:
+    def test_copy_under_another_priority_shares_instance_and_repairs(self):
+        pdb = _exclusion_pair("a")
+        repairs = pdb.delta_repairs()
+        copy = pdb.with_priority(PriorityRelation())
+        assert copy.priority == PriorityRelation()
+        assert copy.instance is pdb.instance
+        assert copy.delta_repairs() is repairs
+        assert len(optimal_repairs(copy, "pareto")) == 2
+        assert len(optimal_repairs(pdb, "pareto")) == 1
+
+    def test_dropped_database_is_not_retained(self):
+        def session() -> weakref.ref:
+            pdb = _exclusion_pair("dropped")
+            for kind in ("pareto", "global", "completion"):
+                optimal_repairs(pdb, kind)
+            conflicts(pdb.db, pdb.schema, pdb.constraints)
+            delta_repairs(pdb.db, pdb.schema, pdb.constraints)
+            return weakref.ref(next(iter(pdb.db)))
+
+        ref = session()
+        gc.collect()
+        assert ref() is None

@@ -92,10 +92,10 @@ class TestIsDeltaRepair:
         )
 
     def test_matches_enumeration(self, example1):
-        from prioritydb.model import facts_universe, universe_constants
+        from prioritydb import model
 
-        constants = universe_constants(example1.db, example1.constraints)
-        universe = sorted(facts_universe(example1.db, example1.schema, constants))
+        context = model.Instance(example1.db, example1.schema, example1.constraints)
+        universe = sorted(context.facts)
         expected = set(
             delta_repairs(example1.db, example1.schema, example1.constraints).repairs
         )
