@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
@@ -29,6 +30,7 @@ from .model import (
     UniversalConstraint,
     fact_key,
     ground_body,
+    resolutions,
     universe_constants,
     violates_ground,
 )
@@ -395,18 +397,18 @@ def classify_r_updates(
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
     inst = Instance(db, schema, constraints_of(rules))
-    return classify_updates(inst, rules, r_updates(db, schema, rules, budget), budget)
+    ground = ground_rules(rules, inst.constants)
+    return classify_updates(inst, ground, r_updates(db, schema, rules, budget), budget)
 
 
 def classify_updates(
     inst: Instance,
-    rules: Sequence[AIC],
+    ground: frozenset[GroundAIC],
     updates: Iterable[frozenset[UpdateAction]],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
-    """The support properties of the given r-updates of ``inst.db``, where
-    ``inst`` holds the rules' bodies as constraints."""
-    ground = ground_rules(rules, inst.constants)
+    """The support properties of the given r-updates of ``inst.db`` under the
+    ground rules, whose facts lie in ``inst.facts``."""
     out = []
     for actions in updates:
         out.append(
@@ -464,11 +466,7 @@ def check_properties(
     All checks run on the ground instances for this database only; they do not
     decide the corresponding property over every database.
     """
-    constants = rules_constants(db, rules)
-    ground = sorted(
-        ground_rules(rules, constants),
-        key=lambda r: sorted(map(str, r.lits)),
-    )
+    ground = sorted(ground_rules(rules, rules_constants(db, rules)), key=_rule_key)
     notes: list[tuple[str, str]] = []
 
     facts_by_sign: dict[Fact, set[bool]] = {}
@@ -482,56 +480,27 @@ def check_properties(
         )[0]
         notes.append(("monotone", f"fact {culprit} occurs with both signs"))
 
-    bodies = {rule.lits for rule in ground}
-    closed = _consistent_rule_set(ground, budget)
-    if not closed:
+    by_body: dict[frozenset[Literal], list[GroundAIC]] = {}
+    for rule in ground:
+        by_body.setdefault(rule.lits, []).append(rule)
+    satisfiable = _consistent_rule_set(ground, budget)
+    if not satisfiable:
         notes.append(("closed_under_resolution", "rule set is unsatisfiable"))
-    preserves_res = True
-    if closed:
-        for i, left in enumerate(ground):
-            for right in ground[i + 1:]:
-                clashes = [l for l in left.lits if l.negated() in right.lits]
-                if len(clashes) != 1:
-                    continue
-                clash = clashes[0]
-                resolvent = (left.lits - {clash}) | (right.lits - {clash.negated()})
-                if len({l.fact for l in resolvent}) != len(resolvent):
-                    continue
-                if resolvent not in bodies:
-                    closed = False
-                    notes.append(
-                        (
-                            "closed_under_resolution",
-                            f"missing resolvent of ({_fmt(left)}) and ({_fmt(right)})",
-                        )
-                    )
-    for i, left in enumerate(ground):
-        for right in ground[i + 1:]:
-            for first, second in ((left, right), (right, left)):
-                clashes = [l for l in first.lits if l.negated() in second.lits]
-                if len(clashes) != 1:
-                    continue
-                clash = clashes[0]
-                resolvent = (first.lits - {clash}) | (second.lits - {clash.negated()})
-                for target in ground:
-                    if target.lits != resolvent:
-                        continue
-                    barred = {
-                        UpdateAction(True, clash.fact),
-                        UpdateAction(False, clash.fact),
-                    }
-                    expected = (first.updates | second.updates) - barred
-                    if not expected <= target.updates:
-                        preserves_res = False
-                        notes.append(
-                            (
-                                "preserves_actions_resolution",
-                                f"resolvent ({_fmt(target)}) lacks actions of "
-                                f"({_fmt(first)}) and ({_fmt(second)})",
-                            )
-                        )
+    missing: list[str] = []
+    lacking: list[str] = []
+    for left_body, right_body, clash, resolvent in resolutions(list(by_body)):
+        for left, right in product(by_body[left_body], by_body[right_body]):
+            if satisfiable and resolvent not in by_body:
+                missing.append(f"missing resolvent of ({_fmt(left)}) and ({_fmt(right)})")
+            expected = {a for a in left.updates | right.updates if a.fact != clash.fact}
+            for target in by_body.get(resolvent, ()):
+                if not expected <= target.updates:
+                    lacking.append(f"resolvent ({_fmt(target)}) lacks actions of "
+                                   f"({_fmt(left)}) and ({_fmt(right)})")
+    notes += [("closed_under_resolution", note) for note in missing]
+    notes += [("preserves_actions_resolution", note) for note in lacking]
 
-    merged = anti_normalize_ground(ground)
+    merged = sorted(anti_normalize_ground(ground), key=_rule_key)
     preserves_str = True
     for weak in merged:
         for strong in merged:
@@ -545,11 +514,15 @@ def check_properties(
                 )
     return PropertyReport(
         monotone=monotone,
-        closed_under_resolution=closed,
-        preserves_actions_resolution=preserves_res,
+        closed_under_resolution=satisfiable and not missing,
+        preserves_actions_resolution=not lacking,
         preserves_actions_strengthening=preserves_str,
         counterexamples=tuple(notes),
     )
+
+
+def _rule_key(rule: GroundAIC) -> tuple:
+    return sorted(map(str, rule.lits)), sorted(map(str, rule.updates))
 
 
 def _fmt(rule: GroundAIC) -> str:

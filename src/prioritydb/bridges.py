@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 from .aic import (
     AIC,
     GroundAIC,
+    RUpdate,
     UpdateAtom,
     action_key,
     actions_between,
     check_properties,
-    classify_r_updates,
     classify_updates,
     constraints_of,
     ground_rules,
@@ -213,8 +213,12 @@ class EquivalenceReport:
 
 
 def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport:
-    rules = ground_rules_as_aics(priority_to_rules(pdb))
-    table = classify_r_updates(pdb.db, pdb.schema, rules, pdb.budget)
+    # The translated rule bodies are exactly the conflicts.  Conflicts lie in
+    # one literal universe, so no two of them clash: their consensus closure is
+    # themselves, and the rules' r-updates are the updates to the pdb's own
+    # delta repairs.  Classifying those updates therefore classifies the
+    # translated rules' r-updates, with no second consensus or enumeration.
+    table = _classify_repairs(pdb, frozenset(priority_to_rules(pdb)))
     return EquivalenceReport(
         pareto=optimal_repairs(pdb, "pareto"),
         founded=reached_by_kind(pdb.db, table, "founded"),
@@ -222,6 +226,15 @@ def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport
         justified=reached_by_kind(pdb.db, table, "justified"),
         well_founded=reached_by_kind(pdb.db, table, "wellfounded"),
     )
+
+
+def _classify_repairs(
+    pdb: PrioritizedDatabase, ground: frozenset[GroundAIC]
+) -> tuple[RUpdate, ...]:
+    """The support properties, under the ground rules, of the updates that
+    lead to the pdb's delta repairs."""
+    updates = [actions_between(pdb.db, repair) for repair in pdb.delta_repairs()]
+    return classify_updates(pdb.instance, ground, updates, pdb.budget)
 
 
 def refine_constraint(
@@ -537,13 +550,10 @@ def check_roundtrip(
     pdb = PrioritizedDatabase(
         db, schema, derived.constraints, derived.priority, budget
     )
-    conflict_set = pdb.conflicts()
-    binary = all(len(e) <= 2 for e in conflict_set)
-    updates = [actions_between(db, repair) for repair in pdb.delta_repairs()]
-    table = classify_updates(pdb.instance, rules, updates, budget)
+    table = _classify_repairs(pdb, ground_rules(rules, pdb.constants()))
     return RoundTripReport(
         applicable=not derived.property_warnings,
-        binary_conflicts=binary,
+        binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),
         pareto=optimal_repairs(pdb, "pareto"),
         founded=reached_by_kind(db, table, "founded"),
         grounded=reached_by_kind(db, table, "grounded"),

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (or a check that answered true), 1 a check that answered
-false, 2 malformed input, 3 enumeration budget exceeded.  Output is sorted
-canonically, so identical inputs produce byte-identical reports.
+false, 2 malformed input, 3 enumeration budget exceeded, 4 internal error (a
+defect of the program, reported as one ``internal error:`` line on stderr).
+Output is sorted canonically, so identical inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .aic import (
     classify_r_updates,
     classify_updates,
     constraints_of,
+    ground_rules,
     r_updates,
 )
 from .conflicts import ConflictHypergraph, max_conflict_size
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class Workspace:
@@ -227,8 +231,9 @@ def cmd_aic(ws: Workspace, args) -> int:
         if actions not in r_updates(ws.db, ws.schema, ws.rules, ws.budget):
             print("not an r-update")
             return EXIT_FALSE
-        rules_instance = Instance(ws.db, ws.schema, constraints_of(ws.rules))
-        (entry,) = classify_updates(rules_instance, ws.rules, [actions], ws.budget)
+        inst = Instance(ws.db, ws.schema, constraints_of(ws.rules))
+        ground = ground_rules(ws.rules, inst.constants)
+        (entry,) = classify_updates(inst, ground, [actions], ws.budget)
         checks = entry.classes()
         for name, on in checks.items():
             print(f"{name}: {'yes' if on else 'no'}")
@@ -415,6 +420,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:  # a crash must not read as the answer "no"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

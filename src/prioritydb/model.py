@@ -391,28 +391,39 @@ def _consistent(term: frozenset[Literal]) -> bool:
     return len({l.fact for l in term}) == len(term)
 
 
+def resolutions(
+    terms: Sequence[frozenset[Literal]],
+) -> Iterator[tuple[frozenset[Literal], frozenset[Literal], Literal, frozenset[Literal]]]:
+    """Each pair of terms that clash on exactly one fact, once per pair, as
+    ``(left, right, clash, resolvent)``: ``left`` precedes ``right`` in the
+    given order, ``clash`` is the member of ``left`` whose negation is in
+    ``right``.  Pairs whose resolvent holds both signs of a fact are skipped."""
+    for i, left in enumerate(terms):
+        for right in terms[i + 1:]:
+            clashes = [l for l in left if l.negated() in right]
+            if len(clashes) != 1:
+                continue
+            clash = clashes[0]
+            resolvent = (left - {clash}) | (right - {clash.negated()})
+            if _consistent(resolvent):
+                yield left, right, clash, resolvent
+
+
 def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
     """All prime implicants of a disjunction of conjunctive terms.
 
-    Iterated consensus: two terms clashing on exactly one fact produce their
-    resolvent; inconsistent resolvents are discarded and subsumed terms deleted
-    after every round, until a fixpoint is reached.
+    Iterated consensus: the consistent resolvents of the current terms are
+    added and subsumed terms deleted after every round, until a fixpoint is
+    reached.
     """
     terms = antichain(frozenset(b) for b in bodies)
     while True:
-        fresh: set[frozenset[Literal]] = set()
         term_list = sorted(terms, key=lambda t: sorted(map(literal_key, t)))
-        for i, left in enumerate(term_list):
-            for right in term_list[i + 1:]:
-                clashes = [l for l in left if l.negated() in right]
-                if len(clashes) != 1:
-                    continue
-                clash = clashes[0]
-                resolvent = (left - {clash}) | (right - {clash.negated()})
-                if not _consistent(resolvent):
-                    continue
-                if not any(t <= resolvent for t in terms):
-                    fresh.add(resolvent)
+        fresh = {
+            resolvent
+            for _, _, _, resolvent in resolutions(term_list)
+            if not any(t <= resolvent for t in terms)
+        }
         if not fresh:
             return frozenset(terms)
         terms = antichain(terms | fresh)

@@ -53,32 +53,41 @@ class PriorityRelation:
         succ: dict[Literal, list[Literal]] = {}
         for a, b in self.edges:
             succ.setdefault(a, []).append(b)
-        colors: dict[Literal, int] = {}
-        stack: list[Literal] = []
-
-        def visit(node: Literal) -> Optional[tuple[Literal, ...]]:
-            colors[node] = 1
-            stack.append(node)
-            for nxt in sorted(succ.get(node, []), key=literal_key):
-                if colors.get(nxt) == 1:
-                    return tuple(stack[stack.index(nxt):]) + (nxt,)
-                if colors.get(nxt, 0) == 0:
-                    found = visit(nxt)
-                    if found:
-                        return found
-            colors[node] = 2
-            stack.pop()
-            return None
-
-        for node in sorted(succ, key=literal_key):
-            if colors.get(node, 0) == 0:
-                found = visit(node)
-                if found:
-                    return found
-        return None
+        return _depth_first(succ, succ)[1]
 
     def is_acyclic(self) -> bool:
         return self.find_cycle() is None
+
+
+def _depth_first(
+    succ: dict[Literal, Iterable[Literal]], roots: Iterable[Literal]
+) -> tuple[list[Literal], Optional[tuple[Literal, ...]]]:
+    """Iterative depth-first walk from each root in turn, taking roots and
+    successors in ``literal_key`` order.  Returns the reached nodes in
+    post-order and ``None``, or, on meeting a node of the current path, the
+    nodes finished so far and that cycle with its first node repeated last."""
+
+    def successors(node: Literal) -> Iterator[Literal]:
+        return iter(sorted(succ.get(node, ()), key=literal_key))
+
+    finished: dict[Literal, None] = {}
+    for root in sorted(roots, key=literal_key):
+        if root in finished:
+            continue
+        path = {root: successors(root)}  # each node with its unvisited successors
+        while path:
+            node, pending = next(reversed(path.items()))
+            for nxt in pending:
+                if nxt in path:
+                    nodes = list(path)
+                    return list(finished), tuple(nodes[nodes.index(nxt):]) + (nxt,)
+                if nxt not in finished:
+                    path[nxt] = successors(nxt)
+                    break
+            else:
+                del path[node]
+                finished[node] = None
+    return list(finished), None
 
 
 @dataclass(frozen=True)
@@ -408,29 +417,12 @@ def detect_score_structure(
     succ: dict[Literal, set[Literal]] = {}
     for a, b in strict:
         succ.setdefault(a, set()).add(b)
-    roots = {find(l) for l in literals}
+    order, cycle = _depth_first(succ, {find(l) for l in literals})
+    if cycle is not None:
+        return None
     depth: dict[Literal, int] = {}
-    state: dict[Literal, int] = {}
-
-    def longest(node: Literal) -> int:
-        if state.get(node) == 1:
-            return -1  # cycle
-        if node in depth:
-            return depth[node]
-        state[node] = 1
-        best = 0
-        for nxt in succ.get(node, ()):  # score must strictly drop along edges
-            below = longest(nxt)
-            if below < 0:
-                return -1
-            best = max(best, below + 1)
-        state[node] = 2
-        depth[node] = best
-        return best
-
-    for root in roots:
-        if longest(root) < 0:
-            return None
+    for node in order:  # successors first; the score strictly drops along edges
+        depth[node] = max((depth[nxt] + 1 for nxt in succ.get(node, ())), default=0)
     score = {lit: depth[find(lit)] for lit in literals}
     by_level: dict[int, list[Literal]] = {}
     for lit, value in score.items():

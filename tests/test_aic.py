@@ -279,7 +279,8 @@ class TestProperties:
 
     def test_counterexamples_reported(self):
         report = check_properties(example7_rules(), prop_db("al", "be", "ga"))
-        assert any(kind == "preserves_actions_resolution" for kind, _ in report.counterexamples)
+        kinds = [kind for kind, _ in report.counterexamples]
+        assert kinds.count("preserves_actions_resolution") == 1
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Translations between the frameworks and their verification reports."""
 
+import random
+
 import pytest
 
 from conftest import (
@@ -16,6 +18,7 @@ from conftest import (
     prop_db,
     prop_schema,
 )
+from corpus import random_instance, with_random_priority
 from prioritydb.aic import repairs_of_kind
 from prioritydb.bridges import (
     check_denial_image,
@@ -110,6 +113,24 @@ class TestTranslationEquivalence:
         report = check_translation_equivalence(pdb)
         assert report.ok()
         assert set(report.pareto.repairs) == {db}
+
+    def test_matches_classification_of_translated_rules(self):
+        """Oracle: the classes equal those of the translated rules, grounded
+        again and classified over their own r-updates."""
+        rng = random.Random(8)
+        pdbs = [example3_instance().pdb()] + [
+            with_random_priority(rng, random_instance(rng)) for _ in range(40)
+        ]
+        for pdb in pdbs:
+            report = check_translation_equivalence(pdb)
+            rules = ground_rules_as_aics(priority_to_rules(pdb))
+            for kind, got in (
+                ("founded", report.founded),
+                ("wellfounded", report.well_founded),
+                ("grounded", report.grounded),
+                ("justified", report.justified),
+            ):
+                assert got == repairs_of_kind(pdb.db, pdb.schema, rules, kind)
 
     def test_well_founded_may_be_larger(self):
         """Rules shaped like the layered removal example keep a well-founded

@@ -1,9 +1,15 @@
 """End-to-end command-line behavior: commands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import prioritydb
+from prioritydb import cli
 from prioritydb.cli import main
 
+SRC = str(Path(prioritydb.__file__).parent.parent)
 FIXTURES = Path(__file__).parent / "fixtures"
 EX1 = FIXTURES / "example1"
 EX3 = FIXTURES / "example3"
@@ -197,6 +203,19 @@ class TestAicCommands:
         assert "monotone: yes" in out
         assert "preserves actions under strengthening: no" in out
 
+    def test_props_independent_of_hash_seed(self):
+        argv = ["--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", "aic", "props"]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-m", "prioritydb.cli", *map(str, argv)],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"preserves_actions_strengthening:") == 4
+
 
 class TestTranslate:
     def test_to_denial(self, capsys, tmp_path):
@@ -342,3 +361,14 @@ class TestErrors:
         db.write_text("A(a).\nA(a, b).\n")
         code = main(["--db", str(db), "conflicts"])
         assert code == 2
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def crash(ws, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_conflicts", crash)
+        code = main(["--db", str(EX1 / "db.pdb"), "conflicts"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('boom')\n"

@@ -258,6 +258,14 @@ class TestScoreStructure:
         assert (lit("B", "a"), neg("D", "a")) in priority.edges
         assert detect_score_structure(priority, conflict_set) is not None
 
+    def test_long_chain_stays_below_the_recursion_limit(self):
+        chain = [lit("P", f"c{i:04d}") for i in range(3000)]
+        pairs = list(zip(chain, chain[1:]))
+        priority = PriorityRelation.of(pairs)
+        assert priority.find_cycle() is None
+        got = detect_score_structure(priority, frozenset(map(frozenset, pairs)))
+        assert got is not None and len(got.levels) == 3000
+
 
 class TestLexicographic:
     def test_collapse_for_score_structured(self, example1):
