@@ -466,7 +466,14 @@ def check_properties(
     All checks run on the ground instances for this database only; they do not
     decide the corresponding property over every database.
     """
-    ground = sorted(ground_rules(rules, rules_constants(db, rules)), key=_rule_key)
+    return check_ground_properties(ground_rules(rules, rules_constants(db, rules)), budget)
+
+
+def check_ground_properties(
+    rules: Iterable[GroundAIC], budget: Budget = DEFAULT_BUDGET
+) -> PropertyReport:
+    """``check_properties`` on rules already ground over the database's pool."""
+    ground = sorted(rules, key=_rule_key)
     notes: list[tuple[str, str]] = []
 
     facts_by_sign: dict[Fact, set[bool]] = {}

@@ -20,7 +20,7 @@ from .aic import (
     UpdateAtom,
     action_key,
     actions_between,
-    check_properties,
+    check_ground_properties,
     classify_updates,
     constraints_of,
     ground_rules,
@@ -433,14 +433,15 @@ def priority_from_stored_facts(
 @dataclass(frozen=True)
 class DerivedPriority:
     """Result of reading a priority off a set of active rules: the constraint
-    set, the derived edges or the cycle that blocks them, and the body-minimal
-    violated ground rules the edges came from."""
+    set, the derived edges or the cycle that blocks them, the body-minimal
+    violated ground rules the edges came from, and every ground rule."""
 
     constraints: tuple[UniversalConstraint, ...]
     priority: Optional[PriorityRelation]
     cycle: Optional[tuple[Literal, ...]]
     minimal_ground: tuple[GroundAIC, ...]
     property_warnings: tuple[str, ...]
+    ground: frozenset[GroundAIC]
 
 
 def rules_to_priority(
@@ -449,7 +450,8 @@ def rules_to_priority(
     """Derive preference edges from the update actions of the body-minimal
     violated ground rules: the literal kept outranks the one repaired, provided
     no such rule also offers to repair the kept literal."""
-    report = check_properties(rules, db, budget)
+    ground = ground_rules(rules, rules_constants(db, rules))
+    report = check_ground_properties(ground, budget)
     warnings = []
     if not report.closed_under_resolution:
         warnings.append("rule set is not closed under resolution")
@@ -457,7 +459,6 @@ def rules_to_priority(
         warnings.append("rule set does not preserve actions under resolution")
     if not report.preserves_actions_strengthening:
         warnings.append("rule set does not preserve actions under strengthening")
-    ground = ground_rules(rules, rules_constants(db, rules))
     minimal = frozenset(
         rule
         for rule in ground
@@ -484,12 +485,13 @@ def rules_to_priority(
     ordered_minimal = tuple(
         sorted(minimal, key=lambda r: sorted(map(literal_key, r.lits)))
     )
-    if cycle is not None:
-        return DerivedPriority(
-            constraints_of(rules), None, cycle, ordered_minimal, tuple(warnings)
-        )
     return DerivedPriority(
-        constraints_of(rules), priority, None, ordered_minimal, tuple(warnings)
+        constraints_of(rules),
+        None if cycle is not None else priority,
+        cycle,
+        ordered_minimal,
+        tuple(warnings),
+        ground,
     )
 
 
@@ -550,7 +552,8 @@ def check_roundtrip(
     pdb = PrioritizedDatabase(
         db, schema, derived.constraints, derived.priority, budget
     )
-    table = _classify_repairs(pdb, ground_rules(rules, pdb.constants()))
+    # derived.ground lies over rules_constants(db, rules), which is pdb.constants()
+    table = _classify_repairs(pdb, derived.ground)
     return RoundTripReport(
         applicable=not derived.property_warnings,
         binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),

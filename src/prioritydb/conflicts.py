@@ -5,12 +5,18 @@ bodies under consensus (``prime_implicants``: single-clash resolution with
 subsumption deletion) until only prime terms of the violation formula remain,
 then keeps the terms that lie inside the literal universe.  An independent
 path recovers the same sets as minimal hitting sets of the symmetric
-differences between the database and its repairs; it serves as a test oracle.
+differences between the database and its brute-force repairs; it serves as a
+test oracle.  ``minimal_hitting_sets`` is the one minimal-transversal
+enumerator: the oracle runs it on those differences, and ``repairs`` runs it
+on the conflicts, whose minimal transversals are the complements of the
+repairs' agreement sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError
@@ -20,7 +26,6 @@ from .model import (
     Literal,
     Schema,
     UniversalConstraint,
-    antichain,
     literal_key,
     prime_implicants,  # re-exported: the consensus closure behind Instance.conflicts
 )
@@ -50,35 +55,53 @@ def conflicts_via_hitting_sets(
 
     repairs = delta_repairs_bruteforce(db, schema, tuple(constraints), budget=budget)
     diffs = [frozenset(r ^ db) for r in repairs.repairs]
-    out: set[Conflict] = set()
-    for hitting in minimal_hitting_sets(diffs):
-        out.add(
-            frozenset(
-                Literal(f, positive=f in db) for f in hitting
-            )
-        )
-    return frozenset(out)
+    return frozenset(
+        frozenset(Literal(f, positive=f in db) for f in hitting)
+        for hitting in minimal_hitting_sets(diffs, budget, "repair difference set")
+    )
 
 
-def minimal_hitting_sets(families: Sequence[frozenset]) -> frozenset[frozenset]:
-    """All minimal sets intersecting every member of ``families``."""
-    if any(len(f) == 0 for f in families):
+def minimal_hitting_sets(
+    families: Sequence[frozenset],
+    budget: Budget = DEFAULT_BUDGET,
+    what: str = "hitting-set universe",
+) -> frozenset[frozenset]:
+    """All minimal sets meeting every member of ``families``: its minimal
+    transversals, whose complements are the maximal independent sets.
+
+    Decides each element of the families' union in turn, iteratively over
+    bitmasks.  An element is left out only while no family would then lie
+    wholly among the left-out elements, and taken only while every taken
+    element still meets some family alone (the critical-edge test of MMCS,
+    Murakami & Uno 2014).  So every leaf is a minimal transversal.
+    """
+    union = list(dict.fromkeys(e for f in families for e in f))
+    budget.check_universe(len(union), what)
+    if not all(families):
         return frozenset()
-    found: set[frozenset] = set()
-
-    def extend(remaining: list[frozenset], chosen: frozenset) -> None:
-        if any(c < chosen for c in found):
-            return
-        if not remaining:
-            found.add(chosen)
-            return
-        target = min(remaining, key=len)
-        for element in sorted(target):
-            still = [s for s in remaining if element not in s]
-            extend(still, chosen | {element})
-
-    extend(list(families), frozenset())
-    return frozenset(antichain(found))
+    index = {e: i for i, e in enumerate(union)}
+    masks = {sum(1 << index[e] for e in f) for f in families}
+    containing = [[m for m in masks if m >> i & 1] for i in range(len(union))]
+    reach = [reduce(or_, ms) for ms in containing]
+    found = []
+    stack = [(0, 0, 0)]  # (next element, taken mask, left-out mask)
+    while stack:
+        i, taken, left = stack.pop()
+        if i == len(union):
+            found.append(frozenset(e for j, e in enumerate(union) if taken >> j & 1))
+            continue
+        bit = 1 << i
+        if all(m & ~(left | bit) for m in containing[i]):
+            stack.append((i + 1, taken, left | bit))
+        grown = taken | bit
+        rivals = taken & reach[i]  # taken elements that share a family with this one
+        if any(m & taken == 0 for m in containing[i]) and all(
+            any(m & grown == 1 << j for m in containing[j])
+            for j in range(i)
+            if rivals >> j & 1
+        ):
+            stack.append((i + 1, grown, left))
+    return frozenset(found)
 
 
 def is_conflict(

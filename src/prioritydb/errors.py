@@ -29,9 +29,9 @@ class BudgetExceededError(Exception):
 class Budget:
     """Caps on the exponential enumerations.
 
-    max_universe bounds the number of facts (or literals) a subset/independent-set
-    enumeration may range over; max_completions bounds how many total extensions of
-    a priority relation may be generated.
+    max_universe bounds the number of facts (or literals) a subset or
+    minimal-transversal enumeration may range over; max_completions bounds how
+    many total extensions of a priority relation may be generated.
     """
 
     max_universe: int = 22

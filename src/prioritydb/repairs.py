@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .conflicts import Conflict, ConflictHypergraph
+from .conflicts import ConflictHypergraph, minimal_hitting_sets
 from .errors import DEFAULT_BUDGET, Budget, subsets
 from .model import (
     Database,
     Instance,
-    Literal,
     Schema,
     UniversalConstraint,
     fact_key,
-    literal_key,
 )
 
 
@@ -38,62 +36,26 @@ def sorted_repair_set(kind: str, repairs) -> RepairSet:
     return RepairSet(kind, tuple(ordered))
 
 
-def maximal_independent_sets(
-    vertices: Sequence[Literal],
-    hyperedges: Sequence[Conflict],
-    budget: Budget = DEFAULT_BUDGET,
-) -> Iterator[frozenset[Literal]]:
-    """Backtracking enumeration over the canonical vertex order.
-
-    A set is independent when it contains no hyperedge; maximality is checked
-    against the full vertex set at each leaf.
-    """
-    budget.check_universe(len(vertices), "conflict literal set")
-    order = sorted(vertices, key=literal_key)
-    edges = [frozenset(e) for e in hyperedges]
-
-    def completes_edge(chosen: set[Literal], vertex: Literal) -> bool:
-        return any(vertex in e and e - {vertex} <= chosen for e in edges)
-
-    def walk(index: int, chosen: set[Literal], excluded: set[Literal]):
-        if index == len(order):
-            if all(completes_edge(chosen, v) for v in excluded):
-                yield frozenset(chosen)
-            return
-        vertex = order[index]
-        if not completes_edge(chosen, vertex):
-            chosen.add(vertex)
-            yield from walk(index + 1, chosen, excluded)
-            chosen.remove(vertex)
-            excluded.add(vertex)
-            yield from walk(index + 1, chosen, excluded)
-            excluded.remove(vertex)
-        else:
-            excluded.add(vertex)
-            yield from walk(index + 1, chosen, excluded)
-            excluded.remove(vertex)
-
-    yield from walk(0, set(), set())
-
-
 def delta_repairs(
     db: Database,
     schema: Schema,
     constraints: Sequence[UniversalConstraint],
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
-    """Every maximal independent set of the conflict hypergraph, completed with
-    the conflict-free literals and mapped back to a database."""
+    """The complement of every minimal transversal of the conflict hypergraph
+    in the literal universe, mapped back to a database."""
     return delta_repairs_of(Instance(db, schema, tuple(constraints)), budget)
 
 
 def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
-    graph = ConflictHypergraph.of(inst.conflicts)
-    free = inst.literals - set(graph.vertices)
-    out = []
-    for mis in maximal_independent_sets(graph.vertices, graph.hyperedges, budget):
-        out.append(inst.restriction(frozenset(mis | free)))
-    return sorted_repair_set("delta", out)
+    edges = ConflictHypergraph.of(inst.conflicts).hyperedges
+    return sorted_repair_set(
+        "delta",
+        (
+            inst.restriction(inst.literals - t)
+            for t in minimal_hitting_sets(edges, budget, "conflict literal set")
+        ),
+    )
 
 
 def _as_bitmask_problem(inst: Instance):

@@ -131,7 +131,7 @@ def test_acceptance_02_optimal_repair_sets():
     if not validate_priority(pdb.priority, conflict_set).ok:
         problems.append("priority joins literals outside a shared conflict")
     candidates = conflict_fact_databases(conflict_set)
-    consistent = [c for c in candidates if satisfies(c, pdb.constraints, pdb.constants())]
+    consistent = [c for c in candidates if pdb.instance.consistent(c)]
     if (len(candidates), len(consistent)) != (64, 16):
         problems.append("candidate scan is not the 64 subsets with 16 consistent")
 

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import prioritydb
-from prioritydb import cli
+from prioritydb import aic, cli
 from prioritydb.cli import main
 
 SRC = str(Path(prioritydb.__file__).parent.parent)
@@ -216,6 +218,32 @@ class TestAicCommands:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"preserves_actions_strengthening:") == 4
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify", "prop10"),
+            ("translate", "aic-to-prio"),
+            ("aic", "classify"),
+            ("aic", "props"),
+            ("aic", "check-update", "--update", AIC9 / "update1.pdb"),
+        ],
+        ids=["verify-prop10", "aic-to-prio", "classify", "props", "check-update"],
+    )
+    def test_rules_ground_once(self, capsys, monkeypatch, command):
+        original = aic.ground_rules
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prioritydb") and getattr(module, "ground_rules", None) is original:
+                monkeypatch.setattr(module, "ground_rules", counting)
+        code, _ = run(capsys, "--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", *command)
+        assert code in (0, 1)
+        assert len(calls) == 1
+
 
 class TestTranslate:
     def test_to_denial(self, capsys, tmp_path):
@@ -345,16 +373,22 @@ class TestErrors:
         code = main(["--db", str(bad), "conflicts"])
         assert code == 2
 
-    def test_budget_exit_code(self, capsys):
+    @pytest.mark.parametrize(
+        "kind, stage",
+        [("superset", "addition pool"), ("delta", "conflict literal set")],
+        ids=["superset", "delta"],
+    )
+    def test_budget_exit_code(self, capsys, kind, stage):
         code = main(
             [
                 "--db", str(EX3 / "db.pdb"),
                 "--constraints", str(EX3 / "constraints.pdb"),
                 "--max-universe", "3",
-                "repairs", "--kind", "superset",
+                "repairs", "--kind", kind,
             ]
         )
         assert code == 3
+        assert stage in capsys.readouterr().err
 
     def test_arity_clash_rejected(self, capsys, tmp_path):
         db = tmp_path / "db.pdb"

@@ -1,7 +1,11 @@
 """Conflict computation: consensus path, hitting-set oracle, membership,
 hypergraph shape."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_instance, example3_instance, fact, lit, neg
 from prioritydb.conflicts import (
@@ -13,7 +17,7 @@ from prioritydb.conflicts import (
     minimal_hitting_sets,
     prime_implicants,
 )
-from prioritydb.errors import InputError
+from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, satisfies
 
 
@@ -91,6 +95,31 @@ class TestHittingSetOracle:
         assert got == {frozenset({2}), frozenset({1, 3})}
         assert minimal_hitting_sets([frozenset()]) == frozenset()
         assert minimal_hitting_sets([]) == {frozenset()}
+
+
+def _transversals_by_definition(families):
+    """Scan every subset of the union: keep those meeting every family that
+    have no proper subset doing so."""
+    union = sorted(set().union(*families))
+    candidates = [frozenset(c) for r in range(len(union) + 1) for c in combinations(union, r)]
+    meeting = [c for c in candidates if all(c & f for f in families)]
+    return {c for c in meeting if not any(other < c for other in meeting)}
+
+
+class TestMinimalHittingSets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 7), max_size=8), max_size=6))
+    @example([])
+    @example([frozenset()])
+    @example([frozenset({0, 1}), frozenset()])
+    def test_matches_definition(self, families):
+        assert minimal_hitting_sets(families) == _transversals_by_definition(families)
+
+    def test_budget_caps_the_union(self):
+        families = [frozenset({1, 2}), frozenset({2, 3})]
+        assert len(minimal_hitting_sets(families, Budget(max_universe=3), "union")) == 2
+        with pytest.raises(BudgetExceededError, match="union has 3 elements"):
+            minimal_hitting_sets(families, Budget(max_universe=2), "union")
 
 
 class TestMembership:

@@ -31,7 +31,6 @@ from prioritydb.bridges import (
     check_translation_equivalence,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets
-from prioritydb.model import satisfies
 from prioritydb.priorities import (
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
@@ -119,12 +118,11 @@ def test_oracle_completion_certificate_vs_enumeration():
 
 def _improvement_exists(pdb, repair, pareto: bool) -> bool:
     """Definition-direct improvement search over every consistent candidate."""
-    constants = pdb.constants()
     universe = sorted(pdb.instance.facts)
     check = is_pareto_improvement if pareto else is_global_improvement
     for mask in range(1 << len(universe)):
         candidate = frozenset(f for i, f in enumerate(universe) if mask & (1 << i))
-        if not satisfies(candidate, pdb.constraints, constants):
+        if not pdb.instance.consistent(candidate):
             continue
         if check(candidate, repair, pdb):
             return True

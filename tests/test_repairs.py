@@ -1,5 +1,7 @@
 """Repair enumeration and checking."""
 
+from itertools import product
+
 import pytest
 
 from conftest import atom, example3_instance, example3_repairs, fact
@@ -44,6 +46,30 @@ class TestDeltaRepairs:
     def test_all_members_consistent(self, example1):
         got = delta_repairs(example1.db, example1.schema, example1.constraints)
         assert all(satisfies(r, example1.constraints) for r in got)
+
+    def test_key_violation_keeps_one_value_per_key(self):
+        keys = 10
+        db = frozenset(fact("R", f"k{i}", f"v{j}") for i in range(keys) for j in range(2))
+        key = UniversalConstraint.make([atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")])
+        got = delta_repairs(db, Schema.of([("R", 2)]), (key,))
+        expected = {
+            frozenset(fact("R", f"k{i}", f"v{j}") for i, j in enumerate(values))
+            for values in product(range(2), repeat=keys)
+        }
+        assert len(got) == 2**keys
+        assert set(got.repairs) == expected
+
+    def test_unsatisfiable_constraints_have_no_repairs(self):
+        # the empty conflict: no database satisfies both constraints
+        db = frozenset({fact("Q", "a")})
+        schema = Schema.of([("Q", 1)])
+        constraints = (
+            UniversalConstraint.make([atom("Q", "X")]),
+            UniversalConstraint.make([atom("Q", "a", positive=False)]),
+        )
+        got = delta_repairs(db, schema, constraints)
+        assert len(got) == 0
+        assert got.repairs == delta_repairs_bruteforce(db, schema, constraints).repairs
 
 
 class TestBruteforceOracle:
