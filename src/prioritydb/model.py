@@ -8,6 +8,13 @@ repairs and subsets of the literal universe and are mutually inverse.  An
 ``Instance`` derives each of these, the ground bodies and the conflicts at most
 once for one database, schema and constraint set.
 
+The ground bodies range every variable over the constant pool; satisfaction
+and the oracles use them.  Conflicts start from fewer bodies: positive atoms
+of predicates that occur negated in no constraint are joined with the database
+facts, the bodies left are pruned of pure literals outside the literal
+universe, and consensus (``prime_implicants`` over ``resolutions``, which finds
+clashing pairs through an index by signed fact) closes what remains.
+
 Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -270,8 +277,37 @@ class Instance:
     @cached_property
     def conflicts(self) -> frozenset[frozenset[Literal]]:
         """The prime implicants of the ground bodies that lie inside the
-        literal universe."""
-        return frozenset(t for t in prime_implicants(self.bodies) if t <= self.literals)
+        literal universe.
+
+        Consensus runs on a part of ``bodies`` only.  Let a literal ``l``
+        outside the universe have its complement in no body.  The violation
+        formula, the disjunction of the bodies, is then monotone in ``l``.  No
+        prime implicant holds the complement of ``l``, since dropping it would
+        leave an implicant.  A term mentioning neither ``l`` nor its
+        complement implies the formula iff it implies the formula with ``l``
+        false, which is the disjunction of the bodies without ``l``.  So the
+        prime implicants inside the universe are those of the bodies without
+        ``l``, and every body holding ``l`` can be dropped; ``prune_pure``
+        repeats this until nothing changes.  Grounding already applies it per
+        predicate: a positive atom whose predicate occurs negated in no
+        constraint only ever yields such an ``l`` unless it matches a
+        database fact, so it is joined with the database facts of its
+        predicate instead of ranging over the pool.
+        """
+        negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
+        join = {
+            a.predicate: [f for f in self.db if f.predicate == a.predicate]
+            for c in self.constraints
+            for a in c.body
+            if a.positive and a.predicate not in negated
+        }
+        bodies = {
+            literals
+            for c in self.constraints
+            for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
+        }
+        primes = prime_implicants(prune_pure(bodies, self.literals))
+        return frozenset(t for t in primes if t <= self.literals)
 
     def consistent(self, candidate: Database) -> bool:
         """No ground body is fully matched; sound for candidates inside the
@@ -324,37 +360,59 @@ def restriction(db: Database, schema: Schema, litset: frozenset[Literal]) -> Dat
     return Instance(db, schema).restriction(litset)
 
 
-def _substitutions(
-    variables: Sequence[Term], constants: Sequence[Constant]
-) -> Iterator[dict[Term, Constant]]:
-    if not variables:
-        yield {}
-        return
-    for values in product(constants, repeat=len(variables)):
-        yield dict(zip(variables, values))
+def _match(
+    atom: BodyAtom, fact: Fact, binding: dict[Term, Constant]
+) -> Optional[dict[Term, Constant]]:
+    """``binding`` extended so that ``atom`` becomes ``fact``, or None."""
+    if len(fact.args) != len(atom.terms):
+        return None
+    out = dict(binding)
+    for term, value in zip(atom.terms, fact.args):
+        if is_variable(term):
+            if out.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return out
 
 
 def ground_body(
     body: Sequence[BodyAtom],
     inequalities: frozenset[tuple[Term, Term]],
     constants: Iterable[Constant],
+    join: Optional[Mapping[str, Sequence[Fact]]] = None,
 ) -> Iterator[tuple[frozenset[Literal], dict[Term, Constant]]]:
     """Ground instances of a constraint body over the given constants.
 
-    Instances with a false inequality are dropped, true inequalities are
-    erased, and instances whose literal set is contradictory (both signs of a
-    fact) are dropped because no database can satisfy them.
+    A positive atom whose predicate is a key of ``join`` ranges over the facts
+    listed for it (a join with the database); every other variable ranges over
+    the constants.  Instances with a false inequality are dropped, true
+    inequalities are erased, and instances whose literal set is contradictory
+    (both signs of a fact) are dropped because no database can satisfy them.
     """
-    variables = sorted({v for atom in body for v in atom.variables()})
+    join = join or {}
+    partials: list[dict[Term, Constant]] = [{}]
+    for atom in body:
+        if atom.positive and atom.predicate in join:
+            partials = [
+                bound
+                for binding in partials
+                for fact in join[atom.predicate]
+                if (bound := _match(atom, fact, binding)) is not None
+            ]
+    variables = {v for atom in body for v in atom.variables()}
     pool = sorted(set(constants))
-    for binding in _substitutions(variables, pool):
-        if any(binding.get(l, l) == binding.get(r, r) for l, r in inequalities):
-            continue
-        literals = frozenset(atom.substituted(binding).to_literal() for atom in body)
-        facts = {l.fact for l in literals}
-        if len(facts) < len({(l.fact, l.positive) for l in literals}):
-            continue  # contains both signs of one fact: vacuously satisfied
-        yield literals, binding
+    for partial in partials:
+        free = sorted(variables - partial.keys())
+        for values in product(pool, repeat=len(free)):
+            binding = {**partial, **dict(zip(free, values))}
+            if any(binding.get(l, l) == binding.get(r, r) for l, r in inequalities):
+                continue
+            literals = frozenset(atom.substituted(binding).to_literal() for atom in body)
+            facts = {l.fact for l in literals}
+            if len(facts) < len({(l.fact, l.positive) for l in literals}):
+                continue  # contains both signs of one fact: vacuously satisfied
+            yield literals, binding
 
 
 def ground(
@@ -397,16 +455,47 @@ def resolutions(
     """Each pair of terms that clash on exactly one fact, once per pair, as
     ``(left, right, clash, resolvent)``: ``left`` precedes ``right`` in the
     given order, ``clash`` is the member of ``left`` whose negation is in
-    ``right``.  Pairs whose resolvent holds both signs of a fact are skipped."""
+    ``right``.  Pairs whose resolvent holds both signs of a fact are skipped.
+
+    The terms are indexed by signed fact once, so each left term meets only
+    the later terms holding a complement of one of its literals; pairs come
+    left by index, then right by ascending index."""
+    holders: dict[tuple[Fact, bool], list[int]] = {}
+    for j, term in enumerate(terms):
+        for l in term:
+            holders.setdefault((l.fact, l.positive), []).append(j)
     for i, left in enumerate(terms):
-        for right in terms[i + 1:]:
-            clashes = [l for l in left if l.negated() in right]
-            if len(clashes) != 1:
+        clashes: dict[int, list[Literal]] = {}
+        for l in left:
+            for j in holders.get((l.fact, not l.positive), ()):
+                if j > i:
+                    clashes.setdefault(j, []).append(l)
+        for j in sorted(clashes):
+            if len(clashes[j]) != 1:
                 continue
-            clash = clashes[0]
+            clash = clashes[j][0]
+            right = terms[j]
             resolvent = (left - {clash}) | (right - {clash.negated()})
             if _consistent(resolvent):
                 yield left, right, clash, resolvent
+
+
+def prune_pure(
+    bodies: Iterable[GroundConstraint], universe: frozenset[Literal]
+) -> set[GroundConstraint]:
+    """Drop, until nothing changes, every body holding a literal outside
+    ``universe`` whose complement occurs in no remaining body."""
+    kept = set(bodies)
+    while True:
+        signs = {(l.fact, l.positive) for body in kept for l in body}
+        pruned = {
+            body
+            for body in kept
+            if all(l in universe or (l.fact, not l.positive) in signs for l in body)
+        }
+        if len(pruned) == len(kept):
+            return kept
+        kept = pruned
 
 
 def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:

@@ -48,11 +48,13 @@ def delta_repairs(
 
 
 def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
+    """Each transversal ``t`` lies in the literal universe, so the restriction
+    to ``inst.literals - t`` is the database with the facts of ``t`` toggled."""
     edges = ConflictHypergraph.of(inst.conflicts).hyperedges
     return sorted_repair_set(
         "delta",
         (
-            inst.restriction(inst.literals - t)
+            inst.db ^ {l.fact for l in t}
             for t in minimal_hitting_sets(edges, budget, "conflict literal set")
         ),
     )

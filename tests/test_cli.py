@@ -10,6 +10,8 @@ import pytest
 import prioritydb
 from prioritydb import aic, cli
 from prioritydb.cli import main
+from prioritydb.model import Instance, Schema
+from prioritydb.textio import parse_constraints, parse_database
 
 SRC = str(Path(prioritydb.__file__).parent.parent)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -124,6 +126,27 @@ class TestCheckRepair:
             "check-repair", "--repair", EX3 / "repair_rdc.pdb",
         )
         assert code == 0
+
+    def test_rejects_second_value_on_a_clean_key(self, capsys, tmp_path):
+        # conflicts ground R only against the database facts; consistency and
+        # check-repair must still see the body {R(m, v0), R(m, v1)}
+        db_text = "R(k, v0).\nR(k, v1).\nR(m, v0).\n"
+        constraints_text = "R(X, Y), R(X, Z), Y != Z -> false.\n"
+        inst = Instance(
+            parse_database(db_text), Schema.of([("R", 2)]), parse_constraints(constraints_text)
+        )
+        assert len(inst.conflicts) == 1
+        candidate_text = "R(k, v0).\nR(m, v0).\nR(m, v1).\n"
+        assert not inst.consistent(parse_database(candidate_text))
+        assert inst.consistent(parse_database("R(k, v0).\nR(m, v0).\n"))
+        for name, text in [("db", db_text), ("c", constraints_text), ("cand", candidate_text)]:
+            (tmp_path / f"{name}.pdb").write_text(text)
+        code, out = run(
+            capsys,
+            "--db", tmp_path / "db.pdb", "--constraints", tmp_path / "c.pdb",
+            "check-repair", "--repair", tmp_path / "cand.pdb",
+        )
+        assert code == 1 and out == "no\n"
 
 
 class TestAnswer:
@@ -258,7 +281,6 @@ class TestTranslate:
         assert code == 0
         assert "conflicts preserved: yes" in out
         assert "repairs preserved: yes" in out
-        from prioritydb.textio import parse_constraints, parse_database
 
         image_db = parse_database(out_db.read_text())
         assert len(image_db) == 4

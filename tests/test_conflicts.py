@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_instance, example3_instance, fact, lit, neg
+from conftest import atom, chain_instance, example3_instance, fact, lit, neg
 from prioritydb.conflicts import (
     conflict_hypergraph,
     conflicts,
@@ -18,7 +18,7 @@ from prioritydb.conflicts import (
     prime_implicants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
-from prioritydb.model import Schema, satisfies
+from prioritydb.model import Instance, Schema, UniversalConstraint, prune_pure, satisfies
 
 
 def cascade_conflicts():
@@ -55,6 +55,71 @@ class TestConsensusPath:
         primes = prime_implicants(bodies)
         # three direct bodies plus three consensus terms
         assert len(primes) == 6
+
+    def test_forty_key_violations(self):
+        keys = 40
+        db = frozenset(fact("R", f"k{i}", f"v{j}") for i in range(keys) for j in range(2))
+        key = UniversalConstraint.make([atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")])
+        got = conflicts(db, Schema.of([("R", 2)]), (key,))
+        assert got == {
+            frozenset({lit("R", f"k{i}", "v0"), lit("R", f"k{i}", "v1")}) for i in range(keys)
+        }
+
+
+def _full_consensus(inst):
+    """Consensus over the full grounding: no join, no pruning."""
+    return {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
+
+
+class TestJoinAndPruning:
+    """Hand cases where the joined grounding and the pruned consensus input
+    must still give the conflicts of the full grounding."""
+
+    def test_predicate_negated_elsewhere_ranges_over_the_pool(self):
+        # Q occurs negated in the first constraint, so Q(X) in the second ranges
+        # over the pool; joined with the (absent) Q facts, {Q(a), S(a)} would be
+        # lost, and with it the conflict {P(a), S(a)}
+        db = frozenset({fact("P", "a"), fact("S", "a")})
+        schema = Schema.of([("P", 1), ("Q", 1), ("S", 1)])
+        constraints = (
+            UniversalConstraint.make([atom("P", "X")], head=[("Q", ("X",))]),
+            UniversalConstraint.make([atom("Q", "X"), atom("S", "X")]),
+        )
+        inst = Instance(db, schema, constraints)
+        assert inst.conflicts == {
+            frozenset({lit("P", "a"), neg("Q", "a")}),
+            frozenset({lit("P", "a"), lit("S", "a")}),
+        }
+        assert inst.conflicts == _full_consensus(inst)
+
+    def test_chain_needs_two_pruning_rounds(self):
+        # R(b) forces P(b), P forces Q, and Q is denied: {R(b)} is the one
+        # conflict.  {P(a), !Q(a)} goes in the first round (no body holds
+        # !P(a)), and {Q(a)} only in the second, once !Q(a) has gone with it.
+        db = frozenset({fact("R", "a"), fact("R", "b")})
+        schema = Schema.of([("P", 1), ("Q", 1), ("R", 1)])
+        constraints = (
+            UniversalConstraint.make([atom("R", "b")], head=[("P", ("b",))]),
+            UniversalConstraint.make([atom("P", "X")], head=[("Q", ("X",))]),
+            UniversalConstraint.make([atom("Q", "X")]),
+        )
+        inst = Instance(db, schema, constraints)
+        assert len(inst.bodies) == 5
+        one_round = {b for b in inst.bodies if b != frozenset({lit("P", "a"), neg("Q", "a")})}
+        assert prune_pure(inst.bodies, inst.literals) == one_round - {frozenset({lit("Q", "a")})}
+        assert inst.conflicts == {frozenset({lit("R", "b")})}
+        assert inst.conflicts == _full_consensus(inst)
+
+    @pytest.mark.parametrize("db", [frozenset(), frozenset({fact("Q", "a")})], ids=["empty", "full"])
+    def test_unsatisfiable_constraints_keep_the_empty_conflict(self, db):
+        schema = Schema.of([("Q", 1)])
+        constraints = (
+            UniversalConstraint.make([atom("Q", "X")]),
+            UniversalConstraint.make([atom("Q", "a", positive=False)]),
+        )
+        inst = Instance(db, schema, constraints)
+        assert inst.conflicts == {frozenset()}
+        assert inst.conflicts == _full_consensus(inst)
 
 
 class TestHittingSetOracle:

@@ -1,24 +1,36 @@
 """Core model: fact/literal universes, agreement and restriction, grounding,
 constraint satisfaction."""
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import atom, fact, lit, neg
+from corpus import random_instance, random_rule_instance
+from prioritydb.aic import _rule_key, ground_rules, rules_constants
 from prioritydb.errors import InputError
 from prioritydb.model import (
     Fact,
+    Instance,
     Schema,
     UniversalConstraint,
     agreement,
     facts_universe,
     ground,
+    ground_body,
+    literal_key,
     literal_universe,
+    resolutions,
     restriction,
     satisfies,
     universe_constants,
 )
+from prioritydb.textio import parse_aics, parse_database
+
+AIC9 = Path(__file__).parent / "fixtures" / "aic9"
 
 
 class TestFactsUniverse:
@@ -188,6 +200,87 @@ class TestGrounding:
         )
         got = ground(constraint, frozenset({"a"}))
         assert got == frozenset()
+
+    def test_join_keeps_the_bodies_whose_joined_atoms_are_facts(self):
+        # on corpus instances: joining positive atoms with a random part of the
+        # fact universe equals filtering the full grounding
+        rng = random.Random(7)
+        dropped = 0
+        for _ in range(60):
+            pdb = random_instance(rng)
+            inst = Instance(pdb.db, pdb.schema, pdb.constraints)
+            chosen = sorted(f for f in inst.facts if rng.random() < 0.5)
+            for c in pdb.constraints:
+                join = {
+                    a.predicate: [f for f in chosen if f.predicate == a.predicate]
+                    for a in c.body
+                    if a.positive and rng.random() < 0.7
+                }
+                got = {
+                    lits for lits, _ in ground_body(c.body, c.inequalities, inst.constants, join)
+                }
+                full = ground(c, inst.constants)
+                expected = {
+                    body
+                    for body in full
+                    if all(l.fact in chosen for l in body if l.positive and l.fact.predicate in join)
+                }
+                assert got == expected
+                dropped += len(full) - len(got)
+        assert dropped > 50
+
+
+def _resolutions_all_pairs(terms):
+    """Reference loop: every pair in order, its clashes found by a scan of the
+    left term."""
+    for i, left in enumerate(terms):
+        for right in terms[i + 1:]:
+            clashes = [l for l in left if l.negated() in right]
+            if len(clashes) != 1:
+                continue
+            clash = clashes[0]
+            resolvent = (left - {clash}) | (right - {clash.negated()})
+            if len({l.fact for l in resolvent}) == len(resolvent):
+                yield left, right, clash, resolvent
+
+
+def _canonical(terms):
+    return sorted(terms, key=lambda t: sorted(map(literal_key, t)))
+
+
+class TestResolutions:
+    def test_matches_all_pairs_loop_on_rule_bodies(self):
+        rng = random.Random(0x5EED)
+        pairs = 0
+        for _ in range(200):
+            inst = random_rule_instance(rng)
+            ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+            terms = _canonical({r.lits for r in ground})
+            rng.shuffle(terms)
+            expected = list(_resolutions_all_pairs(terms))
+            assert list(resolutions(terms)) == expected
+            pairs += len(expected)
+        assert pairs > 100
+
+    def test_matches_all_pairs_loop_on_constraint_bodies(self):
+        rng = random.Random(0xB0D1)
+        pairs = 0
+        for _ in range(200):
+            pdb = random_instance(rng)
+            terms = _canonical(pdb.instance.bodies)
+            expected = list(_resolutions_all_pairs(terms))
+            assert list(resolutions(terms)) == expected
+            pairs += len(expected)
+        assert pairs > 50
+
+    def test_matches_all_pairs_loop_on_fixture_rules(self):
+        db = parse_database((AIC9 / "db.pdb").read_text())
+        rules = parse_aics((AIC9 / "rules.pdb").read_text())
+        ground = sorted(ground_rules(rules, rules_constants(db, rules)), key=_rule_key)
+        terms = list(dict.fromkeys(r.lits for r in ground))  # as check_ground_properties
+        # the rules are monotone, so no two bodies clash
+        assert list(resolutions(terms)) == list(_resolutions_all_pairs(terms)) == []
+        assert len(terms) == 4
 
 
 class TestSatisfies:

@@ -30,7 +30,8 @@ from prioritydb.bridges import (
     check_roundtrip,
     check_translation_equivalence,
 )
-from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets
+from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
+from prioritydb.model import Instance
 from prioritydb.priorities import (
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
@@ -89,6 +90,9 @@ def test_oracle_conflicts_two_characterizations():
         fast = conflicts(base.db, base.schema, base.constraints)
         slow = conflicts_via_hitting_sets(base.db, base.schema, base.constraints)
         assert fast == slow
+        # consensus over the full grounding, without the join and the pruning
+        inst = Instance(base.db, base.schema, base.constraints)
+        assert fast == {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
 
 
 def test_oracle_delta_repairs_bruteforce():
