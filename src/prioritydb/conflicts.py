@@ -5,12 +5,10 @@ bodies under consensus (``prime_implicants``: single-clash resolution with
 subsumption deletion) until only prime terms of the violation formula remain,
 then keeps the terms that lie inside the literal universe.  The bodies it
 starts from are not the full grounding: a positive atom whose predicate occurs
-negated in no constraint is joined with the database facts of that predicate,
-and a body is dropped, until nothing changes, while it holds a literal outside
-the universe whose complement no remaining body holds.  The violation formula
-is monotone in such a literal, so neither step changes the conflicts (the
-argument is in the ``Instance.conflicts`` docstring), and consistency checks
-keep the full grounding.  Consensus over the full grounding,
+negated in no constraint is joined with the database facts of that predicate.
+The violation formula is monotone in the literals this drops, so the join
+does not change the conflicts (the argument is in the ``Instance.conflicts``
+docstring), and consistency checks keep the full grounding.  Consensus over the full grounding,
 ``prime_implicants(inst.bodies)``, stays as a test oracle.  An independent
 path recovers the same sets as minimal hitting sets of the symmetric
 differences between the database and its brute-force repairs; it serves as a

@@ -11,9 +11,9 @@ once for one database, schema and constraint set.
 The ground bodies range every variable over the constant pool; satisfaction
 and the oracles use them.  Conflicts start from fewer bodies: positive atoms
 of predicates that occur negated in no constraint are joined with the database
-facts, the bodies left are pruned of pure literals outside the literal
-universe, and consensus (``prime_implicants`` over ``resolutions``, which finds
-clashing pairs through an index by signed fact) closes what remains.
+facts, and consensus (``prime_implicants`` over ``resolutions``, which finds
+clashing pairs through an index by signed fact) closes what that grounding
+yields.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.
@@ -287,12 +287,13 @@ class Instance:
         complement implies the formula iff it implies the formula with ``l``
         false, which is the disjunction of the bodies without ``l``.  So the
         prime implicants inside the universe are those of the bodies without
-        ``l``, and every body holding ``l`` can be dropped; ``prune_pure``
-        repeats this until nothing changes.  Grounding already applies it per
-        predicate: a positive atom whose predicate occurs negated in no
-        constraint only ever yields such an ``l`` unless it matches a
-        database fact, so it is joined with the database facts of its
-        predicate instead of ranging over the pool.
+        ``l``, and every body holding ``l`` can be dropped.  Grounding applies
+        this per predicate: a positive atom whose predicate occurs negated in
+        no constraint yields such an ``l`` unless it matches a database fact,
+        so it is joined with the database facts of its predicate instead of
+        ranging over the pool.  Bodies left holding another literal outside
+        the universe still go through consensus, and the final filter drops
+        what they yield.
         """
         negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
         join = {
@@ -306,7 +307,7 @@ class Instance:
             for c in self.constraints
             for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
         }
-        primes = prime_implicants(prune_pure(bodies, self.literals))
+        primes = prime_implicants(bodies)
         return frozenset(t for t in primes if t <= self.literals)
 
     def consistent(self, candidate: Database) -> bool:
@@ -478,24 +479,6 @@ def resolutions(
             resolvent = (left - {clash}) | (right - {clash.negated()})
             if _consistent(resolvent):
                 yield left, right, clash, resolvent
-
-
-def prune_pure(
-    bodies: Iterable[GroundConstraint], universe: frozenset[Literal]
-) -> set[GroundConstraint]:
-    """Drop, until nothing changes, every body holding a literal outside
-    ``universe`` whose complement occurs in no remaining body."""
-    kept = set(bodies)
-    while True:
-        signs = {(l.fact, l.positive) for body in kept for l in body}
-        pruned = {
-            body
-            for body in kept
-            if all(l in universe or (l.fact, not l.positive) in signs for l in body)
-        }
-        if len(pruned) == len(kept):
-            return kept
-        kept = pruned
 
 
 def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:

@@ -18,7 +18,7 @@ from prioritydb.conflicts import (
     prime_implicants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
-from prioritydb.model import Instance, Schema, UniversalConstraint, prune_pure, satisfies
+from prioritydb.model import Instance, Schema, UniversalConstraint, satisfies
 
 
 def cascade_conflicts():
@@ -67,13 +67,13 @@ class TestConsensusPath:
 
 
 def _full_consensus(inst):
-    """Consensus over the full grounding: no join, no pruning."""
+    """Consensus over the full grounding, without the join."""
     return {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
 
 
-class TestJoinAndPruning:
-    """Hand cases where the joined grounding and the pruned consensus input
-    must still give the conflicts of the full grounding."""
+class TestJoinedGrounding:
+    """Hand cases where consensus over the joined grounding must still give
+    the conflicts of the full grounding."""
 
     def test_predicate_negated_elsewhere_ranges_over_the_pool(self):
         # Q occurs negated in the first constraint, so Q(X) in the second ranges
@@ -92,10 +92,11 @@ class TestJoinAndPruning:
         }
         assert inst.conflicts == _full_consensus(inst)
 
-    def test_chain_needs_two_pruning_rounds(self):
+    def test_forcing_chain_over_the_pool(self):
         # R(b) forces P(b), P forces Q, and Q is denied: {R(b)} is the one
-        # conflict.  {P(a), !Q(a)} goes in the first round (no body holds
-        # !P(a)), and {Q(a)} only in the second, once !Q(a) has gone with it.
+        # conflict.  P and Q occur negated, so they range over the pool, and
+        # the bodies {P(a), !Q(a)} and {Q(a)}, outside the universe, still go
+        # through consensus; the filter drops what they yield.
         db = frozenset({fact("R", "a"), fact("R", "b")})
         schema = Schema.of([("P", 1), ("Q", 1), ("R", 1)])
         constraints = (
@@ -105,8 +106,6 @@ class TestJoinAndPruning:
         )
         inst = Instance(db, schema, constraints)
         assert len(inst.bodies) == 5
-        one_round = {b for b in inst.bodies if b != frozenset({lit("P", "a"), neg("Q", "a")})}
-        assert prune_pure(inst.bodies, inst.literals) == one_round - {frozenset({lit("Q", "a")})}
         assert inst.conflicts == {frozenset({lit("R", "b")})}
         assert inst.conflicts == _full_consensus(inst)
 

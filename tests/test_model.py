@@ -2,13 +2,12 @@
 constraint satisfaction."""
 
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import atom, fact, lit, neg
+from conftest import atom, example6_rules, example7_rules, fact, lit, neg
 from corpus import random_instance, random_rule_instance
 from prioritydb.aic import _rule_key, ground_rules, rules_constants
 from prioritydb.errors import InputError
@@ -28,9 +27,6 @@ from prioritydb.model import (
     satisfies,
     universe_constants,
 )
-from prioritydb.textio import parse_aics, parse_database
-
-AIC9 = Path(__file__).parent / "fixtures" / "aic9"
 
 
 class TestFactsUniverse:
@@ -273,14 +269,22 @@ class TestResolutions:
             pairs += len(expected)
         assert pairs > 50
 
-    def test_matches_all_pairs_loop_on_fixture_rules(self):
-        db = parse_database((AIC9 / "db.pdb").read_text())
-        rules = parse_aics((AIC9 / "rules.pdb").read_text())
-        ground = sorted(ground_rules(rules, rules_constants(db, rules)), key=_rule_key)
+    @pytest.mark.parametrize("rules", [example6_rules, example7_rules])
+    def test_matches_all_pairs_loop_on_paper_rules(self, rules):
+        ground = sorted(ground_rules(rules(), frozenset()), key=_rule_key)
         terms = list(dict.fromkeys(r.lits for r in ground))  # as check_ground_properties
-        # the rules are monotone, so no two bodies clash
-        assert list(resolutions(terms)) == list(_resolutions_all_pairs(terms)) == []
-        assert len(terms) == 4
+        expected = list(_resolutions_all_pairs(terms))
+        assert list(resolutions(terms)) == expected
+        assert expected
+
+    def test_example7_clash(self):
+        # only {al, !de} and {be, de} clash, on de, resolving to {al, be}
+        ground = sorted(ground_rules(example7_rules(), frozenset()), key=_rule_key)
+        terms = list(dict.fromkeys(r.lits for r in ground))
+        al, be, de = lit("al"), lit("be"), lit("de")
+        assert list(resolutions(terms)) == [
+            (frozenset({al, neg("de")}), frozenset({be, de}), neg("de"), frozenset({al, be}))
+        ]
 
 
 class TestSatisfies:

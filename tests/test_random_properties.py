@@ -90,7 +90,7 @@ def test_oracle_conflicts_two_characterizations():
         fast = conflicts(base.db, base.schema, base.constraints)
         slow = conflicts_via_hitting_sets(base.db, base.schema, base.constraints)
         assert fast == slow
-        # consensus over the full grounding, without the join and the pruning
+        # consensus over the full grounding, without the join
         inst = Instance(base.db, base.schema, base.constraints)
         assert fast == {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
 
