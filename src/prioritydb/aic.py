@@ -8,6 +8,13 @@ application order fires a violated rule at every step), grounded (every proper
 subset leaves some rule violated that only the remaining actions can touch),
 and justified (the action set plus the no-effect actions is a minimal closed
 set).
+
+``classify_updates`` is the one production path for these four notions.  It
+encodes the ground rules once per call over the facts they mention, as
+integer masks, and walks each update's action subsets as submasks.
+``is_founded``, ``is_well_founded``, ``is_grounded`` and ``is_justified``
+follow the definitions on frozensets; they are the reference the classifier is
+tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
@@ -34,7 +41,13 @@ from .model import (
     universe_constants,
     violates_ground,
 )
-from .repairs import RepairSet, delta_repairs, sorted_repair_set
+from .repairs import (
+    RepairSet,
+    consistent_mask,
+    delta_repairs,
+    is_delta_repair_of,
+    sorted_repair_set,
+)
 
 
 @dataclass(frozen=True)
@@ -194,6 +207,24 @@ def r_updates(
     return frozenset(actions_between(db, repair) for repair in repairs)
 
 
+def is_r_update(
+    db: Database,
+    schema: Schema,
+    rules: Sequence[AIC],
+    actions: frozenset[UpdateAction],
+) -> bool:
+    """Membership in ``r_updates`` without enumerating them: the set must be
+    consistent, hold no action without effect, and lead inside the fact
+    universe to a delta repair of the rules' bodies."""
+    if not consistent_actions(actions):
+        return False
+    updated = apply_actions(db, actions)
+    if actions != actions_between(db, updated):
+        return False
+    inst = Instance(db, schema, constraints_of(rules))
+    return updated <= inst.facts and is_delta_repair_of(inst, updated)
+
+
 def satisfies_rules(db: Database, ground: Iterable[GroundAIC]) -> bool:
     return not any(rule.violated_by(db) for rule in ground)
 
@@ -218,12 +249,14 @@ def is_well_founded(
     actions: frozenset[UpdateAction],
     db: Database,
     ground: frozenset[GroundAIC],
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Some ordering applies each action while its rule is still violated.
 
     Whether an action can fire depends only on the set already applied, so the
     search memoizes on that set.
     """
+    budget.check_universe(len(actions), "action set")
     seen: set[frozenset[UpdateAction]] = set()
     firing = {a: [r for r in ground if a in r.updates] for a in actions}
 
@@ -396,31 +429,140 @@ def classify_r_updates(
     rules: Sequence[AIC],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
-    inst = Instance(db, schema, constraints_of(rules))
-    ground = ground_rules(rules, inst.constants)
-    return classify_updates(inst, ground, r_updates(db, schema, rules, budget), budget)
+    ground = ground_rules(rules, rules_constants(db, rules))
+    return classify_updates(db, ground, r_updates(db, schema, rules, budget), budget)
 
 
 def classify_updates(
-    inst: Instance,
-    ground: frozenset[GroundAIC],
+    db: Database,
+    ground: Iterable[GroundAIC],
     updates: Iterable[frozenset[UpdateAction]],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
-    """The support properties of the given r-updates of ``inst.db`` under the
-    ground rules, whose facts lie in ``inst.facts``."""
-    out = []
-    for actions in updates:
-        out.append(
-            RUpdate(
-                actions,
-                founded=is_founded(actions, inst.db, ground),
-                well_founded=is_well_founded(actions, inst.db, ground),
-                grounded=is_grounded(actions, inst.db, ground, budget),
-                justified=is_justified(actions, inst.db, ground, inst.facts, budget),
-            )
-        )
+    """The support properties of the given consistent action sets on ``db``
+    under the ground rules, whose facts lie in the fact universe.
+
+    Agrees with ``is_founded``, ``is_well_founded``, ``is_grounded`` and
+    ``is_justified`` (over that universe), but runs on the integer encoding of
+    ``_RuleMasks``: every check walks the update's action subsets as submasks.
+    """
+    masks = _RuleMasks(db, ground)
+    out = [masks.classify(actions, budget) for actions in updates]
     return tuple(sorted(out, key=lambda u: sorted(map(action_key, u.actions))))
+
+
+def _proper_submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        yield sub
+
+
+def _reaches(update: int, ready: Callable[[int], int]) -> bool:
+    """Some order applies every action of ``update`` while it is ready: a
+    depth-first search over the applied submasks, each visited once."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        sub = stack.pop()
+        if sub == update:
+            return True
+        fresh = ready(sub)
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            if sub | bit not in seen:
+                seen.add(sub | bit)
+                stack.append(sub | bit)
+    return False
+
+
+class _RuleMasks:
+    """The ground rules over an index of the facts they mention.
+
+    A fact is one bit, a database the mask of its present facts, and an action
+    set the pair ``(added, removed)`` of fact masks, so applying it is
+    ``(db & ~removed) | added``.  A consistent set has one action per fact, so
+    its subsets are the submasks of ``added | removed``.  Only mentioned facts
+    decide a rule's violation or closure, so the no-effect actions of
+    ``is_justified`` are taken over the mentioned facts alone.
+    """
+
+    def __init__(self, db: Database, ground: Iterable[GroundAIC]):
+        ground = list(ground)
+        mentioned = {l.fact for rule in ground for l in rule.lits}
+        mentioned |= {a.fact for rule in ground for a in rule.updates}
+        self.bit = {f: 1 << i for i, f in enumerate(sorted(mentioned, key=fact_key))}
+        self.mentioned = (1 << len(self.bit)) - 1
+        self.db = self.mask(db & mentioned)
+        # (pos, neg) bodies of the rules offering each action
+        self.firing: dict[UpdateAction, list[tuple[int, int]]] = {}
+        # per rule: its update actions, then its asserters, as (added, removed)
+        self.closure: list[tuple[int, int, int, int]] = []
+        for rule in ground:
+            pos = self.mask(l.fact for l in rule.lits if l.positive)
+            neg = self.mask(l.fact for l in rule.lits if not l.positive)
+            add = self.mask(a.fact for a in rule.updates if a.add)
+            rem = self.mask(a.fact for a in rule.updates if not a.add)
+            for a in rule.updates:
+                self.firing.setdefault(a, []).append((pos, neg))
+            self.closure.append((add, rem, pos & ~rem, neg & ~add))
+
+    def mask(self, facts: Iterable[Fact]) -> int:
+        out = 0
+        for fact in facts:
+            out |= self.bit[fact]
+        return out
+
+    def classify(self, actions: frozenset[UpdateAction], budget: Budget) -> RUpdate:
+        if not consistent_actions(actions):
+            raise InputError("action set adds and removes the same fact")
+        budget.check_universe(len(actions), "action set")
+        moves = [(self.bit.get(a.fact), self.firing.get(a)) for a in actions]
+        if not all(bodies for _, bodies in moves):
+            # An action that no rule offers is never ready, not even once every
+            # other action is applied, and dropping it keeps a closed set
+            # closed: all four checks fail.
+            return RUpdate(actions, False, False, False, False)
+        added = self.mask(a.fact for a in actions if a.add)
+        removed = self.mask(a.fact for a in actions if not a.add)
+        update = added | removed
+
+        def state(sub: int) -> int:
+            return (self.db & ~(sub & removed)) | (sub & added)
+
+        def ready(sub: int) -> int:
+            """The actions outside ``sub`` that a rule offers which the
+            result of applying ``sub`` violates."""
+            now = state(sub)
+            out = 0
+            for bit, bodies in moves:
+                if not sub & bit and not consistent_mask(now, bodies):
+                    out |= bit
+            return out
+
+        return RUpdate(
+            actions,
+            founded=all(ready(update & ~bit) for bit, _ in moves),
+            well_founded=_reaches(update, ready),
+            grounded=all(map(ready, _proper_submasks(update))),
+            justified=self._justified(added, removed, state(update)),
+        )
+
+    def _justified(self, added: int, removed: int, updated: int) -> bool:
+        idle_add = self.db & updated
+        idle_rem = self.mentioned & ~(self.db | updated)
+
+        def closed(sub: int) -> bool:
+            on_add = idle_add | (sub & added)
+            on_rem = idle_rem | (sub & removed)
+            return all(
+                add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
+                for add, rem, ast_add, ast_rem in self.closure
+            )
+
+        update = added | removed
+        return closed(update) and not any(map(closed, _proper_submasks(update)))
 
 
 def reached_by_kind(db: Database, table: Sequence[RUpdate], kind: str) -> RepairSet:

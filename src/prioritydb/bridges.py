@@ -234,7 +234,7 @@ def _classify_repairs(
     """The support properties, under the ground rules, of the updates that
     lead to the pdb's delta repairs."""
     updates = [actions_between(pdb.db, repair) for repair in pdb.delta_repairs()]
-    return classify_updates(pdb.instance, ground, updates, pdb.budget)
+    return classify_updates(pdb.db, ground, updates, pdb.budget)
 
 
 def refine_constraint(

@@ -21,13 +21,13 @@ from .aic import (
     check_properties,
     classify_r_updates,
     classify_updates,
-    constraints_of,
     ground_rules,
-    r_updates,
+    is_r_update,
+    rules_constants,
 )
 from .conflicts import ConflictHypergraph, max_conflict_size
 from .errors import Budget, BudgetExceededError, InputError
-from .model import Database, Instance, Schema, UniversalConstraint, schema_from
+from .model import Database, Schema, UniversalConstraint, schema_from
 from .priorities import (
     PrioritizedDatabase,
     PriorityRelation,
@@ -228,12 +228,11 @@ def cmd_aic(ws: Workspace, args) -> int:
         return EXIT_OK
     if args.action == "check-update":
         actions = textio.parse_updates(_read(args.update))
-        if actions not in r_updates(ws.db, ws.schema, ws.rules, ws.budget):
+        if not is_r_update(ws.db, ws.schema, ws.rules, actions):
             print("not an r-update")
             return EXIT_FALSE
-        inst = Instance(ws.db, ws.schema, constraints_of(ws.rules))
-        ground = ground_rules(ws.rules, inst.constants)
-        (entry,) = classify_updates(inst, ground, [actions], ws.budget)
+        ground = ground_rules(ws.rules, rules_constants(ws.db, ws.rules))
+        (entry,) = classify_updates(ws.db, ground, [actions], ws.budget)
         checks = entry.classes()
         for name, on in checks.items():
             print(f"{name}: {'yes' if on else 'no'}")

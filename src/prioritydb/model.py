@@ -308,7 +308,20 @@ class Instance:
             for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
         }
         primes = prime_implicants(bodies)
-        return frozenset(t for t in primes if t <= self.literals)
+        # membership in ``literals``, decided without building the universe
+        for fact in self.db:
+            self.schema.check_fact(fact)
+        pairs = set(self.schema.predicates)
+
+        def inside(lit: Literal) -> bool:
+            fact = lit.fact
+            return (
+                (fact.predicate, len(fact.args)) in pairs
+                and self.constants.issuperset(fact.args)
+                and (fact in self.db) == lit.positive
+            )
+
+        return frozenset(t for t in primes if all(map(inside, t)))
 
     def consistent(self, candidate: Database) -> bool:
         """No ground body is fully matched; sound for candidates inside the

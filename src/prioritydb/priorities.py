@@ -215,7 +215,8 @@ def _is_pareto_optimal(repair: Database, pdb: PrioritizedDatabase) -> bool:
 def _completion_certificate(repair: Database, pdb: PrioritizedDatabase) -> bool:
     """Search for an order certificate: per excluded literal a witness conflict
     whose other members must precede it, such that these precedence demands
-    together with the priority edges stay acyclic."""
+    together with the priority edges stay acyclic.  The search may try at most
+    ``pdb.budget.max_completions`` partial witness assignments."""
     agree = pdb.agreement(repair)
     conflict_set = pdb.conflicts()
     excluded = sorted(pdb.literal_universe() - agree, key=literal_key)
@@ -229,15 +230,24 @@ def _completion_certificate(repair: Database, pdb: PrioritizedDatabase) -> bool:
         options.append(sorted(witnesses, key=lambda w: sorted(map(literal_key, w))))
 
     base_edges = set(pdb.priority.edges)
+    cap = pdb.budget.max_completions
+    tried = 0
 
     def acyclic(edges: set[Edge]) -> bool:
         return PriorityRelation(frozenset(edges)).is_acyclic()
 
     def assign(index: int, edges: set[Edge]) -> bool:
+        nonlocal tried
         if index == len(excluded):
             return True
         lam = excluded[index]
         for witness in options[index]:
+            tried += 1
+            if tried > cap:
+                raise BudgetExceededError(
+                    f"completion certificate search exceeds {cap} "
+                    f"partial witness assignments"
+                )
             added = {(mu, lam) for mu in witness}
             grown = edges | added
             if acyclic(grown):

@@ -80,7 +80,9 @@ def _as_bitmask_problem(inst: Instance):
     return universe, bodies, db_mask
 
 
-def _consistent_mask(mask: int, bodies) -> bool:
+def consistent_mask(mask: int, bodies) -> bool:
+    """No ``(pos, neg)`` body is matched by ``mask``: none has every fact of
+    ``pos`` in ``mask`` and every fact of ``neg`` outside it."""
     return not any((mask & pos) == pos and (mask & neg) == 0 for pos, neg in bodies)
 
 
@@ -98,7 +100,7 @@ def delta_repairs_bruteforce(
     winners: list[int] = []
     candidates = []
     for mask in range(1 << len(universe)):
-        if _consistent_mask(mask, bodies):
+        if consistent_mask(mask, bodies):
             candidates.append((bin(mask ^ db_mask).count("1"), mask ^ db_mask, mask))
     candidates.sort()
     for _, diff, mask in candidates:

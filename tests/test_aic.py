@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     action,
+    fact,
     example5_rules,
     example6_rules,
     example7_rules,
@@ -13,11 +14,13 @@ from conftest import (
     prop_db,
     prop_rule,
     prop_schema,
+    rule,
 )
 from prioritydb.aic import (
     apply_actions,
     check_properties,
     classify_r_updates,
+    classify_updates,
     ground_rules,
     is_founded,
     is_grounded,
@@ -31,7 +34,7 @@ from prioritydb.aic import (
     rules_constants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
-from prioritydb.model import facts_universe
+from prioritydb.model import Schema, facts_universe
 
 
 def table(db, schema, rules):
@@ -84,7 +87,7 @@ class TestRUpdates:
 
 
 class TestBudget:
-    @pytest.mark.parametrize("check", ["grounded", "pruned", "justified"])
+    @pytest.mark.parametrize("check", ["wellfounded", "grounded", "pruned", "justified", "classify"])
     def test_caller_budget_caps_action_subsets(self, check):
         db = prop_db("al", "be", "ga", "de")
         schema = prop_schema("al", "be", "ga", "de")
@@ -94,12 +97,14 @@ class TestBudget:
         update = frozenset({action("be"), action("ga")})
         assert update in r_updates(db, schema, rules)
         run = {
+            "wellfounded": lambda budget: is_well_founded(update, db, ground, budget),
             "grounded": lambda budget: is_grounded(update, db, ground, budget),
+            "classify": lambda budget: classify_updates(db, ground, [update], budget)[0].grounded,
             "pruned": lambda budget: is_grounded_via_pruned_rules(update, db, ground, budget),
             "justified": lambda budget: is_justified(update, db, ground, universe, budget),
         }[check]
         assert run(Budget())
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="action set"):
             run(Budget(max_universe=1))
 
 
@@ -183,6 +188,75 @@ class TestClassification:
                 assert is_grounded(actions, db, ground) == is_grounded_via_pruned_rules(
                     actions, db, ground
                 )
+
+
+def _reference_flags(actions, db, ground, universe):
+    return (
+        is_founded(actions, db, ground),
+        is_well_founded(actions, db, ground),
+        is_grounded(actions, db, ground),
+        is_justified(actions, db, ground, universe),
+    )
+
+
+def _flags(entry):
+    return (entry.founded, entry.well_founded, entry.grounded, entry.justified)
+
+
+class TestMaskClassifier:
+    """Edge cases of ``classify_updates``, each against the definition-direct
+    checks."""
+
+    def setup_method(self):
+        self.db = prop_db("al", "be", "ga", "de")
+        self.rules = example5_rules()
+        self.ground = ground_rules(self.rules, rules_constants(self.db, self.rules))
+        self.universe = facts_universe(self.db, prop_schema("al", "be", "ga", "de"))
+
+    def classify(self, actions):
+        (entry,) = classify_updates(self.db, self.ground, [actions])
+        assert entry.actions == actions
+        assert _flags(entry) == _reference_flags(actions, self.db, self.ground, self.universe)
+        return _flags(entry)
+
+    def test_empty_update_has_no_proper_subset(self):
+        # the database violates the rules, so the empty update is no r-update,
+        # yet it is vacuously founded, well-founded and grounded
+        founded, well_founded, grounded, _ = self.classify(frozenset())
+        assert founded and well_founded and grounded
+
+    @pytest.mark.parametrize(
+        "extra", [action("zz", add=True), action("al", add=True)], ids=["outside-every-rule", "offered-by-none"]
+    )
+    def test_action_no_rule_offers_fails_every_check(self, extra):
+        # {-be, -ga} is founded, well-founded, grounded and justified
+        for base in (frozenset(), frozenset({action("be"), action("ga")})):
+            assert self.classify(base | {extra}) == (False, False, False, False)
+
+    def test_inconsistent_set_rejected(self):
+        with pytest.raises(InputError):
+            classify_updates(self.db, self.ground, [frozenset({action("al"), action("al", add=True)})])
+
+    def test_output_sorted_by_actions(self):
+        updates = [frozenset({action("ga")}), frozenset({action("be")}), frozenset()]
+        got = [entry.actions for entry in classify_updates(self.db, self.ground, updates)]
+        assert got == [frozenset(), frozenset({action("be")}), frozenset({action("ga")})]
+
+    def test_rules_over_binary_facts(self):
+        # a key rule that repairs either side of each clash
+        db = frozenset({fact("R", "d", "b"), fact("R", "d", "c"), fact("R", "e", "b")})
+        rules = (
+            rule([("R", ("X", "Y"), True), ("R", ("X", "Z"), True)],
+                 [("R", ("X", "Z"), False)], [("Y", "Z")]),
+        )
+        schema = Schema.of([("R", 2)])
+        ground = ground_rules(rules, rules_constants(db, rules))
+        universe = facts_universe(db, schema)
+        updates = r_updates(db, schema, rules)
+        assert len(updates) == 2
+        for entry in classify_updates(db, ground, updates):
+            assert _flags(entry) == _reference_flags(entry.actions, db, ground, universe)
+            assert _flags(entry) == (True, True, True, True)
 
 
 class TestRewrites:

@@ -219,6 +219,32 @@ class TestAicCommands:
         assert code == 1
         assert "founded: no" in out and "wellfounded: yes" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        ["-al. +al.\n", "-al. -ga. +de.\n", "-al. -ga. -zz.\n", "-al. -ga. +zz(a).\n", "-al.\n"],
+        ids=["inconsistent", "no-op-add", "no-op-removal", "outside-universe", "not-minimal"],
+    )
+    def test_check_update_not_an_r_update(self, capsys, tmp_path, text):
+        update = tmp_path / "update.pdb"
+        update.write_text(text)
+        code, out = run(
+            capsys,
+            "--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb",
+            "aic", "check-update", "--update", update, "--kind", "founded",
+        )
+        assert (code, out) == (1, "not an r-update\n")
+
+    def test_check_update_enumerates_no_repairs(self, capsys):
+        # the rules' conflicts hold 4 literals, above this cap; only the
+        # update's own 2 actions meet the budget
+        code, out = run(
+            capsys,
+            "--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", "--max-universe", "2",
+            "aic", "check-update", "--update", AIC9 / "update1.pdb",
+        )
+        assert code == 0
+        assert out == "founded: yes\nwellfounded: yes\ngrounded: yes\njustified: yes\n"
+
     def test_props(self, capsys):
         code, out = run(
             capsys,

@@ -121,6 +121,32 @@ class TestJoinedGrounding:
         assert inst.conflicts == _full_consensus(inst)
 
 
+class TestUniverseFilter:
+    """The final filter of ``Instance.conflicts`` tests each literal against
+    the schema, the constant pool and the database, not the built universe."""
+
+    def _keys(self, n: int) -> Instance:
+        db = frozenset(fact("R", f"k{i}", f"v{j}") for i in range(n) for j in range(2))
+        constraint = UniversalConstraint.make(
+            [atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")]
+        )
+        return Instance(db, Schema.of([("R", 2)]), (constraint,))
+
+    def test_key_conflicts_build_no_universe(self):
+        inst = self._keys(4)
+        assert len(inst.conflicts) == 4
+        assert "literals" not in inst.__dict__
+        assert "facts" not in inst.__dict__
+        assert inst.conflicts == _full_consensus(self._keys(4))
+
+    def test_database_fact_off_the_schema_is_rejected(self):
+        db = frozenset({fact("R", "a")})
+        constraint = UniversalConstraint.make([atom("R", "X", "Y")])
+        inst = Instance(db, Schema.of([("R", 2)]), (constraint,))
+        with pytest.raises(InputError, match="arguments"):
+            inst.conflicts
+
+
 class TestHittingSetOracle:
     def test_cascade_example(self, example1):
         got = conflicts_via_hitting_sets(example1.db, example1.schema, example1.constraints)

@@ -14,7 +14,7 @@ from conftest import (
     neg,
 )
 from prioritydb.conflicts import conflicts
-from prioritydb.errors import InputError
+from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, UniversalConstraint
 from prioritydb.priorities import (
     PrioritizedDatabase,
@@ -153,6 +153,34 @@ class TestIsOptimalRepair:
     def test_unknown_kind(self, example3):
         with pytest.raises(InputError):
             is_optimal_repair(example3_repairs()["only_rdb"], example3.pdb(), "bogus")
+
+
+class TestCompletionCertificateCap:
+    """``max_completions`` caps the partial witness assignments that the
+    completion certificate search tries for one repair."""
+
+    def _capped(self, example3, cap: int) -> PrioritizedDatabase:
+        return PrioritizedDatabase(
+            example3.db, example3.schema, example3.constraints, example3.priority,
+            Budget(max_completions=cap),
+        )
+
+    def test_cap_of_one_raises_on_two_excluded_literals(self, example3):
+        repair = example3_repairs()["keep_rdb_sac"]  # excludes 4 literals
+        with pytest.raises(BudgetExceededError, match="completion certificate"):
+            is_optimal_repair(repair, self._capped(example3, 1), "completion")
+
+    def test_one_assignment_per_excluded_literal_without_backtracking(self, example3):
+        repair = example3_repairs()["keep_rdb_sac"]
+        with pytest.raises(BudgetExceededError):
+            is_optimal_repair(repair, self._capped(example3, 3), "completion")
+        assert is_optimal_repair(repair, self._capped(example3, 4), "completion")
+
+    def test_default_budget_keeps_the_result(self, example3):
+        reps = example3_repairs()
+        pdb = example3.pdb()
+        assert is_optimal_repair(reps["keep_rdb_sac"], pdb, "completion")
+        assert not is_optimal_repair(reps["keep_rdc_sab"], pdb, "completion")
 
 
 class TestGreedy:

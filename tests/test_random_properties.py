@@ -18,10 +18,17 @@ from corpus import (
     with_random_scores,
 )
 from prioritydb.aic import (
+    UpdateAction,
     classify_r_updates,
+    classify_updates,
+    constraints_of,
     ground_rules,
+    is_founded,
     is_grounded,
     is_grounded_via_pruned_rules,
+    is_justified,
+    is_r_update,
+    is_well_founded,
     r_updates,
     rules_constants,
 )
@@ -31,7 +38,7 @@ from prioritydb.bridges import (
     check_translation_equivalence,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
-from prioritydb.model import Instance
+from prioritydb.model import Fact, Instance
 from prioritydb.priorities import (
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
@@ -110,6 +117,68 @@ def test_oracle_grounded_characterization():
             assert is_grounded(actions, inst.db, ground) == is_grounded_via_pruned_rules(
                 actions, inst.db, ground
             )
+
+
+# Each support class of ``classify_updates`` and its definition-direct check.
+SUPPORT_CHECKS = {
+    "founded": lambda actions, db, ground, universe: is_founded(actions, db, ground),
+    "wellfounded": lambda actions, db, ground, universe: is_well_founded(actions, db, ground),
+    "grounded": lambda actions, db, ground, universe: is_grounded(actions, db, ground),
+    "justified": is_justified,
+}
+
+STRAY = Fact("stray")  # a fact that no rule or schema mentions
+
+
+def _random_action_set(rng, facts, consistent: bool = True) -> frozenset:
+    """Each fact left alone, added or removed (or, unless ``consistent``,
+    both), so no-op actions occur too."""
+    choices = [(), (True,), (False,)] + ([] if consistent else [(True, False)])
+    return frozenset(
+        UpdateAction(add, f) for f in facts for add in rng.choice(choices)
+    )
+
+
+def test_oracle_mask_classifier_matches_definitions():
+    rng = random.Random(0xC1A55)
+    checked = {"r-update": 0, "other": 0, "empty": 0, "stray": 0}
+    for inst in rule_corpus() + monotone_rule_corpus():
+        ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+        universe = Instance(inst.db, inst.schema, constraints_of(inst.rules)).facts
+        known = r_updates(inst.db, inst.schema, inst.rules)
+        facts = sorted(universe)
+        candidates = {actions: "r-update" for actions in known}
+        for _ in range(3):
+            candidates.setdefault(_random_action_set(rng, facts), "other")
+        candidates.setdefault(frozenset(), "empty")
+        some = min(known, key=sorted, default=frozenset())
+        candidates[some | {UpdateAction(True, STRAY)}] = "stray"
+        for entry in classify_updates(inst.db, ground, candidates):
+            checked[candidates[entry.actions]] += 1
+            for name, on in entry.classes().items():
+                assert on == SUPPORT_CHECKS[name](entry.actions, inst.db, ground, universe), (
+                    name, entry.actions, inst
+                )
+    assert min(checked.values()) >= 50, checked
+
+
+def test_oracle_r_update_check_without_enumeration():
+    rng = random.Random(0xC4EC)
+    seen = {"member": 0, "inconsistent": 0, "no-op": 0, "outside": 0}
+    for inst in rule_corpus():
+        known = r_updates(inst.db, inst.schema, inst.rules)
+        facts = sorted(Instance(inst.db, inst.schema, constraints_of(inst.rules)).facts)
+        candidates = set(known)
+        for _ in range(4):
+            candidates.add(_random_action_set(rng, facts + [STRAY], consistent=False))
+        for actions in candidates:
+            got = is_r_update(inst.db, inst.schema, inst.rules, actions)
+            assert got == (actions in known), (actions, inst)
+            seen["member"] += got
+            seen["inconsistent"] += len({a.fact for a in actions}) < len(actions)
+            seen["no-op"] += any(a.add == (a.fact in inst.db) for a in actions)
+            seen["outside"] += any(a.fact == STRAY for a in actions)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_oracle_completion_certificate_vs_enumeration():
