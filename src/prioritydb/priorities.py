@@ -5,6 +5,19 @@ share a conflict.  Improvements compare agreement sets: Pareto improvements
 need one added literal outranking every sacrificed one, global improvements
 need a witness per sacrificed literal, and completion-optimal repairs are
 those optimal under some total extension of the priority.
+
+The filters run on integer masks.  A delta repair's agreement set is the
+literal universe minus one minimal transversal of the conflicts, so two
+repairs differ only on conflict vertices, and an agreement set is a mask over
+them.  Each ``PrioritizedDatabase`` holds one mask context: the vertex index,
+the conflicts and the repairs' agreement masks (shared by ``with_priority``
+copies), and the dominance masks of its priority.  Pareto checks each
+excluded vertex against the conflicts holding it; global compares repairs
+within each component that the conflicts and the priority edges join;
+completion searches for an order certificate with one reachability test per
+witness.  ``is_pareto_improvement``, ``is_global_improvement`` and
+``completion_optimal_repairs_bruteforce`` follow the definitions on literal
+sets and are the oracles the tests hold the filters to.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .conflicts import Conflict
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
-from .model import Database, Instance, Literal, Schema, UniversalConstraint, literal_key
+from .model import Database, Fact, Instance, Literal, Schema, UniversalConstraint, literal_key
 from .repairs import RepairSet, delta_repairs_of, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
@@ -42,9 +55,6 @@ class PriorityRelation:
     def covers(self, gained: Iterable[Literal], lost: Iterable[Literal]) -> bool:
         """Every lost literal is outranked by some gained one."""
         return all(any(self.outranks(mu, lam) for mu in gained) for lam in lost)
-
-    def dominated_by(self, strong: Literal) -> frozenset[Literal]:
-        return frozenset(b for a, b in self.edges if a == strong)
 
     def literals(self) -> frozenset[Literal]:
         return frozenset(l for e in self.edges for l in e)
@@ -125,8 +135,10 @@ def validate_priority(
 
 @dataclass(frozen=True)
 class PrioritizedDatabase:
-    """A prioritized instance.  It owns one ``Instance`` and its delta repairs,
-    each computed on first use; a copy made by ``with_priority`` shares both."""
+    """A prioritized instance.  It owns one ``Instance`` and one mask context
+    (``_masks``, see ``_MaskContext``), each built on first use.  A copy made
+    by ``with_priority`` shares the instance and the priority-independent
+    half of the context, delta repairs included."""
 
     db: Database
     schema: Schema
@@ -139,14 +151,17 @@ class PrioritizedDatabase:
         return Instance(self.db, self.schema, self.constraints)
 
     @cached_property
-    def _delta_repairs(self) -> RepairSet:
-        return delta_repairs_of(self.instance, self.budget)
+    def _conflict_masks(self) -> "_ConflictMasks":
+        return _ConflictMasks(self.instance, self.budget)
+
+    @cached_property
+    def _masks(self) -> "_MaskContext":
+        return _MaskContext(self._conflict_masks, self.priority)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
         copy = replace(self, priority=priority)
         copy.__dict__["instance"] = self.instance
-        if "_delta_repairs" in self.__dict__:
-            copy.__dict__["_delta_repairs"] = self._delta_repairs
+        copy.__dict__["_conflict_masks"] = self._conflict_masks
         return copy
 
     def constants(self) -> frozenset[str]:
@@ -159,7 +174,7 @@ class PrioritizedDatabase:
         return self.instance.literals
 
     def delta_repairs(self) -> RepairSet:
-        return self._delta_repairs
+        return self._conflict_masks.repairs
 
     def agreement(self, candidate: Database) -> frozenset[Literal]:
         return self.instance.agreement(candidate)
@@ -199,104 +214,245 @@ def is_global_improvement(
     return mine != theirs and pdb.priority.covers(mine - theirs, theirs - mine)
 
 
-def _is_pareto_optimal(repair: Database, pdb: PrioritizedDatabase) -> bool:
-    """A repair admits a Pareto improvement exactly when some excluded literal
-    can be kept after dropping everything it outranks without completing a
-    conflict; check that every excluded literal is blocked."""
-    agree = pdb.agreement(repair)
-    conflict_set = pdb.conflicts()
-    for lam in pdb.literal_universe() - agree:
-        candidate = (agree | {lam}) - pdb.priority.dominated_by(lam)
-        if not any(e <= candidate for e in conflict_set):
-            return False
-    return True
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _completion_certificate(repair: Database, pdb: PrioritizedDatabase) -> bool:
-    """Search for an order certificate: per excluded literal a witness conflict
-    whose other members must precede it, such that these precedence demands
-    together with the priority edges stay acyclic.  The search may try at most
-    ``pdb.budget.max_completions`` partial witness assignments."""
-    agree = pdb.agreement(repair)
-    conflict_set = pdb.conflicts()
-    excluded = sorted(pdb.literal_universe() - agree, key=literal_key)
-    options: list[list[frozenset[Literal]]] = []
-    for lam in excluded:
-        witnesses = [
-            e - {lam} for e in conflict_set if lam in e and e - {lam} <= agree
-        ]
-        if not witnesses:
-            return False
-        options.append(sorted(witnesses, key=lambda w: sorted(map(literal_key, w))))
+class _ConflictMasks:
+    """The priority-independent half of the mask context.
 
-    base_edges = set(pdb.priority.edges)
-    cap = pdb.budget.max_completions
-    tried = 0
+    Bit ``i`` stands for the ``i``-th conflict vertex in ``literal_key``
+    order.  A delta repair's agreement set is the literal universe minus one
+    minimal transversal of the conflicts, so it is fixed by its vertex bits:
+    every other literal of the universe is in it.  Each part is built on
+    first use; the delta repairs and their agreement masks only when a
+    caller needs all of them."""
 
-    def acyclic(edges: set[Edge]) -> bool:
-        return PriorityRelation(frozenset(edges)).is_acyclic()
+    def __init__(self, instance: Instance, budget: Budget):
+        self.instance = instance
+        self.budget = budget
 
-    def assign(index: int, edges: set[Edge]) -> bool:
-        nonlocal tried
-        if index == len(excluded):
+    @cached_property
+    def index(self) -> dict[Literal, int]:
+        vertices = {l for c in self.instance.conflicts for l in c}
+        return {l: i for i, l in enumerate(sorted(vertices, key=literal_key))}
+
+    @cached_property
+    def full(self) -> int:
+        return (1 << len(self.index)) - 1
+
+    @cached_property
+    def conflicts(self) -> tuple[int, ...]:
+        return tuple(sum(1 << self.index[l] for l in c) for c in self.instance.conflicts)
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, every conflict holding it with it removed, ordered by
+        their members' bits (the ``literal_key`` order of their members)."""
+        found: list[list[int]] = [[] for _ in self.index]
+        for conflict in self.conflicts:
+            for i in _bits(conflict):
+                found[i].append(conflict & ~(1 << i))
+        return tuple(tuple(sorted(ws, key=lambda w: list(_bits(w)))) for ws in found)
+
+    @cached_property
+    def _fact_bits(self) -> dict[Fact, int]:
+        return {l.fact: 1 << i for l, i in self.index.items()}
+
+    def agreement(self, repair: Database) -> int:
+        """The agreement mask of a delta repair: the vertices whose facts it
+        does not toggle."""
+        return self.full & ~sum(self._fact_bits[f] for f in repair ^ self.instance.db)
+
+    @cached_property
+    def repairs(self) -> RepairSet:
+        return delta_repairs_of(self.instance, self.budget)
+
+    @cached_property
+    def agreements(self) -> tuple[int, ...]:
+        """The agreement masks of the delta repairs, in their order."""
+        return tuple(map(self.agreement, self.repairs))
+
+
+def _reaches(succ: list[int], start: int, targets: int) -> bool:
+    """Some node of ``targets`` is reachable from ``start`` along ``succ``."""
+    seen = todo = 1 << start
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        step = succ[low.bit_length() - 1] & ~seen
+        if step & targets:
             return True
-        lam = excluded[index]
-        for witness in options[index]:
-            tried += 1
-            if tried > cap:
-                raise BudgetExceededError(
-                    f"completion certificate search exceeds {cap} "
-                    f"partial witness assignments"
-                )
-            added = {(mu, lam) for mu in witness}
-            grown = edges | added
-            if acyclic(grown):
-                if assign(index + 1, grown):
-                    return True
-        return False
+        seen |= step
+        todo |= step
+    return False
 
-    return assign(0, base_edges)
+
+class _MaskContext:
+    """The three optimality filters of one ``PrioritizedDatabase``, on the
+    agreement masks of ``_ConflictMasks``.
+
+    Its nodes are the conflict vertices, on their bits, then the priority
+    endpoints outside them in ``literal_key`` order.  ``dom[i]`` masks the
+    nodes that node ``i`` outranks and ``beaten_by[i]`` those that outrank
+    it.  Global verdicts are kept per component and restriction for as long
+    as the context lives."""
+
+    def __init__(self, masks: _ConflictMasks, priority: PriorityRelation):
+        self.masks = masks
+        index = dict(masks.index)
+        for lit in sorted(priority.literals() - index.keys(), key=literal_key):
+            index[lit] = len(index)
+        self.dom = [0] * len(index)
+        self.beaten_by = [0] * len(index)
+        for strong, weak in priority.edges:
+            self.dom[index[strong]] |= 1 << index[weak]
+            self.beaten_by[index[weak]] |= 1 << index[strong]
+        self.acyclic = priority.is_acyclic()
+        self._verdicts: dict[tuple[int, int], bool] = {}
+
+    def is_pareto_optimal(self, agree: int) -> bool:
+        """A Pareto improvement exists exactly when some excluded vertex can be
+        kept after dropping every node it outranks without completing a
+        conflict; since the repair completes none, that conflict holds the
+        vertex.  Check that every excluded vertex is blocked so."""
+        for i in _bits(self.masks.full & ~agree):
+            bit = 1 << i
+            keep = (agree | bit) & ~self.dom[i]
+            if not any((w | bit) & ~keep == 0 for w in self.masks.witnesses[i]):
+                return False
+        return True
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The vertex masks of the components that the conflicts and the
+        priority edges join."""
+        groups: list[int] = []
+        links = set(self.masks.conflicts)
+        links.update(d | 1 << i for i, d in enumerate(self.dom) if d)
+        for link in links:
+            for group in [g for g in groups if g & link]:
+                groups.remove(group)
+                link |= group
+            groups.append(link)
+        return tuple(g & self.masks.full for g in groups if g & self.masks.full)
+
+    @cached_property
+    def _restrictions(self) -> dict[int, frozenset[int]]:
+        return {
+            comp: frozenset(a & comp for a in self.masks.agreements)
+            for comp in self.components
+        }
+
+    def _covers(self, gained: int, lost: int) -> bool:
+        return all(self.beaten_by[i] & gained for i in _bits(lost))
+
+    def is_globally_optimal(self, agree: int) -> bool:
+        """No other delta repair globally improves this one.  The delta repairs
+        are the products of per-component minimal transversals, and no
+        priority edge leaves a component, so a repair is improved exactly when
+        its restriction to some component is improved by another repair's
+        restriction to it (swap in that part of the other repair)."""
+        for comp in self.components:
+            mine = agree & comp
+            verdict = self._verdicts.get((comp, mine))
+            if verdict is None:
+                verdict = self._verdicts[comp, mine] = not any(
+                    other != mine and self._covers(other & ~mine, mine & ~other)
+                    for other in self._restrictions[comp]
+                )
+            if not verdict:
+                return False
+        return True
+
+    def is_completion_optimal(self, agree: int) -> bool:
+        """Search for an order certificate: per excluded vertex a witness
+        conflict whose other members must precede it, such that these
+        precedence demands together with the priority edges stay acyclic.
+        Adding the edges ``w -> lam`` to an acyclic graph closes a cycle
+        exactly when ``lam`` reaches a member of ``w``.  The search may try
+        at most ``budget.max_completions`` partial witness assignments."""
+        excluded = list(_bits(self.masks.full & ~agree))
+        options = []
+        for i in excluded:
+            fits = [w for w in self.masks.witnesses[i] if not w & ~agree]
+            if not fits:
+                return False
+            options.append(fits)
+        if not excluded:
+            return True
+        cap = self.masks.budget.max_completions
+        tried = 0
+        succ = list(self.dom)
+        saved: list[list[int]] = []  # succ before each chosen witness's edges
+        levels = [iter(options[0])]  # per decided level, its untried witnesses
+        while levels:
+            depth = len(levels) - 1
+            lam = excluded[depth]
+            for witness in levels[-1]:
+                tried += 1
+                if tried > cap:
+                    raise BudgetExceededError(
+                        f"completion certificate search exceeds {cap} "
+                        f"partial witness assignments"
+                    )
+                if self.acyclic and not _reaches(succ, lam, witness):
+                    if depth + 1 == len(excluded):
+                        return True
+                    saved.append(succ)
+                    succ = succ.copy()
+                    for mu in _bits(witness):
+                        succ[mu] |= 1 << lam
+                    levels.append(iter(options[depth + 1]))
+                    break
+            else:
+                levels.pop()
+                if saved:
+                    succ = saved.pop()
+        return False
 
 
 def _optimality_test(
     pdb: PrioritizedDatabase, kind: str
-) -> Callable[[Database], bool]:
-    """The check that a delta repair is optimal of the given kind; 'none' and
-    'delta' accept every repair."""
+) -> Callable[[int], bool]:
+    """The check, on a delta repair's agreement mask, that the repair is
+    optimal of the given kind; 'none' and 'delta' accept every repair.  An
+    unknown kind raises before anything is computed."""
     if kind in ("none", "delta"):
-        return lambda repair: True
+        return lambda agree: True
     if kind == "pareto":
-        return lambda repair: _is_pareto_optimal(repair, pdb)
+        return lambda agree: pdb._masks.is_pareto_optimal(agree)
+    if kind == "global":
+        return lambda agree: pdb._masks.is_globally_optimal(agree)
     if kind == "completion":
-        return lambda repair: _completion_certificate(repair, pdb)
-    if kind != "global":
-        raise InputError(f"unknown optimality kind: {kind}")
-    # Any global improvement extends to one whose agreement set is that of a
-    # full repair, so scanning the other repairs is complete.  Their agreement
-    # sets are built once per test and not kept on the database.
-    agreements = {r: pdb.agreement(r) for r in pdb.delta_repairs()}
-
-    def globally_optimal(repair: Database) -> bool:
-        agree = agreements[repair]
-        return not any(
-            other is not agree and pdb.priority.covers(other - agree, agree - other)
-            for other in agreements.values()
-        )
-
-    return globally_optimal
+        return lambda agree: pdb._masks.is_completion_optimal(agree)
+    raise InputError(f"unknown optimality kind: {kind}")
 
 
 def is_optimal_repair(
     repair: Database, pdb: PrioritizedDatabase, kind: str
 ) -> bool:
     """Membership check for one repair; kind is 'pareto', 'global', or
-    'completion' ('none' checks plain repair membership)."""
-    return is_delta_repair_of(pdb.instance, repair) and _optimality_test(pdb, kind)(repair)
+    'completion' ('none' checks plain repair membership).  An unknown kind
+    raises ``InputError`` whether or not the candidate is a repair."""
+    test = _optimality_test(pdb, kind)
+    return is_delta_repair_of(pdb.instance, repair) and test(
+        pdb._conflict_masks.agreement(repair)
+    )
 
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
+    """The delta repairs that are optimal of the given kind, in their order."""
     test = _optimality_test(pdb, kind)
-    return sorted_repair_set("delta", [r for r in pdb.delta_repairs() if test(r)])
+    masks = pdb._conflict_masks
+    return RepairSet(
+        "delta",
+        tuple(r for r, agree in zip(masks.repairs, masks.agreements) if test(agree)),
+    )
 
 
 def greedy_optimal_repair(
@@ -482,22 +638,24 @@ def lexicographic_repairs(
         structure = detect_score_structure(pdb.priority, pdb.conflicts())
     if structure is None:
         raise InputError("priority relation is not score-structured")
-    base = pdb.delta_repairs()
-    agreements = {r: pdb.agreement(r) for r in base}
-    levels = [frozenset(level) for level in structure.levels]
+    masks = pdb._conflict_masks
+    levels = [
+        sum(1 << masks.index[l] for l in level if l in masks.index)
+        for level in structure.levels
+    ]
+    keys = [tuple(agree & level for level in levels) for agree in masks.agreements]
 
-    def beaten(r: Database) -> bool:
-        mine = agreements[r]
-        for other in base:
-            if other == r:
-                continue
-            theirs = agreements[other]
-            for level in levels:
-                a, b = mine & level, theirs & level
-                if a < b:
-                    return True
+    def beaten(mine: tuple[int, ...]) -> bool:
+        # another repair agrees equally down to some level and keeps a strict
+        # superset there; literals off the conflicts agree in every repair
+        for theirs in keys:
+            for a, b in zip(mine, theirs):
                 if a != b:
+                    if not a & ~b:
+                        return True
                     break
         return False
 
-    return sorted_repair_set("delta", [r for r in base if not beaten(r)])
+    return RepairSet(
+        "delta", tuple(r for r, key in zip(masks.repairs, keys) if not beaten(key))
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from prioritydb.aic import AIC, UpdateAtom
 from prioritydb.conflicts import conflicts
@@ -115,6 +116,70 @@ def with_random_priority(
     return PrioritizedDatabase(
         pdb.db, pdb.schema, pdb.constraints, PriorityRelation.of(edges), pdb.budget
     )
+
+
+UNARY_CONSTRAINTS = (
+    ([("P", True), ("Q", True)], ()),
+    ([("Q", True), ("T", True)], ()),
+    ([("P", True)], ("T",)),
+    ([("T", True), ("P", False)], ()),
+    ([("P", True), ("Q", True), ("T", True)], ()),
+)
+
+
+def random_component_instance(rng: random.Random) -> PrioritizedDatabase:
+    """Unary constraints over P, Q and T on two constants, so every constant
+    carries its own conflict components; empty priority."""
+    schema = Schema.of([("P", 1), ("Q", 1), ("T", 1)])
+    constants = ["c0", "c1"]
+    db = frozenset(
+        Fact(pred, (c,)) for pred in "PQT" for c in constants if rng.random() < 0.7
+    )
+    constraints = tuple(
+        UniversalConstraint.make(
+            [BodyAtom(sign, pred, ("X",)) for pred, sign in body],
+            head=[(pred, ("X",)) for pred in head],
+        )
+        for body, head in rng.sample(UNARY_CONSTRAINTS, rng.randint(1, 3))
+    )
+    return PrioritizedDatabase(db, schema, constraints)
+
+
+def conflict_components(conflict_set) -> list[frozenset[Literal]]:
+    """The literal sets of the connected components of the conflict hypergraph."""
+    groups: list[set[Literal]] = []
+    for conflict in conflict_set:
+        merged = set(conflict)
+        for group in [g for g in groups if g & merged]:
+            groups.remove(group)
+            merged |= group
+        groups.append(merged)
+    return sorted(
+        (frozenset(g) for g in groups), key=lambda g: sorted(map(literal_key, g))
+    )
+
+
+def with_stray_edges(
+    rng: random.Random, pdb: PrioritizedDatabase
+) -> Optional[PrioritizedDatabase]:
+    """Add up to four edges between literals of different conflict
+    components, which ``validate_priority`` rejects as stray.  Edges may point
+    either way between two components; one that would close a cycle is left
+    out, so acyclicity is kept.  None when the conflicts form fewer than two
+    components."""
+    components = conflict_components(conflicts(pdb.db, pdb.schema, pdb.constraints))
+    if len(components) < 2:
+        return None
+    edges = set(pdb.priority.edges)
+    for _ in range(rng.randint(1, 4)):
+        first, second = rng.sample(components, 2)
+        edge = (
+            rng.choice(sorted(first, key=literal_key)),
+            rng.choice(sorted(second, key=literal_key)),
+        )
+        if PriorityRelation(frozenset(edges | {edge})).is_acyclic():
+            edges.add(edge)
+    return pdb.with_priority(PriorityRelation(frozenset(edges)))
 
 
 def with_random_scores(

@@ -151,8 +151,11 @@ class TestIsOptimalRepair:
         assert not is_optimal_repair(example3.db, example3.pdb(), "pareto")
 
     def test_unknown_kind(self, example3):
-        with pytest.raises(InputError):
-            is_optimal_repair(example3_repairs()["only_rdb"], example3.pdb(), "bogus")
+        # rejected first, whether or not the candidate is a repair
+        pdb = example3.pdb()
+        for candidate in (example3_repairs()["only_rdb"], example3.db):
+            with pytest.raises(InputError, match="unknown optimality kind"):
+                is_optimal_repair(candidate, pdb, "bogus")
 
 
 class TestCompletionCertificateCap:
@@ -175,6 +178,26 @@ class TestCompletionCertificateCap:
         with pytest.raises(BudgetExceededError):
             is_optimal_repair(repair, self._capped(example3, 3), "completion")
         assert is_optimal_repair(repair, self._capped(example3, 4), "completion")
+
+    def test_witnesses_are_tried_in_literal_order(self):
+        # P(a) clashes with Q(a) and with T(a) and outranks Q(a), so of its
+        # witnesses {Q(a)} (first in literal order) closes a cycle and {T(a)}
+        # does not: two assignments
+        db = frozenset({fact("P", "a"), fact("Q", "a"), fact("T", "a")})
+        constraints = (
+            UniversalConstraint.make([atom("P", "X"), atom("Q", "X")]),
+            UniversalConstraint.make([atom("P", "X"), atom("T", "X")]),
+        )
+        priority = PriorityRelation.of([(lit("P", "a"), lit("Q", "a"))])
+        schema = Schema.of([("P", 1), ("Q", 1), ("T", 1)])
+        repair = frozenset({fact("Q", "a"), fact("T", "a")})
+
+        def capped(cap: int) -> PrioritizedDatabase:
+            return PrioritizedDatabase(db, schema, constraints, priority, Budget(max_completions=cap))
+
+        with pytest.raises(BudgetExceededError):
+            is_optimal_repair(repair, capped(1), "completion")
+        assert is_optimal_repair(repair, capped(2), "completion")
 
     def test_default_budget_keeps_the_result(self, example3):
         reps = example3_repairs()
@@ -343,17 +366,23 @@ class TestIntersectionExample:
         assert optimal_repairs(pdb, "global").repairs == got.repairs
 
 
-def _exclusion_pair(tag: str) -> PrioritizedDatabase:
-    """P(tag) and Q(tag) exclude each other, and P(tag) is preferred."""
-    db = frozenset({fact("P", tag), fact("Q", tag)})
+def _exclusion_pairs(tags, preferred: dict) -> PrioritizedDatabase:
+    """P(tag) and Q(tag) exclude each other for every tag; ``preferred`` maps
+    a tag to the predicate whose fact outranks the other one."""
+    db = frozenset(fact(pred, tag) for tag in tags for pred in "PQ")
     constraint = UniversalConstraint.make([atom("P", "X"), atom("Q", "X")])
-    priority = PriorityRelation.of([(lit("P", tag), lit("Q", tag))])
-    return PrioritizedDatabase(db, Schema.of([("P", 1), ("Q", 1)]), (constraint,), priority)
+    edges = [
+        (lit(strong, tag), lit("Q" if strong == "P" else "P", tag))
+        for tag, strong in preferred.items()
+    ]
+    return PrioritizedDatabase(
+        db, Schema.of([("P", 1), ("Q", 1)]), (constraint,), PriorityRelation.of(edges)
+    )
 
 
 class TestInstanceContext:
     def test_copy_under_another_priority_shares_instance_and_repairs(self):
-        pdb = _exclusion_pair("a")
+        pdb = _exclusion_pairs(["a"], {"a": "P"})
         repairs = pdb.delta_repairs()
         copy = pdb.with_priority(PriorityRelation())
         assert copy.priority == PriorityRelation()
@@ -364,7 +393,7 @@ class TestInstanceContext:
 
     def test_dropped_database_is_not_retained(self):
         def session() -> weakref.ref:
-            pdb = _exclusion_pair("dropped")
+            pdb = _exclusion_pairs(["dropped"], {"dropped": "P"})
             for kind in ("pareto", "global", "completion"):
                 optimal_repairs(pdb, kind)
             conflicts(pdb.db, pdb.schema, pdb.constraints)
@@ -374,3 +403,106 @@ class TestInstanceContext:
         ref = session()
         gc.collect()
         assert ref() is None
+
+
+class TestLibraryPriorities:
+    """Priorities that the library takes and the CLI rejects: edges across
+    conflict components, edges through literals off the conflicts, cycles."""
+
+    def test_crossing_edges_between_components_decide_global(self):
+        # Q(a) > P(b) and Q(b) > P(a) join the two exclusion pairs: dropping
+        # both P facts for both Q facts covers each sacrificed literal, though
+        # neither pair alone improves and no single literal covers both
+        pdb = _exclusion_pairs(["a", "b"], {}).with_priority(
+            PriorityRelation.of(
+                [(lit("Q", "a"), lit("P", "b")), (lit("Q", "b"), lit("P", "a"))]
+            )
+        )
+        both_p = frozenset({fact("P", "a"), fact("P", "b")})
+        both_q = frozenset({fact("Q", "a"), fact("Q", "b")})
+        assert is_global_improvement(both_q, both_p, pdb)
+        assert not is_pareto_improvement(both_q, both_p, pdb)
+        assert set(optimal_repairs(pdb, "pareto").repairs) == set(pdb.delta_repairs())
+        assert set(optimal_repairs(pdb, "global").repairs) == (
+            set(pdb.delta_repairs()) - {both_p}
+        )
+        assert not is_optimal_repair(both_p, pdb, "global")
+        assert optimal_repairs(pdb, "completion").repairs == (
+            completion_optimal_repairs_bruteforce(pdb).repairs
+        )
+
+    def test_cycle_through_a_literal_off_the_conflicts(self):
+        # Q(a) > !T(a) > P(a): keeping P(a) over Q(a) would close a cycle
+        # through a literal that is in no conflict
+        base = _exclusion_pairs(["a"], {})
+        pdb = PrioritizedDatabase(
+            base.db,
+            Schema.of([("P", 1), ("Q", 1), ("T", 1)]),
+            base.constraints,
+            PriorityRelation.of(
+                [(lit("Q", "a"), neg("T", "a")), (neg("T", "a"), lit("P", "a"))]
+            ),
+        )
+        only_q = frozenset({fact("Q", "a")})
+        assert optimal_repairs(pdb, "completion").repairs == (only_q,)
+        assert completion_optimal_repairs_bruteforce(pdb).repairs == (only_q,)
+        assert len(optimal_repairs(pdb, "global")) == 2
+
+    def test_certificate_search_backtracks(self):
+        # B(a) > C(a) and A(a) > E(a) are stray.  Witness {C(a)} for A(a)
+        # leaves B(a) -> C(a) -> A(a) -> E(a), which blocks B(a)'s only
+        # witness {E(a)}; the search drops that edge and takes {D(a)}
+        names = "ABCDE"
+        db = frozenset(fact(name, "a") for name in names)
+        constraints = tuple(
+            UniversalConstraint.make([atom(x, "X"), atom(y, "X")])
+            for x, y in ("AC", "AD", "BE")
+        )
+        priority = PriorityRelation.of(
+            [(lit("B", "a"), lit("C", "a")), (lit("A", "a"), lit("E", "a"))]
+        )
+        schema = Schema.of([(name, 1) for name in names])
+        pdb = PrioritizedDatabase(db, schema, constraints, priority)
+        repair = frozenset(fact(name, "a") for name in "CDE")
+        assert is_optimal_repair(repair, pdb, "completion")
+        assert repair in completion_optimal_repairs_bruteforce(pdb)
+        assert optimal_repairs(pdb, "completion").repairs == (
+            completion_optimal_repairs_bruteforce(pdb).repairs
+        )
+        capped = PrioritizedDatabase(db, schema, constraints, priority, Budget(max_completions=3))
+        with pytest.raises(BudgetExceededError):  # {C}, {E}, then {D}, {E}
+            is_optimal_repair(repair, capped, "completion")
+
+    def test_cyclic_priority_fails_every_repair_with_an_excluded_literal(self, example3):
+        cycle = example3.priority.edges | {(lit("S", "a", "b"), lit("R", "d", "b"))}
+        pdb = example3.pdb().with_priority(PriorityRelation(cycle))
+        assert not pdb.priority.is_acyclic()
+        assert optimal_repairs(pdb, "completion").repairs == ()
+        for repair in pdb.delta_repairs():
+            assert not is_optimal_repair(repair, pdb, "completion")
+
+    def test_cyclic_priority_keeps_a_consistent_database(self, example1):
+        db = frozenset({fact("A", "a"), fact("C", "a")})
+        cycle = PriorityRelation.of(
+            [(lit("A", "a"), lit("C", "a")), (lit("C", "a"), lit("A", "a"))]
+        )
+        pdb = PrioritizedDatabase(db, example1.schema, example1.constraints, cycle)
+        assert optimal_repairs(pdb, "completion").repairs == (db,)
+
+    def test_ten_exclusion_pairs_closed_form(self):
+        # 1 024 delta repairs over 20 conflict literals; the four open pairs
+        # keep either fact, the six oriented ones their preferred fact
+        tags = [f"k{j}" for j in range(10)]
+        preferred = {tag: "PQ"[j % 2] for j, tag in enumerate(tags) if j % 3}
+        pdb = _exclusion_pairs(tags, preferred)
+        assert len(pdb.delta_repairs()) == 1024
+        expected = {
+            repair
+            for repair in pdb.delta_repairs()
+            if all(fact(strong, tag) in repair for tag, strong in preferred.items())
+        }
+        assert len(expected) == 2 ** (len(tags) - len(preferred)) == 16
+        for kind in ("pareto", "global", "completion"):
+            got = optimal_repairs(pdb, kind).repairs
+            assert set(got) == expected
+            assert got == tuple(r for r in pdb.delta_repairs() if r in expected)

@@ -10,12 +10,15 @@ import random
 from functools import lru_cache
 
 from corpus import (
+    conflict_components,
     random_binary_well_behaved,
+    random_component_instance,
     random_instance,
     random_query,
     random_rule_instance,
     with_random_priority,
     with_random_scores,
+    with_stray_edges,
 )
 from prioritydb.aic import (
     UpdateAction,
@@ -46,6 +49,7 @@ from prioritydb.priorities import (
     is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
+    validate_priority,
 )
 from prioritydb.query import answers
 from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce
@@ -215,6 +219,41 @@ def test_oracle_improvement_search_matches_bruteforce():
             assert (repair in global_) == (
                 not _improvement_exists(prioritized, repair, pareto=False)
             )
+
+
+@lru_cache(maxsize=None)
+def stray_corpus():
+    """Prioritized instances whose priority also joins literals of different
+    conflict components, which the CLI rejects as stray edges."""
+    rng = random.Random(0x57A4)
+    out = []
+    while len(out) < 80:
+        base = with_random_priority(rng, random_component_instance(rng))
+        stray = with_stray_edges(rng, base)
+        if stray is not None:
+            out.append(stray)
+    return out
+
+
+def test_oracle_stray_edges_across_components():
+    for pdb in stray_corpus():
+        assert pdb.priority.is_acyclic()
+        assert validate_priority(pdb.priority, pdb.conflicts()).stray_edges
+        components = conflict_components(pdb.conflicts())
+        assert any(
+            not any({a, b} <= c for c in components) for a, b in pdb.priority.edges
+        )
+        pareto = set(optimal_repairs(pdb, "pareto").repairs)
+        global_ = set(optimal_repairs(pdb, "global").repairs)
+        for repair in pdb.delta_repairs():
+            assert (repair in pareto) == (
+                not _improvement_exists(pdb, repair, pareto=True)
+            )
+            assert (repair in global_) == (
+                not _improvement_exists(pdb, repair, pareto=False)
+            )
+        fast = optimal_repairs(pdb, "completion")
+        assert fast.repairs == completion_optimal_repairs_bruteforce(pdb).repairs
 
 
 def test_property_chain_and_nonempty():
