@@ -122,7 +122,7 @@ class Workspace:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -341,6 +341,16 @@ def cmd_verify(ws: Workspace, args) -> int:
     raise InputError(f"unknown verification: {args.check}")
 
 
+def _budget_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prioritydb",
@@ -352,34 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--priority", help="priority file")
     parser.add_argument("--aics", help="active rules file")
     parser.add_argument("--schema", help="schema declarations (P/2. lines)")
-    parser.add_argument("--max-universe", type=int, default=22)
-    parser.add_argument("--max-completions", type=int, default=10**6)
+    parser.add_argument("--max-universe", type=_budget_cap, default=22)
+    parser.add_argument("--max-completions", type=_budget_cap, default=10**6)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conflicts", help="list the conflicts")
     p.add_argument("--dot", help="also write the conflict hypergraph as DOT")
-    p.set_defaults(func=cmd_conflicts)
 
     p = sub.add_parser("repairs", help="enumerate repairs")
     p.add_argument("--kind", choices=["delta", "subset", "superset"], default="delta")
-    p.set_defaults(func=cmd_repairs)
 
     p = sub.add_parser("optimal", help="enumerate optimal repairs")
     p.add_argument("--opt", choices=list(OPTIMALITY) + ["lex"], default="p")
-    p.set_defaults(func=cmd_optimal)
 
     p = sub.add_parser("check-repair", help="check one candidate repair")
     p.add_argument("--repair", required=True, help="facts file with the candidate")
     p.add_argument(
         "--opt", choices=["none", "pareto", "global", "completion"], default="none"
     )
-    p.set_defaults(func=cmd_check_repair)
 
     p = sub.add_parser("answer", help="answer a query under a tolerant semantics")
     p.add_argument("--query", required=True)
     p.add_argument("--sem", choices=["brave", "cqa", "int"], required=True)
     p.add_argument("--opt", choices=["s", "p", "g", "c"], required=True)
-    p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("aic", help="active-rule commands")
     p.add_argument("action", choices=["classify", "check-update", "props"])
@@ -389,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(R_UPDATE_CLASSES),
         help="with check-update: exit 0 iff the update has this property",
     )
-    p.set_defaults(func=cmd_aic)
 
     p = sub.add_parser("translate", help="translate between the frameworks")
     p.add_argument(
@@ -399,20 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-constraints")
     p.add_argument("--out-priority")
     p.add_argument("--out-aics")
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("verify", help="run a named cross-framework check")
     p.add_argument("check", choices=["prop8", "prop10"])
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+# Built by the first main call, not at import, and reused by later calls:
+# parse_args leaves the parser unchanged.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so a handler replaced on the module is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         ws = Workspace(args)
-        return args.func(ws, args)
+        return handler(ws, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

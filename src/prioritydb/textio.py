@@ -19,8 +19,7 @@ Formats:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .aic import AIC, UpdateAction, UpdateAtom, action_key
 from .errors import InputError, ParseError
@@ -52,41 +51,41 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # into the parsed text; line and column are derived on error
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, column = 1, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        kind = match.lastgroup or ""
-        value = match.group()
+    end = 0
+    for match in _TOKEN.finditer(text):
+        if match.start() != end:
+            break
+        kind = match.lastgroup
         if kind != "ws":
-            tokens.append(Token(kind, value, line, column))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            column = len(value) - value.rfind("\n")
-        else:
-            column += len(value)
-        pos = match.end()
-    tokens.append(Token("eof", "", line, column))
+            tokens.append(Token(kind, match.group(), end))
+        end = match.end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
+    tokens.append(Token("eof", "", end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+
+    def error(self, message: str, token: Token) -> ParseError:
+        return ParseError(message, *_position(self.text, token.offset))
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -97,9 +96,9 @@ class _Parser:
     def take(self, text: Optional[str] = None, kind: Optional[str] = None) -> Token:
         token = self.peek()
         if text is not None and token.text != text:
-            raise ParseError(f"expected {text!r}, found {token.text!r}", token.line, token.column)
+            raise self.error(f"expected {text!r}, found {token.text!r}", token)
         if kind is not None and token.kind != kind:
-            raise ParseError(f"expected {kind}, found {token.text!r}", token.line, token.column)
+            raise self.error(f"expected {kind}, found {token.text!r}", token)
         self.index += 1
         return token
 
@@ -114,7 +113,7 @@ class _Parser:
         if token.kind in ("name", "number"):
             self.index += 1
             return token.text
-        raise ParseError(f"expected a term, found {token.text!r}", token.line, token.column)
+        raise self.error(f"expected a term, found {token.text!r}", token)
 
     def atom(self) -> tuple[str, tuple[Term, ...]]:
         name = self.take(kind="name")
@@ -132,9 +131,7 @@ class _Parser:
         name, terms = self.atom()
         loose = [t for t in terms if is_variable(t)]
         if loose:
-            raise ParseError(
-                f"variable {loose[0]} where a constant is required", token.line, token.column
-            )
+            raise self.error(f"variable {loose[0]} where a constant is required", token)
         return Fact(name, terms)
 
 
@@ -191,7 +188,7 @@ def parse_constraints(text: str) -> tuple[UniversalConstraint, ...]:
         try:
             out.append(UniversalConstraint.make(atoms, inequalities, head))
         except InputError as exc:
-            raise ParseError(str(exc), token.line, token.column) from exc
+            raise parser.error(str(exc), token) from exc
     return tuple(out)
 
 
@@ -235,12 +232,11 @@ def parse_query(text: str) -> ConjunctiveQuery:
         atoms.append(parser.atom())
     parser.take(".")
     if not parser.at_end():
-        extra = parser.peek()
-        raise ParseError("expected a single query", extra.line, extra.column)
+        raise parser.error("expected a single query", parser.peek())
     try:
         return ConjunctiveQuery.make(head_terms, atoms)
     except InputError as exc:
-        raise ParseError(str(exc), token.line, token.column) from exc
+        raise parser.error(str(exc), token) from exc
 
 
 def parse_aics(text: str) -> tuple[AIC, ...]:
@@ -259,7 +255,7 @@ def parse_aics(text: str) -> tuple[AIC, ...]:
         try:
             out.append(AIC.make(atoms, updates, inequalities))
         except InputError as exc:
-            raise ParseError(str(exc), token.line, token.column) from exc
+            raise parser.error(str(exc), token) from exc
     return tuple(out)
 
 
@@ -270,7 +266,7 @@ def _parse_update_atom(parser: _Parser) -> UpdateAtom:
     elif parser.try_take("-"):
         add = False
     else:
-        raise ParseError("expected + or -", token.line, token.column)
+        raise parser.error("expected + or -", token)
     name, terms = parser.atom()
     return UpdateAtom(add, name, terms)
 
@@ -282,10 +278,7 @@ def parse_updates(text: str) -> frozenset[UpdateAction]:
         atom = _parse_update_atom(parser)
         loose = [t for t in atom.terms if is_variable(t)]
         if loose:
-            token = parser.peek()
-            raise ParseError(
-                f"variable {loose[0]} in a ground update", token.line, token.column
-            )
+            raise parser.error(f"variable {loose[0]} in a ground update", parser.peek())
         parser.take(".")
         actions.add(UpdateAction(atom.add, Fact(atom.predicate, atom.terms)))
     return frozenset(actions)

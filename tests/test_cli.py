@@ -454,3 +454,91 @@ class TestErrors:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError('boom')\n"
+
+    def test_non_utf8_input_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pdb"
+        bad.write_bytes(b"R(a, \xff).\n")
+        code = main(["--db", str(bad), "conflicts"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("flag, value", [("--max-universe", "-1"), ("--max-completions", "-3")])
+    def test_negative_budget_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, value, "--db", str(EX3 / "db.pdb"),
+                  "--constraints", str(EX3 / "constraints.pdb"), "repairs"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"prioritydb: error: argument {flag}: invalid non-negative int value: '{value}'\n"
+        )
+
+
+def _fresh_process(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "prioritydb.cli", *map(str, argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    return proc.returncode, proc.stdout
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process; no call may see the
+    state of an earlier one."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        original = cli.build_parser
+        built = []
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for command in ("conflicts", "repairs", "conflicts"):
+            run(capsys, "--db", EX1 / "db.pdb", "--constraints", EX1 / "constraints.pdb", command)
+        assert len(built) == 1
+
+    def test_usage_error_then_command_matches_fresh_process(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["repairs", "--kind", "nonsense"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        argv = ("--db", EX1 / "db.pdb", "--constraints", EX1 / "constraints.pdb", "repairs")
+        assert run(capsys, *argv) == _fresh_process(*argv)
+
+    def test_kind_defaults_do_not_leak_between_commands(self, capsys):
+        # repairs --kind defaults to delta; aic --kind defaults to none, so
+        # check-update answers 0 even though update3 is not founded
+        code, out = run(
+            capsys,
+            "--db", EX1 / "db.pdb", "--constraints", EX1 / "constraints.pdb",
+            "repairs", "--kind", "subset",
+        )
+        assert (code, out.splitlines()[-1]) == (0, "subset repairs: 1")
+        code, out = run(
+            capsys,
+            "--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb",
+            "aic", "check-update", "--update", AIC9 / "update3.pdb",
+        )
+        assert code == 0 and "founded: no" in out
+        code, out = run(
+            capsys, "--db", EX1 / "db.pdb", "--constraints", EX1 / "constraints.pdb", "repairs",
+        )
+        assert (code, out.splitlines()[-1]) == (0, "delta repairs: 3")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["aic", "--help"]], ids=["top", "aic"])
+    def test_help_is_identical_on_every_call(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("usage: prioritydb")

@@ -152,3 +152,176 @@ class TestUpdatesAndSchema:
         with pytest.raises(ParseError) as err:
             parse_database("A(a)?")
         assert err.value.column == 5
+
+
+PARSERS = {
+    "facts": parse_database,
+    "constraints": parse_constraints,
+    "priority": parse_priority,
+    "query": parse_query,
+    "aics": parse_aics,
+    "updates": parse_updates,
+    "schema": parse_schema,
+}
+
+# (format, text, message, line, column).  A column counts characters, so a
+# tab is one column; a missing final "." is reported at the end of the text.
+MALFORMED = [
+    pytest.param(
+        "facts", "?A(a).\n",
+        "unexpected character '?'", 1, 1, id="facts-start",
+    ),
+    pytest.param(
+        "facts", "A(a).\nB(b;c).\n",
+        "unexpected character ';'", 2, 4, id="facts-middle",
+    ),
+    pytest.param(
+        "facts", "A(a).\nB(b).\n@",
+        "unexpected character '@'", 3, 1, id="facts-end",
+    ),
+    pytest.param(
+        "facts", "A(a).\nB(b).\n  é",
+        "unexpected character 'é'", 3, 3, id="facts-end-non-ascii",
+    ),
+    pytest.param(
+        "facts", "# comment\nA(a) B(b).\n",
+        "expected '.', found 'B'", 2, 6, id="facts-after-comment-line",
+    ),
+    pytest.param(
+        "facts", "A(a).\n# comment ? with > punctuation\n\n  A(a, X).\n",
+        "variable X where a constant is required", 4, 3, id="facts-after-comment-and-blank",
+    ),
+    pytest.param(
+        "facts", "\n\n\nA(X).\n",
+        "variable X where a constant is required", 4, 1, id="facts-after-blank-lines",
+    ),
+    pytest.param(
+        "facts", "\tA(a).\n\t\tB(b)\t?\n",
+        "unexpected character '?'", 2, 8, id="facts-after-tabs",
+    ),
+    pytest.param(
+        "facts", "A(a)",
+        "expected '.', found ''", 1, 5, id="facts-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "facts", "A(a).\nB(b)\n   ",
+        "expected '.', found ''", 3, 4, id="facts-missing-dot-trailing-blanks",
+    ),
+    pytest.param(
+        "facts", "A(a) # no dot",
+        "expected '.', found ''", 1, 14, id="facts-missing-dot-after-comment",
+    ),
+    pytest.param(
+        "facts", "A(a).\r\nB(b) ?\r\n",
+        "unexpected character '?'", 2, 6, id="facts-crlf",
+    ),
+    pytest.param(
+        "facts", "A(a,).",
+        "expected a term, found ')'", 1, 5, id="facts-missing-term",
+    ),
+    pytest.param(
+        "constraints", "\nA(X) -> C(Y).\n",
+        "unsafe constraint: variable Y occurs only in negated atom not C(Y)", 2, 6,
+        id="constraints-unsafe-head",
+    ),
+    pytest.param(
+        "constraints", "A(X), B(X) -> false\n",
+        "expected '.', found ''", 2, 1, id="constraints-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "constraints", "# header\n\nA(X), B(X) false.\n",
+        "expected arrow, found 'false'", 3, 12, id="constraints-after-comment-and-blank",
+    ),
+    pytest.param(
+        "constraints", "A(X), X != -> false.\n",
+        "expected a term, found '->'", 1, 12, id="constraints-missing-term",
+    ),
+    pytest.param(
+        "constraints", "A(X) -> false.\n\tB(X) => false.\n",
+        "expected arrow, found '='", 2, 7, id="constraints-after-tab",
+    ),
+    pytest.param(
+        "priority", "A(a) > B(b).\n!A(a) > B(X).\n",
+        "variable X where a constant is required", 2, 9, id="priority-variable",
+    ),
+    pytest.param(
+        "priority", "score A(a) = x.\n",
+        "expected number, found 'x'", 1, 14, id="priority-score-not-number",
+    ),
+    pytest.param(
+        "priority", "A(a) >> B(b).\n",
+        "expected name, found '>'", 1, 7, id="priority-double-gt",
+    ),
+    pytest.param(
+        "priority", "A(a) > B(b)",
+        "expected '.', found ''", 1, 12, id="priority-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "query", "q :- A(a).\nq :- B(a).\n",
+        "expected a single query", 2, 1, id="query-two-queries",
+    ),
+    pytest.param(
+        "query", "q(X) :- A(Y).\n",
+        "answer variable X does not occur in the body", 1, 1, id="query-unbound-answer-variable",
+    ),
+    pytest.param(
+        "query", "\n  q(X) - A(X).\n",
+        "expected neck, found '-'", 2, 8, id="query-after-blank-line",
+    ),
+    pytest.param(
+        "query", "q(X) :- A(X)",
+        "expected '.', found ''", 1, 13, id="query-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "query", "q(X) :- A(X) $",
+        "unexpected character '$'", 1, 14, id="query-end",
+    ),
+    pytest.param(
+        "aics", "al, be -> { be }.\n",
+        "expected + or -", 1, 13, id="aics-unsigned-update",
+    ),
+    pytest.param(
+        "aics", "# rules\nal -> { -be }.\n",
+        "update action -be does not repair any body literal", 2, 1, id="aics-after-comment-line",
+    ),
+    pytest.param(
+        "aics", "al -> { -al }\n",
+        "expected '.', found ''", 2, 1, id="aics-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "aics", "al -> -al.\n",
+        "expected '{', found '-'", 1, 7, id="aics-missing-brace",
+    ),
+    pytest.param(
+        "updates", "+A(a).\n-B(X).\n",
+        "variable X in a ground update", 2, 6, id="updates-variable",
+    ),
+    pytest.param(
+        "updates", "A(a).\n",
+        "expected + or -", 1, 1, id="updates-unsigned",
+    ),
+    pytest.param(
+        "updates", "+A(a)\n",
+        "expected '.', found ''", 2, 1, id="updates-missing-dot-at-eof",
+    ),
+    pytest.param(
+        "updates", "+A(a).\n\t*B(b).\n",
+        "unexpected character '*'", 2, 2, id="updates-after-tab",
+    ),
+    pytest.param(
+        "schema", "A/x.\n",
+        "expected number, found 'x'", 1, 3, id="schema-arity-not-number",
+    ),
+    pytest.param(
+        "schema", "A/1\n",
+        "expected '.', found ''", 2, 1, id="schema-missing-dot-at-eof",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message, line, column", MALFORMED)
+def test_parse_error_position(fmt, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        PARSERS[fmt](text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{line}:{column}: {message}"
