@@ -126,6 +126,13 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 OPTIMALITY = {"s": "none", "p": "pareto", "g": "global", "c": "completion",
               "none": "none", "pareto": "pareto", "global": "global",
               "completion": "completion"}
@@ -134,13 +141,13 @@ SEMANTICS = {"brave": "brave", "cqa": "cqa", "int": "intersection"}
 
 def cmd_conflicts(ws: Workspace, args) -> int:
     found = ws.instance.conflicts
+    if args.dot:
+        _write(args.dot, hypergraph_dot(ws))
     ordered = sorted(found, key=lambda e: sorted(map(textio.format_literal, e)))
     for conflict in ordered:
         print(textio.format_literal_set(conflict))
     print(f"conflicts: {len(found)}")
     print(f"max conflict size: {max_conflict_size(found)}")
-    if args.dot:
-        Path(args.dot).write_text(hypergraph_dot(ws), encoding="utf-8")
     return EXIT_OK
 
 
@@ -259,7 +266,7 @@ def cmd_aic(ws: Workspace, args) -> int:
 
 def _write_or_print(path: Optional[str], text: str, label: str) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     else:
         print(f"# {label}")
         sys.stdout.write(text)

@@ -8,8 +8,8 @@ starts from are not the full grounding: a positive atom whose predicate occurs
 negated in no constraint is joined with the database facts of that predicate.
 The violation formula is monotone in the literals this drops, so the join
 does not change the conflicts (the argument is in the ``Instance.conflicts``
-docstring), and consistency checks keep the full grounding.  Consensus over the full grounding,
-``prime_implicants(inst.bodies)``, stays as a test oracle.  An independent
+docstring).  Consensus over the full grounding, ``prime_implicants(inst.bodies)``,
+stays as a test oracle.  An independent
 path recovers the same sets as minimal hitting sets of the symmetric
 differences between the database and its brute-force repairs; it serves as a
 test oracle.  ``minimal_hitting_sets`` is the one minimal-transversal

@@ -8,12 +8,12 @@ repairs and subsets of the literal universe and are mutually inverse.  An
 ``Instance`` derives each of these, the ground bodies and the conflicts at most
 once for one database, schema and constraint set.
 
-The ground bodies range every variable over the constant pool; satisfaction
-and the oracles use them.  Conflicts start from fewer bodies: positive atoms
-of predicates that occur negated in no constraint are joined with the database
+One join, ``matches``, serves grounding, consistency and queries.  The ground
+bodies range every variable over the constant pool; ``satisfies`` and the
+oracles use them.  Conflicts start from fewer bodies: positive atoms of
+predicates that occur negated in no constraint are joined with the database
 facts, and consensus (``prime_implicants`` over ``resolutions``, which finds
-clashing pairs through an index by signed fact) closes what that grounding
-yields.
+clashing pairs through an index by signed fact) closes what that yields.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.
@@ -296,8 +296,9 @@ class Instance:
         what they yield.
         """
         negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
+        facts = by_predicate(self.db)
         join = {
-            a.predicate: [f for f in self.db if f.predicate == a.predicate]
+            a.predicate: facts.get(a.predicate, [])
             for c in self.constraints
             for a in c.body
             if a.positive and a.predicate not in negated
@@ -324,9 +325,20 @@ class Instance:
         return frozenset(t for t in primes if all(map(inside, t)))
 
     def consistent(self, candidate: Database) -> bool:
-        """No ground body is fully matched; sound for candidates inside the
-        fact universe."""
-        return not any(violates_ground(candidate, body) for body in self.bodies)
+        """No constraint's positive atoms join with the candidate under a
+        binding that makes every inequality true and every negated atom absent.
+        Safety binds every variable, so this is exact for every candidate."""
+        facts = by_predicate(candidate)
+        return not any(
+            all(b.get(l, l) != b.get(r, r) for l, r in c.inequalities)
+            and not any(
+                a.substituted(b).to_literal().fact in candidate
+                for a in c.body
+                if not a.positive
+            )
+            for c in self.constraints
+            for b in matches([(a.predicate, a.terms) for a in c.body if a.positive], facts)
+        )
 
     def agreement(self, repair: Database) -> frozenset[Literal]:
         """Literals of the literal universe on which a candidate repair agrees
@@ -374,20 +386,38 @@ def restriction(db: Database, schema: Schema, litset: frozenset[Literal]) -> Dat
     return Instance(db, schema).restriction(litset)
 
 
-def _match(
-    atom: BodyAtom, fact: Fact, binding: dict[Term, Constant]
-) -> Optional[dict[Term, Constant]]:
-    """``binding`` extended so that ``atom`` becomes ``fact``, or None."""
-    if len(fact.args) != len(atom.terms):
-        return None
-    out = dict(binding)
-    for term, value in zip(atom.terms, fact.args):
-        if is_variable(term):
-            if out.setdefault(term, value) != value:
-                return None
-        elif term != value:
-            return None
+def by_predicate(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
+    out: dict[str, list[Fact]] = {}
+    for fact in facts:
+        out.setdefault(fact.predicate, []).append(fact)
     return out
+
+
+def matches(
+    atoms: Iterable[tuple[str, Sequence[Term]]],
+    facts_by_predicate: Mapping[str, Sequence[Fact]],
+) -> Iterator[dict[Term, Constant]]:
+    """Every binding of the atoms' variables that maps each ``(predicate,
+    terms)`` atom onto a fact listed for its predicate.  Partial bindings grow
+    atom by atom in the given order, depth first on an explicit stack: a long
+    body needs no recursion, and only the untried facts along one path wait."""
+    steps = [(p, terms, [is_variable(t) for t in terms]) for p, terms in atoms]
+    stack: list[tuple[int, dict[Term, Constant]]] = [(0, {})]
+    while stack:
+        depth, partial = stack.pop()
+        if depth == len(steps):
+            yield partial
+            continue
+        predicate, terms, variable = steps[depth]
+        for fact in facts_by_predicate.get(predicate, ()):
+            if len(fact.args) != len(terms):
+                continue
+            out = dict(partial)
+            for term, var, value in zip(terms, variable, fact.args):
+                if (out.setdefault(term, value) if var else term) != value:
+                    break
+            else:
+                stack.append((depth + 1, out))
 
 
 def ground_body(
@@ -405,15 +435,9 @@ def ground_body(
     (both signs of a fact) are dropped because no database can satisfy them.
     """
     join = join or {}
-    partials: list[dict[Term, Constant]] = [{}]
-    for atom in body:
-        if atom.positive and atom.predicate in join:
-            partials = [
-                bound
-                for binding in partials
-                for fact in join[atom.predicate]
-                if (bound := _match(atom, fact, binding)) is not None
-            ]
+    partials = matches(
+        [(a.predicate, a.terms) for a in body if a.positive and a.predicate in join], join
+    )
     variables = {v for atom in body for v in atom.variables()}
     pool = sorted(set(constants))
     for partial in partials:

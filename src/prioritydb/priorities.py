@@ -589,17 +589,7 @@ def detect_score_structure(
     depth: dict[Literal, int] = {}
     for node in order:  # successors first; the score strictly drops along edges
         depth[node] = max((depth[nxt] + 1 for nxt in succ.get(node, ())), default=0)
-    score = {lit: depth[find(lit)] for lit in literals}
-    by_level: dict[int, list[Literal]] = {}
-    for lit, value in score.items():
-        by_level.setdefault(value, []).append(lit)
-    levels = tuple(
-        tuple(sorted(by_level[v], key=literal_key))
-        for v in sorted(by_level, reverse=True)
-    )
-    return ScoreStructure(
-        tuple(sorted(score.items(), key=lambda kv: literal_key(kv[0]))), levels
-    )
+    return _score_structure({lit: depth[find(lit)] for lit in literals})
 
 
 def score_structure_from_scores(
@@ -616,17 +606,21 @@ def score_structure_from_scores(
             edges.add((a, b))
         elif table[b] > table[a]:
             edges.add((b, a))
+    return _score_structure(table), PriorityRelation(frozenset(edges))
+
+
+def _score_structure(table: dict[Literal, int]) -> ScoreStructure:
+    """The structure of a literal-to-score table, levels by descending score."""
     by_level: dict[int, list[Literal]] = {}
     for lit, value in table.items():
         by_level.setdefault(value, []).append(lit)
-    levels = tuple(
-        tuple(sorted(by_level[v], key=literal_key))
-        for v in sorted(by_level, reverse=True)
+    return ScoreStructure(
+        tuple(sorted(table.items(), key=lambda kv: literal_key(kv[0]))),
+        tuple(
+            tuple(sorted(by_level[v], key=literal_key))
+            for v in sorted(by_level, reverse=True)
+        ),
     )
-    structure = ScoreStructure(
-        tuple(sorted(table.items(), key=lambda kv: literal_key(kv[0]))), levels
-    )
-    return structure, PriorityRelation(frozenset(edges))
 
 
 def lexicographic_repairs(

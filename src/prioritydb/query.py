@@ -1,10 +1,10 @@
 """Conjunctive query evaluation and the inconsistency-tolerant semantics.
 
-Queries are evaluated per repair by backtracking homomorphism search; the
-tolerant semantics then combine per-repair answers: brave keeps answers true
-in some optimal repair, cautious (cqa) those true in all of them, and
-intersection evaluates over the intersection of the optimal repairs (which
-need not itself satisfy the constraints).
+Queries are evaluated per repair by the join ``model.matches``; the tolerant
+semantics then combine per-repair answers: brave keeps answers true in some
+optimal repair, cautious (cqa) those true in all of them, and intersection
+evaluates over the intersection of the optimal repairs (which need not itself
+satisfy the constraints).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .model import Database, Fact, Term, is_variable
+from .model import Database, Term, by_predicate, is_variable, matches
 from .priorities import PrioritizedDatabase, optimal_repairs
 
 
@@ -48,37 +48,11 @@ def evaluate(query: ConjunctiveQuery, db: Database) -> frozenset[tuple[str, ...]
     Atoms are matched in ascending order of relation cardinality; a Boolean
     query yields the empty tuple when satisfied.
     """
-    by_predicate: dict[str, list[Fact]] = {}
-    for fact in db:
-        by_predicate.setdefault(fact.predicate, []).append(fact)
-    ordered = sorted(
-        query.atoms, key=lambda atom: (len(by_predicate.get(atom[0], ())), atom)
+    facts = by_predicate(db)
+    ordered = sorted(query.atoms, key=lambda atom: (len(facts.get(atom[0], ())), atom))
+    return frozenset(
+        tuple(binding[v] for v in query.head_vars) for binding in matches(ordered, facts)
     )
-    answers: set[tuple[str, ...]] = set()
-
-    def match(index: int, binding: dict[Term, str]) -> None:
-        if index == len(ordered):
-            answers.add(tuple(binding[v] for v in query.head_vars))
-            return
-        predicate, terms = ordered[index]
-        for fact in by_predicate.get(predicate, ()):
-            if len(fact.args) != len(terms):
-                continue
-            extended = dict(binding)
-            good = True
-            for term, value in zip(terms, fact.args):
-                if is_variable(term):
-                    if extended.setdefault(term, value) != value:
-                        good = False
-                        break
-                elif term != value:
-                    good = False
-                    break
-            if good:
-                match(index + 1, extended)
-
-    match(0, {})
-    return frozenset(answers)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,17 @@ class TestAnswer:
         assert code == 0
         assert "(b)" in out and "(c)" in out and "answers: 2" in out
 
+    def test_deep_query_has_no_recursion_limit(self, capsys, tmp_path):
+        db = tmp_path / "db.pdb"
+        db.write_text("A(a).\n")
+        query = tmp_path / "q.pdb"
+        query.write_text(f"Q(X0) :- {', '.join(f'A(X{i})' for i in range(1200))}.\n")
+        code, out = run(
+            capsys, "--db", db, "answer", "--query", query, "--sem", "cqa", "--opt", "s"
+        )
+        assert code == 0
+        assert out == "(a)\nanswers: 1\n"
+
 
 class TestAicCommands:
     def test_classify(self, capsys):
@@ -463,6 +474,24 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_unwritable_dot_path_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "g.dot"
+        code = main(["--db", str(EX1 / "db.pdb"), "--constraints", str(EX1 / "constraints.pdb"),
+                     "conflicts", "--dot", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("flag", ["--out-db", "--out-constraints"])
+    def test_unwritable_translate_path_is_an_input_error(self, capsys, tmp_path, flag):
+        target = tmp_path / "no" / "such" / "out.pdb"
+        code = main(["--db", str(EX1 / "db.pdb"), "--constraints", str(EX1 / "constraints.pdb"),
+                     "translate", "to-denial", flag, str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: cannot write {target}: ")
 
     @pytest.mark.parametrize("flag, value", [("--max-universe", "-1"), ("--max-completions", "-3")])
     def test_negative_budget_is_a_usage_error(self, capsys, flag, value):

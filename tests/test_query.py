@@ -35,6 +35,15 @@ class TestEvaluate:
         got = evaluate(q(("X",), [("R", ("X", "X"))]), db)
         assert got == {("a",)}
 
+    def test_atom_matches_only_facts_of_its_arity(self):
+        db = frozenset({fact("A", "a")})
+        assert evaluate(q(("X",), [("A", ("X", "Y"))]), db) == frozenset()
+        assert evaluate(q((), [("A", ())]), db) == frozenset()
+
+    def test_deep_query_has_no_recursion_limit(self):
+        query = q(("X0",), [("A", (f"X{i}",)) for i in range(1200)])
+        assert evaluate(query, frozenset({fact("A", "a")})) == {("a",)}
+
     def test_head_variable_must_occur(self):
         with pytest.raises(InputError):
             q(("X",), [("A", ("Y",))])

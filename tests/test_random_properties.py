@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import product
 
+import pytest
+
+from conftest import atom, fact
 from corpus import (
     conflict_components,
     random_binary_well_behaved,
@@ -41,7 +45,15 @@ from prioritydb.bridges import (
     check_translation_equivalence,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
-from prioritydb.model import Fact, Instance
+from prioritydb.model import (
+    Fact,
+    Instance,
+    UniversalConstraint,
+    active_domain,
+    is_variable,
+    satisfies,
+    schema_from,
+)
 from prioritydb.priorities import (
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
@@ -51,7 +63,7 @@ from prioritydb.priorities import (
     optimal_repairs,
     validate_priority,
 )
-from prioritydb.query import answers
+from prioritydb.query import answers, evaluate
 from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce
 
 CORPUS_SIZE = 200
@@ -104,6 +116,82 @@ def test_oracle_conflicts_two_characterizations():
         # consensus over the full grounding, without the join
         inst = Instance(base.db, base.schema, base.constraints)
         assert fast == {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
+
+
+def test_oracle_consistency_join_matches_pool_grounding():
+    rng = random.Random(0xC0DE)
+    seen = {True: 0, False: 0}
+    for base, *_ in pdb_corpus():
+        inst = Instance(base.db, base.schema, base.constraints)
+        universe = sorted(inst.facts)
+        for candidate in [base.db] + [
+            frozenset(f for f in universe if rng.random() < 0.5) for _ in range(6)
+        ]:
+            got = inst.consistent(candidate)
+            assert got == satisfies(candidate, base.constraints, inst.constants), (candidate, base)
+            seen[got] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def _evaluate_bruteforce(query, db):
+    """Every assignment of the body variables over the active domain."""
+    names = sorted({t for _, terms in query.atoms for t in terms if is_variable(t)})
+    out = set()
+    for values in product(sorted(active_domain(db)), repeat=len(names)):
+        b = dict(zip(names, values))
+        if all(Fact(p, tuple(b.get(t, t) for t in terms)) in db for p, terms in query.atoms):
+            out.add(tuple(b[v] for v in query.head_vars))
+    return out
+
+
+def test_oracle_evaluate_matches_bruteforce():
+    rng = random.Random(0xE7A1)
+    answered = 0
+    for base, *_ in pdb_corpus():
+        universe = sorted(Instance(base.db, base.schema, base.constraints).facts)
+        for db in [base.db] + [
+            frozenset(f for f in universe if rng.random() < 0.5) for _ in range(3)
+        ]:
+            query = random_query(rng, base)
+            got = evaluate(query, db)
+            assert got == _evaluate_bruteforce(query, db), (query, db)
+            answered += bool(got)
+    assert answered >= 200
+
+
+@pytest.mark.parametrize(
+    "constraint, consistent, inconsistent",
+    [
+        (UniversalConstraint.make([atom("Q", "a", positive=False)]), {fact("Q", "a")}, set()),
+        (
+            UniversalConstraint.make([atom("E", "X", "Y"), atom("E", "Y", "X", positive=False)]),
+            {fact("E", "a", "a")},
+            {fact("E", "a", "b")},
+        ),
+        (UniversalConstraint.make([atom("P", "X")], [("X", "a")]), {fact("P", "a")}, {fact("P", "b")}),
+        (UniversalConstraint.make([atom("E", "X", "X")]), {fact("E", "a", "b")}, {fact("E", "b", "b")}),
+        (UniversalConstraint.make([atom("e"), atom("P", "X")]), {fact("e")}, {fact("e"), fact("P", "a")}),
+    ],
+    ids=["no-positive-atom", "negated-atom-is-the-matched-fact", "constant-inequality",
+         "repeated-variable", "arity-0"],
+)
+def test_consistency_hand_cases(constraint, consistent, inconsistent):
+    both = frozenset(consistent | inconsistent)
+    inst = Instance(both, schema_from(both, [constraint]), (constraint,))
+    for candidate, expected in ((frozenset(consistent), True), (frozenset(inconsistent), False)):
+        assert inst.consistent(candidate) is expected
+        assert satisfies(candidate, [constraint], inst.constants) is expected
+
+
+def test_consistency_outside_the_constant_pool():
+    key = UniversalConstraint.make(
+        [atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")]
+    )
+    db = frozenset({fact("R", "k", "v0")})
+    inst = Instance(db, schema_from(db, [key]), (key,))
+    assert "zz" not in inst.constants
+    assert inst.consistent(db)
+    assert not inst.consistent(db | {fact("R", "k", "zz")})
 
 
 def test_oracle_delta_repairs_bruteforce():
