@@ -122,7 +122,9 @@ class Workspace:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its text would name the path a second time
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -130,7 +132,7 @@ def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 OPTIMALITY = {"s": "none", "p": "pareto", "g": "global", "c": "completion",

@@ -6,14 +6,19 @@ need one added literal outranking every sacrificed one, global improvements
 need a witness per sacrificed literal, and completion-optimal repairs are
 those optimal under some total extension of the priority.
 
-The filters run on integer masks.  A delta repair's agreement set is the
-literal universe minus one minimal transversal of the conflicts, so two
-repairs differ only on conflict vertices, and an agreement set is a mask over
-them.  Each ``PrioritizedDatabase`` holds one mask context: the vertex index,
-the conflicts and the repairs' agreement masks (shared by ``with_priority``
-copies), and the dominance masks of its priority.  Pareto checks each
-excluded vertex against the conflicts holding it; global compares repairs
-within each component that the conflicts and the priority edges join;
+The notions are decided on integer masks over the conflict vertices.  A delta
+repair's agreement set is the literal universe minus one minimal transversal
+of the conflicts, so two repairs differ only on conflict vertices.  The
+minimal transversals are the products of those of the conflict components,
+and no conflict, priority edge, Pareto block or order certificate leaves a
+component that the conflicts and the priority edges join (Staworko, Chomicki
+& Marcinkowski, AMAI 2012, never compare literals across independent
+conflicts).  So each ``PrioritizedDatabase`` holds one mask context that
+enumerates each component's transversals on its own (shared by
+``with_priority`` copies), keeps per component and notion the restrictions
+that are optimal, and ``optimal_repairs`` builds and sorts only their
+product, the output.  Pareto checks each excluded vertex against the
+conflicts holding it; global compares restrictions within a component;
 completion searches for an order certificate with one reachability test per
 witness.  ``is_pareto_improvement``, ``is_global_improvement`` and
 ``completion_optimal_repairs_bruteforce`` follow the definitions on literal
@@ -24,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .conflicts import Conflict
+from .conflicts import Conflict, minimal_hitting_sets
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
 from .model import Database, Fact, Instance, Literal, Schema, UniversalConstraint, literal_key
 from .repairs import RepairSet, delta_repairs_of, is_delta_repair_of, sorted_repair_set
@@ -222,15 +227,29 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _join(links: Iterable[int]) -> list[int]:
+    """The unions of the links that share a bit, transitively, ascending.  A
+    zero link stays a group of its own."""
+    groups: list[int] = []
+    for link in links:
+        for group in [g for g in groups if g & link]:
+            groups.remove(group)
+            link |= group
+        groups.append(link)
+    return sorted(groups)
+
+
 class _ConflictMasks:
     """The priority-independent half of the mask context.
 
     Bit ``i`` stands for the ``i``-th conflict vertex in ``literal_key``
     order.  A delta repair's agreement set is the literal universe minus one
     minimal transversal of the conflicts, so it is fixed by its vertex bits:
-    every other literal of the universe is in it.  Each part is built on
-    first use; the delta repairs and their agreement masks only when a
-    caller needs all of them."""
+    every other literal of the universe is in it.  The minimal transversals
+    of the conflicts are the products of those of their connected
+    components, so ``parts`` enumerates each component's on its own.  Each
+    part is built on first use; the delta repairs and their agreement masks
+    only when a caller needs all of them."""
 
     def __init__(self, instance: Instance, budget: Budget):
         self.instance = instance
@@ -258,6 +277,27 @@ class _ConflictMasks:
             for i in _bits(conflict):
                 found[i].append(conflict & ~(1 << i))
         return tuple(tuple(sorted(ws, key=lambda w: list(_bits(w)))) for ws in found)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per connected component of the conflicts, its vertex mask and the
+        masks of its minimal transversals, found by ``minimal_hitting_sets``
+        on its conflicts alone; the budget caps each component's vertices.
+        An empty conflict has no transversal, so then the one part is
+        ``(0, ())``: no delta repair exists."""
+        if 0 in self.conflicts:
+            return ((0, ()),)
+        out = []
+        for comp in _join(self.conflicts):
+            edges = [frozenset(_bits(c)) for c in self.conflicts if c & comp]
+            found = minimal_hitting_sets(edges, self.budget, "conflict literal set")
+            out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
+        return tuple(out)
+
+    @cached_property
+    def facts(self) -> tuple[Fact, ...]:
+        """The fact of each vertex, by bit."""
+        return tuple(l.fact for l in self.index)
 
     @cached_property
     def _fact_bits(self) -> dict[Fact, int]:
@@ -293,14 +333,17 @@ def _reaches(succ: list[int], start: int, targets: int) -> bool:
 
 
 class _MaskContext:
-    """The three optimality filters of one ``PrioritizedDatabase``, on the
-    agreement masks of ``_ConflictMasks``.
+    """The three optimality notions of one ``PrioritizedDatabase``, on the
+    vertex masks of ``_ConflictMasks``.
 
     Its nodes are the conflict vertices, on their bits, then the priority
     endpoints outside them in ``literal_key`` order.  ``dom[i]`` masks the
     nodes that node ``i`` outranks and ``beaten_by[i]`` those that outrank
-    it.  Global verdicts are kept per component and restriction for as long
-    as the context lives."""
+    it.  ``parts`` joins the conflict components along the priority edges.
+    No conflict, witness, dominance edge or order certificate leaves such a
+    part, so a delta repair is optimal of a kind exactly when its
+    restriction to every part is; ``optima`` keeps, per kind and for as long
+    as the context lives, the restrictions that are."""
 
     def __init__(self, masks: _ConflictMasks, priority: PriorityRelation):
         self.masks = masks
@@ -313,7 +356,7 @@ class _MaskContext:
             self.dom[index[strong]] |= 1 << index[weak]
             self.beaten_by[index[weak]] |= 1 << index[strong]
         self.acyclic = priority.is_acyclic()
-        self._verdicts: dict[tuple[int, int], bool] = {}
+        self._optima: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def is_pareto_optimal(self, agree: int) -> bool:
         """A Pareto improvement exists exactly when some excluded vertex can be
@@ -328,46 +371,66 @@ class _MaskContext:
         return True
 
     @cached_property
-    def components(self) -> tuple[int, ...]:
-        """The vertex masks of the components that the conflicts and the
-        priority edges join."""
-        groups: list[int] = []
-        links = set(self.masks.conflicts)
-        links.update(d | 1 << i for i, d in enumerate(self.dom) if d)
-        for link in links:
-            for group in [g for g in groups if g & link]:
-                groups.remove(group)
-                link |= group
-            groups.append(link)
-        return tuple(g & self.masks.full for g in groups if g & self.masks.full)
-
-    @cached_property
-    def _restrictions(self) -> dict[int, frozenset[int]]:
-        return {
-            comp: frozenset(a & comp for a in self.masks.agreements)
-            for comp in self.components
-        }
+    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per component that the conflicts and the priority edges join, its
+        vertex mask and the delta repairs' restrictions to it, each as the
+        mask of the vertices it excludes: the products of the transversals
+        of the conflict components inside it.  The budget caps each
+        component's vertices."""
+        links = [comp for comp, _ in self.masks.parts]
+        links += [d | 1 << i for i, d in enumerate(self.dom) if d]
+        out = []
+        for group in _join(links):
+            # the part of an empty conflict, 0, lies in every group
+            members = [ts for comp, ts in self.masks.parts if comp | group == group]
+            if members:
+                comp = group & self.masks.full
+                self.masks.budget.check_universe(comp.bit_count(), "conflict literal set")
+                out.append((comp, tuple(sum(pick) for pick in product(*members))))
+        return tuple(out)
 
     def _covers(self, gained: int, lost: int) -> bool:
         return all(self.beaten_by[i] & gained for i in _bits(lost))
 
+    def _globally_optimal(self, excluded: tuple[int, ...]) -> tuple[int, ...]:
+        """The restrictions of one part, as excluded-vertex masks, that no
+        other restriction of it globally improves.  A repair is improved
+        exactly when its restriction to some part is: swap in that part of
+        the improving repair."""
+        return tuple(
+            mine
+            for mine in excluded
+            if not any(
+                other != mine and self._covers(mine & ~other, other & ~mine)
+                for other in excluded
+            )
+        )
+
+    def optima(self, kind: str) -> tuple[tuple[int, ...], ...]:
+        """Per part, the excluded-vertex masks of the restrictions that are
+        optimal of the given kind, computed once per kind.  Pareto and
+        completion run the whole-repair checks on a repair that excludes
+        only that part's vertices.  An unknown kind raises before anything
+        is computed."""
+        found = self._optima.get(kind)
+        if found is not None:
+            return found
+        if kind == "global":
+            keep = self._globally_optimal
+        else:
+            check, full = _optimality_check(kind), self.masks.full
+            keep = lambda excluded: tuple(t for t in excluded if check(self, full & ~t))
+        found = self._optima[kind] = tuple(keep(excluded) for _, excluded in self.parts)
+        return found
+
     def is_globally_optimal(self, agree: int) -> bool:
-        """No other delta repair globally improves this one.  The delta repairs
-        are the products of per-component minimal transversals, and no
-        priority edge leaves a component, so a repair is improved exactly when
-        its restriction to some component is improved by another repair's
-        restriction to it (swap in that part of the other repair)."""
-        for comp in self.components:
-            mine = agree & comp
-            verdict = self._verdicts.get((comp, mine))
-            if verdict is None:
-                verdict = self._verdicts[comp, mine] = not any(
-                    other != mine and self._covers(other & ~mine, mine & ~other)
-                    for other in self._restrictions[comp]
-                )
-            if not verdict:
-                return False
-        return True
+        """No other delta repair globally improves this one: its restriction
+        to every part is globally optimal there."""
+        excluded = self.masks.full & ~agree
+        return all(
+            (excluded & comp) in optimal
+            for (comp, _), optimal in zip(self.parts, self.optima("global"))
+        )
 
     def is_completion_optimal(self, agree: int) -> bool:
         """Search for an order certificate: per excluded vertex a witness
@@ -416,21 +479,20 @@ class _MaskContext:
         return False
 
 
-def _optimality_test(
-    pdb: PrioritizedDatabase, kind: str
-) -> Callable[[int], bool]:
-    """The check, on a delta repair's agreement mask, that the repair is
-    optimal of the given kind; 'none' and 'delta' accept every repair.  An
-    unknown kind raises before anything is computed."""
+def _optimality_check(kind: str) -> Callable[[_MaskContext, int], bool]:
+    """The check, on a mask context and a delta repair's agreement mask, that
+    the repair is optimal of the given kind; 'none' and 'delta' accept every
+    repair.  An unknown kind raises."""
     if kind in ("none", "delta"):
-        return lambda agree: True
-    if kind == "pareto":
-        return lambda agree: pdb._masks.is_pareto_optimal(agree)
-    if kind == "global":
-        return lambda agree: pdb._masks.is_globally_optimal(agree)
-    if kind == "completion":
-        return lambda agree: pdb._masks.is_completion_optimal(agree)
-    raise InputError(f"unknown optimality kind: {kind}")
+        return lambda ctx, agree: True
+    checks = {
+        "pareto": _MaskContext.is_pareto_optimal,
+        "global": _MaskContext.is_globally_optimal,
+        "completion": _MaskContext.is_completion_optimal,
+    }
+    if kind not in checks:
+        raise InputError(f"unknown optimality kind: {kind}")
+    return checks[kind]
 
 
 def is_optimal_repair(
@@ -439,19 +501,37 @@ def is_optimal_repair(
     """Membership check for one repair; kind is 'pareto', 'global', or
     'completion' ('none' checks plain repair membership).  An unknown kind
     raises ``InputError`` whether or not the candidate is a repair."""
-    test = _optimality_test(pdb, kind)
-    return is_delta_repair_of(pdb.instance, repair) and test(
-        pdb._conflict_masks.agreement(repair)
+    check = _optimality_check(kind)
+    return is_delta_repair_of(pdb.instance, repair) and check(
+        pdb._masks, pdb._conflict_masks.agreement(repair)
     )
 
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
-    """The delta repairs that are optimal of the given kind, in their order."""
-    test = _optimality_test(pdb, kind)
-    masks = pdb._conflict_masks
-    return RepairSet(
-        "delta",
-        tuple(r for r, agree in zip(masks.repairs, masks.agreements) if test(agree)),
+    """The delta repairs that are optimal of the given kind, in canonical
+    order: the product of the per-part optima (``_MaskContext.optima``),
+    each pick the database with the facts of its excluded vertices toggled.
+    The budget caps the vertices of the parts with more than one optimum
+    before any repair is built."""
+    ctx = pdb._masks
+    optima = ctx.optima(kind)
+    if not all(optima):
+        return RepairSet("delta", ())
+    facts = pdb._conflict_masks.facts
+    fixed = 0
+    free = []
+    for (comp, _), optimal in zip(ctx.parts, optima):
+        if len(optimal) == 1:
+            fixed |= optimal[0]
+        else:
+            free.append((comp, optimal))
+    pdb.budget.check_universe(
+        sum(comp.bit_count() for comp, _ in free), "optimal repair product"
+    )
+    base = pdb.db ^ {facts[i] for i in _bits(fixed)}
+    choices = [[[facts[i] for i in _bits(t)] for t in optimal] for _, optimal in free]
+    return sorted_repair_set(
+        "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*choices))
     )
 
 

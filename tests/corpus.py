@@ -8,6 +8,7 @@ from typing import Optional
 
 from prioritydb.aic import AIC, UpdateAtom
 from prioritydb.conflicts import conflicts
+from prioritydb.errors import DEFAULT_BUDGET, Budget
 from prioritydb.model import (
     BodyAtom,
     Fact,
@@ -127,11 +128,11 @@ UNARY_CONSTRAINTS = (
 )
 
 
-def random_component_instance(rng: random.Random) -> PrioritizedDatabase:
-    """Unary constraints over P, Q and T on two constants, so every constant
-    carries its own conflict components; empty priority."""
+def random_component_instance(rng: random.Random, constants: int = 2) -> PrioritizedDatabase:
+    """Unary constraints over P, Q and T on ``constants`` constants, so every
+    constant carries its own conflict components; empty priority."""
     schema = Schema.of([("P", 1), ("Q", 1), ("T", 1)])
-    constants = ["c0", "c1"]
+    constants = [f"c{i}" for i in range(constants)]
     db = frozenset(
         Fact(pred, (c,)) for pred in "PQT" for c in constants if rng.random() < 0.7
     )
@@ -143,6 +144,21 @@ def random_component_instance(rng: random.Random) -> PrioritizedDatabase:
         for body, head in rng.sample(UNARY_CONSTRAINTS, rng.randint(1, 3))
     )
     return PrioritizedDatabase(db, schema, constraints)
+
+
+def key_violations(keys: int, budget: Budget = DEFAULT_BUDGET) -> PrioritizedDatabase:
+    """``R(k_i, v0)`` and ``R(k_i, v1)`` for each of ``keys`` keys under a key
+    constraint, with ``v0`` preferred on every even key: 2^keys delta repairs
+    and 2^(keys // 2) optimal ones under each notion."""
+    db = frozenset(Fact("R", (f"k{i}", f"v{j}")) for i in range(keys) for j in range(2))
+    key = UniversalConstraint.make(
+        [BodyAtom(True, "R", ("X", "Y")), BodyAtom(True, "R", ("X", "Z"))], [("Y", "Z")]
+    )
+    priority = PriorityRelation.of(
+        (Literal(Fact("R", (f"k{i}", "v0"))), Literal(Fact("R", (f"k{i}", "v1"))))
+        for i in range(0, keys, 2)
+    )
+    return PrioritizedDatabase(db, Schema.of([("R", 2)]), (key,), priority, budget)
 
 
 def conflict_components(conflict_set) -> list[frozenset[Literal]]:

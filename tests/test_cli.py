@@ -425,6 +425,20 @@ class TestScoreMode:
             assert code == 0 and "{A(a), C(a)}" in out and ": 1" in out
 
 
+def _key_violations(tmp_path, keys: int, oriented) -> list[str]:
+    """Global flags for ``R(k_i, v0)``, ``R(k_i, v1)`` on each key under a key
+    constraint, with ``v0`` preferred on the ``oriented`` keys."""
+    files = {
+        "db.pdb": "".join(f"R(k{i}, v{j}).\n" for i in range(keys) for j in range(2)),
+        "constraints.pdb": "R(X, Y), R(X, Z), Y != Z -> false.\n",
+        "priority.pdb": "".join(f"R(k{i}, v0) > R(k{i}, v1).\n" for i in oriented),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return ["--db", str(tmp_path / "db.pdb"), "--constraints", str(tmp_path / "constraints.pdb"),
+            "--priority", str(tmp_path / "priority.pdb")]
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pdb"
@@ -483,6 +497,46 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    def test_unreadable_path_is_named_once(self, capsys, tmp_path):
+        missing = tmp_path / "missing.pdb"
+        code = main(["--db", str(missing), "conflicts"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
+
+    def test_unwritable_path_is_named_once(self, capsys, tmp_path):
+        target = tmp_path / "no" / "g.dot"
+        code = main(["--db", str(EX1 / "db.pdb"), "--constraints", str(EX1 / "constraints.pdb"),
+                     "conflicts", "--dot", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("opt", ["p", "g", "c"])
+    def test_optimal_budget_caps_components_not_the_instance(self, capsys, tmp_path, opt):
+        # 80 conflict literals, but 38 of the 40 keys are oriented: the free
+        # part of the product is the 4 literals of the two open keys
+        code, out = run(capsys, *_key_violations(tmp_path, 40, oriented=range(2, 40)),
+                        "optimal", "--opt", opt)
+        assert code == 0
+        assert out.endswith(f"optimal repairs ({opt}): 4\n")
+        assert all("R(k2, v0)" in line and "R(k39, v0)" in line for line in out.splitlines()[:4])
+
+    @pytest.mark.parametrize("opt", ["p", "g", "c"])
+    def test_optimal_budget_caps_the_product(self, capsys, tmp_path, opt):
+        code = main([*_key_violations(tmp_path, 40, oriented=()), "optimal", "--opt", opt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: optimal repair product has 80 elements, above the cap of 22\n"
+        )
+
+    def test_delta_repairs_keep_the_instance_cap(self, capsys, tmp_path):
+        code = main([*_key_violations(tmp_path, 40, oriented=range(2, 40)), "repairs"])
+        assert code == 3
+        assert "conflict literal set has 80 elements" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out-db", "--out-constraints"])
     def test_unwritable_translate_path_is_an_input_error(self, capsys, tmp_path, flag):

@@ -150,6 +150,22 @@ class TestIsOptimalRepair:
     def test_inconsistent_candidate(self, example3):
         assert not is_optimal_repair(example3.db, example3.pdb(), "pareto")
 
+    def test_global_membership_reads_components_not_every_repair(self):
+        # 60 conflict literals, far above the default cap of 22 on the delta
+        # repairs; each of the 30 keys is its own component of 2 literals
+        keys = 30
+        db = frozenset(fact("R", f"k{i}", f"v{j}") for i in range(keys) for j in range(2))
+        key = UniversalConstraint.make([atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")])
+        priority = PriorityRelation.of(
+            (lit("R", f"k{i}", "v0"), lit("R", f"k{i}", "v1")) for i in range(keys)
+        )
+        pdb = PrioritizedDatabase(db, Schema.of([("R", 2)]), (key,), priority)
+        optimum = frozenset(fact("R", f"k{i}", "v0") for i in range(keys))
+        flipped = optimum - {fact("R", "k7", "v0")} | {fact("R", "k7", "v1")}
+        assert is_optimal_repair(optimum, pdb, "global")
+        assert not is_optimal_repair(flipped, pdb, "global")
+        assert is_optimal_repair(flipped, pdb, "none")
+
     def test_unknown_kind(self, example3):
         # rejected first, whether or not the candidate is a repair
         pdb = example3.pdb()

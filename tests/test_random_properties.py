@@ -15,6 +15,7 @@ import pytest
 from conftest import atom, fact
 from corpus import (
     conflict_components,
+    key_violations,
     random_binary_well_behaved,
     random_component_instance,
     random_instance,
@@ -45,6 +46,7 @@ from prioritydb.bridges import (
     check_translation_equivalence,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
+from prioritydb.errors import Budget
 from prioritydb.model import (
     Fact,
     Instance,
@@ -55,6 +57,8 @@ from prioritydb.model import (
     schema_from,
 )
 from prioritydb.priorities import (
+    PrioritizedDatabase,
+    PriorityRelation,
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
     is_global_improvement,
@@ -342,6 +346,125 @@ def test_oracle_stray_edges_across_components():
             )
         fast = optimal_repairs(pdb, "completion")
         assert fast.repairs == completion_optimal_repairs_bruteforce(pdb).repairs
+
+
+OPTIMALITY_KINDS = ("pareto", "global", "completion")
+
+
+def _whole_hypergraph_filter(pdb, kind: str) -> tuple:
+    """The filter that the factored ``optimal_repairs`` replaced: every delta
+    repair, kept when the per-repair mask check accepts its agreement mask.
+    Global compares, within each component that the conflicts and the
+    priority edges join, the restrictions of every delta repair to it."""
+    masks, ctx = pdb._conflict_masks, pdb._masks
+    if kind == "pareto":
+        test = ctx.is_pareto_optimal
+    elif kind == "completion":
+        test = ctx.is_completion_optimal
+    else:
+        groups: list[int] = []
+        for link in [*masks.conflicts, *(d | 1 << i for i, d in enumerate(ctx.dom) if d)]:
+            for group in [g for g in groups if g & link]:
+                groups.remove(group)
+                link |= group
+            groups.append(link)
+        restrictions = {
+            g & masks.full: {agree & g for agree in masks.agreements} for g in groups
+        }
+
+        def improves(other: int, mine: int) -> bool:
+            gained, lost = other & ~mine, mine & ~other
+            return other != mine and all(
+                ctx.beaten_by[i] & gained for i in range(lost.bit_length()) if lost >> i & 1
+            )
+
+        def test(agree: int) -> bool:
+            return not any(
+                improves(other, agree & comp)
+                for comp, others in restrictions.items()
+                for other in others
+            )
+
+    return tuple(r for r, agree in zip(masks.repairs, masks.agreements) if test(agree))
+
+
+def _assert_matches_whole_hypergraph(pdb) -> dict:
+    """Each kind's optimal repairs, asserted equal, in order, to the oracle."""
+    got = {}
+    for kind in OPTIMALITY_KINDS:
+        got[kind] = optimal_repairs(pdb, kind).repairs
+        # a fresh context, so the oracle reuses no memoized optimum
+        assert got[kind] == _whole_hypergraph_filter(pdb.with_priority(pdb.priority), kind), (
+            kind, pdb
+        )
+    return got
+
+
+@lru_cache(maxsize=None)
+def many_component_corpus():
+    """Unary-constraint instances on four constants, each under a random and
+    under a total priority."""
+    rng = random.Random(0xC0C0)
+    out = []
+    for _ in range(60):
+        base = random_component_instance(rng, constants=4)
+        out += [with_random_priority(rng, base), with_random_priority(rng, base, total=True)]
+    return out
+
+
+def test_oracle_product_matches_whole_hypergraph_on_many_components():
+    parts = []
+    for pdb in many_component_corpus():
+        _assert_matches_whole_hypergraph(pdb)
+        parts.append(len(conflict_components(pdb.conflicts())))
+    assert max(parts) >= 4 and sum(p >= 2 for p in parts) >= 60, parts
+
+
+def test_oracle_product_matches_whole_hypergraph_on_the_corpus():
+    for _, prioritized, total, (scored, _) in pdb_corpus():
+        for pdb in (prioritized, total, scored):
+            _assert_matches_whole_hypergraph(pdb)
+
+
+def test_oracle_product_matches_whole_hypergraph_across_stray_edges():
+    for pdb in stray_corpus():
+        _assert_matches_whole_hypergraph(pdb)
+
+
+def test_oracle_product_with_a_cyclic_priority():
+    seen = 0
+    for pdb in many_component_corpus()[:40]:
+        edges = sorted(pdb.priority.edges, key=str)
+        if not edges:
+            continue
+        strong, weak = edges[0]
+        cyclic = pdb.with_priority(PriorityRelation(pdb.priority.edges | {(weak, strong)}))
+        assert not cyclic.priority.is_acyclic()
+        got = _assert_matches_whole_hypergraph(cyclic)
+        assert got["completion"] == ()
+        seen += 1
+    assert seen >= 20
+
+
+def test_oracle_product_with_an_unsatisfiable_constraint():
+    db = frozenset({Fact("Q", ("a",)), Fact("P", ("a",))})
+    constraints = (
+        UniversalConstraint.make([atom("Q", "X")]),
+        UniversalConstraint.make([atom("Q", "a", positive=False)]),
+        UniversalConstraint.make([atom("P", "X"), atom("Q", "X")]),
+    )
+    pdb = PrioritizedDatabase(db, schema_from(db, constraints), constraints)
+    assert pdb.conflicts() == {frozenset()}
+    assert _assert_matches_whole_hypergraph(pdb) == {kind: () for kind in OPTIMALITY_KINDS}
+    assert optimal_repairs(pdb, "none").repairs == ()
+
+
+@pytest.mark.parametrize("keys", range(1, 13))
+def test_oracle_product_on_the_key_violation_sweep(keys):
+    pdb = key_violations(keys, Budget(max_universe=64))
+    got = _assert_matches_whole_hypergraph(pdb)
+    assert all(len(repairs) == 2 ** (keys // 2) for repairs in got.values())
+    assert optimal_repairs(pdb, "none").repairs == pdb.delta_repairs().repairs
 
 
 def test_property_chain_and_nonempty():
