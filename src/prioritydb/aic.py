@@ -9,12 +9,14 @@ subset leaves some rule violated that only the remaining actions can touch),
 and justified (the action set plus the no-effect actions is a minimal closed
 set).
 
-``classify_updates`` is the one production path for these four notions.  It
-encodes the ground rules once per call over the facts they mention, as
-integer masks, and walks each update's action subsets as submasks.
-``is_founded``, ``is_well_founded``, ``is_grounded`` and ``is_justified``
-follow the definitions on frozensets; they are the reference the classifier is
-tested against.
+``_RuleMasks.classify`` is the one production check of these four notions: it
+encodes ground rules over the facts they mention as integer masks and walks an
+update's action subsets as submasks.  ``classify_components`` runs it once per
+restriction of each group of conflict components that the rules join, and the
+r-update tables and classes are products of those rows.  ``is_founded``,
+``is_well_founded``, ``is_grounded`` and ``is_justified`` follow the
+definitions on frozensets; they are the reference the classifier is tested
+against, and ``classify_updates`` over ``r_updates`` the whole-instance one.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from .model import (
     universe_constants,
     violates_ground,
 )
+from .priorities import _bits, _ConflictMasks, repair_product
 from .repairs import (
     RepairSet,
     consistent_mask,
     delta_repairs,
     is_delta_repair_of,
-    sorted_repair_set,
 )
 
 
@@ -429,8 +431,46 @@ def classify_r_updates(
     rules: Sequence[AIC],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
+    """``classify_updates`` of ``r_updates``: the product of the rows of
+    ``classify_components``, unions of actions with ANDed flags."""
     ground = ground_rules(rules, rules_constants(db, rules))
-    return classify_updates(db, ground, r_updates(db, schema, rules, budget), budget)
+    masks = _ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
+    table = [
+        RUpdate(
+            frozenset().union(*(u.actions for _, u in pick)),
+            founded=all(u.founded for _, u in pick),
+            well_founded=all(u.well_founded for _, u in pick),
+            grounded=all(u.grounded for _, u in pick),
+            justified=all(u.justified for _, u in pick),
+        )
+        for pick in product(*classify_components(masks, ground))
+    ]
+    return tuple(sorted(table, key=_update_key))
+
+
+def classify_components(
+    masks: _ConflictMasks, ground: Iterable[GroundAIC]
+) -> list[list[tuple[int, RUpdate]]]:
+    """Per group of conflict components that the ground rules join through
+    the conflict vertices they mention, each restriction of the delta repairs
+    to it: the mask of the vertices it toggles, with its update classified
+    under the group's rules.  An update toggles conflict vertices only, and
+    the checks read only the facts of the rules involved, so a rule off every
+    vertex is never violated and always closed, and an update's flags are the
+    AND of its restrictions'.  The budget caps the whole conflict literal set,
+    since the callers list or count every r-update."""
+    db, facts, budget = masks.instance.db, masks.facts, masks.budget
+    budget.check_universe(len(masks.index), "conflict literal set")
+    bits = masks._fact_bits
+    touched = [(rule, sum({bits.get(x.fact, 0) for x in (*rule.lits, *rule.updates)}))
+               for rule in ground]
+    rows = []
+    for group, excluded in masks.joined(mask for _, mask in touched if mask):
+        rules = _RuleMasks(db, [rule for rule, mask in touched if mask & group])
+        updates = [frozenset(UpdateAction(facts[i] not in db, facts[i]) for i in _bits(t))
+                   for t in excluded]
+        rows.append([(t, rules.classify(u, budget)) for t, u in zip(excluded, updates)])
+    return rows
 
 
 def classify_updates(
@@ -448,7 +488,11 @@ def classify_updates(
     """
     masks = _RuleMasks(db, ground)
     out = [masks.classify(actions, budget) for actions in updates]
-    return tuple(sorted(out, key=lambda u: sorted(map(action_key, u.actions))))
+    return tuple(sorted(out, key=_update_key))
+
+
+def _update_key(update: RUpdate) -> list:
+    return sorted(map(action_key, update.actions))
 
 
 def _proper_submasks(mask: int) -> Iterator[int]:
@@ -565,17 +609,16 @@ class _RuleMasks:
         return closed(update) and not any(map(closed, _proper_submasks(update)))
 
 
-def reached_by_kind(db: Database, table: Sequence[RUpdate], kind: str) -> RepairSet:
-    """Databases reached by the classified r-updates with the given support
-    property."""
+def reached_by_kind(
+    masks: _ConflictMasks, rows: Sequence[Sequence[tuple[int, RUpdate]]], kind: str
+) -> RepairSet:
+    """The delta repairs whose updates have the given support property ('all'
+    for any), from the rows of ``classify_components``: the product of each
+    group's restrictions that have it."""
     if kind not in ("all",) + R_UPDATE_CLASSES:
         raise InputError(f"unknown r-update class: {kind}")
-    chosen = [
-        apply_actions(db, u.actions)
-        for u in table
-        if kind == "all" or u.classes()[kind]
-    ]
-    return sorted_repair_set("delta", chosen)
+    choices = [[t for t, u in row if kind == "all" or u.classes()[kind]] for row in rows]
+    return repair_product(masks.instance.db, masks.facts, choices)
 
 
 def repairs_of_kind(
@@ -586,7 +629,9 @@ def repairs_of_kind(
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
     """Databases reached by the r-updates with the given support property."""
-    return reached_by_kind(db, classify_r_updates(db, schema, rules, budget), kind)
+    ground = ground_rules(rules, rules_constants(db, rules))
+    masks = _ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
+    return reached_by_kind(masks, classify_components(masks, ground), kind)
 
 
 @dataclass(frozen=True)

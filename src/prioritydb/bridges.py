@@ -16,12 +16,10 @@ from typing import Optional, Sequence
 from .aic import (
     AIC,
     GroundAIC,
-    RUpdate,
     UpdateAtom,
     action_key,
-    actions_between,
     check_ground_properties,
-    classify_updates,
+    classify_components,
     constraints_of,
     ground_rules,
     reached_by_kind,
@@ -218,23 +216,15 @@ def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport
     # themselves, and the rules' r-updates are the updates to the pdb's own
     # delta repairs.  Classifying those updates therefore classifies the
     # translated rules' r-updates, with no second consensus or enumeration.
-    table = _classify_repairs(pdb, frozenset(priority_to_rules(pdb)))
+    masks = pdb._conflict_masks
+    rows = classify_components(masks, priority_to_rules(pdb))
     return EquivalenceReport(
         pareto=optimal_repairs(pdb, "pareto"),
-        founded=reached_by_kind(pdb.db, table, "founded"),
-        grounded=reached_by_kind(pdb.db, table, "grounded"),
-        justified=reached_by_kind(pdb.db, table, "justified"),
-        well_founded=reached_by_kind(pdb.db, table, "wellfounded"),
+        founded=reached_by_kind(masks, rows, "founded"),
+        grounded=reached_by_kind(masks, rows, "grounded"),
+        justified=reached_by_kind(masks, rows, "justified"),
+        well_founded=reached_by_kind(masks, rows, "wellfounded"),
     )
-
-
-def _classify_repairs(
-    pdb: PrioritizedDatabase, ground: frozenset[GroundAIC]
-) -> tuple[RUpdate, ...]:
-    """The support properties, under the ground rules, of the updates that
-    lead to the pdb's delta repairs."""
-    updates = [actions_between(pdb.db, repair) for repair in pdb.delta_repairs()]
-    return classify_updates(pdb.db, ground, updates, pdb.budget)
 
 
 def refine_constraint(
@@ -553,14 +543,15 @@ def check_roundtrip(
         db, schema, derived.constraints, derived.priority, budget
     )
     # derived.ground lies over rules_constants(db, rules), which is pdb.constants()
-    table = _classify_repairs(pdb, derived.ground)
+    masks = pdb._conflict_masks
+    rows = classify_components(masks, derived.ground)
     return RoundTripReport(
         applicable=not derived.property_warnings,
         binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),
         pareto=optimal_repairs(pdb, "pareto"),
-        founded=reached_by_kind(db, table, "founded"),
-        grounded=reached_by_kind(db, table, "grounded"),
-        justified=reached_by_kind(db, table, "justified"),
+        founded=reached_by_kind(masks, rows, "founded"),
+        grounded=reached_by_kind(masks, rows, "grounded"),
+        justified=reached_by_kind(masks, rows, "justified"),
         cycle=None,
         warnings=derived.property_warnings,
     )

@@ -294,6 +294,22 @@ class _ConflictMasks:
             out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
         return tuple(out)
 
+    def joined(self, links: Iterable[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per group that the links join the conflict components into, its
+        vertex mask and the delta repairs' restrictions to it, each as the
+        mask of the vertices it excludes: the products of the transversals
+        of the components inside it.  The budget caps each group's vertices
+        before its product is built."""
+        out = []
+        for group in _join([comp for comp, _ in self.parts] + list(links)):
+            # the part of an empty conflict, 0, lies in every group
+            members = [ts for comp, ts in self.parts if comp | group == group]
+            if members:
+                comp = group & self.full
+                self.budget.check_universe(comp.bit_count(), "conflict literal set")
+                out.append((comp, tuple(sum(pick) for pick in product(*members))))
+        return tuple(out)
+
     @cached_property
     def facts(self) -> tuple[Fact, ...]:
         """The fact of each vertex, by bit."""
@@ -372,22 +388,8 @@ class _MaskContext:
 
     @cached_property
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per component that the conflicts and the priority edges join, its
-        vertex mask and the delta repairs' restrictions to it, each as the
-        mask of the vertices it excludes: the products of the transversals
-        of the conflict components inside it.  The budget caps each
-        component's vertices."""
-        links = [comp for comp, _ in self.masks.parts]
-        links += [d | 1 << i for i, d in enumerate(self.dom) if d]
-        out = []
-        for group in _join(links):
-            # the part of an empty conflict, 0, lies in every group
-            members = [ts for comp, ts in self.masks.parts if comp | group == group]
-            if members:
-                comp = group & self.masks.full
-                self.masks.budget.check_universe(comp.bit_count(), "conflict literal set")
-                out.append((comp, tuple(sum(pick) for pick in product(*members))))
-        return tuple(out)
+        """``_ConflictMasks.joined`` along the priority edges."""
+        return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
 
     def _covers(self, gained: int, lost: int) -> bool:
         return all(self.beaten_by[i] & gained for i in _bits(lost))
@@ -515,23 +517,33 @@ def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
     before any repair is built."""
     ctx = pdb._masks
     optima = ctx.optima(kind)
-    if not all(optima):
+    if all(optima):
+        pdb.budget.check_universe(
+            sum(comp.bit_count() for (comp, _), opt in zip(ctx.parts, optima) if len(opt) > 1),
+            "optimal repair product",
+        )
+    return repair_product(pdb.db, pdb._conflict_masks.facts, optima)
+
+
+def repair_product(
+    db: Database, facts: Sequence[Fact], choices: Sequence[Sequence[int]]
+) -> RepairSet:
+    """The databases that toggle, per part, the facts (``facts`` by bit) of
+    one of its excluded-vertex masks, in canonical order.  Parts with one
+    choice are folded into a fixed base first, so only the free product is
+    built; a part with no choice leaves no database."""
+    if not all(choices):
         return RepairSet("delta", ())
-    facts = pdb._conflict_masks.facts
     fixed = 0
     free = []
-    for (comp, _), optimal in zip(ctx.parts, optima):
-        if len(optimal) == 1:
-            fixed |= optimal[0]
+    for masks in choices:
+        if len(masks) == 1:
+            fixed |= masks[0]
         else:
-            free.append((comp, optimal))
-    pdb.budget.check_universe(
-        sum(comp.bit_count() for comp, _ in free), "optimal repair product"
-    )
-    base = pdb.db ^ {facts[i] for i in _bits(fixed)}
-    choices = [[[facts[i] for i in _bits(t)] for t in optimal] for _, optimal in free]
+            free.append([[facts[i] for i in _bits(t)] for t in masks])
+    base = db ^ {facts[i] for i in _bits(fixed)}
     return sorted_repair_set(
-        "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*choices))
+        "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*free))
     )
 
 

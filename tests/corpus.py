@@ -283,3 +283,49 @@ def random_binary_well_behaved(rng: random.Random) -> RuleInstance:
             )
         )
     return RuleInstance(db, schema, tuple(rules))
+
+
+def random_linked_rule_instance(rng: random.Random, blocks: int = 2) -> RuleInstance:
+    """``blocks`` instances of ``random_rule_instance`` on disjoint atoms (each
+    name suffixed with its block), so the conflicts fall into several
+    components.  Some instances add rules that join two blocks directly, join
+    them only through ``x`` (absent and never negated, so in no conflict),
+    mention only ``x`` and ``y`` (no conflict vertex), or make the rule set
+    unsatisfiable through ``u``."""
+    rules: list[AIC] = []
+    db: set[Fact] = set()
+    names: list[list[str]] = []
+    for b in range(blocks):
+        inst = random_rule_instance(rng)
+        rules += [
+            AIC.make(
+                [BodyAtom(a.positive, f"{a.predicate}{b}", ()) for a in rule.body],
+                [UpdateAtom(u.add, f"{u.predicate}{b}", ()) for u in rule.updates],
+            )
+            for rule in inst.rules
+        ]
+        db |= {Fact(f"{f.predicate}{b}") for f in inst.db}
+        names.append([f"{name}{b}" for name in inst.schema.names()])
+
+    def lit(name: str) -> tuple[str, bool]:
+        return name, rng.random() < 0.7
+
+    def rule(body: list[tuple[str, bool]]) -> AIC:
+        updates = rng.sample(body, rng.randint(1, len(body)))
+        return AIC.make(
+            [BodyAtom(sign, name, ()) for name, sign in body],
+            [UpdateAtom(not sign, name, ()) for name, sign in updates],
+        )
+
+    first, second = (rng.choice(block) for block in rng.sample(names, 2))
+    if rng.random() < 0.3:
+        rules.append(rule([lit(first), lit(second)]))
+    if rng.random() < 0.5:
+        rules += [rule([lit(first), ("x", True)]), rule([lit(second), ("x", True)])]
+    if rng.random() < 0.3:
+        rules += [rule([("y", True)]), rule([("x", True), ("y", True)])]
+    if rng.random() < 0.1:
+        rules += [rule([("u", True)]), rule([("u", False)])]
+    atoms = {a.predicate for r in rules for a in r.body}
+    schema = Schema.of([(name, 0) for name in sorted(atoms | {n for ns in names for n in ns})])
+    return RuleInstance(frozenset(db), schema, tuple(dict.fromkeys(rules)))

@@ -383,6 +383,16 @@ class TestVerify:
         assert code == 0
         assert "equivalence holds: yes" in out
 
+    def test_translation_equivalence_at_14_keys(self, capsys, tmp_path):
+        # 2^14 delta repairs, 2^7 in each class: classified per key
+        flags = _key_violations(tmp_path, 14, oriented=range(0, 14, 2))
+        code, out = run(capsys, "--max-universe", "64", *flags, "verify", "prop8")
+        assert code == 0
+        assert out == "".join(
+            f"{label} repairs: 128\n"
+            for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
+        ) + "equivalence holds: yes\n"
+
     def test_roundtrip_strictness(self, capsys, tmp_path):
         db = tmp_path / "db.pdb"
         db.write_text("al.\nbe.\nga.\nde.\nep.\n")
@@ -532,6 +542,23 @@ class TestErrors:
         assert captured.err == (
             "budget exceeded: optimal repair product has 80 elements, above the cap of 22\n"
         )
+
+    @pytest.mark.parametrize("command", [["verify", "prop8"], ["aic", "classify"]])
+    def test_r_update_commands_keep_the_instance_cap(self, capsys, tmp_path, command):
+        # 12 conflict literals in components of 2: the cap admits every
+        # component, but these commands list or count every r-update
+        flags = _key_violations(tmp_path, 6, oriented=range(0, 6, 2))
+        if command[0] == "aic":
+            (tmp_path / "rules.pdb").write_text("R(X, v0), R(X, v1) -> { -R(X, v1) }.\n")
+            flags = flags[:2] + ["--aics", str(tmp_path / "rules.pdb")]
+        code = main(["--max-universe", "4", *flags, *command])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: conflict literal set has 12 elements, above the cap of 4\n"
+        )
+        assert main(["--max-universe", "12", *flags, *command]) == 0
 
     def test_delta_repairs_keep_the_instance_cap(self, capsys, tmp_path):
         code = main([*_key_violations(tmp_path, 40, oriented=range(2, 40)), "repairs"])

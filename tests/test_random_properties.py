@@ -19,6 +19,7 @@ from corpus import (
     random_binary_well_behaved,
     random_component_instance,
     random_instance,
+    random_linked_rule_instance,
     random_query,
     random_rule_instance,
     with_random_priority,
@@ -26,7 +27,10 @@ from corpus import (
     with_stray_edges,
 )
 from prioritydb.aic import (
+    R_UPDATE_CLASSES,
     UpdateAction,
+    actions_between,
+    apply_actions,
     classify_r_updates,
     classify_updates,
     constraints_of,
@@ -38,12 +42,15 @@ from prioritydb.aic import (
     is_r_update,
     is_well_founded,
     r_updates,
+    repairs_of_kind,
     rules_constants,
 )
 from prioritydb.bridges import (
     check_denial_image,
     check_roundtrip,
     check_translation_equivalence,
+    priority_to_rules,
+    rules_to_priority,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
 from prioritydb.errors import Budget
@@ -68,7 +75,7 @@ from prioritydb.priorities import (
     validate_priority,
 )
 from prioritydb.query import answers, evaluate
-from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce
+from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce, sorted_repair_set
 
 CORPUS_SIZE = 200
 
@@ -567,3 +574,102 @@ def test_roundtrip_binary_well_behaved():
         assert report.equal()
     # derived preferences may legitimately be cyclic; most instances are not
     assert cyclic < len(well_behaved_corpus()) // 2
+
+
+# The whole-instance paths that the per-component classification replaced:
+# every r-update (or every delta repair's update) classified under every rule.
+
+
+def _whole_instance_table(inst) -> tuple:
+    ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+    return classify_updates(inst.db, ground, r_updates(inst.db, inst.schema, inst.rules))
+
+
+def _reached(db, table, kind: str) -> tuple:
+    """The databases reached by the updates of ``table`` of the given class."""
+    chosen = [apply_actions(db, u.actions) for u in table if kind == "all" or u.classes()[kind]]
+    return sorted_repair_set("delta", chosen).repairs
+
+
+def _whole_instance_classes(pdb, ground) -> dict:
+    """Per support class, the delta repairs of ``pdb`` whose updates have it
+    under the ground rules."""
+    updates = [actions_between(pdb.db, repair) for repair in pdb.delta_repairs()]
+    table = classify_updates(pdb.db, ground, updates)
+    return {kind: _reached(pdb.db, table, kind) for kind in R_UPDATE_CLASSES}
+
+
+def _assert_rules_match_whole_instance(inst):
+    """``classify_r_updates``, ``repairs_of_kind`` and ``check_roundtrip``
+    against the oracles."""
+    table = classify_r_updates(inst.db, inst.schema, inst.rules)
+    expected_table = _whole_instance_table(inst)
+    assert table == expected_table, inst
+    for kind in ("all",) + R_UPDATE_CLASSES:
+        got = repairs_of_kind(inst.db, inst.schema, inst.rules, kind).repairs
+        assert got == _reached(inst.db, expected_table, kind), (kind, inst)
+    report = check_roundtrip(inst.db, inst.schema, inst.rules)
+    if report.cycle is None:
+        derived = rules_to_priority(inst.db, inst.schema, inst.rules)
+        pdb = PrioritizedDatabase(inst.db, inst.schema, derived.constraints, derived.priority)
+        expected = _whole_instance_classes(pdb, derived.ground)
+        got = {"founded": report.founded, "grounded": report.grounded, "justified": report.justified}
+        assert {k: v.repairs for k, v in got.items()} == {k: expected[k] for k in got}, inst
+    return table
+
+
+def _assert_translation_matches_whole_instance(pdb):
+    report = check_translation_equivalence(pdb)
+    expected = _whole_instance_classes(pdb.with_priority(pdb.priority), priority_to_rules(pdb))
+    got = {"founded": report.founded, "wellfounded": report.well_founded,
+           "grounded": report.grounded, "justified": report.justified}
+    assert {k: v.repairs for k, v in got.items()} == expected, pdb
+
+
+def test_oracle_component_classes_on_the_rule_corpus():
+    for inst in rule_corpus() + monotone_rule_corpus() + well_behaved_corpus():
+        _assert_rules_match_whole_instance(inst)
+
+
+@lru_cache(maxsize=None)
+def linked_rule_corpus():
+    rng = random.Random(0x1105)
+    return [random_linked_rule_instance(rng, blocks=rng.randint(2, 3)) for _ in range(150)]
+
+
+def test_oracle_component_classes_on_linked_components():
+    seen = dict.fromkeys(
+        ["components", "joined", "bridged", "idle", "unsatisfiable", "negated", "add"], 0
+    )
+    for inst in linked_rule_corpus():
+        table = _assert_rules_match_whole_instance(inst)
+        components = conflict_components(
+            Instance(inst.db, inst.schema, constraints_of(inst.rules)).conflicts
+        )
+        vertices = [{l.fact.predicate for l in comp} for comp in components]
+        mentioned = [{a.predicate for a in rule.body} for rule in inst.rules]
+        multi = len(components) >= 2
+        seen["components"] += multi
+        # a rule on the vertices of two components joins them into one group
+        seen["joined"] += any(sum(bool(m & v) for v in vertices) >= 2 for m in mentioned)
+        # x is shared by rules on two components, but is no conflict vertex
+        seen["bridged"] += multi and not any("x" in v for v in vertices) and any(
+            "x" in m and any(m & v for v in vertices) for m in mentioned
+        )
+        seen["idle"] += multi and any(not any(m & v for v in vertices) for m in mentioned)
+        seen["unsatisfiable"] += table == ()
+        seen["negated"] += multi and any(not a.positive for r in inst.rules for a in r.body)
+        seen["add"] += multi and any(u.add for r in inst.rules for u in r.updates)
+    assert min(seen.values()) >= 12, seen
+
+
+def test_oracle_translated_classes_on_the_corpus():
+    for _, prioritized, total, (scored, _) in pdb_corpus():
+        for pdb in (prioritized, total, scored):
+            _assert_translation_matches_whole_instance(pdb)
+
+
+def test_oracle_translated_classes_across_components():
+    """Priority edges that cross components, and many components."""
+    for pdb in stray_corpus() + many_component_corpus():
+        _assert_translation_matches_whole_instance(pdb)
