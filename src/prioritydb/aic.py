@@ -224,7 +224,7 @@ def is_r_update(
     if actions != actions_between(db, updated):
         return False
     inst = Instance(db, schema, constraints_of(rules))
-    return updated <= inst.facts and is_delta_repair_of(inst, updated)
+    return all(map(inst.in_universe, updated)) and is_delta_repair_of(inst, updated)
 
 
 def satisfies_rules(db: Database, ground: Iterable[GroundAIC]) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bridges, query as query_mod, textio
@@ -121,7 +120,8 @@ class Workspace:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:  # its text would name the path a second time
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -130,7 +130,8 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -187,7 +188,7 @@ def cmd_repairs(ws: Workspace, args) -> int:
 
 def cmd_check_repair(ws: Workspace, args) -> int:
     candidate = textio.parse_database(_read(args.repair))
-    if not candidate <= ws.instance.facts:
+    if not all(map(ws.instance.in_universe, candidate)):
         raise InputError("candidate repair contains facts outside the fact universe")
     if args.opt == "none":
         verdict = is_delta_repair_of(ws.instance, candidate)

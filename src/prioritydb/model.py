@@ -8,9 +8,11 @@ repairs and subsets of the literal universe and are mutually inverse.  An
 ``Instance`` derives each of these, the ground bodies and the conflicts at most
 once for one database, schema and constraint set.
 
-One join, ``matches``, serves grounding, consistency and queries.  The ground
-bodies range every variable over the constant pool; ``satisfies`` and the
-oracles use them.  Conflicts start from fewer bodies: positive atoms of
+One join, ``matches``, serves grounding, consistency and queries.  Each atom
+after the first indexes its facts on the positions that constants or earlier
+atoms bind, so a partial binding meets only the facts that agree with it.  The
+ground bodies range every variable over the constant pool; ``satisfies`` and
+the oracles use them.  Conflicts start from fewer bodies: positive atoms of
 predicates that occur negated in no constraint are joined with the database
 facts, and consensus (``prime_implicants`` over ``resolutions``, which finds
 clashing pairs through an index by signed fact) closes what that yields.
@@ -309,20 +311,18 @@ class Instance:
             for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
         }
         primes = prime_implicants(bodies)
-        # membership in ``literals``, decided without building the universe
         for fact in self.db:
             self.schema.check_fact(fact)
-        pairs = set(self.schema.predicates)
+        return frozenset(
+            t for t in primes
+            if all(self.in_universe(l.fact) and (l.fact in self.db) == l.positive for l in t)
+        )
 
-        def inside(lit: Literal) -> bool:
-            fact = lit.fact
-            return (
-                (fact.predicate, len(fact.args)) in pairs
-                and self.constants.issuperset(fact.args)
-                and (fact in self.db) == lit.positive
-            )
-
-        return frozenset(t for t in primes if all(map(inside, t)))
+    def in_universe(self, fact: Fact) -> bool:
+        """Membership in ``facts``, decided without building it: the fact's
+        predicate and arity are in the schema and its arguments in the pool."""
+        pair = (fact.predicate, len(fact.args))
+        return pair in self.schema.predicates and self.constants.issuperset(fact.args)
 
     def consistent(self, candidate: Database) -> bool:
         """No constraint's positive atoms join with the candidate under a
@@ -400,21 +400,44 @@ def matches(
     """Every binding of the atoms' variables that maps each ``(predicate,
     terms)`` atom onto a fact listed for its predicate.  Partial bindings grow
     atom by atom in the given order, depth first on an explicit stack: a long
-    body needs no recursion, and only the untried facts along one path wait."""
-    steps = [(p, terms, [is_variable(t) for t in terms]) for p, terms in atoms]
+    body needs no recursion, and only the untried facts along one path wait.
+
+    The first atom scans its facts, as does a later one that no constant or
+    earlier atom binds.  Every other atom indexes its facts once on its bound
+    positions, so a partial binding meets only the facts that agree with it
+    there.  Buckets keep list order, so bindings come in the order of a
+    nested loop over the lists."""
+    steps = []
+    bound: set[Term] = set()
+    for predicate, terms in atoms:
+        keyed = [i for i, t in enumerate(terms) if t in bound or not is_variable(t)]
+        fresh = [(i, t) for i, t in enumerate(terms) if i not in keyed]
+        bound.update(terms)
+        n = len(terms)
+        facts = [f for f in facts_by_predicate.get(predicate, ()) if len(f.args) == n]
+        if not steps or not keyed:  # the first atom meets one partial binding
+            if keyed:
+                facts = [f for f in facts if all(f.args[i] == terms[i] for i in keyed)]
+            steps.append((facts, None, fresh))
+        else:
+            index: dict[tuple[Constant, ...], list[Fact]] = {}
+            for fact in facts:
+                index.setdefault(tuple([fact.args[i] for i in keyed]), []).append(fact)
+            steps.append((index, [terms[i] for i in keyed], fresh))
     stack: list[tuple[int, dict[Term, Constant]]] = [(0, {})]
     while stack:
         depth, partial = stack.pop()
         if depth == len(steps):
             yield partial
             continue
-        predicate, terms, variable = steps[depth]
-        for fact in facts_by_predicate.get(predicate, ()):
-            if len(fact.args) != len(terms):
-                continue
+        facts, key, fresh = steps[depth]
+        if key is not None:
+            facts = facts.get(tuple([partial.get(t, t) for t in key]), ())
+        for fact in facts:
             out = dict(partial)
-            for term, var, value in zip(terms, variable, fact.args):
-                if (out.setdefault(term, value) if var else term) != value:
+            args = fact.args
+            for i, term in fresh:
+                if out.setdefault(term, args[i]) != args[i]:
                     break
             else:
                 stack.append((depth + 1, out))
@@ -442,13 +465,18 @@ def ground_body(
     pool = sorted(set(constants))
     for partial in partials:
         free = sorted(variables - partial.keys())
-        for values in product(pool, repeat=len(free)):
-            binding = {**partial, **dict(zip(free, values))}
+        bindings = (
+            ({**partial, **dict(zip(free, values))} for values in product(pool, repeat=len(free)))
+            if free else (partial,)
+        )
+        for binding in bindings:
             if any(binding.get(l, l) == binding.get(r, r) for l, r in inequalities):
                 continue
-            literals = frozenset(atom.substituted(binding).to_literal() for atom in body)
-            facts = {l.fact for l in literals}
-            if len(facts) < len({(l.fact, l.positive) for l in literals}):
+            literals = frozenset(
+                Literal(Fact(a.predicate, tuple([binding.get(t, t) for t in a.terms])), a.positive)
+                for a in body
+            )
+            if not _consistent(literals):
                 continue  # contains both signs of one fact: vacuously satisfied
             yield literals, binding
 

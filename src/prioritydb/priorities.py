@@ -65,6 +65,11 @@ class PriorityRelation:
         return frozenset(l for e in self.edges for l in e)
 
     def find_cycle(self) -> Optional[tuple[Literal, ...]]:
+        return self._cycle
+
+    @cached_property
+    def _cycle(self) -> Optional[tuple[Literal, ...]]:
+        """Validation and the mask context share one search."""
         succ: dict[Literal, list[Literal]] = {}
         for a, b in self.edges:
             succ.setdefault(a, []).append(b)
@@ -629,12 +634,6 @@ class ScoreStructure:
 
     score: tuple[tuple[Literal, int], ...]
     levels: tuple[tuple[Literal, ...], ...]
-
-    def score_of(self, lit: Literal) -> int:
-        for other, value in self.score:
-            if other == lit:
-                return value
-        raise KeyError(lit)
 
 
 def detect_score_structure(

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conflicts import ConflictHypergraph, minimal_hitting_sets
-from .errors import DEFAULT_BUDGET, Budget, subsets
+from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
     Database,
     Instance,
+    Literal,
     Schema,
     UniversalConstraint,
     fact_key,
@@ -125,13 +126,23 @@ def is_delta_repair(
 
 
 def is_delta_repair_of(inst: Instance, candidate: Database) -> bool:
-    agree = inst.agreement(candidate)
-    if any(e <= agree for e in inst.conflicts):
-        return False
-    for lit in inst.literals - agree:
-        if not any(lit in e and e - {lit} <= agree for e in inst.conflicts):
+    """Decided on the conflicts, without the fact universe.  The candidate
+    drops the literals of the facts it toggles; its agreement set is maximal
+    and conflict-free exactly when every conflict meets those dropped
+    literals and each of them is the only one in some conflict."""
+    stray = [f for f in candidate if not inst.in_universe(f)]
+    if stray:
+        raise InputError(f"candidate repair fact {min(stray, key=fact_key)} "
+                         f"is outside the fact universe")
+    dropped = {Literal(f, f in inst.db) for f in candidate ^ inst.db}
+    critical = set()
+    for conflict in inst.conflicts:
+        hit = conflict & dropped
+        if not hit:
             return False
-    return True
+        if len(hit) == 1:
+            critical |= hit
+    return critical == dropped
 
 
 def subset_repairs(

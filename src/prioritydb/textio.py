@@ -5,6 +5,12 @@ All formats share one token stream: identifiers, integers, punctuation, with
 upper-case letter or underscore is a variable; everything else (including
 integers) is a constant.  Parse errors carry line and column.
 
+``tokenize`` makes two passes in C: one match finds the first character no
+token covers, and one ``findall`` lists the token texts.  The parser reads
+those plain strings.  A token's kind is read off its text where a check needs
+it (``isidentifier`` for a name, ``isdigit`` for a number, ``->`` for the
+arrow), and its offset is recomputed only when a ``ParseError`` is built.
+
 Formats:
   facts        P(c, ...).          0-ary facts are bare names: ``p.``
   constraints  lit, ..., X != Y, ... -> false.     or  ... -> P(..) | Q(..).
@@ -19,7 +25,7 @@ Formats:
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .aic import AIC, UpdateAction, UpdateAtom, action_key
 from .errors import InputError, ParseError
@@ -38,23 +44,13 @@ from .model import (
 from .priorities import PriorityRelation
 from .query import ConjunctiveQuery
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>[0-9]+)
-      | (?P<arrow>->)
-      | (?P<neck>:-)
-      | (?P<neq>!=)
-      | (?P<punct>[(),.{}|>!+\-=/])
-    """,
-    re.VERBOSE,
-)
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int  # into the parsed text; line and column are derived on error
+# Each match of ``_TOKEN`` is a token, in its group, or a run of whitespace or
+# a comment, for which the group reads ''.  ``_VALID`` matches the longest
+# prefix that the same alternatives cover.
+_TOKENS = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|:-|!=|[(),.{}|>!+\-=/]"
+_TOKEN = re.compile(rf"\s+|#[^\n]*|({_TOKENS})")
+_VALID = re.compile(rf"(?:\s+|#[^\n]*|{_TOKENS})*")
+_LABELS = {"->": "arrow", ":-": "neck", "!=": "neq"}
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -62,61 +58,69 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    end = 0
-    for match in _TOKEN.finditer(text):
-        if match.start() != end:
-            break
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append(Token(kind, match.group(), end))
-        end = match.end()
+def tokenize(text: str) -> list[str]:
+    """The token texts, ending with ``''`` for the end of the text."""
+    end = _VALID.match(text).end()
     if end < len(text):
         raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
-    tokens.append(Token("eof", "", end))
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Reads the token texts.  A token's kind (name, number, arrow, ...) is
+    read off its text where a check needs it, and its offset is recomputed
+    only when an error is reported."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
 
-    def error(self, message: str, token: Token) -> ParseError:
-        return ParseError(message, *_position(self.text, token.offset))
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """An error at token ``index`` (default: the next token)."""
+        index = self.index if index is None else index
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text) if m.start(1) >= 0]
+        offset = starts[index] if index < len(starts) else len(self.text)
+        return ParseError(message, *_position(self.text, offset))
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return not self.tokens[self.index]
 
-    def take(self, text: Optional[str] = None, kind: Optional[str] = None) -> Token:
-        token = self.peek()
-        if text is not None and token.text != text:
-            raise self.error(f"expected {text!r}, found {token.text!r}", token)
-        if kind is not None and token.kind != kind:
-            raise self.error(f"expected {kind}, found {token.text!r}", token)
+    def take(self, text: str) -> str:
+        token = self.tokens[self.index]
+        if token != text:
+            raise self.error(f"expected {_LABELS.get(text, repr(text))}, found {token!r}")
+        self.index += 1
+        return token
+
+    def take_kind(self, kind: str) -> str:
+        """The next token, which must be a ``name`` or a ``number``."""
+        token = self.tokens[self.index]
+        if not (token.isidentifier() if kind == "name" else token.isdigit()):
+            raise self.error(f"expected {kind}, found {token!r}")
         self.index += 1
         return token
 
     def try_take(self, text: str) -> bool:
-        if self.peek().text == text:
+        if self.tokens[self.index] == text:
             self.index += 1
             return True
         return False
 
     def term(self) -> Term:
-        token = self.peek()
-        if token.kind in ("name", "number"):
+        token = self.tokens[self.index]
+        if token.isidentifier() or token.isdigit():
             self.index += 1
-            return token.text
-        raise self.error(f"expected a term, found {token.text!r}", token)
+            return token
+        raise self.error(f"expected a term, found {token!r}")
 
     def atom(self) -> tuple[str, tuple[Term, ...]]:
-        name = self.take(kind="name")
+        name = self.take_kind("name")
         terms: list[Term] = []
         if self.try_take("("):
             if not self.try_take(")"):
@@ -124,14 +128,14 @@ class _Parser:
                 while self.try_take(","):
                     terms.append(self.term())
                 self.take(")")
-        return name.text, tuple(terms)
+        return name, tuple(terms)
 
     def ground_atom(self) -> Fact:
-        token = self.peek()
+        start = self.index
         name, terms = self.atom()
         loose = [t for t in terms if is_variable(t)]
         if loose:
-            raise self.error(f"variable {loose[0]} where a constant is required", token)
+            raise self.error(f"variable {loose[0]} where a constant is required", start)
         return Fact(name, terms)
 
 
@@ -148,15 +152,13 @@ def _parse_body(parser: _Parser) -> tuple[list[BodyAtom], list[tuple[Term, Term]
     atoms: list[BodyAtom] = []
     inequalities: list[tuple[Term, Term]] = []
     while True:
-        if parser.peek().text == "not":
-            parser.take("not")
+        if parser.try_take("not"):
             name, terms = parser.atom()
             atoms.append(BodyAtom(False, name, terms))
         else:
             start = parser.index
             left = parser.term()
-            if parser.peek().kind == "neq":
-                parser.take(kind="neq")
+            if parser.try_take("!="):
                 right = parser.term()
                 inequalities.append((left, right))
             else:
@@ -174,13 +176,12 @@ def parse_constraints(text: str) -> tuple[UniversalConstraint, ...]:
     while not parser.at_end():
         atoms: list[BodyAtom] = []
         inequalities: list[tuple[Term, Term]] = []
-        if parser.peek().kind != "arrow":
+        if parser.peek() != "->":
             atoms, inequalities = _parse_body(parser)
-        token = parser.take(kind="arrow")
+        arrow = parser.index
+        parser.take("->")
         head: list[tuple[str, tuple[Term, ...]]] = []
-        if parser.peek().text == "false":
-            parser.take("false")
-        else:
+        if not parser.try_take("false"):
             head.append(parser.atom())
             while parser.try_take("|"):
                 head.append(parser.atom())
@@ -188,7 +189,7 @@ def parse_constraints(text: str) -> tuple[UniversalConstraint, ...]:
         try:
             out.append(UniversalConstraint.make(atoms, inequalities, head))
         except InputError as exc:
-            raise parser.error(str(exc), token) from exc
+            raise parser.error(str(exc), arrow) from exc
     return tuple(out)
 
 
@@ -207,12 +208,10 @@ def parse_priority(
     edges = []
     scores: dict[Literal, int] = {}
     while not parser.at_end():
-        if parser.peek().text == "score":
-            parser.take("score")
+        if parser.try_take("score"):
             lit = _parse_signed_literal(parser)
             parser.take("=")
-            value = parser.take(kind="number")
-            scores[lit] = int(value.text)
+            scores[lit] = int(parser.take_kind("number"))
         else:
             strong = _parse_signed_literal(parser)
             parser.take(">")
@@ -224,28 +223,27 @@ def parse_priority(
 
 def parse_query(text: str) -> ConjunctiveQuery:
     parser = _Parser(text)
-    token = parser.peek()
     head_name, head_terms = parser.atom()
-    parser.take(kind="neck")
+    parser.take(":-")
     atoms = [parser.atom()]
     while parser.try_take(","):
         atoms.append(parser.atom())
     parser.take(".")
     if not parser.at_end():
-        raise parser.error("expected a single query", parser.peek())
+        raise parser.error("expected a single query")
     try:
         return ConjunctiveQuery.make(head_terms, atoms)
     except InputError as exc:
-        raise parser.error(str(exc), token) from exc
+        raise parser.error(str(exc), 0) from exc
 
 
 def parse_aics(text: str) -> tuple[AIC, ...]:
     parser = _Parser(text)
     out = []
     while not parser.at_end():
-        token = parser.peek()
+        start = parser.index
         atoms, inequalities = _parse_body(parser)
-        parser.take(kind="arrow")
+        parser.take("->")
         parser.take("{")
         updates = [_parse_update_atom(parser)]
         while parser.try_take(","):
@@ -255,18 +253,17 @@ def parse_aics(text: str) -> tuple[AIC, ...]:
         try:
             out.append(AIC.make(atoms, updates, inequalities))
         except InputError as exc:
-            raise parser.error(str(exc), token) from exc
+            raise parser.error(str(exc), start) from exc
     return tuple(out)
 
 
 def _parse_update_atom(parser: _Parser) -> UpdateAtom:
-    token = parser.peek()
     if parser.try_take("+"):
         add = True
     elif parser.try_take("-"):
         add = False
     else:
-        raise parser.error("expected + or -", token)
+        raise parser.error("expected + or -")
     name, terms = parser.atom()
     return UpdateAtom(add, name, terms)
 
@@ -278,7 +275,7 @@ def parse_updates(text: str) -> frozenset[UpdateAction]:
         atom = _parse_update_atom(parser)
         loose = [t for t in atom.terms if is_variable(t)]
         if loose:
-            raise parser.error(f"variable {loose[0]} in a ground update", parser.peek())
+            raise parser.error(f"variable {loose[0]} in a ground update")
         parser.take(".")
         actions.add(UpdateAction(atom.add, Fact(atom.predicate, atom.terms)))
     return frozenset(actions)
@@ -289,11 +286,11 @@ def parse_schema(text: str) -> Schema:
     parser = _Parser(text)
     pairs = []
     while not parser.at_end():
-        name = parser.take(kind="name")
+        name = parser.take_kind("name")
         arity = 0
         if parser.try_take("/"):
-            arity = int(parser.take(kind="number").text)
-        pairs.append((name.text, arity))
+            arity = int(parser.take_kind("number"))
+        pairs.append((name, arity))
         parser.take(".")
     return Schema.of(pairs)
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,28 @@ class TestCheckRepair:
             "check-repair", "--repair", tmp_path / "cand.pdb",
         )
         assert code == 1 and out == "no\n"
+
+    @pytest.mark.parametrize("opt", ["none", "pareto", "global", "completion"])
+    def test_declared_high_arity_predicate_answers_at_once(self, capsys, tmp_path, opt):
+        # the fact universe of P/40 holds 3^40 facts; membership must not build it
+        files = {
+            "db": "R(a, b).\nR(a, c).\n",
+            "c": "R(X, Y), R(X, Z), Y != Z -> false.\n",
+            "schema": "P/40.\n",
+            "rep": "R(a, b).\n",
+            "stray": "R(a, b).\nP(" + ", ".join(["a"] * 39 + ["d"]) + ").\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.pdb").write_text(text)
+        args = ["--db", tmp_path / "db.pdb", "--constraints", tmp_path / "c.pdb",
+                "--schema", tmp_path / "schema.pdb", "check-repair", "--opt", opt, "--repair"]
+        start = time.perf_counter()
+        assert run(capsys, *args, tmp_path / "rep.pdb") == (0, "yes\n")
+        assert time.perf_counter() - start < 1.0
+        assert main([str(a) for a in args + [tmp_path / "stray.pdb"]]) == 2
+        assert capsys.readouterr().err == (
+            "error: candidate repair contains facts outside the fact universe\n"
+        )
 
 
 class TestAnswer:

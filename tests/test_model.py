@@ -4,7 +4,7 @@ constraint satisfaction."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import atom, example6_rules, example7_rules, fact, lit, neg
@@ -17,11 +17,14 @@ from prioritydb.model import (
     Schema,
     UniversalConstraint,
     agreement,
+    by_predicate,
     facts_universe,
     ground,
     ground_body,
     literal_key,
+    is_variable,
     literal_universe,
+    matches,
     resolutions,
     restriction,
     satisfies,
@@ -285,6 +288,54 @@ class TestResolutions:
         assert list(resolutions(terms)) == [
             (frozenset({al, neg("de")}), frozenset({be, de}), neg("de"), frozenset({al, be}))
         ]
+
+
+def _matches_nested_loop(atoms, facts_by_predicate):
+    """Reference join: a nested loop over each atom's facts of its arity,
+    last fact first (the order in which an explicit stack pops them)."""
+
+    def extend(depth, binding):
+        if depth == len(atoms):
+            yield binding
+            return
+        predicate, terms = atoms[depth]
+        for fact in reversed(facts_by_predicate.get(predicate, [])):
+            if len(fact.args) != len(terms):
+                continue
+            out = dict(binding)
+            if all(
+                out.setdefault(t, v) == v if is_variable(t) else t == v
+                for t, v in zip(terms, fact.args)
+            ):
+                yield from extend(depth + 1, out)
+
+    return list(extend(0, {}))
+
+
+# R lists facts of two arities, p is 0-ary, T has no facts.
+_JOIN_TERMS = st.sampled_from(["X", "Y", "Z", "a", "b"])
+_JOIN_ATOM = st.one_of(
+    st.tuples(st.sampled_from(["R", "T"]), st.lists(_JOIN_TERMS, min_size=1, max_size=2)),
+    st.tuples(st.just("S"), st.lists(_JOIN_TERMS, min_size=2, max_size=2)),
+    st.tuples(st.just("p"), st.just([])),
+).map(lambda a: (a[0], tuple(a[1])))
+_JOIN_FACT = st.one_of(
+    st.tuples(st.just("R"), st.lists(st.sampled_from("abc"), min_size=1, max_size=2)),
+    st.tuples(st.just("S"), st.lists(st.sampled_from("abc"), min_size=2, max_size=2)),
+    st.just(("p", [])),
+).map(lambda f: Fact(f[0], tuple(f[1])))
+
+
+class TestMatches:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_JOIN_ATOM, max_size=4), st.lists(_JOIN_FACT, max_size=14))
+    @example([("R", ("X", "X")), ("S", ("X", "Y"))],
+             [Fact("R", ("a", "a")), Fact("R", ("a", "b")), Fact("S", ("a", "c")), Fact("R", ("b",))])
+    @example([("R", ("X",)), ("R", ("X", "Y")), ("p", ())], [Fact("R", ("a",)), Fact("R", ("a", "b"))])
+    @example([("S", ("X", "a")), ("T", ("X",))], [Fact("S", ("b", "a"))])
+    def test_same_bindings_in_the_same_order_as_a_nested_loop(self, atoms, facts):
+        indexed = by_predicate(facts)
+        assert list(matches(atoms, indexed)) == _matches_nested_loop(atoms, indexed)
 
 
 class TestSatisfies:

@@ -53,7 +53,7 @@ from prioritydb.bridges import (
     rules_to_priority,
 )
 from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
-from prioritydb.errors import Budget
+from prioritydb.errors import Budget, InputError
 from prioritydb.model import (
     Fact,
     Instance,
@@ -75,7 +75,13 @@ from prioritydb.priorities import (
     validate_priority,
 )
 from prioritydb.query import answers, evaluate
-from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce, sorted_repair_set
+from prioritydb.repairs import (
+    delta_repairs,
+    delta_repairs_bruteforce,
+    delta_repairs_of,
+    is_delta_repair_of,
+    sorted_repair_set,
+)
 
 CORPUS_SIZE = 200
 
@@ -210,6 +216,43 @@ def test_oracle_delta_repairs_bruteforce():
         fast = delta_repairs(base.db, base.schema, base.constraints)
         slow = delta_repairs_bruteforce(base.db, base.schema, base.constraints)
         assert fast.repairs == slow.repairs
+
+
+def _is_delta_repair_on_the_universe(inst, candidate):
+    """The membership test that ``is_delta_repair_of`` replaced: the agreement
+    set, built over the literal universe, is conflict-free and maximal."""
+    agree = inst.agreement(candidate)
+    if any(e <= agree for e in inst.conflicts):
+        return False
+    for lit in inst.literals - agree:
+        if not any(lit in e and e - {lit} <= agree for e in inst.conflicts):
+            return False
+    return True
+
+
+def test_oracle_repair_membership_without_the_universe():
+    rng = random.Random(0x3E3B)
+    seen = {True: 0, False: 0}
+    stray = Fact("stray", ("zz",))
+    for base, *_ in pdb_corpus():
+        inst = Instance(base.db, base.schema, base.constraints)
+        universe = sorted(inst.facts)
+        assert all(map(inst.in_universe, universe)) and not inst.in_universe(stray)
+        repairs = list(delta_repairs_of(inst))
+        candidates = repairs + [frozenset(f for f in universe if rng.random() < 0.5)]
+        if universe:
+            candidates += [r ^ {rng.choice(universe)} for r in repairs]
+        for candidate in candidates:
+            got = is_delta_repair_of(inst, candidate)
+            assert got == _is_delta_repair_on_the_universe(inst, candidate), (candidate, base)
+            seen[got] += 1
+        messages = []
+        for check in (is_delta_repair_of, _is_delta_repair_on_the_universe):
+            with pytest.raises(InputError) as err:
+                check(inst, base.db | {stray})
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert min(seen.values()) >= 200, seen
 
 
 def test_oracle_grounded_characterization():

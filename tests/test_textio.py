@@ -1,11 +1,16 @@
 """Parsers and printers for the five text formats."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import action, fact, lit, neg
 from prioritydb.errors import ParseError
 from prioritydb.model import Schema
 from prioritydb.textio import (
+    _Parser,
     format_aics,
     format_constraints,
     format_database,
@@ -19,6 +24,7 @@ from prioritydb.textio import (
     parse_query,
     parse_schema,
     parse_updates,
+    tokenize,
 )
 
 
@@ -26,6 +32,9 @@ class TestDatabase:
     def test_facts(self):
         got = parse_database("A(a).\nR(a, b).\n# comment\np.\n")
         assert got == {fact("A", "a"), fact("R", "a", "b"), fact("p")}
+
+    def test_trailing_comment_holds_no_facts(self):
+        assert parse_database("p.\n# q(a) here\n") == {fact("p")}
 
     def test_empty_file(self):
         assert parse_database("  # nothing here\n") == frozenset()
@@ -184,6 +193,10 @@ MALFORMED = [
         "unexpected character 'é'", 3, 3, id="facts-end-non-ascii",
     ),
     pytest.param(
+        "facts", "Aé(a).\n",
+        "unexpected character 'é'", 1, 2, id="facts-non-ascii-letter-in-name",
+    ),
+    pytest.param(
         "facts", "# comment\nA(a) B(b).\n",
         "expected '.', found 'B'", 2, 6, id="facts-after-comment-line",
     ),
@@ -273,6 +286,10 @@ MALFORMED = [
         "expected '.', found ''", 1, 13, id="query-missing-dot-at-eof",
     ),
     pytest.param(
+        "query", "q(X) : A(X).\n",
+        "unexpected character ':'", 1, 6, id="query-lone-colon",
+    ),
+    pytest.param(
         "query", "q(X) :- A(X) $",
         "unexpected character '$'", 1, 14, id="query-end",
     ),
@@ -325,3 +342,64 @@ def test_parse_error_position(fmt, text, message, line, column):
         PARSERS[fmt](text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"{line}:{column}: {message}"
+
+
+# The named-group scanner that ``tokenize`` replaced, kept as its oracle.
+_ORACLE_TOKEN = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[0-9]+)
+      | (?P<arrow>->)
+      | (?P<neck>:-)
+      | (?P<neq>!=)
+      | (?P<punct>[(),.{}|>!+\-=/])
+    """,
+    re.VERBOSE,
+)
+
+
+def _line_column(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _oracle_tokens(text):
+    """Token texts with their offsets, the end of the text last, and the
+    offset of the first character no token covers (``None`` if there is none)."""
+    tokens, end = [], 0
+    for match in _ORACLE_TOKEN.finditer(text):
+        if match.start() != end:
+            break
+        if match.lastgroup != "ws":
+            tokens.append((match.group(), end))
+        end = match.end()
+    return tokens + [("", end)], (end if end < len(text) else None)
+
+
+_SOUP = st.lists(
+    st.sampled_from(
+        ["->", ":-", "!=", "-", ">", "!", ":", "# c(a) -> x", "#", " ", "\n", "\t", "\r\n",
+         "A", "x_1", "_", "9", "07", "(", ")", ",", ".", "{", "}", "|", "+", "=", "/"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SOUP, st.integers(0, 24), st.sampled_from(["?", "é", ";", "$", ""]))
+@example("p.\n# q(a) here\n", 0, "")
+@example("a:-b", 4, ":")
+def test_tokenize_agrees_with_the_named_group_scanner(soup, at, stray):
+    text = soup[:at] + stray + soup[at:]
+    tokens, bad = _oracle_tokens(text)
+    if bad is not None:
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert str(err.value) == "%d:%d: unexpected character %r" % (
+            *_line_column(text, bad), text[bad]
+        )
+        return
+    assert tokenize(text) == [token for token, _ in tokens]
+    parser = _Parser(text)
+    for index, (_, offset) in enumerate(tokens):
+        error = parser.error("x", index)
+        assert (error.line, error.column) == _line_column(text, offset)
