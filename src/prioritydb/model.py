@@ -10,15 +10,19 @@ once for one database, schema and constraint set.
 
 One join, ``matches``, serves grounding, consistency and queries.  Each atom
 after the first indexes its facts on the positions that constants or earlier
-atoms bind, so a partial binding meets only the facts that agree with it.  The
-ground bodies range every variable over the constant pool; ``satisfies`` and
-the oracles use them.  Conflicts start from fewer bodies: positive atoms of
-predicates that occur negated in no constraint are joined with the database
-facts, and consensus (``prime_implicants`` over ``resolutions``, which finds
-clashing pairs through an index by signed fact) closes what that yields.
+atoms bind, so a partial binding meets only the facts that agree with it, and
+an inequality is tested as soon as both its sides are bound.  It yields the
+matched facts with each binding, and ground bodies reuse them as literals.
+The ground bodies range every variable over the constant pool; ``satisfies``
+and the oracles use them.  Conflicts start from fewer bodies: positive atoms
+of predicates that occur negated in no constraint are joined with the
+database facts, and consensus (``prime_implicants`` over ``resolutions``,
+which finds clashing pairs through an index by signed fact) closes what that
+yields.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
-an underscore is a variable; anything else is a constant.
+an underscore is a variable; anything else is a constant.  Facts and literals
+hash once, at construction.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -38,7 +43,31 @@ def is_variable(term: Term) -> bool:
     return term[:1].isupper() or term[:1] == "_"
 
 
+def _hashed_once(cls: type) -> type:
+    """Give a frozen dataclass the hash of its field tuple, computed once at
+    construction and again on unpickling (string hashes differ between
+    processes), and an equality that tests identity, then the hash, then the
+    fields.  ``@dataclass`` above it keeps these methods."""
+    fields = attrgetter(*cls.__annotations__)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(fields(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not cls:
+            return NotImplemented
+        return self._hash == other._hash and fields(self) == fields(other)
+
+    cls.__post_init__, cls.__eq__ = __post_init__, __eq__
+    cls.__hash__ = lambda self: self._hash
+    cls.__reduce__ = lambda self: (cls, fields(self))
+    return cls
+
+
 @dataclass(frozen=True, order=True)
+@_hashed_once
 class Fact:
     predicate: str
     args: tuple[Constant, ...] = ()
@@ -50,6 +79,7 @@ class Fact:
 
 
 @dataclass(frozen=True)
+@_hashed_once
 class Literal:
     fact: Fact
     positive: bool = True
@@ -133,9 +163,6 @@ class BodyAtom:
 
     def variables(self) -> frozenset[Term]:
         return frozenset(t for t in self.terms if is_variable(t))
-
-    def to_literal(self) -> Literal:
-        return Literal(Fact(self.predicate, self.terms), self.positive)
 
     def __str__(self) -> str:
         atom = str(Fact(self.predicate, self.terms))
@@ -330,14 +357,15 @@ class Instance:
         Safety binds every variable, so this is exact for every candidate."""
         facts = by_predicate(candidate)
         return not any(
-            all(b.get(l, l) != b.get(r, r) for l, r in c.inequalities)
-            and not any(
-                a.substituted(b).to_literal().fact in candidate
+            not any(
+                Fact(a.predicate, tuple([b.get(t, t) for t in a.terms])) in candidate
                 for a in c.body
                 if not a.positive
             )
             for c in self.constraints
-            for b in matches([(a.predicate, a.terms) for a in c.body if a.positive], facts)
+            for b, _ in matches(
+                [(a.predicate, a.terms) for a in c.body if a.positive], facts, c.inequalities
+            )
         )
 
     def agreement(self, repair: Database) -> frozenset[Literal]:
@@ -396,41 +424,51 @@ def by_predicate(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
 def matches(
     atoms: Iterable[tuple[str, Sequence[Term]]],
     facts_by_predicate: Mapping[str, Sequence[Fact]],
-) -> Iterator[dict[Term, Constant]]:
+    inequalities: Collection[tuple[Term, Term]] = (),
+) -> Iterator[tuple[dict[Term, Constant], tuple[Fact, ...]]]:
     """Every binding of the atoms' variables that maps each ``(predicate,
-    terms)`` atom onto a fact listed for its predicate.  Partial bindings grow
-    atom by atom in the given order, depth first on an explicit stack: a long
-    body needs no recursion, and only the untried facts along one path wait.
+    terms)`` atom onto a fact listed for its predicate, with those facts in
+    atom order.  Partial bindings grow atom by atom in the given order, depth
+    first on an explicit stack: a long body needs no recursion, and only the
+    untried facts along one path wait.
 
     The first atom scans its facts, as does a later one that no constant or
     earlier atom binds.  Every other atom indexes its facts once on its bound
     positions, so a partial binding meets only the facts that agree with it
     there.  Buckets keep list order, so bindings come in the order of a
-    nested loop over the lists."""
+    nested loop over the lists.  A partial binding is dropped at the first
+    atom that binds both sides of an inequality to one constant; a pair of
+    equal constants leaves no binding, and a pair that the atoms do not bind
+    is not tested."""
+    if any(l == r and not is_variable(l) for l, r in inequalities):
+        return
+    pending = [pair for pair in inequalities if any(map(is_variable, pair))]
     steps = []
     bound: set[Term] = set()
     for predicate, terms in atoms:
         keyed = [i for i, t in enumerate(terms) if t in bound or not is_variable(t)]
         fresh = [(i, t) for i, t in enumerate(terms) if i not in keyed]
         bound.update(terms)
+        tested = [p for p in pending if bound.issuperset(filter(is_variable, p))]
+        pending = [p for p in pending if p not in tested]
         n = len(terms)
         facts = [f for f in facts_by_predicate.get(predicate, ()) if len(f.args) == n]
         if not steps or not keyed:  # the first atom meets one partial binding
             if keyed:
                 facts = [f for f in facts if all(f.args[i] == terms[i] for i in keyed)]
-            steps.append((facts, None, fresh))
+            steps.append((facts, None, fresh, tested))
         else:
             index: dict[tuple[Constant, ...], list[Fact]] = {}
             for fact in facts:
                 index.setdefault(tuple([fact.args[i] for i in keyed]), []).append(fact)
-            steps.append((index, [terms[i] for i in keyed], fresh))
-    stack: list[tuple[int, dict[Term, Constant]]] = [(0, {})]
+            steps.append((index, [terms[i] for i in keyed], fresh, tested))
+    stack: list[tuple[int, dict[Term, Constant], tuple[Fact, ...]]] = [(0, {}, ())]
     while stack:
-        depth, partial = stack.pop()
+        depth, partial, matched = stack.pop()
         if depth == len(steps):
-            yield partial
+            yield partial, matched
             continue
-        facts, key, fresh = steps[depth]
+        facts, key, fresh, tested = steps[depth]
         if key is not None:
             facts = facts.get(tuple([partial.get(t, t) for t in key]), ())
         for fact in facts:
@@ -440,7 +478,8 @@ def matches(
                 if out.setdefault(term, args[i]) != args[i]:
                     break
             else:
-                stack.append((depth + 1, out))
+                if not (tested and any(out.get(l, l) == out.get(r, r) for l, r in tested)):
+                    stack.append((depth + 1, out, matched + (fact,)))
 
 
 def ground_body(
@@ -452,31 +491,33 @@ def ground_body(
     """Ground instances of a constraint body over the given constants.
 
     A positive atom whose predicate is a key of ``join`` ranges over the facts
-    listed for it (a join with the database); every other variable ranges over
-    the constants.  Instances with a false inequality are dropped, true
-    inequalities are erased, and instances whose literal set is contradictory
-    (both signs of a fact) are dropped because no database can satisfy them.
+    listed for it (a join with the database), and its literal holds the
+    matched fact; every other variable ranges over the constants.  Instances
+    with a false inequality are dropped, true inequalities are erased, and
+    instances whose literal set is contradictory (both signs of a fact) are
+    dropped because no database can satisfy them.
     """
     join = join or {}
-    partials = matches(
-        [(a.predicate, a.terms) for a in body if a.positive and a.predicate in join], join
-    )
-    variables = {v for atom in body for v in atom.variables()}
+    joined = [a for a in body if a.positive and a.predicate in join]
+    rest = [a for a in body if a not in joined]
+    bound = {t for a in joined for t in a.terms}
+    free = sorted({v for a in rest for v in a.variables()} - bound)
+    late = [p for p in inequalities if any(is_variable(t) and t not in bound for t in p)]
+    mixed = len({(a.predicate, a.positive) for a in body}) > len({a.predicate for a in body})
     pool = sorted(set(constants))
-    for partial in partials:
-        free = sorted(variables - partial.keys())
+    for partial, facts in matches([(a.predicate, a.terms) for a in joined], join, inequalities):
         bindings = (
             ({**partial, **dict(zip(free, values))} for values in product(pool, repeat=len(free)))
             if free else (partial,)
         )
         for binding in bindings:
-            if any(binding.get(l, l) == binding.get(r, r) for l, r in inequalities):
+            if late and any(binding.get(l, l) == binding.get(r, r) for l, r in late):
                 continue
-            literals = frozenset(
+            literals = frozenset([Literal(f, True) for f in facts] + [
                 Literal(Fact(a.predicate, tuple([binding.get(t, t) for t in a.terms])), a.positive)
-                for a in body
-            )
-            if not _consistent(literals):
+                for a in rest
+            ])
+            if mixed and not _consistent(literals):
                 continue  # contains both signs of one fact: vacuously satisfied
             yield literals, binding
 
@@ -485,11 +526,7 @@ def ground(
     constraint: UniversalConstraint, constants: frozenset[Constant]
 ) -> frozenset[GroundConstraint]:
     """Deduplicated ground instances of one constraint."""
-    return frozenset(
-        literals for literals, _ in ground_body(
-            constraint.body, constraint.inequalities, constants
-        )
-    )
+    return frozenset(t for t, _ in ground_body(constraint.body, constraint.inequalities, constants))
 
 
 def ground_all(
@@ -555,10 +592,9 @@ def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozense
     """
     terms = antichain(frozenset(b) for b in bodies)
     while True:
-        term_list = sorted(terms, key=lambda t: sorted(map(literal_key, t)))
         fresh = {
             resolvent
-            for _, _, _, resolvent in resolutions(term_list)
+            for _, _, _, resolvent in resolutions(list(terms))
             if not any(t <= resolvent for t in terms)
         }
         if not fresh:
@@ -567,9 +603,7 @@ def prime_implicants(bodies: Iterable[frozenset[Literal]]) -> frozenset[frozense
 
 
 def violates_ground(db: Database, body: GroundConstraint) -> bool:
-    return all(
-        (lit.fact in db) == lit.positive for lit in body
-    )
+    return all((lit.fact in db) == lit.positive for lit in body)
 
 
 def satisfies(

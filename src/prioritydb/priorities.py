@@ -8,28 +8,25 @@ those optimal under some total extension of the priority.
 
 The notions are decided on integer masks over the conflict vertices.  A delta
 repair's agreement set is the literal universe minus one minimal transversal
-of the conflicts, so two repairs differ only on conflict vertices.  The
-minimal transversals are the products of those of the conflict components,
-and no conflict, priority edge, Pareto block or order certificate leaves a
-component that the conflicts and the priority edges join (Staworko, Chomicki
-& Marcinkowski, AMAI 2012, never compare literals across independent
-conflicts).  So each ``PrioritizedDatabase`` holds one mask context that
-enumerates each component's transversals on its own (shared by
-``with_priority`` copies), keeps per component and notion the restrictions
-that are optimal, and ``optimal_repairs`` builds and sorts only their
-product, the output.  Pareto checks each excluded vertex against the
-conflicts holding it; global compares restrictions within a component;
-completion searches for an order certificate with one reachability test per
-witness.  ``is_pareto_improvement``, ``is_global_improvement`` and
-``completion_optimal_repairs_bruteforce`` follow the definitions on literal
-sets and are the oracles the tests hold the filters to.
+of the conflicts, and these are the products of those of the conflict
+components.  No conflict, priority edge, Pareto block or order certificate
+leaves a component that the conflicts and the priority edges join
+(Staworko, Chomicki & Marcinkowski, AMAI 2012).  So each
+``PrioritizedDatabase`` holds one mask context (shared by ``with_priority``
+copies) that finds each component's transversals on its own, a lone
+conflict's without search, joins components along priority edges only when
+an edge crosses two (a validated priority never does), and keeps per
+component and notion the optimal restrictions; ``optimal_repairs`` builds
+and sorts only their product.  ``is_pareto_improvement``,
+``is_global_improvement`` and ``completion_optimal_repairs_bruteforce``
+follow the definitions on literal sets; the tests hold the filters to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .conflicts import Conflict, minimal_hitting_sets
@@ -118,13 +115,7 @@ class ValidationReport:
 
 
 def co_conflicting_pairs(conflict_set: frozenset[Conflict]) -> frozenset[frozenset[Literal]]:
-    pairs: set[frozenset[Literal]] = set()
-    for edge in conflict_set:
-        members = sorted(edge, key=literal_key)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                pairs.add(frozenset((a, b)))
-    return frozenset(pairs)
+    return frozenset(frozenset(pair) for edge in conflict_set for pair in combinations(edge, 2))
 
 
 def validate_priority(
@@ -245,16 +236,11 @@ def _join(links: Iterable[int]) -> list[int]:
 
 
 class _ConflictMasks:
-    """The priority-independent half of the mask context.
-
-    Bit ``i`` stands for the ``i``-th conflict vertex in ``literal_key``
-    order.  A delta repair's agreement set is the literal universe minus one
-    minimal transversal of the conflicts, so it is fixed by its vertex bits:
-    every other literal of the universe is in it.  The minimal transversals
-    of the conflicts are the products of those of their connected
-    components, so ``parts`` enumerates each component's on its own.  Each
-    part is built on first use; the delta repairs and their agreement masks
-    only when a caller needs all of them."""
+    """The priority-independent half of the mask context.  Bit ``i`` stands
+    for the ``i``-th conflict vertex in ``literal_key`` order; a delta
+    repair's agreement set holds every other literal of the universe.  The
+    delta repairs and their agreement masks are built only when a caller
+    needs all of them."""
 
     def __init__(self, instance: Instance, budget: Budget):
         self.instance = instance
@@ -284,18 +270,28 @@ class _ConflictMasks:
         return tuple(tuple(sorted(ws, key=lambda w: list(_bits(w)))) for ws in found)
 
     @cached_property
+    def _owner(self) -> dict[int, int]:
+        """Each conflict vertex's component mask, by bit."""
+        return {i: comp for comp in _join(self.conflicts) for i in _bits(comp)}
+
+    @cached_property
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per connected component of the conflicts, its vertex mask and the
-        masks of its minimal transversals, found by ``minimal_hitting_sets``
-        on its conflicts alone; the budget caps each component's vertices.
-        An empty conflict has no transversal, so then the one part is
-        ``(0, ())``: no delta repair exists."""
+        masks of its minimal transversals; the budget caps each component's
+        vertices.  Those of a lone conflict (conflicts form an antichain, so
+        no other fits in its component) are its members, one each; larger
+        components go to ``minimal_hitting_sets``.  An empty conflict has no
+        transversal, so then the one part is ``(0, ())``."""
         if 0 in self.conflicts:
             return ((0, ()),)
+        members: dict[int, list[int]] = {}
+        for c in self.conflicts:
+            members.setdefault(self._owner[(c & -c).bit_length() - 1], []).append(c)
         out = []
-        for comp in _join(self.conflicts):
-            edges = [frozenset(_bits(c)) for c in self.conflicts if c & comp]
-            found = minimal_hitting_sets(edges, self.budget, "conflict literal set")
+        for comp, edges in sorted(members.items()):
+            self.budget.check_universe(comp.bit_count(), "conflict literal set")
+            found = [[i] for i in _bits(comp)] if len(edges) == 1 else minimal_hitting_sets(
+                [frozenset(_bits(c)) for c in edges], self.budget, "conflict literal set")
             out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
         return tuple(out)
 
@@ -303,10 +299,14 @@ class _ConflictMasks:
         """Per group that the links join the conflict components into, its
         vertex mask and the delta repairs' restrictions to it, each as the
         mask of the vertices it excludes: the products of the transversals
-        of the components inside it.  The budget caps each group's vertices
-        before its product is built."""
+        of the components inside it, whose vertices the budget caps.  Links
+        inside components, as validated priority edges are, leave ``parts``."""
+        links = list(links)
+        owner = self._owner  # a link off the conflicts meets 0
+        if not any(l & ~owner.get((l & -l).bit_length() - 1, 0) for l in links):
+            return self.parts
         out = []
-        for group in _join([comp for comp, _ in self.parts] + list(links)):
+        for group in _join([comp for comp, _ in self.parts] + links):
             # the part of an empty conflict, 0, lies in every group
             members = [ts for comp, ts in self.parts if comp | group == group]
             if members:
@@ -654,15 +654,10 @@ def detect_score_structure(
             x = parent[x]
         return x
 
-    def union(a: Literal, b: Literal) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for pair in co_conflicting_pairs(conflict_set):
         a, b = sorted(pair, key=literal_key)
         if not priority.outranks(a, b) and not priority.outranks(b, a):
-            union(a, b)
+            parent[find(b)] = find(a)
     strict: set[tuple[Literal, Literal]] = set()
     for a, b in priority.edges:
         if a not in parent or b not in parent:

@@ -51,7 +51,7 @@ def evaluate(query: ConjunctiveQuery, db: Database) -> frozenset[tuple[str, ...]
     facts = by_predicate(db)
     ordered = sorted(query.atoms, key=lambda atom: (len(facts.get(atom[0], ())), atom))
     return frozenset(
-        tuple(binding[v] for v in query.head_vars) for binding in matches(ordered, facts)
+        tuple(binding[v] for v in query.head_vars) for binding, _ in matches(ordered, facts)
     )
 
 

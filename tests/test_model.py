@@ -1,7 +1,13 @@
 """Core model: fact/literal universes, agreement and restriction, grounding,
 constraint satisfaction."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +17,11 @@ from conftest import atom, example6_rules, example7_rules, fact, lit, neg
 from corpus import random_instance, random_rule_instance
 from prioritydb.aic import _rule_key, ground_rules, rules_constants
 from prioritydb.errors import InputError
+import prioritydb
 from prioritydb.model import (
     Fact,
     Instance,
+    Literal,
     Schema,
     UniversalConstraint,
     agreement,
@@ -326,6 +334,15 @@ _JOIN_FACT = st.one_of(
 ).map(lambda f: Fact(f[0], tuple(f[1])))
 
 
+def _assert_facts_are_the_matched_ones(atoms, indexed, found):
+    """Each yielded fact is the listed object its atom maps onto."""
+    for binding, matched in found:
+        assert len(matched) == len(atoms)
+        for (predicate, terms), f in zip(atoms, matched):
+            assert any(f is listed for listed in indexed[predicate])
+            assert f == Fact(predicate, tuple(binding.get(t, t) for t in terms))
+
+
 class TestMatches:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_JOIN_ATOM, max_size=4), st.lists(_JOIN_FACT, max_size=14))
@@ -335,7 +352,75 @@ class TestMatches:
     @example([("S", ("X", "a")), ("T", ("X",))], [Fact("S", ("b", "a"))])
     def test_same_bindings_in_the_same_order_as_a_nested_loop(self, atoms, facts):
         indexed = by_predicate(facts)
-        assert list(matches(atoms, indexed)) == _matches_nested_loop(atoms, indexed)
+        found = list(matches(atoms, indexed))
+        assert [binding for binding, _ in found] == _matches_nested_loop(atoms, indexed)
+        _assert_facts_are_the_matched_ones(atoms, indexed, found)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_JOIN_ATOM, max_size=4),
+        st.lists(_JOIN_FACT, max_size=14),
+        st.lists(st.tuples(_JOIN_TERMS, _JOIN_TERMS), max_size=3),
+    )
+    @example([("R", ("X", "Y")), ("R", ("X", "Z"))],
+             [Fact("R", ("a", "b")), Fact("R", ("a", "c")), Fact("R", ("b", "b"))], [("Y", "Z")])
+    @example([("R", ("X",))], [Fact("R", ("a",))], [("a", "a")])
+    @example([], [], [("a", "a")])
+    @example([("R", ("X",))], [Fact("R", ("a",))], [("X", "Y")])
+    def test_inequalities_drop_what_a_late_filter_drops(self, atoms, facts, inequalities):
+        """A pair whose sides the atoms bind is tested; one they do not bind
+        is not."""
+        indexed = by_predicate(facts)
+        found = list(matches(atoms, indexed, inequalities))
+        assert [binding for binding, _ in found] == [
+            b for b in _matches_nested_loop(atoms, indexed)
+            if all(
+                b.get(l, l) != b.get(r, r)
+                for l, r in inequalities
+                if all(t in b or not is_variable(t) for t in (l, r))
+            )
+        ]
+        _assert_facts_are_the_matched_ones(atoms, indexed, found)
+
+    def test_key_join_beside_clean_keys_yields_only_the_violations(self):
+        db = [fact("R", f"k{k}", f"v{v}") for k in range(6) for v in (0, 1)]
+        db += [fact("R", f"m{k}", "v0") for k in range(1000)]
+        key = [("R", ("X", "Y")), ("R", ("X", "Z"))]
+        assert len(list(matches(key, by_predicate(db), [("Y", "Z")]))) == 12
+
+
+_FACT = st.builds(
+    Fact, st.sampled_from(["R", "S"]), st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+)
+
+
+class TestHashedOnce:
+    @given(_FACT, _FACT, st.booleans(), st.booleans())
+    def test_equality_hash_and_order_follow_the_field_tuples(self, a, b, sign_a, sign_b):
+        assert (a == b) == ((a.predicate, a.args) == (b.predicate, b.args)) != (a != b)
+        assert (a < b) == ((a.predicate, a.args) < (b.predicate, b.args))
+        assert hash(a) == hash((a.predicate, a.args))
+        la, lb = Literal(a, sign_a), Literal(b, sign_b)
+        assert (la == lb) == ((a, sign_a) == (b, sign_b)) != (la != lb)
+        assert hash(la) == hash((a, sign_a))
+        assert replace(a, args=b.args) == Fact(a.predicate, b.args)
+        assert hash(replace(la, positive=sign_b)) == hash((a, sign_b))
+        assert pickle.loads(pickle.dumps(la)) == la
+
+    def test_value_pickled_under_another_hash_seed_is_found_in_a_set(self):
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+        code = (
+            "import pickle, sys; from prioritydb.model import Fact, Literal; "
+            "f = Fact('R', ('a', 'b')); "
+            "sys.stdout.buffer.write(pickle.dumps((f, Literal(f, False), hash('R'))))"
+        )
+        src = str(Path(prioritydb.__file__).parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        f, l, their_hash = pickle.loads(out.stdout)
+        assert their_hash != hash("R")  # the string hashes did differ
+        assert f in {fact("S", "a"), fact("R", "a", "b")}
+        assert l in {neg("R", "a", "b")} and l not in {lit("R", "a", "b")}
 
 
 class TestSatisfies:

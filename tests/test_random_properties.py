@@ -52,8 +52,13 @@ from prioritydb.bridges import (
     priority_to_rules,
     rules_to_priority,
 )
-from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets, prime_implicants
-from prioritydb.errors import Budget, InputError
+from prioritydb.conflicts import (
+    conflicts,
+    conflicts_via_hitting_sets,
+    minimal_hitting_sets,
+    prime_implicants,
+)
+from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import (
     Fact,
     Instance,
@@ -515,6 +520,141 @@ def test_oracle_product_on_the_key_violation_sweep(keys):
     got = _assert_matches_whole_hypergraph(pdb)
     assert all(len(repairs) == 2 ** (keys // 2) for repairs in got.values())
     assert optimal_repairs(pdb, "none").repairs == pdb.delta_repairs().repairs
+
+
+def _groups(links) -> list[int]:
+    """The unions of the links that share a bit, transitively, ascending."""
+    groups: list[int] = []
+    for link in links:
+        for group in [g for g in groups if g & link]:
+            groups.remove(group)
+            link |= group
+        groups.append(link)
+    return sorted(groups)
+
+
+def _bit_list(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _parts_by_hitting_sets(masks) -> tuple:
+    """``_ConflictMasks.parts`` as it was before lone conflicts got a closed
+    form: ``minimal_hitting_sets`` on each component's conflicts, found by
+    scanning every conflict."""
+    if 0 in masks.conflicts:
+        return ((0, ()),)
+    out = []
+    for comp in _groups(masks.conflicts):
+        edges = [frozenset(_bit_list(c)) for c in masks.conflicts if c & comp]
+        found = minimal_hitting_sets(edges, masks.budget, "conflict literal set")
+        out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
+    return tuple(out)
+
+
+def _joined_by_groups(masks, links) -> tuple:
+    """``_ConflictMasks.joined`` without its shortcut: the components and
+    links grouped by shared bits, each group's restrictions the product of
+    its components' transversals."""
+    out = []
+    for group in _groups([comp for comp, _ in masks.parts] + list(links)):
+        members = [ts for comp, ts in masks.parts if comp | group == group]
+        if members:
+            comp = group & masks.full
+            masks.budget.check_universe(comp.bit_count(), "conflict literal set")
+            out.append((comp, tuple(sum(pick) for pick in product(*members))))
+    return tuple(out)
+
+
+def _component_corpus():
+    for base, prioritized, *_ in pdb_corpus():
+        yield prioritized
+    yield from many_component_corpus()
+
+
+def test_oracle_parts_match_hitting_sets_per_component():
+    lone = searched = 0
+    for pdb in _component_corpus():
+        masks = pdb._conflict_masks
+        assert masks.parts == _parts_by_hitting_sets(masks), pdb
+        for comp, _ in masks.parts:
+            if comp in masks.conflicts:
+                lone += 1
+            else:
+                searched += 1
+    assert lone >= 100 and searched >= 20, (lone, searched)
+
+
+def _lone_conflicts_pdb(budget: Budget = Budget()) -> PrioritizedDatabase:
+    """Lone conflicts ``{V(a)}``, ``{P(b), Q(b)}`` and ``{A(c), …, E(c)}``,
+    and one component of two conflicts, ``{S(d), T(d)}`` and ``{S(d), U(d)}``."""
+    db = frozenset(
+        [fact("V", "a"), fact("P", "b"), fact("Q", "b")]
+        + [fact(p, "c") for p in "ABCDE"]
+        + [fact(p, "d") for p in "STU"]
+    )
+    constraints = tuple(
+        UniversalConstraint.make([atom(p, "X") for p in body])
+        for body in ("V", "PQ", "ABCDE", "ST", "SU")
+    )
+    return PrioritizedDatabase(db, schema_from(db, constraints), constraints, budget=budget)
+
+
+def test_lone_conflicts_in_closed_form_keep_the_budget():
+    masks = _lone_conflicts_pdb()._conflict_masks
+    assert sorted(map(len, _lone_conflicts_pdb().conflicts())) == [1, 2, 2, 2, 5]
+    assert masks.parts == _parts_by_hitting_sets(masks)
+    assert sorted(len(ts) for _, ts in masks.parts) == [1, 2, 2, 5]
+    assert _lone_conflicts_pdb(Budget(max_universe=5))._conflict_masks.parts == masks.parts
+    for cap in (4, 2):
+        # the 5-literal lone conflict trips the cap, and at 2 the S component too
+        tight = _lone_conflicts_pdb(Budget(max_universe=cap))._conflict_masks
+        with pytest.raises(BudgetExceededError) as got:
+            tight.parts
+        with pytest.raises(BudgetExceededError) as want:
+            _parts_by_hitting_sets(tight)
+        assert str(got.value) == str(want.value)
+
+
+def test_parts_of_an_empty_conflict():
+    db = frozenset({Fact("Q", ("a",))})
+    constraints = (
+        UniversalConstraint.make([atom("Q", "X")]),
+        UniversalConstraint.make([atom("Q", "a", positive=False)]),
+    )
+    masks = PrioritizedDatabase(db, schema_from(db, constraints), constraints)._conflict_masks
+    assert masks.conflicts == (0,)
+    assert masks.parts == ((0, ()),) == _parts_by_hitting_sets(masks)
+    assert masks.joined([]) == masks.parts == _joined_by_groups(masks, [])
+
+
+def test_oracle_joined_is_parts_on_internal_links():
+    rng = random.Random(0x10E5)
+    for pdb in _component_corpus():
+        masks, ctx = pdb._conflict_masks, pdb._masks
+        links = [d | 1 << i for i, d in enumerate(ctx.dom) if d]
+        assert ctx.parts is masks.parts
+        assert masks.parts == _joined_by_groups(masks, links)
+        inner = [sum(1 << i for i in rng.sample(_bit_list(comp), 1 + rng.randrange(2)))
+                 for comp, _ in masks.parts if comp.bit_count() >= 2]
+        assert masks.joined(inner + [0]) is masks.parts
+        assert masks.parts == _joined_by_groups(masks, inner + [0])
+
+
+def test_oracle_joined_falls_back_on_a_cross_component_edge():
+    seen = 0
+    for pdb in many_component_corpus():
+        components = conflict_components(pdb.conflicts())
+        if len(components) < 2:
+            continue
+        first, second = (min(c, key=str) for c in components[:2])
+        crossed = pdb.with_priority(PriorityRelation(pdb.priority.edges | {(first, second)}))
+        masks, ctx = crossed._conflict_masks, crossed._masks
+        links = [d | 1 << i for i, d in enumerate(ctx.dom) if d]
+        assert ctx.parts == _joined_by_groups(masks, links)
+        assert len(ctx.parts) < len(masks.parts)
+        _assert_matches_whole_hypergraph(crossed)
+        seen += 1
+    assert seen >= 40, seen
 
 
 def test_property_chain_and_nonempty():
