@@ -39,6 +39,7 @@ from .model import (
     UniversalConstraint,
     fact_key,
     ground_body,
+    prime_implicants,
     resolutions,
     universe_constants,
     violates_ground,
@@ -643,22 +644,16 @@ class PropertyReport:
     counterexamples: tuple[tuple[str, str], ...] = ()
 
 
-def check_properties(
-    rules: Sequence[AIC],
-    db: Database,
-    budget: Budget = DEFAULT_BUDGET,
-) -> PropertyReport:
+def check_properties(rules: Sequence[AIC], db: Database) -> PropertyReport:
     """Well-behavedness of the ground rule set for the given database.
 
     All checks run on the ground instances for this database only; they do not
     decide the corresponding property over every database.
     """
-    return check_ground_properties(ground_rules(rules, rules_constants(db, rules)), budget)
+    return check_ground_properties(ground_rules(rules, rules_constants(db, rules)))
 
 
-def check_ground_properties(
-    rules: Iterable[GroundAIC], budget: Budget = DEFAULT_BUDGET
-) -> PropertyReport:
+def check_ground_properties(rules: Iterable[GroundAIC]) -> PropertyReport:
     """``check_properties`` on rules already ground over the database's pool."""
     ground = sorted(rules, key=_rule_key)
     notes: list[tuple[str, str]] = []
@@ -677,7 +672,7 @@ def check_ground_properties(
     by_body: dict[frozenset[Literal], list[GroundAIC]] = {}
     for rule in ground:
         by_body.setdefault(rule.lits, []).append(rule)
-    satisfiable = _consistent_rule_set(ground, budget)
+    satisfiable = _consistent_rule_set(ground)
     if not satisfiable:
         notes.append(("closed_under_resolution", "rule set is unsatisfiable"))
     missing: list[str] = []
@@ -725,10 +720,7 @@ def _fmt(rule: GroundAIC) -> str:
     return f"{lits} -> {{{acts}}}"
 
 
-def _consistent_rule_set(ground: Sequence[GroundAIC], budget: Budget) -> bool:
-    """Some database over the mentioned facts satisfies every rule."""
-    mentioned = sorted({l.fact for rule in ground for l in rule.lits}, key=fact_key)
-    return any(
-        satisfies_rules(db, ground)
-        for db in subsets(mentioned, budget, "mentioned fact set")
-    )
+def _consistent_rule_set(ground: Sequence[GroundAIC]) -> bool:
+    """Some database satisfies every rule, that is, the disjunction of the
+    rule bodies is no tautology: consensus derives no empty body."""
+    return frozenset() not in prime_implicants(rule.lits for rule in ground)

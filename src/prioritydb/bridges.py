@@ -434,14 +434,12 @@ class DerivedPriority:
     ground: frozenset[GroundAIC]
 
 
-def rules_to_priority(
-    db: Database, schema: Schema, rules: Sequence[AIC], budget: Budget = DEFAULT_BUDGET
-) -> DerivedPriority:
+def rules_to_priority(db: Database, schema: Schema, rules: Sequence[AIC]) -> DerivedPriority:
     """Derive preference edges from the update actions of the body-minimal
     violated ground rules: the literal kept outranks the one repaired, provided
     no such rule also offers to repair the kept literal."""
     ground = ground_rules(rules, rules_constants(db, rules))
-    report = check_ground_properties(ground, budget)
+    report = check_ground_properties(ground)
     warnings = []
     if not report.closed_under_resolution:
         warnings.append("rule set is not closed under resolution")
@@ -527,7 +525,7 @@ class RoundTripReport:
 def check_roundtrip(
     db: Database, schema: Schema, rules: Sequence[AIC], budget: Budget = DEFAULT_BUDGET
 ) -> RoundTripReport:
-    derived = rules_to_priority(db, schema, rules, budget)
+    derived = rules_to_priority(db, schema, rules)
     if derived.cycle is not None:
         return RoundTripReport(
             applicable=False,

@@ -250,7 +250,7 @@ def cmd_aic(ws: Workspace, args) -> int:
             return EXIT_OK if checks[args.kind] else EXIT_FALSE
         return EXIT_OK
     if args.action == "props":
-        report = check_properties(ws.rules, ws.db, ws.budget)
+        report = check_properties(ws.rules, ws.db)
         print(f"monotone: {'yes' if report.monotone else 'no'}")
         print(f"closed under resolution: {'yes' if report.closed_under_resolution else 'no'}")
         print(
@@ -296,7 +296,7 @@ def cmd_translate(ws: Workspace, args) -> int:
     if args.direction == "aic-to-prio":
         if not ws.rules:
             raise InputError("aic-to-prio requires --aics")
-        derived = bridges.rules_to_priority(ws.db, ws.schema, ws.rules, ws.budget)
+        derived = bridges.rules_to_priority(ws.db, ws.schema, ws.rules)
         for warning in derived.property_warnings:
             print(f"warning: {warning}")
         if derived.cycle is not None:

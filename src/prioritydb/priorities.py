@@ -16,10 +16,11 @@ leaves a component that the conflicts and the priority edges join
 copies) that finds each component's transversals on its own, a lone
 conflict's without search, joins components along priority edges only when
 an edge crosses two (a validated priority never does), and keeps per
-component and notion the optimal restrictions; ``optimal_repairs`` builds
-and sorts only their product.  ``is_pareto_improvement``,
-``is_global_improvement`` and ``completion_optimal_repairs_bruteforce``
-follow the definitions on literal sets; the tests hold the filters to them.
+component and notion the optimal restrictions; ``optimal_repairs`` and
+``lexicographic_repairs`` build and sort only their product.
+``is_pareto_improvement``, ``is_global_improvement`` and
+``completion_optimal_repairs_bruteforce`` follow the definitions on literal
+sets; the tests hold the filters to them.
 """
 
 from __future__ import annotations
@@ -239,8 +240,7 @@ class _ConflictMasks:
     """The priority-independent half of the mask context.  Bit ``i`` stands
     for the ``i``-th conflict vertex in ``literal_key`` order; a delta
     repair's agreement set holds every other literal of the universe.  The
-    delta repairs and their agreement masks are built only when a caller
-    needs all of them."""
+    whole list of delta repairs is built only for ``delta_repairs()``."""
 
     def __init__(self, instance: Instance, budget: Budget):
         self.instance = instance
@@ -333,10 +333,17 @@ class _ConflictMasks:
     def repairs(self) -> RepairSet:
         return delta_repairs_of(self.instance, self.budget)
 
-    @cached_property
-    def agreements(self) -> tuple[int, ...]:
-        """The agreement masks of the delta repairs, in their order."""
-        return tuple(map(self.agreement, self.repairs))
+
+def _unbeaten(
+    excluded: tuple[int, ...], beats: Callable[[int, int], bool]
+) -> tuple[int, ...]:
+    """The excluded-vertex masks of one part that no other mask of it beats;
+    ``beats(other, mine)`` compares two of them."""
+    return tuple(
+        mine
+        for mine in excluded
+        if not any(other != mine and beats(other, mine) for other in excluded)
+    )
 
 
 def _reaches(succ: list[int], start: int, targets: int) -> bool:
@@ -396,34 +403,24 @@ class _MaskContext:
         """``_ConflictMasks.joined`` along the priority edges."""
         return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
 
-    def _covers(self, gained: int, lost: int) -> bool:
-        return all(self.beaten_by[i] & gained for i in _bits(lost))
-
-    def _globally_optimal(self, excluded: tuple[int, ...]) -> tuple[int, ...]:
-        """The restrictions of one part, as excluded-vertex masks, that no
-        other restriction of it globally improves.  A repair is improved
-        exactly when its restriction to some part is: swap in that part of
-        the improving repair."""
-        return tuple(
-            mine
-            for mine in excluded
-            if not any(
-                other != mine and self._covers(mine & ~other, other & ~mine)
-                for other in excluded
-            )
-        )
+    def _improves(self, other: int, mine: int) -> bool:
+        """Each vertex that restriction ``other`` sacrifices is outranked by
+        one it newly keeps."""
+        return all(self.beaten_by[i] & mine & ~other for i in _bits(other & ~mine))
 
     def optima(self, kind: str) -> tuple[tuple[int, ...], ...]:
         """Per part, the excluded-vertex masks of the restrictions that are
         optimal of the given kind, computed once per kind.  Pareto and
         completion run the whole-repair checks on a repair that excludes
-        only that part's vertices.  An unknown kind raises before anything
-        is computed."""
+        only that part's vertices; global keeps the restrictions that no
+        other one improves, since a repair is improved exactly when its
+        restriction to some part is (swap in that part of the improving
+        repair).  An unknown kind raises before anything is computed."""
         found = self._optima.get(kind)
         if found is not None:
             return found
         if kind == "global":
-            keep = self._globally_optimal
+            keep = lambda excluded: _unbeaten(excluded, self._improves)
         else:
             check, full = _optimality_check(kind), self.masks.full
             keep = lambda excluded: tuple(t for t in excluded if check(self, full & ~t))
@@ -516,15 +513,18 @@ def is_optimal_repair(
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
     """The delta repairs that are optimal of the given kind, in canonical
-    order: the product of the per-part optima (``_MaskContext.optima``),
-    each pick the database with the facts of its excluded vertices toggled.
+    order: the product of the per-part optima (``_MaskContext.optima``)."""
+    return _optimum_product(pdb, pdb._masks.optima(kind))
+
+
+def _optimum_product(pdb: PrioritizedDatabase, optima: Sequence[Sequence[int]]) -> RepairSet:
+    """``repair_product`` of the per-part optima of ``pdb._masks.parts``.
     The budget caps the vertices of the parts with more than one optimum
     before any repair is built."""
-    ctx = pdb._masks
-    optima = ctx.optima(kind)
+    parts = pdb._masks.parts
     if all(optima):
         pdb.budget.check_universe(
-            sum(comp.bit_count() for (comp, _), opt in zip(ctx.parts, optima) if len(opt) > 1),
+            sum(comp.bit_count() for (comp, _), opt in zip(parts, optima) if len(opt) > 1),
             "optimal repair product",
         )
     return repair_product(pdb.db, pdb._conflict_masks.facts, optima)
@@ -713,29 +713,23 @@ def lexicographic_repairs(
     pdb: PrioritizedDatabase, structure: Optional[ScoreStructure] = None
 ) -> RepairSet:
     """Level-lexicographic optima for score-structured priorities: no other
-    repair agrees equally on all higher levels and strictly better on one."""
+    repair agrees equally on all higher levels and strictly better on one.
+    A repair is beaten exactly when its restriction to some part is, at the
+    first level where they differ, so this is the product of per-part optima."""
     if structure is None:
         structure = detect_score_structure(pdb.priority, pdb.conflicts())
     if structure is None:
         raise InputError("priority relation is not score-structured")
-    masks = pdb._conflict_masks
-    levels = [
-        sum(1 << masks.index[l] for l in level if l in masks.index)
-        for level in structure.levels
-    ]
-    keys = [tuple(agree & level for level in levels) for agree in masks.agreements]
+    index = pdb._conflict_masks.index
+    levels = [sum(1 << index[l] for l in level if l in index) for level in structure.levels]
 
-    def beaten(mine: tuple[int, ...]) -> bool:
-        # another repair agrees equally down to some level and keeps a strict
-        # superset there; literals off the conflicts agree in every repair
-        for theirs in keys:
-            for a, b in zip(mine, theirs):
-                if a != b:
-                    if not a & ~b:
-                        return True
-                    break
+    def beats(other: int, mine: int) -> bool:
+        # at the first level where they differ, other excludes only what mine does
+        for level in levels:
+            if (mine ^ other) & level:
+                return not other & ~mine & level
         return False
 
-    return RepairSet(
-        "delta", tuple(r for r, key in zip(masks.repairs, keys) if not beaten(key))
+    return _optimum_product(
+        pdb, tuple(_unbeaten(excluded, beats) for _, excluded in pdb._masks.parts)
     )

@@ -288,6 +288,19 @@ class TestAicCommands:
         assert "monotone: yes" in out
         assert "preserves actions under strengthening: no" in out
 
+    def test_props_caps_no_mentioned_fact_set(self, capsys, tmp_path):
+        # 12 independent rules mention 24 facts, above the default cap of 22
+        db, rules = tmp_path / "db.pdb", tmp_path / "rules.pdb"
+        db.write_text("".join(f"p{i}.\nq{i}.\n" for i in range(12)))
+        rules.write_text("".join(f"p{i}, q{i} -> {{ -q{i} }}.\n" for i in range(12)))
+        code, out = run(capsys, "--db", db, "--aics", rules, "aic", "props")
+        assert code == 0
+        assert out == (
+            "monotone: yes\nclosed under resolution: yes\n"
+            "preserves actions under resolution: yes\n"
+            "preserves actions under strengthening: yes\n"
+        )
+
     def test_props_independent_of_hash_seed(self):
         argv = ["--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", "aic", "props"]
         outputs = []
@@ -472,6 +485,19 @@ def _key_violations(tmp_path, keys: int, oriented) -> list[str]:
             "--priority", str(tmp_path / "priority.pdb")]
 
 
+class TestLexicographicAtScale:
+    def test_lex_at_18_keys_answers_at_the_default_budget(self, capsys, tmp_path):
+        # 36 conflict literals, in components of 2: lex caps each component
+        # and the free part of the product, as --opt p does
+        flags = _key_violations(tmp_path, 18, oriented=range(0, 18, 2))
+        code, lex = run(capsys, *flags, "optimal", "--opt", "lex")
+        assert code == 0
+        assert run(capsys, *flags, "optimal", "--opt", "p") == (
+            0, lex.replace("optimal repairs (lex): 512", "optimal repairs (p): 512")
+        )
+        assert lex.endswith("optimal repairs (lex): 512\n")
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pdb"
@@ -546,7 +572,7 @@ class TestErrors:
         assert code == 2
         assert captured.err == f"error: cannot write {target}: No such file or directory\n"
 
-    @pytest.mark.parametrize("opt", ["p", "g", "c"])
+    @pytest.mark.parametrize("opt", ["p", "g", "c", "lex"])
     def test_optimal_budget_caps_components_not_the_instance(self, capsys, tmp_path, opt):
         # 80 conflict literals, but 38 of the 40 keys are oriented: the free
         # part of the product is the 4 literals of the two open keys
@@ -556,7 +582,7 @@ class TestErrors:
         assert out.endswith(f"optimal repairs ({opt}): 4\n")
         assert all("R(k2, v0)" in line and "R(k39, v0)" in line for line in out.splitlines()[:4])
 
-    @pytest.mark.parametrize("opt", ["p", "g", "c"])
+    @pytest.mark.parametrize("opt", ["p", "g", "c", "lex"])
     def test_optimal_budget_caps_the_product(self, capsys, tmp_path, opt):
         code = main([*_key_violations(tmp_path, 40, oriented=()), "optimal", "--opt", opt])
         captured = capsys.readouterr()

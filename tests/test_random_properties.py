@@ -29,6 +29,7 @@ from corpus import (
 from prioritydb.aic import (
     R_UPDATE_CLASSES,
     UpdateAction,
+    _consistent_rule_set,
     actions_between,
     apply_actions,
     classify_r_updates,
@@ -44,6 +45,7 @@ from prioritydb.aic import (
     r_updates,
     repairs_of_kind,
     rules_constants,
+    satisfies_rules,
 )
 from prioritydb.bridges import (
     check_denial_image,
@@ -58,12 +60,13 @@ from prioritydb.conflicts import (
     minimal_hitting_sets,
     prime_implicants,
 )
-from prioritydb.errors import Budget, BudgetExceededError, InputError
+from prioritydb.errors import Budget, BudgetExceededError, InputError, subsets
 from prioritydb.model import (
     Fact,
     Instance,
     UniversalConstraint,
     active_domain,
+    fact_key,
     is_variable,
     satisfies,
     schema_from,
@@ -77,6 +80,7 @@ from prioritydb.priorities import (
     is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
+    score_structure_from_scores,
     validate_priority,
 )
 from prioritydb.query import answers, evaluate
@@ -412,6 +416,8 @@ def _whole_hypergraph_filter(pdb, kind: str) -> tuple:
     Global compares, within each component that the conflicts and the
     priority edges join, the restrictions of every delta repair to it."""
     masks, ctx = pdb._conflict_masks, pdb._masks
+    repairs = pdb.delta_repairs().repairs
+    agreements = tuple(map(masks.agreement, repairs))
     if kind == "pareto":
         test = ctx.is_pareto_optimal
     elif kind == "completion":
@@ -424,7 +430,7 @@ def _whole_hypergraph_filter(pdb, kind: str) -> tuple:
                 link |= group
             groups.append(link)
         restrictions = {
-            g & masks.full: {agree & g for agree in masks.agreements} for g in groups
+            g & masks.full: {agree & g for agree in agreements} for g in groups
         }
 
         def improves(other: int, mine: int) -> bool:
@@ -440,7 +446,7 @@ def _whole_hypergraph_filter(pdb, kind: str) -> tuple:
                 for other in others
             )
 
-    return tuple(r for r, agree in zip(masks.repairs, masks.agreements) if test(agree))
+    return tuple(r for r, agree in zip(repairs, agreements) if test(agree))
 
 
 def _assert_matches_whole_hypergraph(pdb) -> dict:
@@ -452,6 +458,41 @@ def _assert_matches_whole_hypergraph(pdb) -> dict:
         assert got[kind] == _whole_hypergraph_filter(pdb.with_priority(pdb.priority), kind), (
             kind, pdb
         )
+    return got
+
+
+def _lexicographic_whole_list(pdb, structure) -> tuple:
+    """The filter that the per-part ``lexicographic_repairs`` replaced: every
+    delta repair, kept unless another one agrees equally down to some level
+    and keeps a strict superset there.  Literals off the conflicts agree in
+    every repair."""
+    masks = pdb._conflict_masks
+    repairs = pdb.delta_repairs().repairs
+    levels = [
+        sum(1 << masks.index[l] for l in level if l in masks.index)
+        for level in structure.levels
+    ]
+    keys = [tuple(masks.agreement(r) & level for level in levels) for r in repairs]
+
+    def beaten(mine: tuple) -> bool:
+        for theirs in keys:
+            for a, b in zip(mine, theirs):
+                if a != b:
+                    if not a & ~b:
+                        return True
+                    break
+        return False
+
+    return tuple(r for r, key in zip(repairs, keys) if not beaten(key))
+
+
+def _assert_lex_matches_whole_list(pdb, structure=None):
+    """``lexicographic_repairs`` equals the oracle, in order, on a fresh copy
+    so that no context is shared; with no structure, on the detected one."""
+    got = lexicographic_repairs(pdb.with_priority(pdb.priority), structure).repairs
+    if structure is None:
+        structure = detect_score_structure(pdb.priority, pdb.conflicts())
+    assert got == _lexicographic_whole_list(pdb, structure), pdb
     return got
 
 
@@ -519,6 +560,7 @@ def test_oracle_product_on_the_key_violation_sweep(keys):
     pdb = key_violations(keys, Budget(max_universe=64))
     got = _assert_matches_whole_hypergraph(pdb)
     assert all(len(repairs) == 2 ** (keys // 2) for repairs in got.values())
+    assert _assert_lex_matches_whole_list(pdb) == got["pareto"]
     assert optimal_repairs(pdb, "none").repairs == pdb.delta_repairs().repairs
 
 
@@ -685,6 +727,54 @@ def test_property_score_structured_collapse():
             assert set(optimal_repairs(scored, kind).repairs) == lex
 
 
+@lru_cache(maxsize=None)
+def scored_component_corpus():
+    """Unary-constraint instances on 1-4 constants under random scores, each
+    with its score structure."""
+    rng = random.Random(0x5C0E)
+    out = []
+    for _ in range(150):
+        scored, scores = with_random_scores(
+            rng, random_component_instance(rng, constants=rng.randint(1, 4))
+        )
+        out.append((scored, score_structure_from_scores(scores, scored.conflicts())[0]))
+    return out
+
+
+def test_oracle_lexicographic_matches_whole_list_on_the_corpus():
+    for _, _, _, (scored, scores) in pdb_corpus():
+        _assert_lex_matches_whole_list(scored)
+        structure, _ = score_structure_from_scores(scores, scored.conflicts())
+        _assert_lex_matches_whole_list(scored, structure)
+
+
+def test_oracle_lexicographic_matches_whole_list_on_many_components():
+    parts = []
+    for scored, structure in scored_component_corpus():
+        _assert_lex_matches_whole_list(scored, structure)
+        _assert_lex_matches_whole_list(scored)
+        parts.append(len(scored._masks.parts))
+    assert max(parts) >= 4 and sum(p >= 2 for p in parts) >= 60, parts
+
+
+def test_oracle_lexicographic_across_a_cross_component_edge():
+    """An extra edge between two components joins them in ``parts``; the
+    order is still the one of the given structure."""
+    seen = 0
+    for scored, structure in scored_component_corpus():
+        components = conflict_components(scored.conflicts())
+        if len(components) < 2:
+            continue
+        first, second = (min(c, key=str) for c in components[:2])
+        crossed = scored.with_priority(
+            PriorityRelation(scored.priority.edges | {(first, second)})
+        )
+        assert len(crossed._masks.parts) < len(crossed._conflict_masks.parts)
+        _assert_lex_matches_whole_list(crossed, structure)
+        seen += 1
+    assert seen >= 40, seen
+
+
 def test_property_query_implication_chain():
     rng = random.Random(0x5EED)
     for _, prioritized, _, _ in pdb_corpus()[:120]:
@@ -844,6 +934,34 @@ def test_oracle_component_classes_on_linked_components():
         seen["negated"] += multi and any(not a.positive for r in inst.rules for a in r.body)
         seen["add"] += multi and any(u.add for r in inst.rules for u in r.updates)
     assert min(seen.values()) >= 12, seen
+
+
+def _consistent_rule_set_by_scan(ground) -> bool:
+    """The check that consensus replaced: some database over the facts the
+    rules mention satisfies every rule."""
+    mentioned = sorted({l.fact for rule in ground for l in rule.lits}, key=fact_key)
+    return any(
+        satisfies_rules(db, ground) for db in subsets(mentioned, Budget(), "mentioned fact set")
+    )
+
+
+def test_oracle_rule_satisfiability_matches_the_subset_scan():
+    corpora = {
+        "plain": rule_corpus(),
+        "monotone": monotone_rule_corpus(),
+        "linked": linked_rule_corpus(),
+        "well-behaved": well_behaved_corpus(),
+    }
+    unsatisfiable = dict.fromkeys(corpora, 0)
+    for name, corpus in corpora.items():
+        for inst in corpus:
+            ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+            expected = _consistent_rule_set_by_scan(ground)
+            assert _consistent_rule_set(ground) == expected, inst
+            unsatisfiable[name] += not expected
+    # monotone rule sets are satisfied by flipping every fact off its sign
+    assert unsatisfiable["plain"] >= 1 and unsatisfiable["linked"] >= 1, unsatisfiable
+    assert unsatisfiable["monotone"] == unsatisfiable["well-behaved"] == 0
 
 
 def test_oracle_translated_classes_on_the_corpus():
