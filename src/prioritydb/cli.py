@@ -83,12 +83,11 @@ class Workspace:
             extra.append((lit.fact.predicate, len(lit.fact.args)))
         inferred = schema_from(self.db, self.constraints, extra)
         self.schema = inferred if declared is None else declared.merged_with(inferred)
-        for fact in self.db:
-            self.schema.check_fact(fact)
         self.base = PrioritizedDatabase(
             self.db, self.schema, self.constraints, budget=self.budget
         )
         self.instance = self.base.instance
+        self.instance.check_facts()
 
     def pdb(self) -> PrioritizedDatabase:
         pdb = self.base.with_priority(self.priority)

@@ -123,14 +123,18 @@ class Schema:
             seen[name] = arity
         return Schema(tuple(sorted(seen.items())))
 
+    @cached_property
+    def arities(self) -> dict[str, int]:
+        return dict(self.predicates)
+
     def arity(self, name: str) -> int:
-        for pred, arity in self.predicates:
-            if pred == name:
-                return arity
-        raise InputError(f"predicate {name} is not declared in the schema")
+        arity = self.arities.get(name)
+        if arity is None:
+            raise InputError(f"predicate {name} is not declared in the schema")
+        return arity
 
     def has(self, name: str) -> bool:
-        return any(pred == name for pred, _ in self.predicates)
+        return name in self.arities
 
     def names(self) -> tuple[str, ...]:
         return tuple(pred for pred, _ in self.predicates)
@@ -285,8 +289,7 @@ class Instance:
     def facts(self) -> frozenset[Fact]:
         """All facts over the schema built from the constant pool; an empty
         pool still yields every arity-0 fact."""
-        for fact in self.db:
-            self.schema.check_fact(fact)
+        self.check_facts()
         constants = sorted(self.constants)
         return frozenset(
             Fact(pred, args)
@@ -324,6 +327,7 @@ class Instance:
         the universe still go through consensus, and the final filter drops
         what they yield.
         """
+        self.check_facts()
         negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
         facts = by_predicate(self.db)
         join = {
@@ -338,18 +342,26 @@ class Instance:
             for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
         }
         primes = prime_implicants(bodies)
-        for fact in self.db:
-            self.schema.check_fact(fact)
         return frozenset(
             t for t in primes
             if all(self.in_universe(l.fact) and (l.fact in self.db) == l.positive for l in t)
         )
 
+    def check_facts(self) -> None:
+        """Raise on the first database fact that the schema does not admit.
+        A passed check is remembered, so it runs once per instance."""
+        if "facts_checked" not in self.__dict__:
+            for fact in self.db:
+                self.schema.check_fact(fact)
+            self.__dict__["facts_checked"] = True
+
     def in_universe(self, fact: Fact) -> bool:
         """Membership in ``facts``, decided without building it: the fact's
         predicate and arity are in the schema and its arguments in the pool."""
-        pair = (fact.predicate, len(fact.args))
-        return pair in self.schema.predicates and self.constants.issuperset(fact.args)
+        return (
+            self.schema.arities.get(fact.predicate) == len(fact.args)
+            and self.constants.issuperset(fact.args)
+        )
 
     def consistent(self, candidate: Database) -> bool:
         """No constraint's positive atoms join with the candidate under a

@@ -32,8 +32,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .conflicts import Conflict, minimal_hitting_sets
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
-from .model import Database, Fact, Instance, Literal, Schema, UniversalConstraint, literal_key
-from .repairs import RepairSet, delta_repairs_of, is_delta_repair_of, sorted_repair_set
+from .model import (
+    Database, Fact, Instance, Literal, Schema, UniversalConstraint, by_predicate, literal_key
+)
+from .repairs import RepairSet, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
 
@@ -290,9 +292,12 @@ class _ConflictMasks:
         out = []
         for comp, edges in sorted(members.items()):
             self.budget.check_universe(comp.bit_count(), "conflict literal set")
-            found = [[i] for i in _bits(comp)] if len(edges) == 1 else minimal_hitting_sets(
-                [frozenset(_bits(c)) for c in edges], self.budget, "conflict literal set")
-            out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
+            if len(edges) == 1:
+                out.append((comp, tuple(1 << i for i in _bits(comp))))
+            else:
+                found = minimal_hitting_sets(
+                    [frozenset(_bits(c)) for c in edges], self.budget, "conflict literal set")
+                out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
         return tuple(out)
 
     def joined(self, links: Iterable[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -324,6 +329,17 @@ class _ConflictMasks:
     def _fact_bits(self) -> dict[Fact, int]:
         return {l.fact: 1 << i for l, i in self.index.items()}
 
+    @cached_property
+    def absent(self) -> int:
+        """The vertices whose facts are outside the database."""
+        return sum(1 << i for l, i in self.index.items() if not l.positive)
+
+    @cached_property
+    def pool(self) -> dict[str, list[Fact]]:
+        """The database and the vertex facts, by predicate: every delta
+        repair lies inside them."""
+        return by_predicate(self.instance.db.union(self.facts))
+
     def agreement(self, repair: Database) -> int:
         """The agreement mask of a delta repair: the vertices whose facts it
         does not toggle."""
@@ -331,7 +347,9 @@ class _ConflictMasks:
 
     @cached_property
     def repairs(self) -> RepairSet:
-        return delta_repairs_of(self.instance, self.budget)
+        """Every delta repair, so the budget caps the whole vertex set."""
+        self.budget.check_universe(len(self.index), "conflict literal set")
+        return repair_product(self.instance.db, self.facts, [ts for _, ts in self.parts])
 
 
 def _unbeaten(
@@ -402,6 +420,15 @@ class _MaskContext:
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``_ConflictMasks.joined`` along the priority edges."""
         return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
+
+    @cached_property
+    def part_of(self) -> tuple[int, ...]:
+        """Each conflict vertex's position in ``parts``, by bit."""
+        out = [0] * len(self.masks.index)
+        for p, (comp, _) in enumerate(self.parts):
+            for i in _bits(comp):
+                out[i] = p
+        return tuple(out)
 
     def _improves(self, other: int, mine: int) -> bool:
         """Each vertex that restriction ``other`` sacrifices is outranked by

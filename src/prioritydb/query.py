@@ -1,20 +1,31 @@
 """Conjunctive query evaluation and the inconsistency-tolerant semantics.
 
-Queries are evaluated per repair by the join ``model.matches``; the tolerant
-semantics then combine per-repair answers: brave keeps answers true in some
-optimal repair, cautious (cqa) those true in all of them, and intersection
-evaluates over the intersection of the optimal repairs (which need not itself
-satisfy the constraints).
+``evaluate`` runs the join ``model.matches`` over one database.  The
+tolerant semantics keep the answers true in some optimal repair (brave), in
+all of them (cautious, cqa), or over their intersection, which need not
+satisfy the constraints.  They evaluate the query once, over the database
+plus the conflict vertex facts: every delta repair lies inside that pool and
+differs from the database on vertex facts only.  Each match is a support of
+its answer tuple; it lives in a repair that lacks none of its vertex facts.
+The optimal repairs are the product of per-part optima
+(``_MaskContext.optima``), so no repair is built: brave asks for a support
+that some optimum of each part it touches keeps, intersection for one that
+every optimum keeps, and cqa enumerates, under the budget, the choices of
+optima over the parts that a tuple's supports touch, failing when one of
+them loses every support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, product
+from operator import and_, or_
 from typing import Sequence
 
 from .errors import InputError
-from .model import Database, Term, by_predicate, is_variable, matches
-from .priorities import PrioritizedDatabase, optimal_repairs
+from .model import Database, Fact, Term, by_predicate, is_variable, matches
+from .priorities import PrioritizedDatabase, _bits
 
 
 @dataclass(frozen=True)
@@ -49,10 +60,14 @@ def evaluate(query: ConjunctiveQuery, db: Database) -> frozenset[tuple[str, ...]
     query yields the empty tuple when satisfied.
     """
     facts = by_predicate(db)
-    ordered = sorted(query.atoms, key=lambda atom: (len(facts.get(atom[0], ())), atom))
     return frozenset(
-        tuple(binding[v] for v in query.head_vars) for binding, _ in matches(ordered, facts)
+        tuple(binding[v] for v in query.head_vars)
+        for binding, _ in matches(_ordered(query, facts), facts)
     )
+
+
+def _ordered(query: ConjunctiveQuery, facts: dict[str, list[Fact]]) -> list:
+    return sorted(query.atoms, key=lambda atom: (len(facts.get(atom[0], ())), atom))
 
 
 @dataclass(frozen=True)
@@ -67,13 +82,48 @@ class AnswerSet:
         return () in self.tuples
 
 
+def _missing(pdb: PrioritizedDatabase, optimality: str) -> Sequence[tuple[int, ...]]:
+    """Per part of ``pdb._masks``, for each optimal restriction to it, the
+    mask of the vertex facts it lacks: the database facts it excludes and
+    the other vertex facts, unless it adds them.  An unknown kind raises."""
+    ctx = pdb._masks
+    optima = ctx.optima(optimality)
+    absent = pdb._conflict_masks.absent
+    if not absent:  # every vertex fact is in the database, as under denials
+        return optima
+    return [
+        tuple(t ^ (absent & comp) for t in optimal)
+        for (comp, _), optimal in zip(ctx.parts, optima)
+    ]
+
+
 def repairs_intersection(pdb: PrioritizedDatabase, optimality: str) -> Database:
-    """Intersection of the chosen optimal repairs; may violate the constraints."""
-    chosen = optimal_repairs(pdb, optimality).repairs
-    out = set(chosen[0]) if chosen else set()
-    for repair in chosen[1:]:
-        out &= repair
-    return frozenset(out)
+    """Intersection of the chosen optimal repairs; may violate the constraints.
+    It holds the database and the vertex facts but those that some optimum
+    lacks, and is empty when there is no optimal repair."""
+    missing = _missing(pdb, optimality)
+    if not all(missing):
+        return frozenset()
+    facts = pdb._conflict_masks.facts
+    gone = reduce(or_, chain(*missing), 0)
+    return pdb.db.union(facts).difference([facts[i] for i in _bits(gone)])
+
+
+def _supports(
+    pdb: PrioritizedDatabase, query: ConjunctiveQuery
+) -> dict[tuple[str, ...], list[int]]:
+    """Per answer tuple over the pool of the database and the vertex facts,
+    the vertex masks of the facts of its matches.  The pool holds every delta
+    repair, which keeps the facts off the conflicts."""
+    masks = pdb._conflict_masks
+    pool, bits = masks.pool, masks._fact_bits
+    out: dict[tuple[str, ...], list[int]] = {}
+    for binding, matched in matches(_ordered(query, pool), pool):
+        care = 0
+        for fact in matched:
+            care |= bits.get(fact, 0)
+        out.setdefault(tuple([binding[v] for v in query.head_vars]), []).append(care)
+    return out
 
 
 def answers(
@@ -82,17 +132,46 @@ def answers(
     semantics: str,
     optimality: str,
 ) -> AnswerSet:
-    if semantics == "intersection":
-        tuples = evaluate(query, repairs_intersection(pdb, optimality))
-    else:
-        chosen = optimal_repairs(pdb, optimality).repairs
-        per_repair = [evaluate(query, repair) for repair in chosen]
-        if semantics == "brave":
-            tuples = frozenset().union(*per_repair) if per_repair else frozenset()
-        elif semantics == "cqa":
-            tuples = (
-                frozenset.intersection(*per_repair) if per_repair else frozenset()
+    """A support lives in an optimal repair when the repair lacks none of its
+    vertex facts; the optimal repairs are the product of the per-part optima.
+    A support with a fact that every optimum of its part lacks (``always``)
+    lives in none, and one with no fact that some optimum lacks (``gone``)
+    lives in all.  Only the rest need a choice of optima."""
+    missing = _missing(pdb, optimality)
+    if semantics not in ("brave", "cqa", "intersection"):
+        raise InputError(f"unknown semantics: {semantics}")
+    if not all(missing):  # no optimal repair
+        tuples = sorted(evaluate(query, frozenset())) if semantics == "intersection" else ()
+        return AnswerSet(query, semantics, optimality, tuple(tuples))
+    gone = always = 0
+    for masks in missing:
+        gone |= reduce(or_, masks)
+        always |= reduce(and_, masks)
+
+    def touched(care: int) -> set[int]:
+        part_of = pdb._masks.part_of
+        return {part_of[i] for i in _bits(care)}
+
+    def holds(cares: list[int]) -> bool:
+        live = {care & gone for care in cares if not care & always}  # on the facts in doubt
+        if semantics == "intersection" or 0 in live or not live:
+            return 0 in live
+        if semantics == "brave":  # one of them is kept by some optimum of each part it touches
+            return any(
+                all(any(not care & m for m in missing[part]) for part in touched(care))
+                for care in live
             )
-        else:
-            raise InputError(f"unknown semantics: {semantics}")
-    return AnswerSet(query, semantics, optimality, tuple(sorted(tuples)))
+        # cqa: no choice of optima over the parts they touch loses them all
+        parts = sorted(touched(reduce(or_, live)))
+        pdb.budget.check_universe(
+            sum(pdb._masks.parts[p][0].bit_count() for p in parts), "optimal repair product"
+        )
+        return all(
+            any(not care & sum(pick) for care in live)
+            for pick in product(*(missing[p] for p in parts))
+        )
+
+    supports = _supports(pdb, query)
+    return AnswerSet(
+        query, semantics, optimality, tuple(t for t in sorted(supports) if holds(supports[t]))
+    )

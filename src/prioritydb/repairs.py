@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conflicts import ConflictHypergraph, minimal_hitting_sets
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
     Database,
@@ -50,15 +49,12 @@ def delta_repairs(
 
 def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
     """Each transversal ``t`` lies in the literal universe, so the restriction
-    to ``inst.literals - t`` is the database with the facts of ``t`` toggled."""
-    edges = ConflictHypergraph.of(inst.conflicts).hyperedges
-    return sorted_repair_set(
-        "delta",
-        (
-            inst.db ^ {l.fact for l in t}
-            for t in minimal_hitting_sets(edges, budget, "conflict literal set")
-        ),
-    )
+    to ``inst.literals - t`` is the database with the facts of ``t`` toggled.
+    The transversals are the products of those of the conflict components
+    (``priorities._ConflictMasks.repairs``)."""
+    from .priorities import _ConflictMasks  # local import to avoid a cycle
+
+    return _ConflictMasks(inst, budget).repairs
 
 
 def _as_bitmask_problem(inst: Instance):

@@ -498,6 +498,23 @@ class TestLexicographicAtScale:
         assert lex.endswith("optimal repairs (lex): 512\n")
 
 
+class TestAnswerAtScale:
+    @pytest.mark.parametrize("sem, keys", [("cqa", range(0, 40, 2)), ("brave", range(40)),
+                                           ("int", range(0, 40, 2))])
+    def test_answer_at_40_keys_answers_at_the_default_budget(self, capsys, tmp_path, sem, keys):
+        # 2^20 Pareto-optimal repairs; each tuple's support lies in one component
+        query = tmp_path / "q.pdb"
+        query.write_text("q(X) :- R(X, v0).\n")
+        flags = _key_violations(tmp_path, 40, oriented=range(0, 40, 2))
+        start = time.perf_counter()
+        code, out = run(capsys, *flags, "answer", "--query", query, "--sem", sem, "--opt", "p")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out == "".join(f"(k{i})\n" for i in sorted(map(str, keys))) + (
+            f"answers: {len(keys)}\n"
+        )
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pdb"
@@ -590,6 +607,23 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == (
             "budget exceeded: optimal repair product has 80 elements, above the cap of 22\n"
+        )
+
+    def test_cqa_budget_caps_the_components_its_supports_touch(self, capsys, tmp_path):
+        # the supports R(k_i, v1) of the 12 open keys span 24 literals; the
+        # oriented keys' supports are excluded by their one optimum
+        query = tmp_path / "q.pdb"
+        query.write_text("q :- R(X, v1).\n")
+        flags = _key_violations(tmp_path, 24, oriented=range(0, 24, 2))
+        for sem, out in (("brave", "yes\n"), ("int", "no\n")):
+            assert run(capsys, *flags, "answer", "--query", query, "--sem", sem,
+                       "--opt", "p") == (0 if sem == "brave" else 1, out)
+        code = main([*flags, "answer", "--query", str(query), "--sem", "cqa", "--opt", "p"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: optimal repair product has 24 elements, above the cap of 22\n"
         )
 
     @pytest.mark.parametrize("command", [["verify", "prop8"], ["aic", "classify"]])

@@ -66,6 +66,24 @@ class TestFactsUniverse:
         with pytest.raises(InputError):
             facts_universe(frozenset({fact("Z", "a")}), Schema.of([("A", 1)]))
 
+    def test_each_database_fact_is_checked_once(self, example1, monkeypatch):
+        checked = []
+        original = Schema.check_fact
+        monkeypatch.setattr(
+            Schema, "check_fact", lambda self, f: checked.append(f) or original(self, f)
+        )
+        inst = Instance(example1.db, example1.schema, example1.constraints)
+        inst.conflicts, inst.facts, inst.check_facts()
+        assert sorted(checked) == sorted(example1.db)
+
+    @pytest.mark.parametrize("stage", ["facts", "conflicts"])
+    def test_a_failed_check_raises_again(self, stage):
+        inst = Instance(frozenset({fact("A", "a", "b")}), Schema.of([("A", 1)]))
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"fact A\(a, b\) has 2 arguments, "
+                                                 r"predicate A has arity 1"):
+                getattr(inst, stage)
+
 
 class TestLiteralUniverse:
     def test_cascade_example_literals(self, example1):

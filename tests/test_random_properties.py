@@ -55,6 +55,7 @@ from prioritydb.bridges import (
     rules_to_priority,
 )
 from prioritydb.conflicts import (
+    ConflictHypergraph,
     conflicts,
     conflicts_via_hitting_sets,
     minimal_hitting_sets,
@@ -83,7 +84,7 @@ from prioritydb.priorities import (
     score_structure_from_scores,
     validate_priority,
 )
-from prioritydb.query import answers, evaluate
+from prioritydb.query import ConjunctiveQuery, answers, evaluate, repairs_intersection
 from prioritydb.repairs import (
     delta_repairs,
     delta_repairs_bruteforce,
@@ -225,6 +226,44 @@ def test_oracle_delta_repairs_bruteforce():
         fast = delta_repairs(base.db, base.schema, base.constraints)
         slow = delta_repairs_bruteforce(base.db, base.schema, base.constraints)
         assert fast.repairs == slow.repairs
+
+
+def _delta_repairs_by_hitting_sets(inst, budget: Budget = Budget()) -> tuple:
+    """The path that the product over ``_ConflictMasks.parts`` replaced: the
+    minimal transversals of the whole conflict hypergraph, each toggled."""
+    edges = ConflictHypergraph.of(inst.conflicts).hyperedges
+    return sorted_repair_set(
+        "delta",
+        (
+            inst.db ^ {l.fact for l in t}
+            for t in minimal_hitting_sets(edges, budget, "conflict literal set")
+        ),
+    ).repairs
+
+
+def test_oracle_delta_repairs_match_the_whole_hypergraph():
+    pdbs = [base for base, *_ in pdb_corpus()] + many_component_corpus() + stray_corpus()
+    pdbs += [key_violations(keys, Budget(max_universe=64)) for keys in range(1, 11)]
+    several = 0
+    for pdb in pdbs:
+        got = delta_repairs_of(pdb.instance, pdb.budget).repairs
+        assert got == _delta_repairs_by_hitting_sets(pdb.instance, pdb.budget), pdb
+        several += len(pdb._conflict_masks.parts) > 1
+    assert several >= 100, several
+
+
+@pytest.mark.parametrize("cap", [0, 3, 19])
+def test_delta_repairs_keep_the_whole_conflict_literal_cap(cap):
+    # 20 conflict literals in components of 2, each under the cap from 2 on
+    inst = key_violations(10).instance
+    budget = Budget(max_universe=cap)
+    with pytest.raises(BudgetExceededError) as got:
+        delta_repairs_of(inst, budget)
+    with pytest.raises(BudgetExceededError) as want:
+        _delta_repairs_by_hitting_sets(inst, budget)
+    assert str(got.value) == str(want.value) == (
+        f"conflict literal set has 20 elements, above the cap of {cap}"
+    )
 
 
 def _is_delta_repair_on_the_universe(inst, candidate):
@@ -784,6 +823,126 @@ def test_property_query_implication_chain():
             cqa = set(answers(prioritized, query, "cqa", optimality).tuples)
             brave = set(answers(prioritized, query, "brave", optimality).tuples)
             assert inter <= cqa <= brave
+
+
+SEMANTICS = ("brave", "cqa", "intersection")
+ANSWER_KINDS = ("none",) + OPTIMALITY_KINDS
+
+
+def _intersection_over_the_product(pdb, optimality: str) -> frozenset:
+    chosen = optimal_repairs(pdb, optimality).repairs
+    return frozenset.intersection(*chosen) if chosen else frozenset()
+
+
+def _answers_over_the_product(pdb, query, semantics: str, optimality: str) -> tuple:
+    """The path that the per-part ``answers`` replaced: the query evaluated
+    over every optimal repair, or over their intersection."""
+    if semantics == "intersection":
+        tuples = evaluate(query, _intersection_over_the_product(pdb, optimality))
+    else:
+        per_repair = [evaluate(query, r) for r in optimal_repairs(pdb, optimality).repairs]
+        if not per_repair:
+            tuples = frozenset()
+        elif semantics == "brave":
+            tuples = frozenset().union(*per_repair)
+        else:
+            tuples = frozenset.intersection(*per_repair)
+    return tuple(sorted(tuples))
+
+
+def _assert_answers_match_the_product(pdb, queries, kinds=ANSWER_KINDS) -> int:
+    """Every semantics and kind, on every query, equals the oracle; returns
+    how many of those answer sets are non-empty."""
+    nonempty = 0
+    for kind in kinds:
+        assert repairs_intersection(pdb, kind) == _intersection_over_the_product(pdb, kind)
+        for query in queries:
+            for semantics in SEMANTICS:
+                got = answers(pdb, query, semantics, kind)
+                assert got.tuples == _answers_over_the_product(pdb, query, semantics, kind), (
+                    query, semantics, kind, pdb
+                )
+                nonempty += bool(got.tuples)
+    return nonempty
+
+
+def test_oracle_answers_match_the_product_on_the_corpus():
+    rng = random.Random(0xA115)
+    nonempty = 0
+    for base, prioritized, total, (scored, _) in pdb_corpus():
+        for pdb in (base, prioritized, total, scored):
+            queries = [random_query(rng, pdb) for _ in range(2)]
+            nonempty += _assert_answers_match_the_product(pdb, queries)
+    assert nonempty >= 5000, nonempty
+
+
+def test_oracle_answers_match_the_product_on_many_components():
+    rng = random.Random(0xA116)
+    adding = 0
+    for pdb in many_component_corpus() + stray_corpus():
+        _assert_answers_match_the_product(pdb, [random_query(rng, pdb) for _ in range(3)])
+        adding += bool(pdb._conflict_masks.absent)
+    # instances with vertex facts outside the database, which a repair adds
+    assert adding >= 60, adding
+
+
+KEY_QUERIES = tuple(
+    ConjunctiveQuery.make(head, atoms)
+    for head, atoms in [
+        (("X",), [("R", ("X", "v0"))]),
+        (("X", "Y"), [("R", ("X", "Y"))]),
+        ((), [("R", ("X", "v1"))]),
+        (("Y",), [("R", ("X", "Y")), ("R", ("Z", "Y"))]),
+    ]
+)
+
+
+@pytest.mark.parametrize("keys", range(1, 19))
+def test_oracle_answers_on_the_key_violation_sweep(keys):
+    # kind "none" keeps all 2^keys delta repairs, so the oracle sweeps it to 10 keys
+    kinds = ANSWER_KINDS if keys <= 10 else OPTIMALITY_KINDS
+    pdb = key_violations(keys, Budget(max_universe=64))
+    _assert_answers_match_the_product(pdb, KEY_QUERIES, kinds)
+    even = tuple(sorted((f"k{i}",) for i in range(0, keys, 2)))
+    assert answers(pdb, KEY_QUERIES[0], "cqa", "pareto").tuples == even
+
+
+def test_oracle_answers_without_an_optimal_repair():
+    """A part with no optimum leaves no optimal repair: brave and cqa answer
+    nothing, and intersection evaluates over the empty database, where a
+    query with no atoms holds."""
+    empty_body = ConjunctiveQuery.make((), ())
+    db = frozenset({Fact("Q", ("a",)), Fact("P", ("a",))})
+    constraints = (
+        UniversalConstraint.make([atom("Q", "X")]),
+        UniversalConstraint.make([atom("Q", "a", positive=False)]),
+        UniversalConstraint.make([atom("P", "X"), atom("Q", "X")]),
+    )
+    unsatisfiable = PrioritizedDatabase(db, schema_from(db, constraints), constraints)
+    rng = random.Random(0xA117)
+    cyclic = []
+    for pdb in many_component_corpus()[:40]:
+        if pdb.priority.edges:
+            strong, weak = sorted(pdb.priority.edges, key=str)[0]
+            edges = pdb.priority.edges | {(weak, strong)}
+            cyclic.append(pdb.with_priority(PriorityRelation(edges)))
+    assert len(cyclic) >= 20
+    for pdb in [unsatisfiable] + cyclic:
+        kinds = ANSWER_KINDS if pdb is unsatisfiable else ("completion",)
+        assert all(not optimal_repairs(pdb, kind).repairs for kind in kinds)
+        queries = [empty_body, random_query(rng, pdb), random_query(rng, pdb)]
+        _assert_answers_match_the_product(pdb, queries, kinds)
+        for kind in kinds:
+            assert answers(pdb, empty_body, "intersection", kind).tuples == ((),)
+            assert answers(pdb, empty_body, "cqa", kind).tuples == ()
+
+
+def test_answers_check_the_kind_before_the_semantics():
+    pdb = key_violations(2)
+    with pytest.raises(InputError, match="unknown optimality kind: best"):
+        answers(pdb, KEY_QUERIES[0], "certain", "best")
+    with pytest.raises(InputError, match="unknown semantics: certain"):
+        answers(pdb, KEY_QUERIES[0], "certain", "pareto")
 
 
 def test_property_signed_image_correspondence():
