@@ -432,36 +432,60 @@ def classify_r_updates(
     rules: Sequence[AIC],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[RUpdate, ...]:
-    """``classify_updates`` of ``r_updates``: the product of the rows of
-    ``classify_components``, unions of actions with ANDed flags."""
+    """``classify_updates`` of ``r_updates``, read off ``r_update_table``."""
+    actions, table = r_update_table(db, schema, rules, budget)
+    return tuple(
+        RUpdate(frozenset([actions[r] for r in ranks]),
+                flags & 1 > 0, flags & 2 > 0, flags & 4 > 0, flags & 8 > 0)
+        for ranks, flags in table
+    )
+
+
+def r_update_table(
+    db: Database,
+    schema: Schema,
+    rules: Sequence[AIC],
+    budget: Budget = DEFAULT_BUDGET,
+) -> tuple[tuple[UpdateAction, ...], list[tuple[tuple[int, ...], int]]]:
+    """The classified r-updates as integers: the conflict vertices' actions
+    in ``action_key`` order, and per r-update, in ``classify_updates`` order,
+    the ascending positions of its actions there and its classes as flag bits
+    (bit ``k`` for ``R_UPDATE_CLASSES[k]``).  The table is the product of the
+    rows of ``classify_components``: unions of positions with ANDed flags.
+    Vertex facts are distinct, so ``action_key`` order is ``fact_key`` order
+    and sorting the position lists sorts the updates.  The budget caps the
+    whole conflict literal set, since every r-update is listed."""
     ground = ground_rules(rules, rules_constants(db, rules))
     masks = _ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
-    table = [
-        RUpdate(
-            frozenset().union(*(u.actions for _, u in pick)),
-            founded=all(u.founded for _, u in pick),
-            well_founded=all(u.well_founded for _, u in pick),
-            grounded=all(u.grounded for _, u in pick),
-            justified=all(u.justified for _, u in pick),
-        )
-        for pick in product(*classify_components(masks, ground))
-    ]
-    return tuple(sorted(table, key=_update_key))
+    budget.check_universe(len(masks.index), "conflict literal set")
+    facts = masks.facts
+    order = sorted(range(len(facts)), key=lambda i: fact_key(facts[i]))
+    rank = {i: r for r, i in enumerate(order)}
+    table: list[tuple[tuple[int, ...], int]] = [((), 15)]
+    for _, row in classify_components(masks, ground):
+        entries = [
+            (tuple([rank[i] for i in _bits(t)]),
+             u.founded | u.well_founded << 1 | u.grounded << 2 | u.justified << 3)
+            for t, u in row
+        ]
+        table = [(ranks + more, flags & mine) for ranks, flags in table for more, mine in entries]
+    actions = tuple(UpdateAction(facts[i] not in db, facts[i]) for i in order)
+    return actions, sorted([(tuple(sorted(ranks)), flags) for ranks, flags in table])
 
 
 def classify_components(
     masks: _ConflictMasks, ground: Iterable[GroundAIC]
-) -> list[list[tuple[int, RUpdate]]]:
+) -> list[tuple[int, list[tuple[int, RUpdate]]]]:
     """Per group of conflict components that the ground rules join through
-    the conflict vertices they mention, each restriction of the delta repairs
-    to it: the mask of the vertices it toggles, with its update classified
-    under the group's rules.  An update toggles conflict vertices only, and
-    the checks read only the facts of the rules involved, so a rule off every
-    vertex is never violated and always closed, and an update's flags are the
-    AND of its restrictions'.  The budget caps the whole conflict literal set,
-    since the callers list or count every r-update."""
+    the conflict vertices they mention, its vertex mask and each restriction
+    of the delta repairs to it: the mask of the vertices it toggles, with its
+    update classified under the group's rules.  An update toggles conflict
+    vertices only, and the checks read only the facts of the rules involved,
+    so a rule off every vertex is never violated and always closed, and an
+    update's flags are the AND of its restrictions'.  The budget caps each
+    group's vertices; a caller that lists every r-update caps the whole
+    conflict literal set itself."""
     db, facts, budget = masks.instance.db, masks.facts, masks.budget
-    budget.check_universe(len(masks.index), "conflict literal set")
     bits = masks._fact_bits
     touched = [(rule, sum({bits.get(x.fact, 0) for x in (*rule.lits, *rule.updates)}))
                for rule in ground]
@@ -470,7 +494,7 @@ def classify_components(
         rules = _RuleMasks(db, [rule for rule, mask in touched if mask & group])
         updates = [frozenset(UpdateAction(facts[i] not in db, facts[i]) for i in _bits(t))
                    for t in excluded]
-        rows.append([(t, rules.classify(u, budget)) for t, u in zip(excluded, updates)])
+        rows.append((group, [(t, rules.classify(u, budget)) for t, u in zip(excluded, updates)]))
     return rows
 
 
@@ -611,14 +635,20 @@ class _RuleMasks:
 
 
 def reached_by_kind(
-    masks: _ConflictMasks, rows: Sequence[Sequence[tuple[int, RUpdate]]], kind: str
+    masks: _ConflictMasks, rows: Sequence[tuple[int, Sequence[tuple[int, RUpdate]]]], kind: str
 ) -> RepairSet:
     """The delta repairs whose updates have the given support property ('all'
     for any), from the rows of ``classify_components``: the product of each
-    group's restrictions that have it."""
+    group's restrictions that have it.  The budget caps the vertices of the
+    groups with more than one such restriction before any repair is built."""
     if kind not in ("all",) + R_UPDATE_CLASSES:
         raise InputError(f"unknown r-update class: {kind}")
-    choices = [[t for t, u in row if kind == "all" or u.classes()[kind]] for row in rows]
+    choices = [[t for t, u in row if kind == "all" or u.classes()[kind]] for _, row in rows]
+    if all(choices):
+        masks.budget.check_universe(
+            sum(group.bit_count() for (group, _), ts in zip(rows, choices) if len(ts) > 1),
+            "r-update class product",
+        )
     return repair_product(masks.instance.db, masks.facts, choices)
 
 

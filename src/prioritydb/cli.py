@@ -18,10 +18,10 @@ from .aic import (
     AIC,
     R_UPDATE_CLASSES,
     check_properties,
-    classify_r_updates,
     classify_updates,
     ground_rules,
     is_r_update,
+    r_update_table,
     rules_constants,
 )
 from .conflicts import ConflictHypergraph, max_conflict_size
@@ -139,6 +139,11 @@ OPTIMALITY = {"s": "none", "p": "pareto", "g": "global", "c": "completion",
               "none": "none", "pareto": "pareto", "global": "global",
               "completion": "completion"}
 SEMANTICS = {"brave": "brave", "cqa": "cqa", "int": "intersection"}
+# The label of each flag set of r_update_table: its class names, or "-".
+CLASS_LABELS = tuple(
+    " ".join(name for k, name in enumerate(R_UPDATE_CLASSES) if flags >> k & 1) or "-"
+    for flags in range(16)
+)
 
 
 def cmd_conflicts(ws: Workspace, args) -> int:
@@ -228,12 +233,11 @@ def cmd_aic(ws: Workspace, args) -> int:
     if not ws.rules:
         raise InputError("aic commands require --aics")
     if args.action == "classify":
-        table = classify_r_updates(ws.db, ws.schema, ws.rules, ws.budget)
-        for entry in table:
-            flags = [name for name, on in entry.classes().items() if on]
-            label = " ".join(flags) if flags else "-"
-            print(f"{textio.format_update_set(entry.actions)}: {label}")
-        print(f"r-updates: {len(table)}")
+        actions, table = r_update_table(ws.db, ws.schema, ws.rules, ws.budget)
+        texts = [str(action) for action in actions]
+        lines = [f"{{{', '.join([texts[r] for r in ranks])}}}: {CLASS_LABELS[flags]}\n"
+                 for ranks, flags in table]
+        sys.stdout.write("".join(lines) + f"r-updates: {len(table)}\n")
         return EXIT_OK
     if args.action == "check-update":
         actions = textio.parse_updates(_read(args.update))

@@ -272,9 +272,10 @@ def universe_constants(
 class Instance:
     """A database under a schema and constraints, with what derives from it.
 
-    The constant pool, the fact and literal universes, the ground constraint
-    bodies and the conflicts are each computed on first use, at most once, and
-    live exactly as long as the instance.
+    The constant pool, the fact and literal universes, the database's index by
+    predicate, the ground constraint bodies and the conflicts are each
+    computed on first use, at most once, and live exactly as long as the
+    instance.
     """
 
     db: Database
@@ -307,6 +308,11 @@ class Instance:
         return ground_all(self.constraints, self.constants)
 
     @cached_property
+    def db_by_predicate(self) -> dict[str, list[Fact]]:
+        """The database facts, by predicate."""
+        return by_predicate(self.db)
+
+    @cached_property
     def conflicts(self) -> frozenset[frozenset[Literal]]:
         """The prime implicants of the ground bodies that lie inside the
         literal universe.
@@ -329,7 +335,7 @@ class Instance:
         """
         self.check_facts()
         negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
-        facts = by_predicate(self.db)
+        facts = self.db_by_predicate
         join = {
             a.predicate: facts.get(a.predicate, [])
             for c in self.constraints

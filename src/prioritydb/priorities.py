@@ -337,8 +337,11 @@ class _ConflictMasks:
     @cached_property
     def pool(self) -> dict[str, list[Fact]]:
         """The database and the vertex facts, by predicate: every delta
-        repair lies inside them."""
-        return by_predicate(self.instance.db.union(self.facts))
+        repair lies inside them.  Only the absent vertices' facts are added
+        to the instance's own index."""
+        index = self.instance.db_by_predicate
+        added = by_predicate(self.facts[i] for i in _bits(self.absent))
+        return {**index, **{p: index.get(p, []) + fs for p, fs in added.items()}}
 
     def agreement(self, repair: Database) -> int:
         """The agreement mask of a delta repair: the vertices whose facts it

@@ -31,6 +31,7 @@ from prioritydb.aic import (
     minimal_bodies_ground,
     normalize_ground,
     r_updates,
+    repairs_of_kind,
     rules_constants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
@@ -106,6 +107,24 @@ class TestBudget:
         assert run(Budget())
         with pytest.raises(BudgetExceededError, match="action set"):
             run(Budget(max_universe=1))
+
+    def test_class_product_caps_the_groups_with_a_choice(self):
+        # three independent rules p_i, q_i -> { -p_i, -q_i }: 6 conflict
+        # literals in groups of 2, each with two founded updates
+        names = [f"{a}{i}" for i in range(3) for a in "pq"]
+        db, schema = prop_db(*names), prop_schema(*names)
+        rules = tuple(
+            prop_rule([(f"p{i}", True), (f"q{i}", True)], [(f"p{i}", False), (f"q{i}", False)])
+            for i in range(3)
+        )
+        with pytest.raises(BudgetExceededError, match="^r-update class product has 6 elements"):
+            repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=4))
+        assert len(repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=6))) == 8
+        # with one action per rule each group has one founded update
+        rules = tuple(
+            prop_rule([(f"p{i}", True), (f"q{i}", True)], [(f"q{i}", False)]) for i in range(3)
+        )
+        assert len(repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=2))) == 1
 
 
 class TestClassification:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: commands, exit codes, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,11 +9,20 @@ from pathlib import Path
 
 import pytest
 
+from corpus import random_linked_rule_instance, random_rule_instance
 import prioritydb
 from prioritydb import aic, cli
 from prioritydb.cli import main
-from prioritydb.model import Instance, Schema
-from prioritydb.textio import parse_constraints, parse_database
+from prioritydb.errors import Budget
+from prioritydb.model import Instance, Schema, fact_key
+from prioritydb.priorities import _ConflictMasks
+from prioritydb.textio import (
+    format_aics,
+    format_database,
+    format_update_set,
+    parse_constraints,
+    parse_database,
+)
 
 SRC = str(Path(prioritydb.__file__).parent.parent)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,6 +243,38 @@ class TestAicCommands:
         assert "{-al, -ga}: founded wellfounded grounded justified" in out
         assert "{-be, -de}: wellfounded" in out
 
+    def test_classify_prints_the_whole_instance_table(self, capsys, tmp_path):
+        # random and linked rule instances, against every r-update classified
+        # under every ground rule and printed by textio.format_update_set
+        rng = random.Random(0xC1A55)
+        seen = dict.fromkeys(["add", "reordered", "groups", "joined"], 0)
+        db_file, rules_file = tmp_path / "db.pdb", tmp_path / "rules.pdb"
+        for n in range(120):
+            inst = (random_rule_instance(rng) if n % 2 else
+                    random_linked_rule_instance(rng, blocks=rng.randint(2, 3)))
+            db_file.write_text(format_database(inst.db))
+            rules_file.write_text(format_aics(inst.rules))
+            code, out = run(capsys, "--db", db_file, "--aics", rules_file, "aic", "classify")
+            ground = aic.ground_rules(inst.rules, aic.rules_constants(inst.db, inst.rules))
+            table = aic.classify_updates(
+                inst.db, ground, aic.r_updates(inst.db, inst.schema, inst.rules))
+            expected = "".join(
+                f"{format_update_set(entry.actions)}: "
+                f"{' '.join(k for k, on in entry.classes().items() if on) or '-'}\n"
+                for entry in table
+            ) + f"r-updates: {len(table)}\n"
+            assert (code, out) == (0, expected), inst
+            masks = _ConflictMasks(
+                Instance(inst.db, inst.schema, aic.constraints_of(inst.rules)), Budget())
+            facts = [l.fact for l in masks.index]
+            seen["add"] += any(not l.positive for l in masks.index)
+            seen["reordered"] += facts != sorted(facts, key=fact_key)
+            components = {comp for comp, _ in masks.parts}
+            groups = [group for group, _ in aic.classify_components(masks, ground)]
+            seen["groups"] += len(groups) >= 2
+            seen["joined"] += not components.issuperset(groups)  # a group of components
+        assert min(seen.values()) >= 10, seen
+
     def test_check_update_pass(self, capsys):
         code, out = run(
             capsys,
@@ -428,6 +470,37 @@ class TestVerify:
             f"{label} repairs: 128\n"
             for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
         ) + "equivalence holds: yes\n"
+
+    def test_translation_equivalence_at_12_keys_on_the_default_budget(self, capsys, tmp_path):
+        # 24 conflict literals; the 6 open keys leave 12 in the free part
+        flags = _key_violations(tmp_path, 12, oriented=range(0, 12, 2))
+        code, out = run(capsys, *flags, "verify", "prop8")
+        assert code == 0
+        assert out == "".join(
+            f"{label} repairs: 64\n"
+            for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
+        ) + "equivalence holds: yes\n"
+
+    @pytest.mark.parametrize("rules", [12, 40])
+    def test_roundtrip_on_independent_rules_at_the_default_budget(self, capsys, tmp_path, rules):
+        # 2 conflict literals per rule, one founded update per group
+        db, aics = tmp_path / "db.pdb", tmp_path / "rules.pdb"
+        db.write_text("".join(f"p{i}.\nq{i}.\n" for i in range(rules)))
+        aics.write_text("".join(f"p{i}, q{i} -> {{ -q{i} }}.\n" for i in range(rules)))
+        code, out = run(capsys, "--db", db, "--aics", aics, "verify", "prop10")
+        assert code == 0
+        assert out == (
+            "binary conflicts: yes\npareto-optimal repairs: 1\nfounded repairs: 1\n"
+            "classes coincide: yes\n"
+        )
+        # aic classify lists every r-update, so it keeps the whole cap
+        code = main(["--db", str(db), "--aics", str(aics), "aic", "classify"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            f"budget exceeded: conflict literal set has {2 * rules} elements, "
+            "above the cap of 22\n"
+        )
 
     def test_roundtrip_strictness(self, capsys, tmp_path):
         db = tmp_path / "db.pdb"
@@ -626,22 +699,33 @@ class TestErrors:
             "budget exceeded: optimal repair product has 24 elements, above the cap of 22\n"
         )
 
-    @pytest.mark.parametrize("command", [["verify", "prop8"], ["aic", "classify"]])
-    def test_r_update_commands_keep_the_instance_cap(self, capsys, tmp_path, command):
+    def test_aic_classify_keeps_the_instance_cap(self, capsys, tmp_path):
         # 12 conflict literals in components of 2: the cap admits every
-        # component, but these commands list or count every r-update
-        flags = _key_violations(tmp_path, 6, oriented=range(0, 6, 2))
-        if command[0] == "aic":
-            (tmp_path / "rules.pdb").write_text("R(X, v0), R(X, v1) -> { -R(X, v1) }.\n")
-            flags = flags[:2] + ["--aics", str(tmp_path / "rules.pdb")]
-        code = main(["--max-universe", "4", *flags, *command])
+        # component, but the command lists every r-update
+        (tmp_path / "rules.pdb").write_text("R(X, v0), R(X, v1) -> { -R(X, v1) }.\n")
+        flags = _key_violations(tmp_path, 6, oriented=range(0, 6, 2))[:2]
+        flags += ["--aics", str(tmp_path / "rules.pdb"), "aic", "classify"]
+        code = main(["--max-universe", "4", *flags])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err == (
             "budget exceeded: conflict literal set has 12 elements, above the cap of 4\n"
         )
-        assert main(["--max-universe", "12", *flags, *command]) == 0
+        assert main(["--max-universe", "12", *flags]) == 0
+
+    def test_verify_prop8_caps_the_product_not_the_instance(self, capsys, tmp_path):
+        # 12 conflict literals in components of 2: the 3 open keys leave 6
+        # literals in the free part of the product of optima
+        flags = [*_key_violations(tmp_path, 6, oriented=range(0, 6, 2)), "verify", "prop8"]
+        code = main(["--max-universe", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: optimal repair product has 6 elements, above the cap of 4\n"
+        )
+        assert main(["--max-universe", "6", *flags]) == 0
 
     def test_delta_repairs_keep_the_instance_cap(self, capsys, tmp_path):
         code = main([*_key_violations(tmp_path, 40, oriented=range(2, 40)), "repairs"])
