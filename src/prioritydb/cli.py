@@ -62,9 +62,7 @@ class Workspace:
         self.priority = PriorityRelation()
         self.scores: dict = {}
         self.rules: tuple[AIC, ...] = ()
-        self.budget = Budget(
-            max_universe=args.max_universe, max_completions=args.max_completions
-        )
+        self.budget = Budget(max_universe=args.max_universe)
         if getattr(args, "db", None):
             self.db = textio.parse_database(_read(args.db))
         if getattr(args, "constraints", None):
@@ -376,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--aics", help="active rules file")
     parser.add_argument("--schema", help="schema declarations (P/2. lines)")
     parser.add_argument("--max-universe", type=_budget_cap, default=22)
-    parser.add_argument("--max-completions", type=_budget_cap, default=10**6)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conflicts", help="list the conflicts")

@@ -9,7 +9,7 @@ those optimal under some total extension of the priority.
 The notions are decided on integer masks over the conflict vertices.  A delta
 repair's agreement set is the literal universe minus one minimal transversal
 of the conflicts, and these are the products of those of the conflict
-components.  No conflict, priority edge, Pareto block or order certificate
+components.  No conflict, priority edge, Pareto block or greedy replay
 leaves a component that the conflicts and the priority edges join
 (Staworko, Chomicki & Marcinkowski, AMAI 2012).  So each
 ``PrioritizedDatabase`` holds one mask context (shared by ``with_priority``
@@ -367,20 +367,6 @@ def _unbeaten(
     )
 
 
-def _reaches(succ: list[int], start: int, targets: int) -> bool:
-    """Some node of ``targets`` is reachable from ``start`` along ``succ``."""
-    seen = todo = 1 << start
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        step = succ[low.bit_length() - 1] & ~seen
-        if step & targets:
-            return True
-        seen |= step
-        todo |= step
-    return False
-
-
 class _MaskContext:
     """The three optimality notions of one ``PrioritizedDatabase``, on the
     vertex masks of ``_ConflictMasks``.
@@ -389,7 +375,7 @@ class _MaskContext:
     endpoints outside them in ``literal_key`` order.  ``dom[i]`` masks the
     nodes that node ``i`` outranks and ``beaten_by[i]`` those that outrank
     it.  ``parts`` joins the conflict components along the priority edges.
-    No conflict, witness, dominance edge or order certificate leaves such a
+    No conflict, witness, dominance edge or greedy replay leaves such a
     part, so a delta repair is optimal of a kind exactly when its
     restriction to every part is; ``optima`` keeps, per kind and for as long
     as the context lives, the restrictions that are."""
@@ -440,21 +426,28 @@ class _MaskContext:
 
     def optima(self, kind: str) -> tuple[tuple[int, ...], ...]:
         """Per part, the excluded-vertex masks of the restrictions that are
-        optimal of the given kind, computed once per kind.  Pareto and
-        completion run the whole-repair checks on a repair that excludes
-        only that part's vertices; global keeps the restrictions that no
-        other one improves, since a repair is improved exactly when its
-        restriction to some part is (swap in that part of the improving
-        repair).  An unknown kind raises before anything is computed."""
+        optimal of the given kind, computed once per kind.  Pareto runs the
+        whole-repair check on a repair that excludes only that part's
+        vertices, and completion replays each restriction on the part's
+        nodes.  Global keeps the restrictions that no other one improves,
+        since a repair is improved exactly when its restriction to some part
+        is (swap in that part of the improving repair).  An unknown kind
+        raises before anything is computed."""
         found = self._optima.get(kind)
         if found is not None:
             return found
         if kind == "global":
-            keep = lambda excluded: _unbeaten(excluded, self._improves)
+            keep = lambda p, excluded: _unbeaten(excluded, self._improves)
+        elif kind == "completion":
+            keep = lambda p, excluded: tuple(
+                t for t in excluded if self._replays(self.part_nodes[p], t)
+            )
         else:
             check, full = _optimality_check(kind), self.masks.full
-            keep = lambda excluded: tuple(t for t in excluded if check(self, full & ~t))
-        found = self._optima[kind] = tuple(keep(excluded) for _, excluded in self.parts)
+            keep = lambda p, excluded: tuple(t for t in excluded if check(self, full & ~t))
+        found = self._optima[kind] = tuple(
+            keep(p, excluded) for p, (_, excluded) in enumerate(self.parts)
+        )
         return found
 
     def is_globally_optimal(self, agree: int) -> bool:
@@ -467,50 +460,48 @@ class _MaskContext:
         )
 
     def is_completion_optimal(self, agree: int) -> bool:
-        """Search for an order certificate: per excluded vertex a witness
-        conflict whose other members must precede it, such that these
-        precedence demands together with the priority edges stay acyclic.
-        Adding the edges ``w -> lam`` to an acyclic graph closes a cycle
-        exactly when ``lam`` reaches a member of ``w``.  The search may try
-        at most ``budget.max_completions`` partial witness assignments."""
-        excluded = list(_bits(self.masks.full & ~agree))
-        options = []
-        for i in excluded:
-            fits = [w for w in self.masks.witnesses[i] if not w & ~agree]
-            if not fits:
+        """``_replays`` over every node."""
+        return self._replays((1 << len(self.dom)) - 1, self.masks.full & ~agree)
+
+    @cached_property
+    def part_nodes(self) -> tuple[int, ...]:
+        """Per part, its vertices and the priority endpoints off the
+        conflicts that edges join to them."""
+        out = []
+        for comp, _ in self.parts:
+            nodes = todo = comp
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo ^= 1 << i
+                step = (self.dom[i] | self.beaten_by[i]) & ~nodes
+                nodes |= step
+                todo |= step
+            out.append(nodes)
+        return tuple(out)
+
+    def _replays(self, nodes: int, excluded: int) -> bool:
+        """The greedy construction replays the repair that excludes
+        ``excluded`` on ``nodes`` (Staworko, Chomicki & Marcinkowski, AMAI
+        2012): each round takes the undecided nodes that no undecided node
+        outranks, keeps those the repair keeps (nodes off the conflicts
+        always) and drops the excluded ones that complete a conflict with the
+        kept ones; a round that decides nothing fails.  Under a cyclic
+        priority only a repair that excludes nothing passes."""
+        if not self.acyclic:
+            return not excluded
+        witnesses = self.masks.witnesses
+        kept, left = 0, nodes
+        while left:
+            ready = sum(1 << i for i in _bits(left) if not self.beaten_by[i] & left)
+            kept |= ready & ~excluded
+            drop = sum(
+                1 << i for i in _bits(ready & excluded)
+                if any(not w & ~kept for w in witnesses[i])
+            )
+            if not ready & ~excluded | drop:
                 return False
-            options.append(fits)
-        if not excluded:
-            return True
-        cap = self.masks.budget.max_completions
-        tried = 0
-        succ = list(self.dom)
-        saved: list[list[int]] = []  # succ before each chosen witness's edges
-        levels = [iter(options[0])]  # per decided level, its untried witnesses
-        while levels:
-            depth = len(levels) - 1
-            lam = excluded[depth]
-            for witness in levels[-1]:
-                tried += 1
-                if tried > cap:
-                    raise BudgetExceededError(
-                        f"completion certificate search exceeds {cap} "
-                        f"partial witness assignments"
-                    )
-                if self.acyclic and not _reaches(succ, lam, witness):
-                    if depth + 1 == len(excluded):
-                        return True
-                    saved.append(succ)
-                    succ = succ.copy()
-                    for mu in _bits(witness):
-                        succ[mu] |= 1 << lam
-                    levels.append(iter(options[depth + 1]))
-                    break
-            else:
-                levels.pop()
-                if saved:
-                    succ = saved.pop()
-        return False
+            left &= ~(ready & ~excluded | drop)
+        return True
 
 
 def _optimality_check(kind: str) -> Callable[[_MaskContext, int], bool]:
@@ -544,14 +535,16 @@ def is_optimal_repair(
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
     """The delta repairs that are optimal of the given kind, in canonical
     order: the product of the per-part optima (``_MaskContext.optima``)."""
-    return _optimum_product(pdb, pdb._masks.optima(kind))
+    return _optimum_product(pdb, pdb._masks.parts, pdb._masks.optima(kind))
 
 
-def _optimum_product(pdb: PrioritizedDatabase, optima: Sequence[Sequence[int]]) -> RepairSet:
-    """``repair_product`` of the per-part optima of ``pdb._masks.parts``.
-    The budget caps the vertices of the parts with more than one optimum
-    before any repair is built."""
-    parts = pdb._masks.parts
+def _optimum_product(
+    pdb: PrioritizedDatabase, parts: Sequence[tuple[int, tuple[int, ...]]],
+    optima: Sequence[Sequence[int]],
+) -> RepairSet:
+    """``repair_product`` of the optima of the given parts.  The budget caps
+    the vertices of the parts with more than one optimum before any repair
+    is built."""
     if all(optima):
         pdb.budget.check_universe(
             sum(comp.bit_count() for (comp, _), opt in zip(parts, optima) if len(opt) > 1),
@@ -744,8 +737,9 @@ def lexicographic_repairs(
 ) -> RepairSet:
     """Level-lexicographic optima for score-structured priorities: no other
     repair agrees equally on all higher levels and strictly better on one.
-    A repair is beaten exactly when its restriction to some part is, at the
-    first level where they differ, so this is the product of per-part optima."""
+    The order reads only the levels, so a repair is beaten exactly when its
+    restriction to some conflict component is: the product of per-component
+    optima."""
     if structure is None:
         structure = detect_score_structure(pdb.priority, pdb.conflicts())
     if structure is None:
@@ -760,6 +754,5 @@ def lexicographic_repairs(
                 return not other & ~mine & level
         return False
 
-    return _optimum_product(
-        pdb, tuple(_unbeaten(excluded, beats) for _, excluded in pdb._masks.parts)
-    )
+    parts = pdb._conflict_masks.parts
+    return _optimum_product(pdb, parts, [_unbeaten(excluded, beats) for _, excluded in parts])

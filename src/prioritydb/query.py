@@ -10,9 +10,9 @@ its answer tuple; it lives in a repair that lacks none of its vertex facts.
 The optimal repairs are the product of per-part optima
 (``_MaskContext.optima``), so no repair is built: brave asks for a support
 that some optimum of each part it touches keeps, intersection for one that
-every optimum keeps, and cqa enumerates, under the budget, the choices of
-optima over the parts that a tuple's supports touch, failing when one of
-them loses every support.
+every optimum keeps, and cqa joins the supports that share a part into
+groups and enumerates, under the budget, the choices of optima over each
+group's parts, holding when some group keeps a support under every choice.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .model import Database, Fact, Term, by_predicate, is_variable, matches
-from .priorities import PrioritizedDatabase, _bits
+from .priorities import PrioritizedDatabase, _bits, _join
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,21 @@ def answers(
                 all(any(not care & m for m in missing[part]) for part in touched(care))
                 for care in live
             )
-        # cqa: no choice of optima over the parts they touch loses them all
-        parts = sorted(touched(reduce(or_, live)))
-        pdb.budget.check_universe(
-            sum(pdb._masks.parts[p][0].bit_count() for p in parts), "optimal repair product"
-        )
-        return all(
-            any(not care & sum(pick) for care in live)
-            for pick in product(*(missing[p] for p in parts))
+        # cqa: supports that share no part are lost independently, so some
+        # group of them survives every choice of optima over its own parts
+        reach = {care: sum(1 << p for p in touched(care)) for care in live}
+        groups = _join(reach.values())
+        for group in groups:
+            pdb.budget.check_universe(
+                sum(pdb._masks.parts[p][0].bit_count() for p in _bits(group)),
+                "optimal repair product",
+            )
+        return any(
+            all(
+                any(not care & sum(pick) for care, on in reach.items() if on & group)
+                for pick in product(*(missing[p] for p in _bits(group)))
+            )
+            for group in groups
         )
 
     supports = _supports(pdb, query)

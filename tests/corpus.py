@@ -198,6 +198,51 @@ def with_stray_edges(
     return pdb.with_priority(PriorityRelation(frozenset(edges)))
 
 
+def with_edges_off_the_conflicts(
+    rng: random.Random, pdb: PrioritizedDatabase
+) -> Optional[PrioritizedDatabase]:
+    """Add up to five edges to and from literals of the universe that lie in
+    no conflict, between them and conflict literals or between two of them.
+    An edge that would close a cycle is left out.  None when every literal
+    lies in a conflict, none does or no edge was added."""
+    vertices = sorted({l for c in pdb.conflicts() for l in c}, key=literal_key)
+    off = sorted(pdb.literal_universe() - set(vertices), key=literal_key)
+    if not vertices or not off:
+        return None
+    edges = set(pdb.priority.edges)
+    for _ in range(rng.randint(1, 5)):
+        edge = (rng.choice(off), rng.choice(vertices + off))
+        if rng.random() < 0.5:
+            edge = edge[::-1]
+        if edge[0] != edge[1] and PriorityRelation(frozenset(edges | {edge})).is_acyclic():
+            edges.add(edge)
+    if edges == pdb.priority.edges:
+        return None
+    return pdb.with_priority(PriorityRelation(frozenset(edges)))
+
+
+def rook(m: int, budget: Budget = DEFAULT_BUDGET) -> PrioritizedDatabase:
+    """``R(a_i, b_j)`` for i, j < m under a key on each argument, with
+    ``R(a_i, b_i)`` preferred over the rest of its row: one conflict
+    component of m² literals, m! delta repairs and one completion optimum,
+    the diagonal."""
+    lit = lambda i, j: Literal(Fact("R", (f"a{i}", f"b{j}")))
+    keys = tuple(
+        UniversalConstraint.make(
+            [BodyAtom(True, "R", args[::step]) for args in (("X", "Y"), ("X", "Z"))],
+            [("Y", "Z")],
+        )
+        for step in (1, -1)
+    )
+    return PrioritizedDatabase(
+        frozenset(lit(i, j).fact for i in range(m) for j in range(m)),
+        Schema.of([("R", 2)]),
+        keys,
+        PriorityRelation.of((lit(i, i), lit(i, j)) for i in range(m) for j in range(m) if j != i),
+        budget,
+    )
+
+
 def with_random_scores(
     rng: random.Random, pdb: PrioritizedDatabase
 ) -> tuple[PrioritizedDatabase, dict[Literal, int]]:

@@ -588,6 +588,43 @@ class TestAnswerAtScale:
         )
 
 
+def _rook(tmp_path, m: int) -> list[str]:
+    """Global flags for ``R(a_i, b_j)`` on i, j < m under a key on each
+    argument, with ``R(a_i, b_i)`` preferred over the rest of its row, at
+    ``--max-universe 128``: one component of m² literals and m! repairs."""
+    files = {
+        "db.pdb": "".join(f"R(a{i}, b{j}).\n" for i in range(m) for j in range(m)),
+        "constraints.pdb": "R(X, Y), R(X, Z), Y != Z -> false.\nR(Y, X), R(Z, X), Y != Z -> false.\n",
+        "priority.pdb": "".join(
+            f"R(a{i}, b{i}) > R(a{i}, b{j}).\n" for i in range(m) for j in range(m) if j != i
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return ["--max-universe", "128", "--db", str(tmp_path / "db.pdb"),
+            "--constraints", str(tmp_path / "constraints.pdb"),
+            "--priority", str(tmp_path / "priority.pdb")]
+
+
+class TestCompletionOnTheRookInstance:
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_one_optimum_and_both_verdicts(self, capsys, tmp_path, m):
+        # the diagonal is the one completion optimum; swapping its last two
+        # rows gives a delta repair that is not
+        flags = _rook(tmp_path, m)
+        diagonal = [f"R(a{i}, b{i})" for i in range(m)]
+        assert run(capsys, *flags, "optimal", "--opt", "c") == (
+            0, "{" + ", ".join(diagonal) + "}\noptimal repairs (c): 1\n"
+        )
+        swapped = diagonal[:-2] + [f"R(a{m - 2}, b{m - 1})", f"R(a{m - 1}, b{m - 2})"]
+        for repair, verdict in ((diagonal, (0, "yes\n")), (swapped, (1, "no\n"))):
+            (tmp_path / "repair.pdb").write_text("".join(f"{f}.\n" for f in repair))
+            assert run(capsys, *flags, "check-repair", "--repair", tmp_path / "repair.pdb",
+                       "--opt", "completion") == verdict
+            assert run(capsys, *flags, "check-repair", "--repair", tmp_path / "repair.pdb",
+                       "--opt", "none") == (0, "yes\n")
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pdb"
@@ -683,14 +720,16 @@ class TestErrors:
         )
 
     def test_cqa_budget_caps_the_components_its_supports_touch(self, capsys, tmp_path):
-        # the supports R(k_i, v1) of the 12 open keys span 24 literals; the
-        # oriented keys' supports are excluded by their one optimum
+        # the supports R(k_i, v1) of the 12 open keys span 24 literals, one
+        # component each, and the oriented keys' supports are excluded by
+        # their one optimum; R(X, v1), R(Y, v1) joins all 12 into one group
+        flags = _key_violations(tmp_path, 24, oriented=range(0, 24, 2))
         query = tmp_path / "q.pdb"
         query.write_text("q :- R(X, v1).\n")
-        flags = _key_violations(tmp_path, 24, oriented=range(0, 24, 2))
-        for sem, out in (("brave", "yes\n"), ("int", "no\n")):
+        for sem, out in (("brave", "yes\n"), ("int", "no\n"), ("cqa", "no\n")):
             assert run(capsys, *flags, "answer", "--query", query, "--sem", sem,
                        "--opt", "p") == (0 if sem == "brave" else 1, out)
+        query.write_text("q :- R(X, v1), R(Y, v1).\n")
         code = main([*flags, "answer", "--query", str(query), "--sem", "cqa", "--opt", "p"])
         captured = capsys.readouterr()
         assert code == 3
@@ -741,7 +780,7 @@ class TestErrors:
         assert code == 2
         assert captured.err.startswith(f"error: cannot write {target}: ")
 
-    @pytest.mark.parametrize("flag, value", [("--max-universe", "-1"), ("--max-completions", "-3")])
+    @pytest.mark.parametrize("flag, value", [("--max-universe", "-1")])
     def test_negative_budget_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             main([flag, value, "--db", str(EX3 / "db.pdb"),

@@ -175,30 +175,22 @@ class TestIsOptimalRepair:
 
 
 class TestCompletionCertificateCap:
-    """``max_completions`` caps the partial witness assignments that the
-    completion certificate search tries for one repair."""
+    """The completion check keeps no budget of its own: ``max_completions``
+    caps only ``completions``, which the oracle enumerates."""
 
-    def _capped(self, example3, cap: int) -> PrioritizedDatabase:
-        return PrioritizedDatabase(
+    def test_cap_of_one_does_not_stop_the_check(self, example3):
+        pdb = example3.pdb()
+        capped = PrioritizedDatabase(
             example3.db, example3.schema, example3.constraints, example3.priority,
-            Budget(max_completions=cap),
+            Budget(max_completions=1),
         )
-
-    def test_cap_of_one_raises_on_two_excluded_literals(self, example3):
         repair = example3_repairs()["keep_rdb_sac"]  # excludes 4 literals
-        with pytest.raises(BudgetExceededError, match="completion certificate"):
-            is_optimal_repair(repair, self._capped(example3, 1), "completion")
+        assert is_optimal_repair(repair, capped, "completion")
+        assert optimal_repairs(capped, "completion") == optimal_repairs(pdb, "completion")
 
-    def test_one_assignment_per_excluded_literal_without_backtracking(self, example3):
-        repair = example3_repairs()["keep_rdb_sac"]
-        with pytest.raises(BudgetExceededError):
-            is_optimal_repair(repair, self._capped(example3, 3), "completion")
-        assert is_optimal_repair(repair, self._capped(example3, 4), "completion")
-
-    def test_witnesses_are_tried_in_literal_order(self):
-        # P(a) clashes with Q(a) and with T(a) and outranks Q(a), so of its
-        # witnesses {Q(a)} (first in literal order) closes a cycle and {T(a)}
-        # does not: two assignments
+    def test_a_later_witness_keeps_the_repair(self):
+        # P(a) clashes with Q(a) and with T(a) and outranks Q(a): T(a) is
+        # kept first and drops P(a), which frees Q(a)
         db = frozenset({fact("P", "a"), fact("Q", "a"), fact("T", "a")})
         constraints = (
             UniversalConstraint.make([atom("P", "X"), atom("Q", "X")]),
@@ -206,14 +198,10 @@ class TestCompletionCertificateCap:
         )
         priority = PriorityRelation.of([(lit("P", "a"), lit("Q", "a"))])
         schema = Schema.of([("P", 1), ("Q", 1), ("T", 1)])
+        pdb = PrioritizedDatabase(db, schema, constraints, priority)
         repair = frozenset({fact("Q", "a"), fact("T", "a")})
-
-        def capped(cap: int) -> PrioritizedDatabase:
-            return PrioritizedDatabase(db, schema, constraints, priority, Budget(max_completions=cap))
-
-        with pytest.raises(BudgetExceededError):
-            is_optimal_repair(repair, capped(1), "completion")
-        assert is_optimal_repair(repair, capped(2), "completion")
+        assert is_optimal_repair(repair, pdb, "completion")
+        assert repair in completion_optimal_repairs_bruteforce(pdb)
 
     def test_default_budget_keeps_the_result(self, example3):
         reps = example3_repairs()
@@ -361,6 +349,19 @@ class TestLexicographic:
         with pytest.raises(InputError):
             lexicographic_repairs(example3.pdb())
 
+    def test_a_stray_edge_joins_no_components(self):
+        # P(a) > P(b) joins the two exclusion pairs into one part of 4
+        # literals, above the cap; the levels compare each pair on its own
+        base = _exclusion_pairs(["a", "b"], {"a": "P", "b": "Q"})
+        pdb = PrioritizedDatabase(
+            base.db, base.schema, base.constraints,
+            PriorityRelation(base.priority.edges | {(lit("P", "a"), lit("P", "b"))}),
+            Budget(max_universe=3),
+        )
+        with pytest.raises(BudgetExceededError, match="conflict literal set has 4 elements"):
+            optimal_repairs(pdb, "pareto")
+        assert lexicographic_repairs(pdb).repairs == (frozenset({fact("P", "a"), fact("Q", "b")}),)
+
 
 class TestIntersectionExample:
     def test_pareto_set(self):
@@ -465,9 +466,10 @@ class TestLibraryPriorities:
         assert len(optimal_repairs(pdb, "global")) == 2
 
     def test_certificate_search_backtracks(self):
-        # B(a) > C(a) and A(a) > E(a) are stray.  Witness {C(a)} for A(a)
-        # leaves B(a) -> C(a) -> A(a) -> E(a), which blocks B(a)'s only
-        # witness {E(a)}; the search drops that edge and takes {D(a)}
+        # B(a) > C(a) and A(a) > E(a) are stray.  Dropping A(a) after C(a)
+        # would order B(a) -> C(a) -> A(a) -> E(a) and block B(a)'s only
+        # witness {E(a)}; the replay drops A(a) after D(a), then keeps E(a)
+        # and drops B(a)
         names = "ABCDE"
         db = frozenset(fact(name, "a") for name in names)
         constraints = tuple(
@@ -485,9 +487,6 @@ class TestLibraryPriorities:
         assert optimal_repairs(pdb, "completion").repairs == (
             completion_optimal_repairs_bruteforce(pdb).repairs
         )
-        capped = PrioritizedDatabase(db, schema, constraints, priority, Budget(max_completions=3))
-        with pytest.raises(BudgetExceededError):  # {C}, {E}, then {D}, {E}
-            is_optimal_repair(repair, capped, "completion")
 
     def test_cyclic_priority_fails_every_repair_with_an_excluded_literal(self, example3):
         cycle = example3.priority.edges | {(lit("S", "a", "b"), lit("R", "d", "b"))}
@@ -504,6 +503,7 @@ class TestLibraryPriorities:
         )
         pdb = PrioritizedDatabase(db, example1.schema, example1.constraints, cycle)
         assert optimal_repairs(pdb, "completion").repairs == (db,)
+        assert is_optimal_repair(db, pdb, "completion")
 
     def test_ten_exclusion_pairs_closed_form(self):
         # 1 024 delta repairs over 20 conflict literals; the four open pairs

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import example3_instance, fact, intersection_example
+from conftest import atom, example3_instance, fact, intersection_example
 from prioritydb.errors import InputError
-from prioritydb.model import satisfies
+from prioritydb.model import UniversalConstraint, satisfies, schema_from
+from prioritydb.priorities import PrioritizedDatabase, optimal_repairs
 from prioritydb.query import ConjunctiveQuery, answers, evaluate, repairs_intersection
 
 
@@ -96,6 +97,24 @@ class TestToleranceJudgments:
     def test_open_query_answers(self, pdb):
         got = answers(pdb, q(("Y",), [("R", ("d", "Y"))]), "brave", "pareto")
         assert set(got.tuples) == {("b",), ("c",)}
+
+
+    def test_cqa_holds_when_one_group_of_supports_survives(self):
+        # the supports R(k0, v0) and R(k0, v1) share a component and one of
+        # them is in every repair; R(k1, v0), in another component, is not
+        db = frozenset({fact("R", "k0", "v0"), fact("R", "k0", "v1"), fact("R", "k1", "v0"),
+                        fact("P", "k1")})
+        constraints = (
+            UniversalConstraint.make([atom("R", "X", "Y"), atom("R", "X", "Z")], [("Y", "Z")]),
+            UniversalConstraint.make([atom("R", "X", "v0"), atom("P", "X")]),
+        )
+        pdb = PrioritizedDatabase(db, schema_from(db, constraints), constraints)
+        query = q((), [("R", ("X", "Y"))])
+        repairs = optimal_repairs(pdb, "pareto").repairs
+        assert len(repairs) == 4
+        assert any(fact("R", "k1", "v0") not in r for r in repairs)
+        assert all(evaluate(query, r) for r in repairs)
+        assert answers(pdb, query, "cqa", "pareto").holds()
 
 
 class TestIntersection:

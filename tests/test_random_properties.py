@@ -22,6 +22,8 @@ from corpus import (
     random_linked_rule_instance,
     random_query,
     random_rule_instance,
+    rook,
+    with_edges_off_the_conflicts,
     with_random_priority,
     with_random_scores,
     with_stray_edges,
@@ -75,9 +77,11 @@ from prioritydb.model import (
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
+    _bits,
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
     is_global_improvement,
+    is_optimal_repair,
     is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
@@ -381,6 +385,129 @@ def test_oracle_completion_certificate_vs_enumeration():
             fast = optimal_repairs(pdb, "completion")
             slow = completion_optimal_repairs_bruteforce(pdb)
             assert fast.repairs == slow.repairs
+
+
+def _certificate_search(ctx, agree: int) -> bool:
+    """The completion check that the greedy replay replaced: a search for an
+    order certificate, per excluded vertex a witness conflict inside the
+    agreement set whose other members precede it, such that these
+    precedences and the priority edges stay acyclic.  Adding the edges
+    ``w -> lam`` closes a cycle exactly when ``lam`` reaches a member of
+    ``w``.  Exponential in the excluded vertices; under a cyclic priority
+    only a repair that excludes nothing passes."""
+    excluded = list(_bits(ctx.masks.full & ~agree))
+    options = [[w for w in ctx.masks.witnesses[i] if not w & ~agree] for i in excluded]
+    if not all(options):
+        return False
+    if not excluded or not ctx.acyclic:
+        return not excluded
+
+    def reaches(succ: list[int], start: int, targets: int) -> bool:
+        seen = todo = 1 << start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            step = succ[low.bit_length() - 1] & ~seen
+            if step & targets:
+                return True
+            seen |= step
+            todo |= step
+        return False
+
+    def search(depth: int, succ: list[int]) -> bool:
+        if depth == len(excluded):
+            return True
+        lam = excluded[depth]
+        for witness in options[depth]:
+            if not reaches(succ, lam, witness):
+                after = succ.copy()
+                for mu in _bits(witness):
+                    after[mu] |= 1 << lam
+                if search(depth + 1, after):
+                    return True
+        return False
+
+    return search(0, list(ctx.dom))
+
+
+def _assert_replay_matches_certificate_search(pdb) -> int:
+    """``is_completion_optimal`` (the replay over every node) and the
+    per-part optima agree with the certificate search on every delta
+    repair; returns how many repairs pass."""
+    ctx, masks = pdb._masks, pdb._conflict_masks
+    optima = set(optimal_repairs(pdb, "completion").repairs)
+    passed = 0
+    for repair in pdb.delta_repairs():
+        agree = masks.agreement(repair)
+        verdict = _certificate_search(ctx, agree)
+        assert ctx.is_completion_optimal(agree) == verdict == (repair in optima), (repair, pdb)
+        passed += verdict
+    return passed
+
+
+@lru_cache(maxsize=None)
+def off_conflict_corpus():
+    """Prioritized instances whose priority also links literals that lie in
+    no conflict, to each other and to conflict literals, half of them on
+    unary-constraint instances and a quarter under total priorities."""
+    rng = random.Random(0x0FF)
+    out = []
+    while len(out) < 160:
+        base = random_instance(rng) if len(out) % 2 else random_component_instance(rng)
+        pdb = with_edges_off_the_conflicts(
+            rng, with_random_priority(rng, base, total=len(out) % 4 == 3)
+        )
+        if pdb is not None:
+            out.append(pdb)
+    return out
+
+
+def test_oracle_completion_with_edges_off_the_conflicts():
+    chained = 0
+    for pdb in off_conflict_corpus():
+        vertices = {l for c in pdb.conflicts() for l in c}
+        assert pdb.priority.is_acyclic() and not pdb.priority.literals() <= vertices
+        slow = completion_optimal_repairs_bruteforce(pdb).repairs
+        assert optimal_repairs(pdb, "completion").repairs == slow, pdb
+        for repair in pdb.delta_repairs():
+            assert is_optimal_repair(repair, pdb, "completion") == (repair in slow), (repair, pdb)
+        # an edge into and one out of the same literal off the conflicts
+        chained += any(
+            a not in vertices and any(b == a for _, b in pdb.priority.edges)
+            for a, _ in pdb.priority.edges
+        )
+    assert chained >= 20, chained
+
+
+def test_oracle_completion_replay_matches_the_certificate_search():
+    corpora = [
+        [pdb for _, prioritized, total, _ in pdb_corpus() for pdb in (prioritized, total)],
+        many_component_corpus(),
+        stray_corpus(),
+        off_conflict_corpus(),
+    ]
+    for pdbs in corpora:
+        assert sum(_assert_replay_matches_certificate_search(pdb) for pdb in pdbs) >= 50
+    cyclic = 0
+    for pdb in many_component_corpus()[:40]:
+        edges = sorted(pdb.priority.edges, key=str)
+        if edges:
+            strong, weak = edges[0]
+            pdb = pdb.with_priority(PriorityRelation(pdb.priority.edges | {(weak, strong)}))
+            assert _assert_replay_matches_certificate_search(pdb) == 0
+            cyclic += 1
+    assert cyclic >= 20
+
+
+def test_oracle_completion_replay_on_the_rook_instance():
+    # 16 literals, 36 unoriented co-conflicting pairs: too many orientations
+    # to enumerate, so the certificate search is the oracle
+    pdb = rook(4, Budget(max_universe=16))
+    assert len(pdb.delta_repairs()) == 24
+    assert _assert_replay_matches_certificate_search(pdb) == 1
+    assert optimal_repairs(pdb, "completion").repairs == (
+        frozenset(Fact("R", (f"a{i}", f"b{i}")) for i in range(4)),
+    )
 
 
 def _improvement_exists(pdb, repair, pareto: bool) -> bool:
