@@ -9,11 +9,10 @@ subset leaves some rule violated that only the remaining actions can touch),
 and justified (the action set plus the no-effect actions is a minimal closed
 set).
 
-``_RuleMasks.classify`` is the one production check of these four notions: it
-encodes ground rules over the facts they mention as integer masks and walks an
-update's action subsets as submasks.  ``classify_components`` runs it once per
-restriction of each group of conflict components that the rules join, and the
-r-update tables and classes are products of those rows.  ``is_founded``,
+``classify_components`` runs ``masks.RuleMasks.classify`` once per
+restriction of each group of conflict components that the rules join; the
+r-update tables and classes are products of those rows' flag bits, and an
+``RUpdate`` is built only for an action set returned.  ``is_founded``,
 ``is_well_founded``, ``is_grounded`` and ``is_justified`` follow the
 definitions on frozensets; they are the reference the classifier is tested
 against, and ``classify_updates`` over ``r_updates`` the whole-instance one.
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
@@ -44,13 +43,8 @@ from .model import (
     universe_constants,
     violates_ground,
 )
-from .priorities import _bits, _ConflictMasks, repair_product
-from .repairs import (
-    RepairSet,
-    consistent_mask,
-    delta_repairs,
-    is_delta_repair_of,
-)
+from .masks import R_UPDATE_CLASSES, ConflictMasks, RuleMasks, bits
+from .repairs import RepairSet, delta_repairs, is_delta_repair_of
 
 
 @dataclass(frozen=True)
@@ -409,9 +403,6 @@ def is_justified(
     return True
 
 
-R_UPDATE_CLASSES = ("founded", "wellfounded", "grounded", "justified")
-
-
 @dataclass(frozen=True)
 class RUpdate:
     actions: frozenset[UpdateAction]
@@ -434,11 +425,13 @@ def classify_r_updates(
 ) -> tuple[RUpdate, ...]:
     """``classify_updates`` of ``r_updates``, read off ``r_update_table``."""
     actions, table = r_update_table(db, schema, rules, budget)
-    return tuple(
-        RUpdate(frozenset([actions[r] for r in ranks]),
-                flags & 1 > 0, flags & 2 > 0, flags & 4 > 0, flags & 8 > 0)
-        for ranks, flags in table
-    )
+    return tuple(_r_update(frozenset([actions[r] for r in ranks]), flags)
+                 for ranks, flags in table)
+
+
+def _r_update(actions: frozenset[UpdateAction], flags: int) -> RUpdate:
+    """The update with the classes of the flag bits of ``RuleMasks.classify``."""
+    return RUpdate(actions, *(flags >> k & 1 == 1 for k in range(len(R_UPDATE_CLASSES))))
 
 
 def r_update_table(
@@ -456,45 +449,38 @@ def r_update_table(
     and sorting the position lists sorts the updates.  The budget caps the
     whole conflict literal set, since every r-update is listed."""
     ground = ground_rules(rules, rules_constants(db, rules))
-    masks = _ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
+    masks = ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
     budget.check_universe(len(masks.index), "conflict literal set")
     facts = masks.facts
     order = sorted(range(len(facts)), key=lambda i: fact_key(facts[i]))
     rank = {i: r for r, i in enumerate(order)}
     table: list[tuple[tuple[int, ...], int]] = [((), 15)]
     for _, row in classify_components(masks, ground):
-        entries = [
-            (tuple([rank[i] for i in _bits(t)]),
-             u.founded | u.well_founded << 1 | u.grounded << 2 | u.justified << 3)
-            for t, u in row
-        ]
+        entries = [(tuple([rank[i] for i in bits(t)]), flags) for t, flags in row]
         table = [(ranks + more, flags & mine) for ranks, flags in table for more, mine in entries]
     actions = tuple(UpdateAction(facts[i] not in db, facts[i]) for i in order)
     return actions, sorted([(tuple(sorted(ranks)), flags) for ranks, flags in table])
 
 
 def classify_components(
-    masks: _ConflictMasks, ground: Iterable[GroundAIC]
-) -> list[tuple[int, list[tuple[int, RUpdate]]]]:
+    masks: ConflictMasks, ground: Iterable[GroundAIC]
+) -> list[tuple[int, list[tuple[int, int]]]]:
     """Per group of conflict components that the ground rules join through
     the conflict vertices they mention, its vertex mask and each restriction
-    of the delta repairs to it: the mask of the vertices it toggles, with its
-    update classified under the group's rules.  An update toggles conflict
-    vertices only, and the checks read only the facts of the rules involved,
-    so a rule off every vertex is never violated and always closed, and an
-    update's flags are the AND of its restrictions'.  The budget caps each
-    group's vertices; a caller that lists every r-update caps the whole
-    conflict literal set itself."""
-    db, facts, budget = masks.instance.db, masks.facts, masks.budget
-    bits = masks._fact_bits
-    touched = [(rule, sum({bits.get(x.fact, 0) for x in (*rule.lits, *rule.updates)}))
+    of the delta repairs to it: the mask of the vertices it toggles, with the
+    flag bits of its update under the group's rules.  An update toggles
+    conflict vertices only, and the checks read only the facts of the rules
+    involved, so a rule off every vertex is never violated and always
+    closed, and an update's flags are the AND of its restrictions'.  The
+    budget caps each group's vertices; a caller that lists every r-update
+    caps the whole conflict literal set itself."""
+    db, absent, fact_bits = masks.instance.db, masks.absent, masks.fact_bits
+    touched = [(rule, sum({fact_bits.get(x.fact, 0) for x in (*rule.lits, *rule.updates)}))
                for rule in ground]
     rows = []
     for group, excluded in masks.joined(mask for _, mask in touched if mask):
-        rules = _RuleMasks(db, [rule for rule, mask in touched if mask & group])
-        updates = [frozenset(UpdateAction(facts[i] not in db, facts[i]) for i in _bits(t))
-                   for t in excluded]
-        rows.append((group, [(t, rules.classify(u, budget)) for t, u in zip(excluded, updates)]))
+        rules = RuleMasks(db, [rule for rule, mask in touched if mask & group], fact_bits)
+        rows.append((group, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded]))
     return rows
 
 
@@ -508,11 +494,19 @@ def classify_updates(
     under the ground rules, whose facts lie in the fact universe.
 
     Agrees with ``is_founded``, ``is_well_founded``, ``is_grounded`` and
-    ``is_justified`` (over that universe), but runs on the integer encoding of
-    ``_RuleMasks``: every check walks the update's action subsets as submasks.
+    ``is_justified`` (over that universe), but runs ``RuleMasks.classify``.
     """
-    masks = _RuleMasks(db, ground)
-    out = [masks.classify(actions, budget) for actions in updates]
+    rules = RuleMasks(db, ground, {})
+    out = []
+    for actions in updates:
+        if not consistent_actions(actions):
+            raise InputError("action set adds and removes the same fact")
+        budget.check_universe(len(actions), "action set")
+        flags = 0  # no rule offers an action on a fact that none mentions
+        if all(a.fact in rules.bit for a in actions):
+            flags = rules.classify(rules.mask(a.fact for a in actions if a.add),
+                                   rules.mask(a.fact for a in actions if not a.add))
+        out.append(_r_update(actions, flags))
     return tuple(sorted(out, key=_update_key))
 
 
@@ -520,136 +514,22 @@ def _update_key(update: RUpdate) -> list:
     return sorted(map(action_key, update.actions))
 
 
-def _proper_submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        yield sub
-
-
-def _reaches(update: int, ready: Callable[[int], int]) -> bool:
-    """Some order applies every action of ``update`` while it is ready: a
-    depth-first search over the applied submasks, each visited once."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        sub = stack.pop()
-        if sub == update:
-            return True
-        fresh = ready(sub)
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            if sub | bit not in seen:
-                seen.add(sub | bit)
-                stack.append(sub | bit)
-    return False
-
-
-class _RuleMasks:
-    """The ground rules over an index of the facts they mention.
-
-    A fact is one bit, a database the mask of its present facts, and an action
-    set the pair ``(added, removed)`` of fact masks, so applying it is
-    ``(db & ~removed) | added``.  A consistent set has one action per fact, so
-    its subsets are the submasks of ``added | removed``.  Only mentioned facts
-    decide a rule's violation or closure, so the no-effect actions of
-    ``is_justified`` are taken over the mentioned facts alone.
-    """
-
-    def __init__(self, db: Database, ground: Iterable[GroundAIC]):
-        ground = list(ground)
-        mentioned = {l.fact for rule in ground for l in rule.lits}
-        mentioned |= {a.fact for rule in ground for a in rule.updates}
-        self.bit = {f: 1 << i for i, f in enumerate(sorted(mentioned, key=fact_key))}
-        self.mentioned = (1 << len(self.bit)) - 1
-        self.db = self.mask(db & mentioned)
-        # (pos, neg) bodies of the rules offering each action
-        self.firing: dict[UpdateAction, list[tuple[int, int]]] = {}
-        # per rule: its update actions, then its asserters, as (added, removed)
-        self.closure: list[tuple[int, int, int, int]] = []
-        for rule in ground:
-            pos = self.mask(l.fact for l in rule.lits if l.positive)
-            neg = self.mask(l.fact for l in rule.lits if not l.positive)
-            add = self.mask(a.fact for a in rule.updates if a.add)
-            rem = self.mask(a.fact for a in rule.updates if not a.add)
-            for a in rule.updates:
-                self.firing.setdefault(a, []).append((pos, neg))
-            self.closure.append((add, rem, pos & ~rem, neg & ~add))
-
-    def mask(self, facts: Iterable[Fact]) -> int:
-        out = 0
-        for fact in facts:
-            out |= self.bit[fact]
-        return out
-
-    def classify(self, actions: frozenset[UpdateAction], budget: Budget) -> RUpdate:
-        if not consistent_actions(actions):
-            raise InputError("action set adds and removes the same fact")
-        budget.check_universe(len(actions), "action set")
-        moves = [(self.bit.get(a.fact), self.firing.get(a)) for a in actions]
-        if not all(bodies for _, bodies in moves):
-            # An action that no rule offers is never ready, not even once every
-            # other action is applied, and dropping it keeps a closed set
-            # closed: all four checks fail.
-            return RUpdate(actions, False, False, False, False)
-        added = self.mask(a.fact for a in actions if a.add)
-        removed = self.mask(a.fact for a in actions if not a.add)
-        update = added | removed
-
-        def state(sub: int) -> int:
-            return (self.db & ~(sub & removed)) | (sub & added)
-
-        def ready(sub: int) -> int:
-            """The actions outside ``sub`` that a rule offers which the
-            result of applying ``sub`` violates."""
-            now = state(sub)
-            out = 0
-            for bit, bodies in moves:
-                if not sub & bit and not consistent_mask(now, bodies):
-                    out |= bit
-            return out
-
-        return RUpdate(
-            actions,
-            founded=all(ready(update & ~bit) for bit, _ in moves),
-            well_founded=_reaches(update, ready),
-            grounded=all(map(ready, _proper_submasks(update))),
-            justified=self._justified(added, removed, state(update)),
-        )
-
-    def _justified(self, added: int, removed: int, updated: int) -> bool:
-        idle_add = self.db & updated
-        idle_rem = self.mentioned & ~(self.db | updated)
-
-        def closed(sub: int) -> bool:
-            on_add = idle_add | (sub & added)
-            on_rem = idle_rem | (sub & removed)
-            return all(
-                add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
-                for add, rem, ast_add, ast_rem in self.closure
-            )
-
-        update = added | removed
-        return closed(update) and not any(map(closed, _proper_submasks(update)))
+def _class_flag(kind: str) -> int:
+    """The flag bit of a support class, 0 for 'all'; an unknown class raises."""
+    if kind not in ("all",) + R_UPDATE_CLASSES:
+        raise InputError(f"unknown r-update class: {kind}")
+    return 0 if kind == "all" else 1 << R_UPDATE_CLASSES.index(kind)
 
 
 def reached_by_kind(
-    masks: _ConflictMasks, rows: Sequence[tuple[int, Sequence[tuple[int, RUpdate]]]], kind: str
+    masks: ConflictMasks, rows: Sequence[tuple[int, Sequence[tuple[int, int]]]], kind: str
 ) -> RepairSet:
     """The delta repairs whose updates have the given support property ('all'
     for any), from the rows of ``classify_components``: the product of each
-    group's restrictions that have it.  The budget caps the vertices of the
-    groups with more than one such restriction before any repair is built."""
-    if kind not in ("all",) + R_UPDATE_CLASSES:
-        raise InputError(f"unknown r-update class: {kind}")
-    choices = [[t for t, u in row if kind == "all" or u.classes()[kind]] for _, row in rows]
-    if all(choices):
-        masks.budget.check_universe(
-            sum(group.bit_count() for (group, _), ts in zip(rows, choices) if len(ts) > 1),
-            "r-update class product",
-        )
-    return repair_product(masks.instance.db, masks.facts, choices)
+    group's restrictions that have it (``ConflictMasks.repair_product``)."""
+    flag = _class_flag(kind)
+    choices = [[t for t, flags in row if flags & flag == flag] for _, row in rows]
+    return masks.repair_product(rows, choices, "r-update class product")
 
 
 def repairs_of_kind(
@@ -659,9 +539,11 @@ def repairs_of_kind(
     kind: str,
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepairSet:
-    """Databases reached by the r-updates with the given support property."""
+    """Databases reached by the r-updates with the given support property;
+    an unknown property raises before anything is computed."""
+    _class_flag(kind)
     ground = ground_rules(rules, rules_constants(db, rules))
-    masks = _ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
+    masks = ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
     return reached_by_kind(masks, classify_components(masks, ground), kind)
 
 

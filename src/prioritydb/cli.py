@@ -238,6 +238,8 @@ def cmd_aic(ws: Workspace, args) -> int:
         sys.stdout.write("".join(lines) + f"r-updates: {len(table)}\n")
         return EXIT_OK
     if args.action == "check-update":
+        if not args.update:
+            raise InputError("aic check-update requires --update")
         actions = textio.parse_updates(_read(args.update))
         if not is_r_update(ws.db, ws.schema, ws.rules, actions):
             print("not an r-update")

@@ -1,31 +1,20 @@
 """Conflicts: minimal literal sets whose joint truth forces a constraint violation.
 
-The production path, ``Instance.conflicts``, closes a set of ground constraint
-bodies under consensus (``prime_implicants``: single-clash resolution with
-subsumption deletion) until only prime terms of the violation formula remain,
-then keeps the terms that lie inside the literal universe.  The bodies it
-starts from are not the full grounding: a positive atom whose predicate occurs
-negated in no constraint is joined with the database facts of that predicate.
-The violation formula is monotone in the literals this drops, so the join
-does not change the conflicts (the argument is in the ``Instance.conflicts``
-docstring).  Consensus over the full grounding, ``prime_implicants(inst.bodies)``,
-stays as a test oracle.  An independent
-path recovers the same sets as minimal hitting sets of the symmetric
-differences between the database and its brute-force repairs; it serves as a
-test oracle.  ``minimal_hitting_sets`` is the one minimal-transversal
-enumerator: the oracle runs it on those differences, and ``repairs`` runs it
-on the conflicts, whose minimal transversals are the complements of the
-repairs' agreement sets.
+``conflicts`` reads ``Instance.conflicts``, the consensus closure of the
+constraint bodies (see ``model``).  Two test oracles recover the same sets:
+``prime_implicants`` over the full grounding, and ``conflicts_via_hitting_sets``
+from the differences between the database and its brute-force repairs.
+``minimal_hitting_sets`` runs ``masks.minimal_transversals`` on sets of any
+hashable elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError
+from .masks import bits, minimal_transversals
 from .model import (
     Database,
     Instance,
@@ -35,6 +24,7 @@ from .model import (
     literal_key,
     prime_implicants,  # re-exported: the consensus closure behind Instance.conflicts
 )
+from .repairs import delta_repairs_bruteforce
 
 Conflict = frozenset[Literal]
 
@@ -57,8 +47,6 @@ def conflicts_via_hitting_sets(
     Enumerates repairs by brute force, so it is exponential in the fact
     universe and intended for cross-checking the consensus path.
     """
-    from .repairs import delta_repairs_bruteforce  # local import to avoid a cycle
-
     repairs = delta_repairs_bruteforce(db, schema, tuple(constraints), budget=budget)
     diffs = [frozenset(r ^ db) for r in repairs.repairs]
     return frozenset(
@@ -73,41 +61,14 @@ def minimal_hitting_sets(
     what: str = "hitting-set universe",
 ) -> frozenset[frozenset]:
     """All minimal sets meeting every member of ``families``: its minimal
-    transversals, whose complements are the maximal independent sets.
-
-    Decides each element of the families' union in turn, iteratively over
-    bitmasks.  An element is left out only while no family would then lie
-    wholly among the left-out elements, and taken only while every taken
-    element still meets some family alone (the critical-edge test of MMCS,
-    Murakami & Uno 2014).  So every leaf is a minimal transversal.
-    """
+    transversals, whose complements are the maximal independent sets.  The
+    budget caps the families' union; ``masks.minimal_transversals`` runs on
+    its elements numbered in order of first appearance."""
     union = list(dict.fromkeys(e for f in families for e in f))
     budget.check_universe(len(union), what)
-    if not all(families):
-        return frozenset()
     index = {e: i for i, e in enumerate(union)}
-    masks = {sum(1 << index[e] for e in f) for f in families}
-    containing = [[m for m in masks if m >> i & 1] for i in range(len(union))]
-    reach = [reduce(or_, ms) for ms in containing]
-    found = []
-    stack = [(0, 0, 0)]  # (next element, taken mask, left-out mask)
-    while stack:
-        i, taken, left = stack.pop()
-        if i == len(union):
-            found.append(frozenset(e for j, e in enumerate(union) if taken >> j & 1))
-            continue
-        bit = 1 << i
-        if all(m & ~(left | bit) for m in containing[i]):
-            stack.append((i + 1, taken, left | bit))
-        grown = taken | bit
-        rivals = taken & reach[i]  # taken elements that share a family with this one
-        if any(m & taken == 0 for m in containing[i]) and all(
-            any(m & grown == 1 << j for m in containing[j])
-            for j in range(i)
-            if rivals >> j & 1
-        ):
-            stack.append((i + 1, grown, left))
-    return frozenset(found)
+    found = minimal_transversals([sum(1 << index[e] for e in f) for f in families])
+    return frozenset(frozenset(union[i] for i in bits(t)) for t in found)
 
 
 def is_conflict(

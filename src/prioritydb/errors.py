@@ -29,13 +29,13 @@ class BudgetExceededError(Exception):
 class Budget:
     """Caps on the exponential enumerations.
 
-    max_universe bounds the number of facts (or literals) a subset or
-    minimal-transversal enumeration may range over; max_completions bounds how
-    many total extensions of a priority relation may be generated.
+    max_universe bounds the number of elements a subset, minimal-transversal
+    or product enumeration may range over: facts, literals, actions, or the
+    undirected co-conflicting pairs whose orientations ``completions``
+    enumerates.
     """
 
     max_universe: int = 22
-    max_completions: int = 10**6
 
     def check_universe(self, size: int, what: str = "fact universe") -> None:
         if size > self.max_universe:

@@ -1,8 +1,9 @@
 """Ground and non-ground syntax: facts, literals, constraints, and their semantics.
 
-A database is a frozenset of ground facts.  The literal universe of a database
-pairs its facts with explicit negations of every absent fact that can be built
-from the schema and the available constants.  Candidate repairs live inside
+A database is a frozenset of ground facts, and a ``RepairSet`` a canonically
+sorted tuple of them.  The literal universe of a database pairs its facts
+with explicit negations of every absent fact that can be built from the
+schema and the available constants.  Candidate repairs live inside
 that fact universe; ``agreement`` and ``restriction`` convert between candidate
 repairs and subsets of the literal universe and are mutually inverse.  An
 ``Instance`` derives each of these, the ground bodies and the conflicts at most
@@ -102,6 +103,26 @@ def fact_key(fact: Fact) -> tuple:
 
 Database = frozenset[Fact]
 GroundConstraint = frozenset[Literal]
+
+
+@dataclass(frozen=True)
+class RepairSet:
+    kind: str  # "delta" | "subset" | "superset"
+    repairs: tuple[Database, ...]
+
+    def __contains__(self, candidate: Database) -> bool:
+        return candidate in self.repairs
+
+    def __iter__(self):
+        return iter(self.repairs)
+
+    def __len__(self) -> int:
+        return len(self.repairs)
+
+
+def sorted_repair_set(kind: str, repairs) -> RepairSet:
+    ordered = sorted(set(repairs), key=lambda r: (len(r), sorted(r, key=fact_key)))
+    return RepairSet(kind, tuple(ordered))
 
 
 @dataclass(frozen=True)

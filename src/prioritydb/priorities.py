@@ -6,18 +6,10 @@ need one added literal outranking every sacrificed one, global improvements
 need a witness per sacrificed literal, and completion-optimal repairs are
 those optimal under some total extension of the priority.
 
-The notions are decided on integer masks over the conflict vertices.  A delta
-repair's agreement set is the literal universe minus one minimal transversal
-of the conflicts, and these are the products of those of the conflict
-components.  No conflict, priority edge, Pareto block or greedy replay
-leaves a component that the conflicts and the priority edges join
-(Staworko, Chomicki & Marcinkowski, AMAI 2012).  So each
-``PrioritizedDatabase`` holds one mask context (shared by ``with_priority``
-copies) that finds each component's transversals on its own, a lone
-conflict's without search, joins components along priority edges only when
-an edge crosses two (a validated priority never does), and keeps per
-component and notion the optimal restrictions; ``optimal_repairs`` and
-``lexicographic_repairs`` build and sort only their product.
+Each ``PrioritizedDatabase`` decides the notions per part on one
+``masks.MaskContext``, whose priority-independent half its ``with_priority``
+copies share.  ``optimal_repairs`` and ``lexicographic_repairs`` keep the
+optimal restrictions of each part and build only their product.
 ``is_pareto_improvement``, ``is_global_improvement`` and
 ``completion_optimal_repairs_bruteforce`` follow the definitions on literal
 sets; the tests hold the filters to them.
@@ -27,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .conflicts import Conflict, minimal_hitting_sets
-from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, InputError
-from .model import (
-    Database, Fact, Instance, Literal, Schema, UniversalConstraint, by_predicate, literal_key
-)
+from .conflicts import Conflict
+from .errors import DEFAULT_BUDGET, Budget, InputError
+from .masks import ConflictMasks, MaskContext, optimality_check, unbeaten
+from .model import Database, Instance, Literal, Schema, UniversalConstraint, literal_key
 from .repairs import RepairSet, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
@@ -140,7 +131,7 @@ def validate_priority(
 @dataclass(frozen=True)
 class PrioritizedDatabase:
     """A prioritized instance.  It owns one ``Instance`` and one mask context
-    (``_masks``, see ``_MaskContext``), each built on first use.  A copy made
+    (``_masks``, see ``masks.MaskContext``), each built on first use.  A copy made
     by ``with_priority`` shares the instance and the priority-independent
     half of the context, delta repairs included."""
 
@@ -155,12 +146,12 @@ class PrioritizedDatabase:
         return Instance(self.db, self.schema, self.constraints)
 
     @cached_property
-    def _conflict_masks(self) -> "_ConflictMasks":
-        return _ConflictMasks(self.instance, self.budget)
+    def _conflict_masks(self) -> ConflictMasks:
+        return ConflictMasks(self.instance, self.budget)
 
     @cached_property
-    def _masks(self) -> "_MaskContext":
-        return _MaskContext(self._conflict_masks, self.priority)
+    def _masks(self) -> MaskContext:
+        return MaskContext(self._conflict_masks, self.priority.edges, self.priority.is_acyclic())
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
         copy = replace(self, priority=priority)
@@ -218,315 +209,13 @@ def is_global_improvement(
     return mine != theirs and pdb.priority.covers(mine - theirs, theirs - mine)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _join(links: Iterable[int]) -> list[int]:
-    """The unions of the links that share a bit, transitively, ascending.  A
-    zero link stays a group of its own."""
-    groups: list[int] = []
-    for link in links:
-        for group in [g for g in groups if g & link]:
-            groups.remove(group)
-            link |= group
-        groups.append(link)
-    return sorted(groups)
-
-
-class _ConflictMasks:
-    """The priority-independent half of the mask context.  Bit ``i`` stands
-    for the ``i``-th conflict vertex in ``literal_key`` order; a delta
-    repair's agreement set holds every other literal of the universe.  The
-    whole list of delta repairs is built only for ``delta_repairs()``."""
-
-    def __init__(self, instance: Instance, budget: Budget):
-        self.instance = instance
-        self.budget = budget
-
-    @cached_property
-    def index(self) -> dict[Literal, int]:
-        vertices = {l for c in self.instance.conflicts for l in c}
-        return {l: i for i, l in enumerate(sorted(vertices, key=literal_key))}
-
-    @cached_property
-    def full(self) -> int:
-        return (1 << len(self.index)) - 1
-
-    @cached_property
-    def conflicts(self) -> tuple[int, ...]:
-        return tuple(sum(1 << self.index[l] for l in c) for c in self.instance.conflicts)
-
-    @cached_property
-    def witnesses(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, every conflict holding it with it removed, ordered by
-        their members' bits (the ``literal_key`` order of their members)."""
-        found: list[list[int]] = [[] for _ in self.index]
-        for conflict in self.conflicts:
-            for i in _bits(conflict):
-                found[i].append(conflict & ~(1 << i))
-        return tuple(tuple(sorted(ws, key=lambda w: list(_bits(w)))) for ws in found)
-
-    @cached_property
-    def _owner(self) -> dict[int, int]:
-        """Each conflict vertex's component mask, by bit."""
-        return {i: comp for comp in _join(self.conflicts) for i in _bits(comp)}
-
-    @cached_property
-    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per connected component of the conflicts, its vertex mask and the
-        masks of its minimal transversals; the budget caps each component's
-        vertices.  Those of a lone conflict (conflicts form an antichain, so
-        no other fits in its component) are its members, one each; larger
-        components go to ``minimal_hitting_sets``.  An empty conflict has no
-        transversal, so then the one part is ``(0, ())``."""
-        if 0 in self.conflicts:
-            return ((0, ()),)
-        members: dict[int, list[int]] = {}
-        for c in self.conflicts:
-            members.setdefault(self._owner[(c & -c).bit_length() - 1], []).append(c)
-        out = []
-        for comp, edges in sorted(members.items()):
-            self.budget.check_universe(comp.bit_count(), "conflict literal set")
-            if len(edges) == 1:
-                out.append((comp, tuple(1 << i for i in _bits(comp))))
-            else:
-                found = minimal_hitting_sets(
-                    [frozenset(_bits(c)) for c in edges], self.budget, "conflict literal set")
-                out.append((comp, tuple(sorted(sum(1 << i for i in t) for t in found))))
-        return tuple(out)
-
-    def joined(self, links: Iterable[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per group that the links join the conflict components into, its
-        vertex mask and the delta repairs' restrictions to it, each as the
-        mask of the vertices it excludes: the products of the transversals
-        of the components inside it, whose vertices the budget caps.  Links
-        inside components, as validated priority edges are, leave ``parts``."""
-        links = list(links)
-        owner = self._owner  # a link off the conflicts meets 0
-        if not any(l & ~owner.get((l & -l).bit_length() - 1, 0) for l in links):
-            return self.parts
-        out = []
-        for group in _join([comp for comp, _ in self.parts] + links):
-            # the part of an empty conflict, 0, lies in every group
-            members = [ts for comp, ts in self.parts if comp | group == group]
-            if members:
-                comp = group & self.full
-                self.budget.check_universe(comp.bit_count(), "conflict literal set")
-                out.append((comp, tuple(sum(pick) for pick in product(*members))))
-        return tuple(out)
-
-    @cached_property
-    def facts(self) -> tuple[Fact, ...]:
-        """The fact of each vertex, by bit."""
-        return tuple(l.fact for l in self.index)
-
-    @cached_property
-    def _fact_bits(self) -> dict[Fact, int]:
-        return {l.fact: 1 << i for l, i in self.index.items()}
-
-    @cached_property
-    def absent(self) -> int:
-        """The vertices whose facts are outside the database."""
-        return sum(1 << i for l, i in self.index.items() if not l.positive)
-
-    @cached_property
-    def pool(self) -> dict[str, list[Fact]]:
-        """The database and the vertex facts, by predicate: every delta
-        repair lies inside them.  Only the absent vertices' facts are added
-        to the instance's own index."""
-        index = self.instance.db_by_predicate
-        added = by_predicate(self.facts[i] for i in _bits(self.absent))
-        return {**index, **{p: index.get(p, []) + fs for p, fs in added.items()}}
-
-    def agreement(self, repair: Database) -> int:
-        """The agreement mask of a delta repair: the vertices whose facts it
-        does not toggle."""
-        return self.full & ~sum(self._fact_bits[f] for f in repair ^ self.instance.db)
-
-    @cached_property
-    def repairs(self) -> RepairSet:
-        """Every delta repair, so the budget caps the whole vertex set."""
-        self.budget.check_universe(len(self.index), "conflict literal set")
-        return repair_product(self.instance.db, self.facts, [ts for _, ts in self.parts])
-
-
-def _unbeaten(
-    excluded: tuple[int, ...], beats: Callable[[int, int], bool]
-) -> tuple[int, ...]:
-    """The excluded-vertex masks of one part that no other mask of it beats;
-    ``beats(other, mine)`` compares two of them."""
-    return tuple(
-        mine
-        for mine in excluded
-        if not any(other != mine and beats(other, mine) for other in excluded)
-    )
-
-
-class _MaskContext:
-    """The three optimality notions of one ``PrioritizedDatabase``, on the
-    vertex masks of ``_ConflictMasks``.
-
-    Its nodes are the conflict vertices, on their bits, then the priority
-    endpoints outside them in ``literal_key`` order.  ``dom[i]`` masks the
-    nodes that node ``i`` outranks and ``beaten_by[i]`` those that outrank
-    it.  ``parts`` joins the conflict components along the priority edges.
-    No conflict, witness, dominance edge or greedy replay leaves such a
-    part, so a delta repair is optimal of a kind exactly when its
-    restriction to every part is; ``optima`` keeps, per kind and for as long
-    as the context lives, the restrictions that are."""
-
-    def __init__(self, masks: _ConflictMasks, priority: PriorityRelation):
-        self.masks = masks
-        index = dict(masks.index)
-        for lit in sorted(priority.literals() - index.keys(), key=literal_key):
-            index[lit] = len(index)
-        self.dom = [0] * len(index)
-        self.beaten_by = [0] * len(index)
-        for strong, weak in priority.edges:
-            self.dom[index[strong]] |= 1 << index[weak]
-            self.beaten_by[index[weak]] |= 1 << index[strong]
-        self.acyclic = priority.is_acyclic()
-        self._optima: dict[str, tuple[tuple[int, ...], ...]] = {}
-
-    def is_pareto_optimal(self, agree: int) -> bool:
-        """A Pareto improvement exists exactly when some excluded vertex can be
-        kept after dropping every node it outranks without completing a
-        conflict; since the repair completes none, that conflict holds the
-        vertex.  Check that every excluded vertex is blocked so."""
-        for i in _bits(self.masks.full & ~agree):
-            bit = 1 << i
-            keep = (agree | bit) & ~self.dom[i]
-            if not any((w | bit) & ~keep == 0 for w in self.masks.witnesses[i]):
-                return False
-        return True
-
-    @cached_property
-    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``_ConflictMasks.joined`` along the priority edges."""
-        return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
-
-    @cached_property
-    def part_of(self) -> tuple[int, ...]:
-        """Each conflict vertex's position in ``parts``, by bit."""
-        out = [0] * len(self.masks.index)
-        for p, (comp, _) in enumerate(self.parts):
-            for i in _bits(comp):
-                out[i] = p
-        return tuple(out)
-
-    def _improves(self, other: int, mine: int) -> bool:
-        """Each vertex that restriction ``other`` sacrifices is outranked by
-        one it newly keeps."""
-        return all(self.beaten_by[i] & mine & ~other for i in _bits(other & ~mine))
-
-    def optima(self, kind: str) -> tuple[tuple[int, ...], ...]:
-        """Per part, the excluded-vertex masks of the restrictions that are
-        optimal of the given kind, computed once per kind.  Pareto runs the
-        whole-repair check on a repair that excludes only that part's
-        vertices, and completion replays each restriction on the part's
-        nodes.  Global keeps the restrictions that no other one improves,
-        since a repair is improved exactly when its restriction to some part
-        is (swap in that part of the improving repair).  An unknown kind
-        raises before anything is computed."""
-        found = self._optima.get(kind)
-        if found is not None:
-            return found
-        if kind == "global":
-            keep = lambda p, excluded: _unbeaten(excluded, self._improves)
-        elif kind == "completion":
-            keep = lambda p, excluded: tuple(
-                t for t in excluded if self._replays(self.part_nodes[p], t)
-            )
-        else:
-            check, full = _optimality_check(kind), self.masks.full
-            keep = lambda p, excluded: tuple(t for t in excluded if check(self, full & ~t))
-        found = self._optima[kind] = tuple(
-            keep(p, excluded) for p, (_, excluded) in enumerate(self.parts)
-        )
-        return found
-
-    def is_globally_optimal(self, agree: int) -> bool:
-        """No other delta repair globally improves this one: its restriction
-        to every part is globally optimal there."""
-        excluded = self.masks.full & ~agree
-        return all(
-            (excluded & comp) in optimal
-            for (comp, _), optimal in zip(self.parts, self.optima("global"))
-        )
-
-    def is_completion_optimal(self, agree: int) -> bool:
-        """``_replays`` over every node."""
-        return self._replays((1 << len(self.dom)) - 1, self.masks.full & ~agree)
-
-    @cached_property
-    def part_nodes(self) -> tuple[int, ...]:
-        """Per part, its vertices and the priority endpoints off the
-        conflicts that edges join to them."""
-        out = []
-        for comp, _ in self.parts:
-            nodes = todo = comp
-            while todo:
-                i = (todo & -todo).bit_length() - 1
-                todo ^= 1 << i
-                step = (self.dom[i] | self.beaten_by[i]) & ~nodes
-                nodes |= step
-                todo |= step
-            out.append(nodes)
-        return tuple(out)
-
-    def _replays(self, nodes: int, excluded: int) -> bool:
-        """The greedy construction replays the repair that excludes
-        ``excluded`` on ``nodes`` (Staworko, Chomicki & Marcinkowski, AMAI
-        2012): each round takes the undecided nodes that no undecided node
-        outranks, keeps those the repair keeps (nodes off the conflicts
-        always) and drops the excluded ones that complete a conflict with the
-        kept ones; a round that decides nothing fails.  Under a cyclic
-        priority only a repair that excludes nothing passes."""
-        if not self.acyclic:
-            return not excluded
-        witnesses = self.masks.witnesses
-        kept, left = 0, nodes
-        while left:
-            ready = sum(1 << i for i in _bits(left) if not self.beaten_by[i] & left)
-            kept |= ready & ~excluded
-            drop = sum(
-                1 << i for i in _bits(ready & excluded)
-                if any(not w & ~kept for w in witnesses[i])
-            )
-            if not ready & ~excluded | drop:
-                return False
-            left &= ~(ready & ~excluded | drop)
-        return True
-
-
-def _optimality_check(kind: str) -> Callable[[_MaskContext, int], bool]:
-    """The check, on a mask context and a delta repair's agreement mask, that
-    the repair is optimal of the given kind; 'none' and 'delta' accept every
-    repair.  An unknown kind raises."""
-    if kind in ("none", "delta"):
-        return lambda ctx, agree: True
-    checks = {
-        "pareto": _MaskContext.is_pareto_optimal,
-        "global": _MaskContext.is_globally_optimal,
-        "completion": _MaskContext.is_completion_optimal,
-    }
-    if kind not in checks:
-        raise InputError(f"unknown optimality kind: {kind}")
-    return checks[kind]
-
-
 def is_optimal_repair(
     repair: Database, pdb: PrioritizedDatabase, kind: str
 ) -> bool:
     """Membership check for one repair; kind is 'pareto', 'global', or
     'completion' ('none' checks plain repair membership).  An unknown kind
     raises ``InputError`` whether or not the candidate is a repair."""
-    check = _optimality_check(kind)
+    check = optimality_check(kind)
     return is_delta_repair_of(pdb.instance, repair) and check(
         pdb._masks, pdb._conflict_masks.agreement(repair)
     )
@@ -534,45 +223,10 @@ def is_optimal_repair(
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
     """The delta repairs that are optimal of the given kind, in canonical
-    order: the product of the per-part optima (``_MaskContext.optima``)."""
-    return _optimum_product(pdb, pdb._masks.parts, pdb._masks.optima(kind))
-
-
-def _optimum_product(
-    pdb: PrioritizedDatabase, parts: Sequence[tuple[int, tuple[int, ...]]],
-    optima: Sequence[Sequence[int]],
-) -> RepairSet:
-    """``repair_product`` of the optima of the given parts.  The budget caps
-    the vertices of the parts with more than one optimum before any repair
-    is built."""
-    if all(optima):
-        pdb.budget.check_universe(
-            sum(comp.bit_count() for (comp, _), opt in zip(parts, optima) if len(opt) > 1),
-            "optimal repair product",
-        )
-    return repair_product(pdb.db, pdb._conflict_masks.facts, optima)
-
-
-def repair_product(
-    db: Database, facts: Sequence[Fact], choices: Sequence[Sequence[int]]
-) -> RepairSet:
-    """The databases that toggle, per part, the facts (``facts`` by bit) of
-    one of its excluded-vertex masks, in canonical order.  Parts with one
-    choice are folded into a fixed base first, so only the free product is
-    built; a part with no choice leaves no database."""
-    if not all(choices):
-        return RepairSet("delta", ())
-    fixed = 0
-    free = []
-    for masks in choices:
-        if len(masks) == 1:
-            fixed |= masks[0]
-        else:
-            free.append([[facts[i] for i in _bits(t)] for t in masks])
-    base = db ^ {facts[i] for i in _bits(fixed)}
-    return sorted_repair_set(
-        "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*free))
-    )
+    order: the product of the per-part optima (``MaskContext.optima``)."""
+    ctx = pdb._masks
+    return pdb._conflict_masks.repair_product(
+        ctx.parts, ctx.optima(kind), "optimal repair product")
 
 
 def greedy_optimal_repair(
@@ -626,10 +280,7 @@ def completions(
         if (a, b) in priority.edges or (b, a) in priority.edges:
             continue
         undirected.append((a, b))
-    if 2 ** len(undirected) > budget.max_completions:
-        raise BudgetExceededError(
-            f"{2 ** len(undirected)} orientations exceed the completion cap"
-        )
+    budget.check_universe(len(undirected), "undirected pair set")
     for choice in product((0, 1), repeat=len(undirected)):
         edges = set(priority.edges)
         for flip, (a, b) in zip(choice, undirected):
@@ -744,7 +395,8 @@ def lexicographic_repairs(
         structure = detect_score_structure(pdb.priority, pdb.conflicts())
     if structure is None:
         raise InputError("priority relation is not score-structured")
-    index = pdb._conflict_masks.index
+    masks = pdb._conflict_masks
+    index = masks.index
     levels = [sum(1 << index[l] for l in level if l in index) for level in structure.levels]
 
     def beats(other: int, mine: int) -> bool:
@@ -754,5 +406,6 @@ def lexicographic_repairs(
                 return not other & ~mine & level
         return False
 
-    parts = pdb._conflict_masks.parts
-    return _optimum_product(pdb, parts, [_unbeaten(excluded, beats) for _, excluded in parts])
+    return masks.repair_product(
+        masks.parts, [unbeaten(excluded, beats) for _, excluded in masks.parts],
+        "optimal repair product")

@@ -8,7 +8,7 @@ plus the conflict vertex facts: every delta repair lies inside that pool and
 differs from the database on vertex facts only.  Each match is a support of
 its answer tuple; it lives in a repair that lacks none of its vertex facts.
 The optimal repairs are the product of per-part optima
-(``_MaskContext.optima``), so no repair is built: brave asks for a support
+(``masks.MaskContext.optima``), so no repair is built: brave asks for a support
 that some optimum of each part it touches keeps, intersection for one that
 every optimum keeps, and cqa joins the supports that share a part into
 groups and enumerates, under the budget, the choices of optima over each
@@ -25,7 +25,8 @@ from typing import Sequence
 
 from .errors import InputError
 from .model import Database, Fact, Term, by_predicate, is_variable, matches
-from .priorities import PrioritizedDatabase, _bits, _join
+from .masks import bits, join, optimality_check
+from .priorities import PrioritizedDatabase
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def repairs_intersection(pdb: PrioritizedDatabase, optimality: str) -> Database:
         return frozenset()
     facts = pdb._conflict_masks.facts
     gone = reduce(or_, chain(*missing), 0)
-    return pdb.db.union(facts).difference([facts[i] for i in _bits(gone)])
+    return pdb.db.union(facts).difference([facts[i] for i in bits(gone)])
 
 
 def _supports(
@@ -116,12 +117,12 @@ def _supports(
     the vertex masks of the facts of its matches.  The pool holds every delta
     repair, which keeps the facts off the conflicts."""
     masks = pdb._conflict_masks
-    pool, bits = masks.pool, masks._fact_bits
+    pool, fact_bits = masks.pool, masks.fact_bits
     out: dict[tuple[str, ...], list[int]] = {}
     for binding, matched in matches(_ordered(query, pool), pool):
         care = 0
         for fact in matched:
-            care |= bits.get(fact, 0)
+            care |= fact_bits.get(fact, 0)
         out.setdefault(tuple([binding[v] for v in query.head_vars]), []).append(care)
     return out
 
@@ -136,10 +137,12 @@ def answers(
     vertex facts; the optimal repairs are the product of the per-part optima.
     A support with a fact that every optimum of its part lacks (``always``)
     lives in none, and one with no fact that some optimum lacks (``gone``)
-    lives in all.  Only the rest need a choice of optima."""
-    missing = _missing(pdb, optimality)
+    lives in all.  Only the rest need a choice of optima.  An unknown kind,
+    then an unknown semantics, raises before anything is computed."""
+    optimality_check(optimality)
     if semantics not in ("brave", "cqa", "intersection"):
         raise InputError(f"unknown semantics: {semantics}")
+    missing = _missing(pdb, optimality)
     if not all(missing):  # no optimal repair
         tuples = sorted(evaluate(query, frozenset())) if semantics == "intersection" else ()
         return AnswerSet(query, semantics, optimality, tuple(tuples))
@@ -150,7 +153,7 @@ def answers(
 
     def touched(care: int) -> set[int]:
         part_of = pdb._masks.part_of
-        return {part_of[i] for i in _bits(care)}
+        return {part_of[i] for i in bits(care)}
 
     def holds(cares: list[int]) -> bool:
         live = {care & gone for care in cares if not care & always}  # on the facts in doubt
@@ -164,16 +167,16 @@ def answers(
         # cqa: supports that share no part are lost independently, so some
         # group of them survives every choice of optima over its own parts
         reach = {care: sum(1 << p for p in touched(care)) for care in live}
-        groups = _join(reach.values())
+        groups = join(reach.values())
         for group in groups:
             pdb.budget.check_universe(
-                sum(pdb._masks.parts[p][0].bit_count() for p in _bits(group)),
+                sum(pdb._masks.parts[p][0].bit_count() for p in bits(group)),
                 "optimal repair product",
             )
         return any(
             all(
                 any(not care & sum(pick) for care, on in reach.items() if on & group)
-                for pick in product(*(missing[p] for p in _bits(group)))
+                for pick in product(*(missing[p] for p in bits(group)))
             )
             for group in groups
         )

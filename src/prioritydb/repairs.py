@@ -1,39 +1,17 @@
-"""Repair enumeration: symmetric-difference, subset, and superset repairs."""
+"""Repair enumeration: symmetric-difference, subset, and superset repairs.
+Delta repairs come from ``masks.ConflictMasks``; the others and the oracle
+``delta_repairs_bruteforce`` scan subsets of the facts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
-from .model import (
-    Database,
-    Instance,
-    Literal,
-    Schema,
-    UniversalConstraint,
-    fact_key,
+from .masks import ConflictMasks, consistent_mask
+from .model import (  # re-exports RepairSet and sorted_repair_set
+    Database, Instance, Literal, RepairSet, Schema, UniversalConstraint, fact_key,
+    sorted_repair_set,
 )
-
-
-@dataclass(frozen=True)
-class RepairSet:
-    kind: str  # "delta" | "subset" | "superset"
-    repairs: tuple[Database, ...]
-
-    def __contains__(self, candidate: Database) -> bool:
-        return candidate in self.repairs
-
-    def __iter__(self):
-        return iter(self.repairs)
-
-    def __len__(self) -> int:
-        return len(self.repairs)
-
-
-def sorted_repair_set(kind: str, repairs) -> RepairSet:
-    ordered = sorted(set(repairs), key=lambda r: (len(r), sorted(r, key=fact_key)))
-    return RepairSet(kind, tuple(ordered))
 
 
 def delta_repairs(
@@ -51,10 +29,8 @@ def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairS
     """Each transversal ``t`` lies in the literal universe, so the restriction
     to ``inst.literals - t`` is the database with the facts of ``t`` toggled.
     The transversals are the products of those of the conflict components
-    (``priorities._ConflictMasks.repairs``)."""
-    from .priorities import _ConflictMasks  # local import to avoid a cycle
-
-    return _ConflictMasks(inst, budget).repairs
+    (``ConflictMasks.repairs``)."""
+    return ConflictMasks(inst, budget).repairs
 
 
 def _as_bitmask_problem(inst: Instance):
@@ -75,12 +51,6 @@ def _as_bitmask_problem(inst: Instance):
     for fact in inst.db:
         db_mask |= 1 << index[fact]
     return universe, bodies, db_mask
-
-
-def consistent_mask(mask: int, bodies) -> bool:
-    """No ``(pos, neg)`` body is matched by ``mask``: none has every fact of
-    ``pos`` in ``mask`` and every fact of ``neg`` outside it."""
-    return not any((mask & pos) == pos and (mask & neg) == 0 for pos, neg in bodies)
 
 
 def delta_repairs_bruteforce(

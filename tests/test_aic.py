@@ -126,6 +126,19 @@ class TestBudget:
         )
         assert len(repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=2))) == 1
 
+    def test_unknown_class_raises_before_any_classification(self):
+        # three independent rules p_i, q_i -> { -q_i }: groups of 2 conflict
+        # literals, above a cap of 1
+        names = [f"{a}{i}" for i in range(3) for a in "pq"]
+        db, schema = prop_db(*names), prop_schema(*names)
+        rules = tuple(
+            prop_rule([(f"p{i}", True), (f"q{i}", True)], [(f"q{i}", False)]) for i in range(3)
+        )
+        with pytest.raises(BudgetExceededError, match="^conflict literal set has 2 elements"):
+            repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=1))
+        with pytest.raises(InputError, match="unknown r-update class: bogus"):
+            repairs_of_kind(db, schema, rules, "bogus", Budget(max_universe=1))
+
 
 class TestClassification:
     def test_well_founded_but_not_founded(self):

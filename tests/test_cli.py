@@ -15,7 +15,7 @@ from prioritydb import aic, cli
 from prioritydb.cli import main
 from prioritydb.errors import Budget
 from prioritydb.model import Instance, Schema, fact_key
-from prioritydb.priorities import _ConflictMasks
+from prioritydb.masks import ConflictMasks
 from prioritydb.textio import (
     format_aics,
     format_database,
@@ -264,7 +264,7 @@ class TestAicCommands:
                 for entry in table
             ) + f"r-updates: {len(table)}\n"
             assert (code, out) == (0, expected), inst
-            masks = _ConflictMasks(
+            masks = ConflictMasks(
                 Instance(inst.db, inst.schema, aic.constraints_of(inst.rules)), Budget())
             facts = [l.fact for l in masks.index]
             seen["add"] += any(not l.positive for l in masks.index)
@@ -779,6 +779,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "files, command, message",
+        [
+            ((), ("aic", "classify"), "aic commands require --aics"),
+            ((), ("verify", "prop10"), "verify prop10 requires --aics"),
+            ((), ("translate", "aic-to-prio"), "aic-to-prio requires --aics"),
+            (("--aics", AIC9 / "rules.pdb"), ("aic", "check-update"),
+             "aic check-update requires --update"),
+            (("--aics", AIC9 / "rules.pdb"), ("aic", "check-update", "--kind", "grounded"),
+             "aic check-update requires --update"),
+        ],
+        ids=["classify", "prop10", "aic-to-prio", "check-update", "check-update-kind"],
+    )
+    def test_missing_input_file_is_an_input_error(self, capsys, files, command, message):
+        code = main([str(a) for a in ("--db", AIC9 / "db.pdb", *files, *command)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag, value", [("--max-universe", "-1")])
     def test_negative_budget_is_a_usage_error(self, capsys, flag, value):

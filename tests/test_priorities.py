@@ -175,19 +175,6 @@ class TestIsOptimalRepair:
 
 
 class TestCompletionCertificateCap:
-    """The completion check keeps no budget of its own: ``max_completions``
-    caps only ``completions``, which the oracle enumerates."""
-
-    def test_cap_of_one_does_not_stop_the_check(self, example3):
-        pdb = example3.pdb()
-        capped = PrioritizedDatabase(
-            example3.db, example3.schema, example3.constraints, example3.priority,
-            Budget(max_completions=1),
-        )
-        repair = example3_repairs()["keep_rdb_sac"]  # excludes 4 literals
-        assert is_optimal_repair(repair, capped, "completion")
-        assert optimal_repairs(capped, "completion") == optimal_repairs(pdb, "completion")
-
     def test_a_later_witness_keeps_the_repair(self):
         # P(a) clashes with Q(a) and with T(a) and outranks Q(a): T(a) is
         # kept first and drops P(a), which frees Q(a)
@@ -248,6 +235,12 @@ class TestCompletions:
         got = list(completions(PriorityRelation(), conflict_set))
         # three independent binary pairs, no orientation can build a cycle
         assert len(got) == 8
+
+    def test_budget_caps_the_undirected_pairs(self, example1):
+        conflict_set = conflicts(example1.db, example1.schema, example1.constraints)
+        assert len(list(completions(PriorityRelation(), conflict_set, Budget(max_universe=3)))) == 8
+        with pytest.raises(BudgetExceededError, match="^undirected pair set has 3 elements"):
+            list(completions(PriorityRelation(), conflict_set, Budget(max_universe=2)))
 
     def test_all_outputs_are_valid_completions(self, example3):
         conflict_set = conflicts(example3.db, example3.schema, example3.constraints)

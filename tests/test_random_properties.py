@@ -77,7 +77,6 @@ from prioritydb.model import (
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
-    _bits,
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
     is_global_improvement,
@@ -88,6 +87,7 @@ from prioritydb.priorities import (
     score_structure_from_scores,
     validate_priority,
 )
+from prioritydb.masks import bits
 from prioritydb.query import ConjunctiveQuery, answers, evaluate, repairs_intersection
 from prioritydb.repairs import (
     delta_repairs,
@@ -233,7 +233,7 @@ def test_oracle_delta_repairs_bruteforce():
 
 
 def _delta_repairs_by_hitting_sets(inst, budget: Budget = Budget()) -> tuple:
-    """The path that the product over ``_ConflictMasks.parts`` replaced: the
+    """The path that the product over ``ConflictMasks.parts`` replaced: the
     minimal transversals of the whole conflict hypergraph, each toggled."""
     edges = ConflictHypergraph.of(inst.conflicts).hyperedges
     return sorted_repair_set(
@@ -395,7 +395,7 @@ def _certificate_search(ctx, agree: int) -> bool:
     ``w -> lam`` closes a cycle exactly when ``lam`` reaches a member of
     ``w``.  Exponential in the excluded vertices; under a cyclic priority
     only a repair that excludes nothing passes."""
-    excluded = list(_bits(ctx.masks.full & ~agree))
+    excluded = list(bits(ctx.masks.full & ~agree))
     options = [[w for w in ctx.masks.witnesses[i] if not w & ~agree] for i in excluded]
     if not all(options):
         return False
@@ -421,7 +421,7 @@ def _certificate_search(ctx, agree: int) -> bool:
         for witness in options[depth]:
             if not reaches(succ, lam, witness):
                 after = succ.copy()
-                for mu in _bits(witness):
+                for mu in bits(witness):
                     after[mu] |= 1 << lam
                 if search(depth + 1, after):
                     return True
@@ -746,7 +746,7 @@ def _bit_list(mask: int) -> list[int]:
 
 
 def _parts_by_hitting_sets(masks) -> tuple:
-    """``_ConflictMasks.parts`` as it was before lone conflicts got a closed
+    """``ConflictMasks.parts`` as it was before lone conflicts got a closed
     form: ``minimal_hitting_sets`` on each component's conflicts, found by
     scanning every conflict."""
     if 0 in masks.conflicts:
@@ -760,7 +760,7 @@ def _parts_by_hitting_sets(masks) -> tuple:
 
 
 def _joined_by_groups(masks, links) -> tuple:
-    """``_ConflictMasks.joined`` without its shortcut: the components and
+    """``ConflictMasks.joined`` without its shortcut: the components and
     links grouped by shared bits, each group's restrictions the product of
     its components' transversals."""
     out = []
@@ -1070,6 +1070,15 @@ def test_answers_check_the_kind_before_the_semantics():
         answers(pdb, KEY_QUERIES[0], "certain", "best")
     with pytest.raises(InputError, match="unknown semantics: certain"):
         answers(pdb, KEY_QUERIES[0], "certain", "pareto")
+
+
+def test_answers_check_the_semantics_before_any_work():
+    # 3 keys of two values: components of 2 conflict literals, above a cap of 1
+    pdb = key_violations(3, Budget(max_universe=1))
+    with pytest.raises(BudgetExceededError, match="^conflict literal set has 2 elements"):
+        answers(pdb, KEY_QUERIES[0], "brave", "pareto")
+    with pytest.raises(InputError, match="unknown semantics: bogus"):
+        answers(pdb, KEY_QUERIES[0], "bogus", "pareto")
 
 
 def test_property_signed_image_correspondence():
