@@ -9,13 +9,14 @@ subset leaves some rule violated that only the remaining actions can touch),
 and justified (the action set plus the no-effect actions is a minimal closed
 set).
 
-``classify_components`` runs ``masks.RuleMasks.classify`` once per
-restriction of each group of conflict components that the rules join; the
-r-update tables and classes are products of those rows' flag bits, and an
-``RUpdate`` is built only for an action set returned.  ``is_founded``,
-``is_well_founded``, ``is_grounded`` and ``is_justified`` follow the
-definitions on frozensets; they are the reference the classifier is tested
-against, and ``classify_updates`` over ``r_updates`` the whole-instance one.
+``classify_components`` maps the ground rules to ``masks.rule_rows`` once
+and runs ``masks.RuleMasks.classify`` once per restriction of each group of
+conflict components that the rules join; the r-update tables and classes are
+products of those rows' flag bits, and an ``RUpdate`` is built only for an
+action set returned.  ``is_founded``, ``is_well_founded``, ``is_grounded`` and
+``is_justified`` follow the definitions on frozensets; they are the reference
+the classifier is tested against, and ``classify_updates`` over ``r_updates``
+the whole-instance one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model import (
     universe_constants,
     violates_ground,
 )
-from .masks import R_UPDATE_CLASSES, ConflictMasks, RuleMasks, bits
+from .masks import R_UPDATE_CLASSES, ConflictMasks, RuleMasks, bits, rule_rows
 from .repairs import RepairSet, delta_repairs, is_delta_repair_of
 
 
@@ -474,14 +475,9 @@ def classify_components(
     closed, and an update's flags are the AND of its restrictions'.  The
     budget caps each group's vertices; a caller that lists every r-update
     caps the whole conflict literal set itself."""
-    db, absent, fact_bits = masks.instance.db, masks.absent, masks.fact_bits
-    touched = [(rule, sum({fact_bits.get(x.fact, 0) for x in (*rule.lits, *rule.updates)}))
-               for rule in ground]
-    rows = []
-    for group, excluded in masks.joined(mask for _, mask in touched if mask):
-        rules = RuleMasks(db, [rule for rule, mask in touched if mask & group], fact_bits)
-        rows.append((group, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded]))
-    return rows
+    _, rows, db = rule_rows(ground, masks.fact_bits, masks.instance.db)
+    touched = [masks.full & (pos | neg | add | rem) for pos, neg, add, rem in rows]
+    return masks.classified(masks.joined(mask for mask in touched if mask), rows, db)
 
 
 def classify_updates(
@@ -496,16 +492,17 @@ def classify_updates(
     Agrees with ``is_founded``, ``is_well_founded``, ``is_grounded`` and
     ``is_justified`` (over that universe), but runs ``RuleMasks.classify``.
     """
-    rules = RuleMasks(db, ground, {})
+    bit, rows, db_mask = rule_rows(ground, {}, db)
+    rules = RuleMasks(rows, db_mask)
     out = []
     for actions in updates:
         if not consistent_actions(actions):
             raise InputError("action set adds and removes the same fact")
         budget.check_universe(len(actions), "action set")
         flags = 0  # no rule offers an action on a fact that none mentions
-        if all(a.fact in rules.bit for a in actions):
-            flags = rules.classify(rules.mask(a.fact for a in actions if a.add),
-                                   rules.mask(a.fact for a in actions if not a.add))
+        if all(a.fact in bit for a in actions):
+            flags = rules.classify(sum(bit[a.fact] for a in actions if a.add),
+                                   sum(bit[a.fact] for a in actions if not a.add))
         out.append(_r_update(actions, flags))
     return tuple(sorted(out, key=_update_key))
 
@@ -521,15 +518,20 @@ def _class_flag(kind: str) -> int:
     return 0 if kind == "all" else 1 << R_UPDATE_CLASSES.index(kind)
 
 
+def class_choices(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]], kind: str
+                  ) -> list[list[int]]:
+    """Per group of the rows of ``classify_components``, its restrictions
+    whose updates have the given support property ('all' for any)."""
+    flag = _class_flag(kind)
+    return [[t for t, flags in row if flags & flag == flag] for _, row in rows]
+
+
 def reached_by_kind(
     masks: ConflictMasks, rows: Sequence[tuple[int, Sequence[tuple[int, int]]]], kind: str
 ) -> RepairSet:
-    """The delta repairs whose updates have the given support property ('all'
-    for any), from the rows of ``classify_components``: the product of each
-    group's restrictions that have it (``ConflictMasks.repair_product``)."""
-    flag = _class_flag(kind)
-    choices = [[t for t, flags in row if flags & flag == flag] for _, row in rows]
-    return masks.repair_product(rows, choices, "r-update class product")
+    """The delta repairs whose updates have the given support property: the
+    product of ``class_choices`` (``ConflictMasks.repair_product``)."""
+    return masks.repair_product(rows, class_choices(rows, kind), "r-update class product")
 
 
 def repairs_of_kind(

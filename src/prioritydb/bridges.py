@@ -10,7 +10,9 @@ rules; and well-behaved active rules back to a prioritized database.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
+from math import prod
 from typing import Optional, Sequence
 
 from .aic import (
@@ -19,6 +21,7 @@ from .aic import (
     UpdateAtom,
     action_key,
     check_ground_properties,
+    class_choices,
     classify_components,
     constraints_of,
     ground_rules,
@@ -27,6 +30,7 @@ from .aic import (
     rules_constants,
 )
 from .errors import DEFAULT_BUDGET, Budget, InputError
+from .masks import ConflictMasks, bits
 from .model import (
     BodyAtom,
     Constant,
@@ -152,22 +156,14 @@ def check_denial_image(
 
 def priority_to_rules(pdb: PrioritizedDatabase) -> tuple[GroundAIC, ...]:
     """One ground rule per conflict, repairing exactly the literals that do not
-    outrank any other member of that conflict."""
-    out = []
-    for conflict in sorted(
-        pdb.conflicts(), key=lambda e: sorted(map(literal_key, e))
-    ):
-        updates = frozenset(
-            repair_action_for(lit)
-            for lit in conflict
-            if not any(
-                pdb.priority.outranks(lit, other)
-                for other in conflict
-                if other != lit
-            )
-        )
-        out.append(GroundAIC(frozenset(conflict), updates))
-    return tuple(out)
+    outrank any other member of that conflict: ``MaskContext.rule_rows`` on
+    the conflict literals."""
+    vertices = tuple(pdb._conflict_masks.index)
+    return tuple(
+        GroundAIC(frozenset(vertices[i] for i in bits(pos | neg)),
+                  frozenset(repair_action_for(vertices[i]) for i in bits(add | rem)))
+        for pos, neg, add, rem in pdb._masks.rule_rows
+    )
 
 
 def ground_rules_as_aics(rules: Sequence[GroundAIC]) -> tuple[AIC, ...]:
@@ -187,44 +183,59 @@ def ground_rules_as_aics(rules: Sequence[GroundAIC]) -> tuple[AIC, ...]:
     return tuple(out)
 
 
+def _listed(family: str, what: str) -> cached_property:
+    """A family of an ``EquivalenceReport``, listed on first access."""
+    return cached_property(lambda r: r.masks.repair_product(r.parts, r.choices[family], what))
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Comparison of Pareto-optimal repairs with the r-update classes of the
-    translated rules."""
+    """Pareto-optimal repairs against the r-update classes of the translated
+    rules.  ``choices`` holds, for 'pareto' and each class, the excluded-vertex
+    masks of the restrictions in it of each part ``(vertex mask, …)``.  A
+    family is their product, so it is counted without being listed."""
 
-    pareto: RepairSet
-    founded: RepairSet
-    grounded: RepairSet
-    justified: RepairSet
-    well_founded: RepairSet
+    masks: ConflictMasks
+    parts: tuple[tuple[int, tuple[int, ...]], ...]
+    choices: dict[str, Sequence[Sequence[int]]]
+
+    pareto = _listed("pareto", "optimal repair product")
+    founded = _listed("founded", "r-update class product")
+    grounded = _listed("grounded", "r-update class product")
+    justified = _listed("justified", "r-update class product")
+    well_founded = _listed("wellfounded", "r-update class product")
+
+    def count(self, family: str) -> int:
+        return prod(map(len, self.choices[family]))
 
     def ok(self) -> bool:
-        sets = {
-            tuple(self.founded.repairs),
-            tuple(self.grounded.repairs),
-            tuple(self.justified.repairs),
-            tuple(self.pareto.repairs),
-        }
-        return len(sets) == 1 and set(self.pareto.repairs) <= set(
-            self.well_founded.repairs
-        )
+        """Founded, grounded and justified equal Pareto, which lies within
+        well-founded.  A product with an empty factor is empty (``None``
+        here), and any other determines its factors."""
+        sets = {f: [set(ts) for ts in ch] if all(ch) else None for f, ch in self.choices.items()}
+        pareto, wide = sets["pareto"], sets["wellfounded"]
+        return all(sets[k] == pareto for k in ("founded", "grounded", "justified")) and (
+            pareto is None or wide is not None and all(map(set.issubset, pareto, wide)))
 
 
 def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport:
+    """Proposition 8 per part of the mask context: its restrictions are
+    classified under the translated rules inside it and compared with its
+    Pareto-optimal ones.  Each family is capped as if it were listed."""
     # The translated rule bodies are exactly the conflicts.  Conflicts lie in
     # one literal universe, so no two of them clash: their consensus closure is
     # themselves, and the rules' r-updates are the updates to the pdb's own
     # delta repairs.  Classifying those updates therefore classifies the
     # translated rules' r-updates, with no second consensus or enumeration.
-    masks = pdb._conflict_masks
-    rows = classify_components(masks, priority_to_rules(pdb))
-    return EquivalenceReport(
-        pareto=optimal_repairs(pdb, "pareto"),
-        founded=reached_by_kind(masks, rows, "founded"),
-        grounded=reached_by_kind(masks, rows, "grounded"),
-        justified=reached_by_kind(masks, rows, "justified"),
-        well_founded=reached_by_kind(masks, rows, "wellfounded"),
-    )
+    ctx = pdb._masks
+    masks = ctx.masks
+    rows = masks.classified(ctx.parts, ctx.rule_rows, masks.full & ~masks.absent)
+    choices = {"pareto": ctx.optima("pareto")}
+    masks.check_product(ctx.parts, choices["pareto"], "optimal repair product")
+    for kind in ("founded", "grounded", "justified", "wellfounded"):
+        choices[kind] = class_choices(rows, kind)
+        masks.check_product(ctx.parts, choices[kind], "r-update class product")
+    return EquivalenceReport(masks, ctx.parts, choices)
 
 
 def refine_constraint(

@@ -6,14 +6,19 @@ the literal universe minus one minimal transversal of the conflicts, so the
 repair is named by the mask of the vertices it excludes, whose facts it
 toggles.  A part is a conflict component, or a group of components that
 links join, with its vertex mask and the excluded-vertex masks of the delta
-repairs' restrictions to it.  A listed set of repairs is one budgeted
-product of per-part choices (``ConflictMasks.repair_product``).
+repairs' restrictions to it.  A set of repairs is a product of per-part
+choices: ``ConflictMasks.check_product`` caps it, whether it is listed
+(``ConflictMasks.repair_product``) or only counted.
 
-``RuleMasks`` gives the vertex facts their vertex bits and the other facts
-that ground active rules mention the next ones.  An update is the pair
-``(added, removed)`` of fact masks, so the restriction that excludes ``t`` is
-the update ``(t & absent, t & ~absent)``.  ``RuleMasks.classify`` returns an
-update's support classes as flag bits, bit ``k`` for ``R_UPDATE_CLASSES[k]``.
+A ground active rule is a ``(pos, neg, add, rem)`` row of fact masks: the
+facts of its positive and negative body literals, and those it adds and
+removes.  ``rule_rows`` gives the vertex facts their vertex bits and the
+other facts that the rules mention the next ones; ``MaskContext.rule_rows``
+translates the priority straight to rows over the vertex bits.  An update
+is the pair ``(added, removed)`` of fact masks, so the restriction that
+excludes ``t`` is the update ``(t & absent, t & ~absent)``.
+``RuleMasks.classify`` returns an update's support classes as flag bits, bit
+``k`` for ``R_UPDATE_CLASSES[k]``.
 """
 
 from __future__ import annotations
@@ -208,18 +213,25 @@ class ConflictMasks:
         return self.repair_product(self.parts, [ts for _, ts in self.parts],
                                    "conflict literal set")
 
+    def check_product(self, parts: Sequence[tuple[int, object]],
+                      choices: Sequence[Sequence[int]], what: str) -> None:
+        """Cap as stage ``what`` the product of one choice per part ``(vertex
+        mask, …)``: the vertices of the parts with more than one choice.  A
+        product with an empty factor is empty, so it passes."""
+        if all(choices):
+            self.budget.check_universe(
+                sum(comp.bit_count() for (comp, _), ts in zip(parts, choices) if len(ts) > 1),
+                what)
+
     def repair_product(self, parts: Sequence[tuple[int, object]],
                        choices: Sequence[Sequence[int]], what: str) -> RepairSet:
         """The databases that toggle, per part ``(vertex mask, …)``, the vertex
         facts of one of its excluded-vertex masks in ``choices``, in canonical
-        order.  Before any is built, the budget caps as stage ``what`` the
-        vertices of the parts with more than one choice; the others' choices
-        form a fixed base."""
+        order, once ``check_product`` passes; the parts with one choice form
+        a fixed base."""
+        self.check_product(parts, choices, what)
         if not all(choices):
             return RepairSet("delta", ())
-        self.budget.check_universe(
-            sum(comp.bit_count() for (comp, _), ts in zip(parts, choices) if len(ts) > 1), what
-        )
         facts = self.facts
         fixed = 0
         free = []
@@ -232,6 +244,24 @@ class ConflictMasks:
         return sorted_repair_set(
             "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*free))
         )
+
+    def classified(self, parts: Sequence[tuple[int, Sequence[int]]],
+                   rows: Sequence[tuple[int, int, int, int]], db: int
+                   ) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Per part ``(vertex mask, excluded masks)``, its vertex mask and each
+        excluded mask ``t`` with the flags of the update ``(t & absent, t &
+        ~absent)`` under the rule rows that meet the part (each meets one at
+        most), on the database mask ``db``."""
+        owner = {i: k for k, (comp, _) in enumerate(parts) for i in bits(comp)}
+        members: list[list[tuple[int, int, int, int]]] = [[] for _ in parts]
+        for row in rows:
+            touched = (row[0] | row[1] | row[2] | row[3]) & self.full
+            k = owner.get((touched & -touched).bit_length() - 1)
+            if k is not None:
+                members[k].append(row)
+        absent = self.absent
+        return [(comp, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded])
+                for (comp, excluded), rules in zip(parts, (RuleMasks(m, db) for m in members))]
 
 
 def unbeaten(excluded: tuple[int, ...], beats: Callable[[int, int], bool]) -> tuple[int, ...]:
@@ -288,6 +318,18 @@ class MaskContext:
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``ConflictMasks.joined`` along the priority edges."""
         return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
+
+    @cached_property
+    def rule_rows(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The ground rules the priority translates to, as ``RuleMasks`` rows
+        over the vertex bits, ordered by their members' bits: each conflict's
+        rule repairs the members that outrank no other member."""
+        absent, dom = self.masks.absent, self.dom
+        out = []
+        for c in sorted(self.masks.conflicts, key=lambda c: list(bits(c))):
+            acts = sum(1 << i for i in bits(c) if not dom[i] & c & ~(1 << i))
+            out.append((c & ~absent, c & absent, acts & absent, acts & ~absent))
+        return tuple(out)
 
     @cached_property
     def part_of(self) -> tuple[int, ...]:
@@ -425,40 +467,50 @@ def _reaches(update: int, ready: Callable[[int], int]) -> bool:
     return False
 
 
-class RuleMasks:
-    """Ground rules (body literals ``lits``, actions ``updates`` with ``add``
-    and ``fact``) over bits of the facts they mention.  Facts in ``known``,
-    the masks of bits ``0`` to ``len(known) - 1``, keep theirs; the others
-    take the next bits in ``fact_key`` order.  A consistent update has one
-    action per fact, so its subsets are the submasks of ``added | removed``.
-    Only mentioned facts decide a rule's violation or closure, so the
-    no-effect actions of the justified check range over them alone."""
+def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
+              ) -> tuple[dict[Fact, int], list[tuple[int, int, int, int]], int]:
+    """The bit of each fact that the ground rules (body literals ``lits``,
+    actions ``updates`` with ``add`` and ``fact``) mention, each rule's
+    ``(pos, neg, add, rem)`` row over those bits, and the mask of the
+    mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0`` to
+    ``len(known) - 1``, keep theirs; the others take the next bits in
+    ``fact_key`` order."""
+    ground = list(ground)
+    mentioned = {l.fact for rule in ground for l in rule.lits}
+    mentioned |= {a.fact for rule in ground for a in rule.updates}
+    bit = {f: known[f] for f in mentioned if f in known}
+    fresh = sorted(mentioned - bit.keys(), key=fact_key)
+    bit.update((f, 1 << (len(known) + k)) for k, f in enumerate(fresh))
+    rows = [
+        (sum(bit[l.fact] for l in rule.lits if l.positive),
+         sum(bit[l.fact] for l in rule.lits if not l.positive),
+         sum(bit[a.fact] for a in rule.updates if a.add),
+         sum(bit[a.fact] for a in rule.updates if not a.add))
+        for rule in ground
+    ]
+    return bit, rows, sum(b for f, b in bit.items() if f in db)
 
-    def __init__(self, db: Database, ground: Iterable, known: Mapping[Fact, int]):
-        ground = list(ground)
-        mentioned = {l.fact for rule in ground for l in rule.lits}
-        mentioned |= {a.fact for rule in ground for a in rule.updates}
-        self.bit = {f: known[f] for f in mentioned if f in known}
-        fresh = sorted(mentioned - self.bit.keys(), key=fact_key)
-        self.bit.update((f, 1 << (len(known) + k)) for k, f in enumerate(fresh))
-        self.mentioned = self.mask(mentioned)
-        self.db = self.mask(db & mentioned)
+
+class RuleMasks:
+    """Ground rules as ``(pos, neg, add, rem)`` rows of fact masks (see
+    ``rule_rows``) on a database mask.  A consistent update has one action
+    per fact, so its subsets are the submasks of ``added | removed``.  Only
+    mentioned facts decide a rule's violation or closure, so the no-effect
+    actions of the justified check range over them alone."""
+
+    def __init__(self, rows: Iterable[tuple[int, int, int, int]], db: int):
         # (pos, neg) bodies of the rules offering each action, by (add, bit)
         self.firing: dict[tuple[bool, int], list[tuple[int, int]]] = {}
         # per rule: its update actions, then its asserters, as (added, removed)
         self.closure: list[tuple[int, int, int, int]] = []
-        for rule in ground:
-            pos = self.mask(l.fact for l in rule.lits if l.positive)
-            neg = self.mask(l.fact for l in rule.lits if not l.positive)
-            add = self.mask(a.fact for a in rule.updates if a.add)
-            rem = self.mask(a.fact for a in rule.updates if not a.add)
-            for a in rule.updates:
-                self.firing.setdefault((a.add, self.bit[a.fact]), []).append((pos, neg))
+        self.mentioned = 0
+        for pos, neg, add, rem in rows:
+            self.mentioned |= pos | neg | add | rem
+            for adds, acts in ((True, add), (False, rem)):
+                for i in bits(acts):
+                    self.firing.setdefault((adds, 1 << i), []).append((pos, neg))
             self.closure.append((add, rem, pos & ~rem, neg & ~add))
-
-    def mask(self, facts: Iterable[Fact]) -> int:
-        """The mask of distinct mentioned facts."""
-        return sum(self.bit[f] for f in facts)
+        self.db = db & self.mentioned
 
     def classify(self, added: int, removed: int) -> int:
         """The support classes of the update that adds the facts of ``added``
@@ -484,9 +536,12 @@ class RuleMasks:
                     out |= bit
             return out
 
-        founded = all(ready(update & ~bit) for bit, _ in moves)
-        well_founded = _reaches(update, ready)
+        # dropping an action from the update leaves a proper subset, and a
+        # path of proper subsets with a ready action each reaches the update:
+        # a grounded update is founded and well-founded
         grounded = all(map(ready, _proper_submasks(update)))
+        founded = grounded or all(ready(update & ~bit) for bit, _ in moves)
+        well_founded = grounded or _reaches(update, ready)
         justified = self._justified(added, removed, state(update))
         return founded | well_founded << 1 | grounded << 2 | justified << 3
 

@@ -31,9 +31,9 @@ from prioritydb.bridges import (
     rules_to_priority,
     stored_priority_rules,
 )
-from prioritydb.errors import InputError
+from prioritydb.errors import Budget, InputError
 from prioritydb.model import Schema, UniversalConstraint
-from prioritydb.priorities import PrioritizedDatabase, optimal_repairs
+from prioritydb.priorities import PrioritizedDatabase, PriorityRelation, optimal_repairs
 
 
 class TestDenialImage:
@@ -113,6 +113,21 @@ class TestTranslationEquivalence:
         report = check_translation_equivalence(pdb)
         assert report.ok()
         assert set(report.pareto.repairs) == {db}
+
+    def test_an_empty_factor_passes_the_product_cap(self):
+        # P(a0) and Q(a0) outrank each other, so no restriction to that pair
+        # is Pareto-optimal or founded; the 3 open pairs would leave 6
+        # literals in the free part of each product, above the cap of 2
+        db = frozenset(fact(p, f"a{j}") for j in range(4) for p in "PQ")
+        constraint = UniversalConstraint.make([atom("P", "X"), atom("Q", "X")])
+        priority = PriorityRelation.of([(lit("P", "a0"), lit("Q", "a0")),
+                                        (lit("Q", "a0"), lit("P", "a0"))])
+        pdb = PrioritizedDatabase(db, Schema.of([("P", 1), ("Q", 1)]), (constraint,), priority,
+                                  Budget(max_universe=2))
+        report = check_translation_equivalence(pdb)
+        families = ("pareto", "founded", "grounded", "justified", "wellfounded")
+        assert [report.count(f) for f in families] == [0] * 5
+        assert report.ok() and len(report.pareto) == len(report.well_founded) == 0
 
     def test_matches_classification_of_translated_rules(self):
         """Oracle: the classes equal those of the translated rules, grounded

@@ -471,6 +471,46 @@ class TestVerify:
             for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
         ) + "equivalence holds: yes\n"
 
+    def test_translation_equivalence_lists_no_repairs(self, capsys, tmp_path, monkeypatch):
+        # 5 exclusion pairs P(a_j), Q(a_j), 3 of them oriented: 4 repairs per class
+        db, constraints, priority = (tmp_path / f"{n}.pdb" for n in ("db", "c", "p"))
+        db.write_text("".join(f"P(a{j}).\nQ(a{j}).\n" for j in range(5)))
+        constraints.write_text("P(X), Q(X) -> false.\n")
+        priority.write_text("P(a0) > Q(a0).\nQ(a1) > P(a1).\nP(a2) > Q(a2).\n")
+        builds = []
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                builds.append(name)
+                return build(*args, **kwargs)
+            return wrapper
+
+        for module in vars(prioritydb).values():
+            if hasattr(module, "sorted_repair_set"):
+                monkeypatch.setattr(module, "sorted_repair_set",
+                                    counted("sorted_repair_set", module.sorted_repair_set))
+        monkeypatch.setattr(ConflictMasks, "repair_product",
+                            counted("repair_product", ConflictMasks.repair_product))
+        flags = ["--db", db, "--constraints", constraints, "--priority", priority]
+        code, out = run(capsys, *flags, "verify", "prop8")
+        assert (code, builds) == (0, [])
+        assert out == "".join(
+            f"{label} repairs: 4\n"
+            for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
+        ) + "equivalence holds: yes\n"
+        # the counter sees a listing command
+        assert run(capsys, *flags, "optimal")[0] == 0 and builds
+
+    def test_translation_equivalence_at_30_keys_counts_without_listing(self, capsys, tmp_path):
+        # 2^15 repairs in each class, one choice of 2 per open key
+        flags = _key_violations(tmp_path, 30, oriented=range(0, 30, 2))
+        code, out = run(capsys, "--max-universe", "64", *flags, "verify", "prop8")
+        assert code == 0
+        assert out == "".join(
+            f"{label} repairs: 32768\n"
+            for label in ("pareto-optimal", "founded", "grounded", "justified", "well-founded")
+        ) + "equivalence holds: yes\n"
+
     def test_translation_equivalence_at_12_keys_on_the_default_budget(self, capsys, tmp_path):
         # 24 conflict literals; the 6 open keys leave 12 in the free part
         flags = _key_violations(tmp_path, 12, oriented=range(0, 12, 2))

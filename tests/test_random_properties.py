@@ -7,6 +7,7 @@ discrepancies.  The acceptance module reuses these helpers.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -30,6 +31,7 @@ from corpus import (
 )
 from prioritydb.aic import (
     R_UPDATE_CLASSES,
+    GroundAIC,
     UpdateAction,
     _consistent_rule_set,
     actions_between,
@@ -45,6 +47,7 @@ from prioritydb.aic import (
     is_r_update,
     is_well_founded,
     r_updates,
+    repair_action_for,
     repairs_of_kind,
     rules_constants,
     satisfies_rules,
@@ -71,12 +74,14 @@ from prioritydb.model import (
     active_domain,
     fact_key,
     is_variable,
+    literal_key,
     satisfies,
     schema_from,
 )
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
+    co_conflicting_pairs,
     completion_optimal_repairs_bruteforce,
     detect_score_structure,
     is_global_improvement,
@@ -1186,12 +1191,29 @@ def _assert_rules_match_whole_instance(inst):
     return table
 
 
+def _priority_to_rules_by_literals(pdb) -> tuple[GroundAIC, ...]:
+    """The literal-level translation that ``priority_to_rules`` renders from
+    ``MaskContext.rule_rows``: one ground rule per conflict, repairing exactly
+    the literals that do not outrank any other member of that conflict."""
+    out = []
+    for conflict in sorted(pdb.conflicts(), key=lambda e: sorted(map(literal_key, e))):
+        updates = frozenset(
+            repair_action_for(lit)
+            for lit in conflict
+            if not any(pdb.priority.outranks(lit, other) for other in conflict if other != lit)
+        )
+        out.append(GroundAIC(frozenset(conflict), updates))
+    return tuple(out)
+
+
 def _assert_translation_matches_whole_instance(pdb):
     report = check_translation_equivalence(pdb)
-    expected = _whole_instance_classes(pdb.with_priority(pdb.priority), priority_to_rules(pdb))
+    expected = _whole_instance_classes(pdb.with_priority(pdb.priority),
+                                       _priority_to_rules_by_literals(pdb))
     got = {"founded": report.founded, "wellfounded": report.well_founded,
            "grounded": report.grounded, "justified": report.justified}
     assert {k: v.repairs for k, v in got.items()} == expected, pdb
+    assert report.pareto == optimal_repairs(pdb, "pareto"), pdb
 
 
 def test_oracle_component_classes_on_the_rule_corpus():
@@ -1269,3 +1291,93 @@ def test_oracle_translated_classes_across_components():
     """Priority edges that cross components, and many components."""
     for pdb in stray_corpus() + many_component_corpus():
         _assert_translation_matches_whole_instance(pdb)
+
+
+@lru_cache(maxsize=None)
+def cyclic_corpus():
+    """Prioritized instances whose priority orients co-conflicting pairs one
+    way, the other or both, and may rank a literal above itself, kept when
+    it has a cycle."""
+    rng = random.Random(0xC7C1)
+    out = []
+    while len(out) < 80:
+        base = random_instance(rng) if len(out) % 2 else random_component_instance(rng)
+        edges = []
+        for pair in sorted(co_conflicting_pairs(base.conflicts()),
+                           key=lambda p: sorted(map(literal_key, p))):
+            a, b = sorted(pair, key=literal_key)
+            edges += rng.choice([[], [(a, b)], [(b, a)], [(a, b), (b, a)], [(a, b), (a, a)]])
+        pdb = base.with_priority(PriorityRelation.of(edges))
+        if not pdb.priority.is_acyclic():
+            out.append(pdb)
+    return out
+
+
+def test_oracle_translated_classes_under_cyclic_priorities():
+    for pdb in cyclic_corpus():
+        _assert_translation_matches_whole_instance(pdb)
+
+
+def _translation_corpora() -> dict:
+    return {
+        "prioritized": [p for _, prioritized, total, _ in pdb_corpus() for p in (prioritized, total)],
+        "scored": [scored for *_, (scored, _) in pdb_corpus()],
+        "off the conflicts": off_conflict_corpus(),
+        "stray": stray_corpus(),
+        "cyclic": cyclic_corpus(),
+    }
+
+
+def test_oracle_priority_to_rules_matches_the_literal_translation():
+    for name, corpus in _translation_corpora().items():
+        for pdb in corpus:
+            assert priority_to_rules(pdb) == _priority_to_rules_by_literals(pdb), (name, pdb)
+
+
+# the report attribute listing each family of EquivalenceReport.choices
+TRANSLATION_FAMILIES = {"pareto": "pareto", "founded": "founded", "grounded": "grounded",
+                        "justified": "justified", "wellfounded": "well_founded"}
+
+
+def _listed(report) -> dict:
+    return {f: getattr(report, name) for f, name in TRANSLATION_FAMILIES.items()}
+
+
+def _listed_verdict(report) -> bool:
+    """Proposition 8 on the listed sets: founded, grounded and justified
+    equal Pareto, which lies within well-founded."""
+    listed = {f: repairs.repairs for f, repairs in _listed(report).items()}
+    return (
+        listed["pareto"] == listed["founded"] == listed["grounded"] == listed["justified"]
+        and set(listed["pareto"]) <= set(listed["wellfounded"])
+    )
+
+
+def _dented(rng: random.Random, report):
+    """The report with one family's choices in one part changed: emptied,
+    short of its first restriction, or with one restriction added."""
+    family = rng.choice(list(TRANSLATION_FAMILIES))
+    choices = [list(ts) for ts in report.choices[family]]
+    p = rng.randrange(len(choices))
+    spare = sorted(set(report.parts[p][1]) - set(choices[p]))
+    choices[p] = sorted(rng.choice([[], choices[p][1:], choices[p] + spare[:1]]))
+    return replace(report, choices={**report.choices, family: choices})
+
+
+def test_translation_counts_and_verdict_match_the_listed_sets():
+    """Each count is the length of the listed family and ``ok`` is the
+    verdict on the listed sets, also on reports with one part's choices
+    changed, which give most of the negative verdicts."""
+    rng = random.Random(0x8E7)
+    verdicts = {True: 0, False: 0}
+    joined = 0
+    for name, corpus in _translation_corpora().items():
+        for pdb in corpus:
+            report = check_translation_equivalence(pdb)
+            joined += len(pdb._masks.parts) < len(pdb._conflict_masks.parts)
+            for got in [report] + [_dented(rng, report) for _ in range(3) if report.parts]:
+                counts = {f: got.count(f) for f in TRANSLATION_FAMILIES}
+                assert counts == {f: len(s) for f, s in _listed(got).items()}, (name, pdb)
+                assert got.ok() == _listed_verdict(got), (name, pdb, got.choices)
+                verdicts[got.ok()] += 1
+    assert joined >= 60 and min(verdicts.values()) >= 1000, (joined, verdicts)
