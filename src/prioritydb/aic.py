@@ -475,9 +475,7 @@ def classify_components(
     closed, and an update's flags are the AND of its restrictions'.  The
     budget caps each group's vertices; a caller that lists every r-update
     caps the whole conflict literal set itself."""
-    _, rows, db = rule_rows(ground, masks.fact_bits, masks.instance.db)
-    touched = [masks.full & (pos | neg | add | rem) for pos, neg, add, rem in rows]
-    return masks.classified(masks.joined(mask for mask in touched if mask), rows, db)
+    return masks.classified(*rule_rows(ground, masks.fact_bits, masks.instance.db)[1:])
 
 
 def classify_updates(

@@ -30,7 +30,7 @@ from .aic import (
     rules_constants,
 )
 from .errors import DEFAULT_BUDGET, Budget, InputError
-from .masks import ConflictMasks, bits
+from .masks import MaskContext, bits
 from .model import (
     BodyAtom,
     Constant,
@@ -185,57 +185,58 @@ def ground_rules_as_aics(rules: Sequence[GroundAIC]) -> tuple[AIC, ...]:
 
 def _listed(family: str, what: str) -> cached_property:
     """A family of an ``EquivalenceReport``, listed on first access."""
-    return cached_property(lambda r: r.masks.repair_product(r.parts, r.choices[family], what))
+    return cached_property(lambda r: r.ctx.masks.repair_product(*r.families[family], what))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     """Pareto-optimal repairs against the r-update classes of the translated
-    rules.  ``choices`` holds, for 'pareto' and each class, the excluded-vertex
-    masks of the restrictions in it of each part ``(vertex mask, …)``.  A
-    family is their product, so it is counted without being listed."""
+    rules.  ``families`` maps each attribute name to parts ``(vertex mask,
+    excluded masks)``, those of ``ctx`` for 'pareto' and the conflict
+    components for the classes, and per part the excluded masks of the
+    family's restrictions to it.  A family is their product."""
 
-    masks: ConflictMasks
-    parts: tuple[tuple[int, tuple[int, ...]], ...]
-    choices: dict[str, Sequence[Sequence[int]]]
+    ctx: MaskContext
+    families: dict[str, tuple[Sequence[tuple[int, object]], Sequence[Sequence[int]]]]
 
     pareto = _listed("pareto", "optimal repair product")
     founded = _listed("founded", "r-update class product")
     grounded = _listed("grounded", "r-update class product")
     justified = _listed("justified", "r-update class product")
-    well_founded = _listed("wellfounded", "r-update class product")
+    well_founded = _listed("well_founded", "r-update class product")
 
     def count(self, family: str) -> int:
-        return prod(map(len, self.choices[family]))
+        return prod(map(len, self.families[family][1]))
 
     def ok(self) -> bool:
-        """Founded, grounded and justified equal Pareto, which lies within
-        well-founded.  A product with an empty factor is empty (``None``
-        here), and any other determines its factors."""
-        sets = {f: [set(ts) for ts in ch] if all(ch) else None for f, ch in self.choices.items()}
-        pareto, wide = sets["pareto"], sets["wellfounded"]
-        return all(sets[k] == pareto for k in ("founded", "grounded", "justified")) and (
-            pareto is None or wide is not None and all(map(set.issubset, pareto, wide)))
+        """Every class holds every Pareto-optimal repair, and founded,
+        grounded and justified hold as many repairs.  A class holds them when
+        each component's choices hold the Pareto optima of its part
+        restricted to it."""
+        n, exact = self.count("pareto"), ("founded", "grounded", "justified")
+        optima, part_of = self.families["pareto"][1], self.ctx.part_of
+        return all(self.count(f) == n for f in exact) and (not n or all(
+            {t & comp for t in optima[part_of[(comp & -comp).bit_length() - 1]]} <= set(ts)
+            for f in exact + ("well_founded",) for (comp, _), ts in zip(*self.families[f])))
 
 
 def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport:
-    """Proposition 8 per part of the mask context: its restrictions are
-    classified under the translated rules inside it and compared with its
-    Pareto-optimal ones.  Each family is capped as if it were listed."""
-    # The translated rule bodies are exactly the conflicts.  Conflicts lie in
-    # one literal universe, so no two of them clash: their consensus closure is
-    # themselves, and the rules' r-updates are the updates to the pdb's own
-    # delta repairs.  Classifying those updates therefore classifies the
-    # translated rules' r-updates, with no second consensus or enumeration.
+    """Proposition 8 without listing: the Pareto optima per part of the mask
+    context, and per conflict component its restrictions classified under
+    the translated rules.  Each family is capped as if it were listed."""
+    # The translated rule bodies are exactly the conflicts, so no two of them
+    # clash and their r-updates are the updates to the pdb's own delta
+    # repairs; each rule lies in one component, so its groups are masks.parts.
     ctx = pdb._masks
     masks = ctx.masks
-    rows = masks.classified(ctx.parts, ctx.rule_rows, masks.full & ~masks.absent)
-    choices = {"pareto": ctx.optima("pareto")}
-    masks.check_product(ctx.parts, choices["pareto"], "optimal repair product")
-    for kind in ("founded", "grounded", "justified", "wellfounded"):
-        choices[kind] = class_choices(rows, kind)
-        masks.check_product(ctx.parts, choices[kind], "r-update class product")
-    return EquivalenceReport(masks, ctx.parts, choices)
+    rows = masks.classified(ctx.rule_rows, masks.full & ~masks.absent)
+    families = {"pareto": (ctx.parts, ctx.optima("pareto"))}
+    masks.check_product(*families["pareto"], "optimal repair product")
+    for name in ("founded", "grounded", "justified", "well_founded"):
+        # the R_UPDATE_CLASSES names drop the underscore
+        families[name] = masks.parts, class_choices(rows, name.replace("_", ""))
+        masks.check_product(*families[name], "r-update class product")
+    return EquivalenceReport(ctx, families)
 
 
 def refine_constraint(

@@ -323,7 +323,7 @@ def cmd_verify(ws: Workspace, args) -> int:
         report = bridges.check_translation_equivalence(ws.pdb())
         for family, label in (("pareto", "pareto-optimal"), ("founded", "founded"),
                               ("grounded", "grounded"), ("justified", "justified"),
-                              ("wellfounded", "well-founded")):
+                              ("well_founded", "well-founded")):
             print(f"{label} repairs: {report.count(family)}")
         good = report.ok()
         print(f"equivalence holds: {'yes' if good else 'no'}")

@@ -7,16 +7,14 @@ repair is named by the mask of the vertices it excludes, whose facts it
 toggles.  A part is a conflict component, or a group of components that
 links join, with its vertex mask and the excluded-vertex masks of the delta
 repairs' restrictions to it.  A set of repairs is a product of per-part
-choices: ``ConflictMasks.check_product`` caps it, whether it is listed
+choices, capped by ``ConflictMasks.check_product`` whether it is listed
 (``ConflictMasks.repair_product``) or only counted.
 
-A ground active rule is a ``(pos, neg, add, rem)`` row of fact masks: the
-facts of its positive and negative body literals, and those it adds and
-removes.  ``rule_rows`` gives the vertex facts their vertex bits and the
-other facts that the rules mention the next ones; ``MaskContext.rule_rows``
-translates the priority straight to rows over the vertex bits.  An update
-is the pair ``(added, removed)`` of fact masks, so the restriction that
-excludes ``t`` is the update ``(t & absent, t & ~absent)``.
+A ground active rule is a ``(pos, neg, add, rem)`` row of the fact masks of
+its positive and negative body literals and of the facts it adds and
+removes (``rule_rows``; ``MaskContext.rule_rows`` for the translated
+priority).  An update is the pair ``(added, removed)`` of fact masks, so the
+restriction that excludes ``t`` is the update ``(t & absent, t & ~absent)``.
 ``RuleMasks.classify`` returns an update's support classes as flag bits, bit
 ``k`` for ``R_UPDATE_CLASSES[k]``.
 """
@@ -215,9 +213,8 @@ class ConflictMasks:
 
     def check_product(self, parts: Sequence[tuple[int, object]],
                       choices: Sequence[Sequence[int]], what: str) -> None:
-        """Cap as stage ``what`` the product of one choice per part ``(vertex
-        mask, …)``: the vertices of the parts with more than one choice.  A
-        product with an empty factor is empty, so it passes."""
+        """Cap as stage ``what`` the vertices of the parts ``(vertex mask, …)``
+        with more than one choice, unless a part has none."""
         if all(choices):
             self.budget.check_universe(
                 sum(comp.bit_count() for (comp, _), ts in zip(parts, choices) if len(ts) > 1),
@@ -245,23 +242,18 @@ class ConflictMasks:
             "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*free))
         )
 
-    def classified(self, parts: Sequence[tuple[int, Sequence[int]]],
-                   rows: Sequence[tuple[int, int, int, int]], db: int
+    def classified(self, rows: Sequence[tuple[int, int, int, int]], db: int
                    ) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Per part ``(vertex mask, excluded masks)``, its vertex mask and each
+        """Per group of components that the rule rows on the database mask
+        ``db`` join through the vertices they meet, its vertex mask and each
         excluded mask ``t`` with the flags of the update ``(t & absent, t &
-        ~absent)`` under the rule rows that meet the part (each meets one at
-        most), on the database mask ``db``."""
-        owner = {i: k for k, (comp, _) in enumerate(parts) for i in bits(comp)}
-        members: list[list[tuple[int, int, int, int]]] = [[] for _ in parts]
-        for row in rows:
-            touched = (row[0] | row[1] | row[2] | row[3]) & self.full
-            k = owner.get((touched & -touched).bit_length() - 1)
-            if k is not None:
-                members[k].append(row)
-        absent = self.absent
-        return [(comp, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded])
-                for (comp, excluded), rules in zip(parts, (RuleMasks(m, db) for m in members))]
+        ~absent)`` under the group's rows."""
+        touched = [self.full & (pos | neg | add | rem) for pos, neg, add, rem in rows]
+        absent, out = self.absent, []
+        for group, excluded in self.joined(mask for mask in touched if mask):
+            rules = RuleMasks([row for row, mask in zip(rows, touched) if mask & group], db)
+            out.append((group, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded]))
+        return out
 
 
 def unbeaten(excluded: tuple[int, ...], beats: Callable[[int, int], bool]) -> tuple[int, ...]:
@@ -321,9 +313,9 @@ class MaskContext:
 
     @cached_property
     def rule_rows(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The ground rules the priority translates to, as ``RuleMasks`` rows
-        over the vertex bits, ordered by their members' bits: each conflict's
-        rule repairs the members that outrank no other member."""
+        """The ground rules the priority translates to, as rule rows over the
+        vertex bits, by their members' bits: each conflict's rule repairs the
+        members that outrank no other member."""
         absent, dom = self.masks.absent, self.dom
         out = []
         for c in sorted(self.masks.conflicts, key=lambda c: list(bits(c))):
@@ -469,11 +461,10 @@ def _reaches(update: int, ready: Callable[[int], int]) -> bool:
 
 def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
               ) -> tuple[dict[Fact, int], list[tuple[int, int, int, int]], int]:
-    """The bit of each fact that the ground rules (body literals ``lits``,
-    actions ``updates`` with ``add`` and ``fact``) mention, each rule's
-    ``(pos, neg, add, rem)`` row over those bits, and the mask of the
-    mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0`` to
-    ``len(known) - 1``, keep theirs; the others take the next bits in
+    """The bit of each fact that the ground rules (``lits``, ``updates`` with
+    ``add`` and ``fact``) mention, their rows over those bits, and the mask of
+    the mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0``
+    to ``len(known) - 1``, keep theirs; the others take the next bits in
     ``fact_key`` order."""
     ground = list(ground)
     mentioned = {l.fact for rule in ground for l in rule.lits}

@@ -31,7 +31,7 @@ from prioritydb.bridges import (
     rules_to_priority,
     stored_priority_rules,
 )
-from prioritydb.errors import Budget, InputError
+from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, UniversalConstraint
 from prioritydb.priorities import PrioritizedDatabase, PriorityRelation, optimal_repairs
 
@@ -125,9 +125,38 @@ class TestTranslationEquivalence:
         pdb = PrioritizedDatabase(db, Schema.of([("P", 1), ("Q", 1)]), (constraint,), priority,
                                   Budget(max_universe=2))
         report = check_translation_equivalence(pdb)
-        families = ("pareto", "founded", "grounded", "justified", "wellfounded")
+        families = ("pareto", "founded", "grounded", "justified", "well_founded")
         assert [report.count(f) for f in families] == [0] * 5
         assert report.ok() and len(report.pareto) == len(report.well_founded) == 0
+
+    def test_classes_are_capped_per_conflict_component(self):
+        # per copy s: a 4-literal component with one Pareto-optimal and two
+        # well-founded restrictions, and a pair R(s), T(s) with one choice
+        # that the stray edge R(s) > E(s) joins to it into one 6-literal part
+        copies = ("s0", "s1")
+        db = frozenset(f for s in copies for f in (
+            fact("E", s), fact("P", s, "a"), fact("P", s, "b"), fact("Q", s, "b"),
+            fact("R", s), fact("T", s)))
+        constraints = (
+            UniversalConstraint.make([atom("E", "S"), atom("P", "S", "X")]),
+            UniversalConstraint.make([atom("P", "S", "a"), atom("Q", "S", "Y")]),
+            UniversalConstraint.make([atom("E", "S"), atom("Q", "S", "b")]),
+            UniversalConstraint.make([atom("R", "S"), atom("T", "S")]),
+        )
+        priority = PriorityRelation.of(e for s in copies for e in (
+            (lit("P", s, "b"), lit("E", s)), (lit("P", s, "a"), lit("Q", s, "b")),
+            (lit("R", s), lit("T", s)), (lit("R", s), lit("E", s))))
+        schema = Schema.of([("E", 1), ("P", 2), ("Q", 2), ("R", 1), ("T", 1)])
+        pdb = lambda cap: PrioritizedDatabase(db, schema, constraints, priority,
+                                              Budget(max_universe=cap))
+        report = check_translation_equivalence(pdb(8))
+        families = ("pareto", "founded", "grounded", "justified", "well_founded")
+        assert [report.count(f) for f in families] == [1, 1, 1, 1, 4] and report.ok()
+        assert len(pdb(8)._masks.parts) == 2
+        # the well-founded product frees the two 4-literal components, not
+        # the two 6-literal parts
+        with pytest.raises(BudgetExceededError, match="r-update class product has 8 elements"):
+            check_translation_equivalence(pdb(7))
 
     def test_matches_classification_of_translated_rules(self):
         """Oracle: the classes equal those of the translated rules, grounded

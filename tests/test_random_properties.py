@@ -36,6 +36,7 @@ from prioritydb.aic import (
     _consistent_rule_set,
     actions_between,
     apply_actions,
+    classify_components,
     classify_r_updates,
     classify_updates,
     constraints_of,
@@ -47,6 +48,7 @@ from prioritydb.aic import (
     is_r_update,
     is_well_founded,
     r_updates,
+    reached_by_kind,
     repair_action_for,
     repairs_of_kind,
     rules_constants,
@@ -1334,13 +1336,11 @@ def test_oracle_priority_to_rules_matches_the_literal_translation():
             assert priority_to_rules(pdb) == _priority_to_rules_by_literals(pdb), (name, pdb)
 
 
-# the report attribute listing each family of EquivalenceReport.choices
-TRANSLATION_FAMILIES = {"pareto": "pareto", "founded": "founded", "grounded": "grounded",
-                        "justified": "justified", "wellfounded": "well_founded"}
+TRANSLATION_FAMILIES = ("pareto", "founded", "grounded", "justified", "well_founded")
 
 
 def _listed(report) -> dict:
-    return {f: getattr(report, name) for f, name in TRANSLATION_FAMILIES.items()}
+    return {f: getattr(report, f) for f in TRANSLATION_FAMILIES}
 
 
 def _listed_verdict(report) -> bool:
@@ -1349,19 +1349,20 @@ def _listed_verdict(report) -> bool:
     listed = {f: repairs.repairs for f, repairs in _listed(report).items()}
     return (
         listed["pareto"] == listed["founded"] == listed["grounded"] == listed["justified"]
-        and set(listed["pareto"]) <= set(listed["wellfounded"])
+        and set(listed["pareto"]) <= set(listed["well_founded"])
     )
 
 
 def _dented(rng: random.Random, report):
     """The report with one family's choices in one part changed: emptied,
     short of its first restriction, or with one restriction added."""
-    family = rng.choice(list(TRANSLATION_FAMILIES))
-    choices = [list(ts) for ts in report.choices[family]]
+    family = rng.choice(TRANSLATION_FAMILIES)
+    parts, choices = report.families[family]
+    choices = [list(ts) for ts in choices]
     p = rng.randrange(len(choices))
-    spare = sorted(set(report.parts[p][1]) - set(choices[p]))
+    spare = sorted(set(parts[p][1]) - set(choices[p]))
     choices[p] = sorted(rng.choice([[], choices[p][1:], choices[p] + spare[:1]]))
-    return replace(report, choices={**report.choices, family: choices})
+    return replace(report, families={**report.families, family: (parts, choices)})
 
 
 def test_translation_counts_and_verdict_match_the_listed_sets():
@@ -1375,9 +1376,42 @@ def test_translation_counts_and_verdict_match_the_listed_sets():
         for pdb in corpus:
             report = check_translation_equivalence(pdb)
             joined += len(pdb._masks.parts) < len(pdb._conflict_masks.parts)
-            for got in [report] + [_dented(rng, report) for _ in range(3) if report.parts]:
+            for got in [report] + [_dented(rng, report) for _ in range(3) if report.ctx.parts]:
                 counts = {f: got.count(f) for f in TRANSLATION_FAMILIES}
                 assert counts == {f: len(s) for f, s in _listed(got).items()}, (name, pdb)
-                assert got.ok() == _listed_verdict(got), (name, pdb, got.choices)
+                assert got.ok() == _listed_verdict(got), (name, pdb, got.families)
                 verdicts[got.ok()] += 1
     assert joined >= 60 and min(verdicts.values()) >= 1000, (joined, verdicts)
+
+
+def _stopped_at(run) -> str | None:
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+def test_translation_caps_each_family_where_its_listing_does():
+    """At every budget up to the vertex count, the count-only check stops at
+    the stage and size where listing the families stops: Pareto over the
+    parts of the mask context, then each class over the groups of
+    ``classify_components`` of the translated rules, which are the conflict
+    components even where stray edges join them into one part."""
+    stopped = 0
+    for pdb in stray_corpus() + cyclic_corpus():
+        for cap in range(len(pdb._conflict_masks.index) + 1):
+            fresh = PrioritizedDatabase(pdb.db, pdb.schema, pdb.constraints, pdb.priority,
+                                        Budget(max_universe=cap))
+
+            def listed():
+                masks = fresh._conflict_masks
+                rows = classify_components(masks, _priority_to_rules_by_literals(fresh))
+                optimal_repairs(fresh, "pareto")
+                for kind in ("founded", "grounded", "justified", "wellfounded"):
+                    reached_by_kind(masks, rows, kind)
+
+            got = _stopped_at(lambda: check_translation_equivalence(fresh))
+            assert got == _stopped_at(listed), (pdb, cap)
+            stopped += got is not None
+    assert stopped >= 500, stopped
