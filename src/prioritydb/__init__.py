@@ -7,6 +7,7 @@ from .aic import (
     GroundAIC,
     PropertyReport,
     RUpdate,
+    RuleContext,
     UpdateAction,
     UpdateAtom,
     apply_actions,

@@ -9,11 +9,15 @@ subset leaves some rule violated that only the remaining actions can touch),
 and justified (the action set plus the no-effect actions is a minimal closed
 set).
 
-``classify_components`` maps the ground rules to ``masks.rule_rows`` once
-and runs ``masks.RuleMasks.classify`` once per restriction of each group of
-conflict components that the rules join; the r-update tables and classes are
-products of those rows' flag bits, and an ``RUpdate`` is built only for an
-action set returned.  ``is_founded``, ``is_well_founded``, ``is_grounded`` and
+A ``RuleContext`` holds the rules on one database, as a
+``PrioritizedDatabase`` does a priority: ``r_updates``, ``is_r_update``,
+``r_update_table``, ``classify_r_updates``, ``repairs_of_kind`` and
+``check_properties`` take it, and it grounds the rules and classifies them
+at most once.  ``classify_components`` maps the ground rules to
+``masks.rule_rows`` once and runs ``masks.RuleMasks.classify`` once per
+restriction of each group of conflict components that the rules join; the
+r-update tables and classes are products of those rows' flag bits, and an
+``RUpdate`` is built only for an action set returned.  ``is_founded``, ``is_well_founded``, ``is_grounded`` and
 ``is_justified`` follow the definitions on frozensets; they are the reference
 the classifier is tested against, and ``classify_updates`` over ``r_updates``
 the whole-instance one.
@@ -32,7 +36,6 @@ from .model import (
     Constant,
     Database,
     Fact,
-    Instance,
     Literal,
     Schema,
     Term,
@@ -41,11 +44,11 @@ from .model import (
     ground_body,
     prime_implicants,
     resolutions,
-    universe_constants,
     violates_ground,
 )
 from .masks import R_UPDATE_CLASSES, ConflictMasks, RuleMasks, bits, rule_rows
-from .repairs import RepairSet, delta_repairs, is_delta_repair_of
+from .priorities import PrioritizedDatabase
+from .repairs import RepairSet, is_delta_repair_of
 
 
 @dataclass(frozen=True)
@@ -157,18 +160,9 @@ def ground_rules(
     return frozenset(out)
 
 
-def rules_constants(db: Database, rules: Sequence[AIC]) -> frozenset[Constant]:
-    """The grounding pool of the rules: update atoms only repeat body terms."""
-    return universe_constants(db, constraints_of(rules))
-
-
 def constraints_of(rules: Sequence[AIC]) -> tuple[UniversalConstraint, ...]:
-    seen = []
-    for rule in rules:
-        constraint = rule.constraint()
-        if constraint not in seen:
-            seen.append(constraint)
-    return tuple(seen)
+    """The rule bodies as constraints, each once, in first-occurrence order."""
+    return tuple(dict.fromkeys(rule.constraint() for rule in rules))
 
 
 def consistent_actions(actions: Iterable[UpdateAction]) -> bool:
@@ -193,33 +187,50 @@ def actions_between(db: Database, target: Database) -> frozenset[UpdateAction]:
     )
 
 
-def r_updates(
-    db: Database,
-    schema: Schema,
-    rules: Sequence[AIC],
-    budget: Budget = DEFAULT_BUDGET,
-) -> frozenset[frozenset[UpdateAction]]:
+@dataclass(frozen=True)
+class RuleContext:
+    """Active rules on a database, the rule-side ``PrioritizedDatabase``.
+    Each is built on first use, once: ``pdb``, the prioritized database of
+    the rule bodies as constraints (its ``Instance`` and ``ConflictMasks``);
+    ``ground``, the ground rules over that instance's constant pool, since
+    update atoms only repeat body terms; and ``rows``, their
+    ``classify_components`` rows."""
+
+    db: Database
+    schema: Schema
+    rules: tuple[AIC, ...]
+    budget: Budget = DEFAULT_BUDGET
+
+    @cached_property
+    def pdb(self) -> PrioritizedDatabase:
+        return PrioritizedDatabase(self.db, self.schema, constraints_of(self.rules),
+                                   budget=self.budget)
+
+    @cached_property
+    def ground(self) -> frozenset[GroundAIC]:
+        return ground_rules(self.rules, self.pdb.constants())
+
+    @cached_property
+    def rows(self) -> list[tuple[int, list[tuple[int, int]]]]:
+        return classify_components(self.pdb._conflict_masks, self.ground)
+
+
+def r_updates(ctx: RuleContext) -> frozenset[frozenset[UpdateAction]]:
     """Consistent minimal action sets restoring every rule; these are exactly
     the differences to the symmetric-difference repairs of the rules' bodies."""
-    repairs = delta_repairs(db, schema, constraints_of(rules), budget)
-    return frozenset(actions_between(db, repair) for repair in repairs)
+    return frozenset(actions_between(ctx.db, repair) for repair in ctx.pdb.delta_repairs())
 
 
-def is_r_update(
-    db: Database,
-    schema: Schema,
-    rules: Sequence[AIC],
-    actions: frozenset[UpdateAction],
-) -> bool:
+def is_r_update(ctx: RuleContext, actions: frozenset[UpdateAction]) -> bool:
     """Membership in ``r_updates`` without enumerating them: the set must be
     consistent, hold no action without effect, and lead inside the fact
     universe to a delta repair of the rules' bodies."""
     if not consistent_actions(actions):
         return False
-    updated = apply_actions(db, actions)
-    if actions != actions_between(db, updated):
+    updated = apply_actions(ctx.db, actions)
+    if actions != actions_between(ctx.db, updated):
         return False
-    inst = Instance(db, schema, constraints_of(rules))
+    inst = ctx.pdb.instance
     return all(map(inst.in_universe, updated)) and is_delta_repair_of(inst, updated)
 
 
@@ -418,14 +429,9 @@ class RUpdate:
         return dict(zip(R_UPDATE_CLASSES, flags))
 
 
-def classify_r_updates(
-    db: Database,
-    schema: Schema,
-    rules: Sequence[AIC],
-    budget: Budget = DEFAULT_BUDGET,
-) -> tuple[RUpdate, ...]:
+def classify_r_updates(ctx: RuleContext) -> tuple[RUpdate, ...]:
     """``classify_updates`` of ``r_updates``, read off ``r_update_table``."""
-    actions, table = r_update_table(db, schema, rules, budget)
+    actions, table = r_update_table(ctx)
     return tuple(_r_update(frozenset([actions[r] for r in ranks]), flags)
                  for ranks, flags in table)
 
@@ -436,30 +442,26 @@ def _r_update(actions: frozenset[UpdateAction], flags: int) -> RUpdate:
 
 
 def r_update_table(
-    db: Database,
-    schema: Schema,
-    rules: Sequence[AIC],
-    budget: Budget = DEFAULT_BUDGET,
+    ctx: RuleContext,
 ) -> tuple[tuple[UpdateAction, ...], list[tuple[tuple[int, ...], int]]]:
     """The classified r-updates as integers: the conflict vertices' actions
     in ``action_key`` order, and per r-update, in ``classify_updates`` order,
     the ascending positions of its actions there and its classes as flag bits
     (bit ``k`` for ``R_UPDATE_CLASSES[k]``).  The table is the product of the
-    rows of ``classify_components``: unions of positions with ANDed flags.
+    context's ``rows``: unions of positions with ANDed flags.
     Vertex facts are distinct, so ``action_key`` order is ``fact_key`` order
     and sorting the position lists sorts the updates.  The budget caps the
     whole conflict literal set, since every r-update is listed."""
-    ground = ground_rules(rules, rules_constants(db, rules))
-    masks = ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
-    budget.check_universe(len(masks.index), "conflict literal set")
+    masks = ctx.pdb._conflict_masks
+    ctx.budget.check_universe(len(masks.index), "conflict literal set")
     facts = masks.facts
     order = sorted(range(len(facts)), key=lambda i: fact_key(facts[i]))
     rank = {i: r for r, i in enumerate(order)}
     table: list[tuple[tuple[int, ...], int]] = [((), 15)]
-    for _, row in classify_components(masks, ground):
+    for _, row in ctx.rows:
         entries = [(tuple([rank[i] for i in bits(t)]), flags) for t, flags in row]
         table = [(ranks + more, flags & mine) for ranks, flags in table for more, mine in entries]
-    actions = tuple(UpdateAction(facts[i] not in db, facts[i]) for i in order)
+    actions = tuple(UpdateAction(facts[i] not in ctx.db, facts[i]) for i in order)
     return actions, sorted([(tuple(sorted(ranks)), flags) for ranks, flags in table])
 
 
@@ -532,19 +534,11 @@ def reached_by_kind(
     return masks.repair_product(rows, class_choices(rows, kind), "r-update class product")
 
 
-def repairs_of_kind(
-    db: Database,
-    schema: Schema,
-    rules: Sequence[AIC],
-    kind: str,
-    budget: Budget = DEFAULT_BUDGET,
-) -> RepairSet:
+def repairs_of_kind(ctx: RuleContext, kind: str) -> RepairSet:
     """Databases reached by the r-updates with the given support property;
     an unknown property raises before anything is computed."""
     _class_flag(kind)
-    ground = ground_rules(rules, rules_constants(db, rules))
-    masks = ConflictMasks(Instance(db, schema, constraints_of(rules)), budget)
-    return reached_by_kind(masks, classify_components(masks, ground), kind)
+    return reached_by_kind(ctx.pdb._conflict_masks, ctx.rows, kind)
 
 
 @dataclass(frozen=True)
@@ -556,18 +550,13 @@ class PropertyReport:
     counterexamples: tuple[tuple[str, str], ...] = ()
 
 
-def check_properties(rules: Sequence[AIC], db: Database) -> PropertyReport:
+def check_properties(ctx: RuleContext) -> PropertyReport:
     """Well-behavedness of the ground rule set for the given database.
 
     All checks run on the ground instances for this database only; they do not
     decide the corresponding property over every database.
     """
-    return check_ground_properties(ground_rules(rules, rules_constants(db, rules)))
-
-
-def check_ground_properties(rules: Iterable[GroundAIC]) -> PropertyReport:
-    """``check_properties`` on rules already ground over the database's pool."""
-    ground = sorted(rules, key=_rule_key)
+    ground = sorted(ctx.ground, key=_rule_key)
     notes: list[tuple[str, str]] = []
 
     facts_by_sign: dict[Fact, set[bool]] = {}

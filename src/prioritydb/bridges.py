@@ -4,7 +4,9 @@ Four directions are covered: universal constraints to per-database ground
 denial constraints over a signed schema; a prioritized database to ground
 active rules fixing the least preferred literal of each conflict; denial
 constraints with a stored preference relation to data-independent active
-rules; and well-behaved active rules back to a prioritized database.
+rules; and well-behaved active rules back to a prioritized database.  The
+last direction, ``rules_to_priority`` and ``check_roundtrip``, reads the
+ground rules and the prioritized database of one ``aic.RuleContext``.
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ from typing import Optional, Sequence
 from .aic import (
     AIC,
     GroundAIC,
+    RuleContext,
     UpdateAtom,
     action_key,
-    check_ground_properties,
+    check_properties,
     class_choices,
-    classify_components,
-    constraints_of,
-    ground_rules,
+    minimal_bodies_ground,
     reached_by_kind,
     repair_action_for,
-    rules_constants,
 )
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .masks import MaskContext, bits
@@ -435,23 +435,22 @@ def priority_from_stored_facts(
 @dataclass(frozen=True)
 class DerivedPriority:
     """Result of reading a priority off a set of active rules: the constraint
-    set, the derived edges or the cycle that blocks them, the body-minimal
-    violated ground rules the edges came from, and every ground rule."""
+    set, and the derived edges or the cycle that blocks them."""
 
     constraints: tuple[UniversalConstraint, ...]
     priority: Optional[PriorityRelation]
     cycle: Optional[tuple[Literal, ...]]
-    minimal_ground: tuple[GroundAIC, ...]
     property_warnings: tuple[str, ...]
-    ground: frozenset[GroundAIC]
 
 
-def rules_to_priority(db: Database, schema: Schema, rules: Sequence[AIC]) -> DerivedPriority:
+def rules_to_priority(ctx: RuleContext) -> DerivedPriority:
     """Derive preference edges from the update actions of the body-minimal
     violated ground rules: the literal kept outranks the one repaired, provided
-    no such rule also offers to repair the kept literal."""
-    ground = ground_rules(rules, rules_constants(db, rules))
-    report = check_ground_properties(ground)
+    no such rule also offers to repair the kept literal.  One pass over those
+    rules collects the pairs ``(kept, repaired)`` of each rule's body, and the
+    pairs whose first literal the rule repairs block the edges.  Merging the
+    rules that share a body merges their pairs, so it keeps the edges."""
+    report = check_properties(ctx)
     warnings = []
     if not report.closed_under_resolution:
         warnings.append("rule set is not closed under resolution")
@@ -459,39 +458,16 @@ def rules_to_priority(db: Database, schema: Schema, rules: Sequence[AIC]) -> Der
         warnings.append("rule set does not preserve actions under resolution")
     if not report.preserves_actions_strengthening:
         warnings.append("rule set does not preserve actions under strengthening")
-    minimal = frozenset(
-        rule
-        for rule in ground
-        if not any(other.lits < rule.lits for other in ground)
-    )
-    violated = [r for r in minimal if r.violated_by(db)]
-    literals = sorted({l for r in violated for l in r.lits}, key=literal_key)
-    edges = set()
-    for strong in literals:
-        for weak in literals:
-            if strong == weak:
-                continue
-            together = [
-                r for r in violated if strong in r.lits and weak in r.lits
-            ]
-            if not together:
-                continue
-            if any(repair_action_for(weak) in r.updates for r in together) and all(
-                repair_action_for(strong) not in r.updates for r in together
-            ):
-                edges.add((strong, weak))
-    priority = PriorityRelation(frozenset(edges))
+    offered, blocked = set(), set()
+    for rule in minimal_bodies_ground(ctx.ground):
+        if rule.violated_by(ctx.db):
+            for repaired in (l for l in rule.lits if repair_action_for(l) in rule.updates):
+                offered.update((kept, repaired) for kept in rule.lits if kept != repaired)
+                blocked.update((repaired, other) for other in rule.lits if other != repaired)
+    priority = PriorityRelation(frozenset(offered - blocked))
     cycle = priority.find_cycle()
-    ordered_minimal = tuple(
-        sorted(minimal, key=lambda r: sorted(map(literal_key, r.lits)))
-    )
     return DerivedPriority(
-        constraints_of(rules),
-        None if cycle is not None else priority,
-        cycle,
-        ordered_minimal,
-        tuple(warnings),
-        ground,
+        ctx.pdb.constraints, None if cycle is not None else priority, cycle, tuple(warnings)
     )
 
 
@@ -534,10 +510,8 @@ class RoundTripReport:
         )
 
 
-def check_roundtrip(
-    db: Database, schema: Schema, rules: Sequence[AIC], budget: Budget = DEFAULT_BUDGET
-) -> RoundTripReport:
-    derived = rules_to_priority(db, schema, rules)
+def check_roundtrip(ctx: RuleContext) -> RoundTripReport:
+    derived = rules_to_priority(ctx)
     if derived.cycle is not None:
         return RoundTripReport(
             applicable=False,
@@ -549,12 +523,8 @@ def check_roundtrip(
             cycle=derived.cycle,
             warnings=derived.property_warnings,
         )
-    pdb = PrioritizedDatabase(
-        db, schema, derived.constraints, derived.priority, budget
-    )
-    # derived.ground lies over rules_constants(db, rules), which is pdb.constants()
-    masks = pdb._conflict_masks
-    rows = classify_components(masks, derived.ground)
+    pdb = ctx.pdb.with_priority(derived.priority)
+    masks, rows = pdb._conflict_masks, ctx.rows
     return RoundTripReport(
         applicable=not derived.property_warnings,
         binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),

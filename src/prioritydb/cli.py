@@ -17,12 +17,11 @@ from . import bridges, query as query_mod, textio
 from .aic import (
     AIC,
     R_UPDATE_CLASSES,
+    RuleContext,
     check_properties,
     classify_updates,
-    ground_rules,
     is_r_update,
     r_update_table,
-    rules_constants,
 )
 from .conflicts import ConflictHypergraph, max_conflict_size
 from .errors import Budget, BudgetExceededError, InputError
@@ -99,6 +98,13 @@ class Workspace:
                 f"priority edge {edge[0]} > {edge[1]} joins literals that share no conflict"
             )
         return pdb
+
+    def rule_context(self, missing: str) -> RuleContext:
+        """The loaded rules on the database; ``missing`` is the error when
+        there are none."""
+        if not self.rules:
+            raise InputError(missing)
+        return RuleContext(self.db, self.schema, self.rules, self.budget)
 
     def score_structure(self) -> Optional[ScoreStructure]:
         if not self.scores:
@@ -228,10 +234,9 @@ def cmd_optimal(ws: Workspace, args) -> int:
 
 
 def cmd_aic(ws: Workspace, args) -> int:
-    if not ws.rules:
-        raise InputError("aic commands require --aics")
+    ctx = ws.rule_context("aic commands require --aics")
     if args.action == "classify":
-        actions, table = r_update_table(ws.db, ws.schema, ws.rules, ws.budget)
+        actions, table = r_update_table(ctx)
         texts = [str(action) for action in actions]
         lines = [f"{{{', '.join([texts[r] for r in ranks])}}}: {CLASS_LABELS[flags]}\n"
                  for ranks, flags in table]
@@ -241,11 +246,10 @@ def cmd_aic(ws: Workspace, args) -> int:
         if not args.update:
             raise InputError("aic check-update requires --update")
         actions = textio.parse_updates(_read(args.update))
-        if not is_r_update(ws.db, ws.schema, ws.rules, actions):
+        if not is_r_update(ctx, actions):
             print("not an r-update")
             return EXIT_FALSE
-        ground = ground_rules(ws.rules, rules_constants(ws.db, ws.rules))
-        (entry,) = classify_updates(ws.db, ground, [actions], ws.budget)
+        (entry,) = classify_updates(ctx.db, ctx.ground, [actions], ctx.budget)
         checks = entry.classes()
         for name, on in checks.items():
             print(f"{name}: {'yes' if on else 'no'}")
@@ -253,7 +257,7 @@ def cmd_aic(ws: Workspace, args) -> int:
             return EXIT_OK if checks[args.kind] else EXIT_FALSE
         return EXIT_OK
     if args.action == "props":
-        report = check_properties(ws.rules, ws.db)
+        report = check_properties(ctx)
         print(f"monotone: {'yes' if report.monotone else 'no'}")
         print(f"closed under resolution: {'yes' if report.closed_under_resolution else 'no'}")
         print(
@@ -297,9 +301,7 @@ def cmd_translate(ws: Workspace, args) -> int:
         _write_or_print(args.out_aics, textio.format_aics(rules), "active rules")
         return EXIT_OK
     if args.direction == "aic-to-prio":
-        if not ws.rules:
-            raise InputError("aic-to-prio requires --aics")
-        derived = bridges.rules_to_priority(ws.db, ws.schema, ws.rules)
+        derived = bridges.rules_to_priority(ws.rule_context("aic-to-prio requires --aics"))
         for warning in derived.property_warnings:
             print(f"warning: {warning}")
         if derived.cycle is not None:
@@ -329,9 +331,7 @@ def cmd_verify(ws: Workspace, args) -> int:
         print(f"equivalence holds: {'yes' if good else 'no'}")
         return EXIT_OK if good else EXIT_FALSE
     if args.check == "prop10":
-        if not ws.rules:
-            raise InputError("verify prop10 requires --aics")
-        report = bridges.check_roundtrip(ws.db, ws.schema, ws.rules, ws.budget)
+        report = bridges.check_roundtrip(ws.rule_context("verify prop10 requires --aics"))
         for warning in report.warnings:
             print(f"warning: {warning}")
         if report.cycle is not None:

@@ -298,10 +298,11 @@ class MaskContext:
         """A Pareto improvement exists exactly when some excluded vertex can be
         kept after dropping every node it outranks without completing a
         conflict; since the repair completes none, that conflict holds the
-        vertex.  Check that every excluded vertex is blocked so."""
+        vertex.  Check that every excluded vertex is blocked so.  The vertex
+        is kept even when it outranks itself."""
         for i in bits(self.masks.full & ~agree):
             bit = 1 << i
-            keep = (agree | bit) & ~self.dom[i]
+            keep = (agree & ~self.dom[i]) | bit
             if not any((w | bit) & ~keep == 0 for w in self.masks.witnesses[i]):
                 return False
         return True

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from prioritydb.aic import AIC, UpdateAtom
+from prioritydb.aic import AIC, RuleContext, UpdateAtom
 from prioritydb.conflicts import conflicts
 from prioritydb.errors import DEFAULT_BUDGET, Budget
 from prioritydb.model import (
@@ -279,6 +279,9 @@ class RuleInstance:
     db: frozenset
     schema: Schema
     rules: tuple[AIC, ...]
+
+    def context(self) -> RuleContext:
+        return RuleContext(self.db, self.schema, self.rules)
 
 
 def random_rule_instance(rng: random.Random, monotone: bool = False) -> RuleInstance:

@@ -45,12 +45,11 @@ from test_random_properties import (
 )
 
 from prioritydb.aic import (
+    RuleContext,
     classify_r_updates,
-    ground_rules,
     is_grounded,
     is_grounded_via_pruned_rules,
     r_updates,
-    rules_constants,
 )
 from prioritydb.bridges import (
     check_denial_image,
@@ -236,7 +235,7 @@ def test_acceptance_05_rule_fixtures():
     problems = []
 
     def classify(db, schema, rules):
-        return {frozenset(e.actions): e for e in classify_r_updates(db, schema, rules)}
+        return {frozenset(e.actions): e for e in classify_r_updates(RuleContext(db, schema, rules))}
 
     # layered removals: one founded update, one only well-founded
     t5 = classify(prop_db("al", "be", "ga", "de"), prop_schema("al", "be", "ga", "de"), example5_rules())
@@ -296,7 +295,9 @@ def test_acceptance_06_well_behavedness_counterexamples():
     problems = []
 
     # not closed under resolution: pareto keeps a repair that is not founded
-    r1 = check_roundtrip(prop_db("al", "be", "ga"), prop_schema("al", "be", "ga"), nonclosed_rules())
+    r1 = check_roundtrip(
+        RuleContext(prop_db("al", "be", "ga"), prop_schema("al", "be", "ga"), nonclosed_rules())
+    )
     if set(r1.founded.repairs) != {prop_db("al")} or set(r1.pareto.repairs) != {
         prop_db("al"),
         prop_db("be", "ga"),
@@ -304,20 +305,20 @@ def test_acceptance_06_well_behavedness_counterexamples():
         problems.append("non-closed counterexample differs")
 
     # closed but not action-preserving: pareto and founded disagree
-    r2 = check_roundtrip(
+    r2 = check_roundtrip(RuleContext(
         prop_db("al", "be", "ga"), prop_schema("al", "be", "ga", "de"), example7_rules()
-    )
+    ))
     if set(r2.pareto.repairs) != {prop_db("be")} or prop_db("al", "ga", "de") not in set(
         r2.founded.repairs
     ):
         problems.append("non-action-preserving counterexample differs")
 
     # not strengthening-preserving: founded keeps an update pareto rejects
-    r3 = check_roundtrip(
+    r3 = check_roundtrip(RuleContext(
         prop_db("al", "be", "ga", "de"),
         prop_schema("al", "be", "ga", "de"),
         example9_rules(),
-    )
+    ))
     if set(r3.pareto.repairs) != {prop_db("al", "be")} or prop_db("be", "de") not in set(
         r3.founded.repairs
     ):
@@ -326,20 +327,20 @@ def test_acceptance_06_well_behavedness_counterexamples():
     # derived preference cycle of length three
     from prioritydb.model import Schema
 
-    derived = rules_to_priority(
+    derived = rules_to_priority(RuleContext(
         frozenset({fact("A", "a"), fact("B", "a"), fact("C", "a")}),
         Schema.of([("A", 1), ("B", 1), ("C", 1)]),
         cyclic_rules(),
-    )
+    ))
     if derived.cycle is None or len(set(derived.cycle)) != 3:
         problems.append("cyclic example did not report a 3-cycle")
 
     # ternary conflicts: founded strictly inside pareto
-    r4 = check_roundtrip(
+    r4 = check_roundtrip(RuleContext(
         prop_db("al", "be", "ga", "de", "ep"),
         prop_schema("al", "be", "ga", "de", "ep"),
         general_case_rules(),
-    )
+    ))
     if not r4.founded_within_pareto() or r4.strictness_witnesses() != (
         prop_db("be", "ep", "ga"),
     ):
@@ -368,9 +369,9 @@ def test_acceptance_07_oracle_equivalences():
                 completion_diffs += 1
     grounded_diffs = 0
     for inst in rule_corpus():
-        constants = rules_constants(inst.db, inst.rules)
-        ground = ground_rules(inst.rules, constants)
-        for actions in r_updates(inst.db, inst.schema, inst.rules):
+        ctx = inst.context()
+        ground = ctx.ground
+        for actions in r_updates(ctx):
             if is_grounded(actions, inst.db, ground) != is_grounded_via_pruned_rules(
                 actions, inst.db, ground
             ):
@@ -425,7 +426,7 @@ def test_acceptance_08_property_suite():
         if problems:
             break
     for inst in monotone_rule_corpus():
-        for entry in classify_r_updates(inst.db, inst.schema, inst.rules):
+        for entry in classify_r_updates(inst.context()):
             if not (entry.founded == entry.grounded == entry.justified):
                 problems.append("monotone collapse violated")
             if entry.founded and not entry.well_founded:
@@ -439,7 +440,7 @@ def test_acceptance_09_roundtrip():
     problems = []
     usable = 0
     for inst in well_behaved_corpus():
-        outcome = check_roundtrip(inst.db, inst.schema, inst.rules)
+        outcome = check_roundtrip(inst.context())
         if outcome.cycle is not None:
             continue  # acyclicity is a stated precondition
         usable += 1

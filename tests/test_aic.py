@@ -17,6 +17,7 @@ from conftest import (
     rule,
 )
 from prioritydb.aic import (
+    RuleContext,
     apply_actions,
     check_properties,
     classify_r_updates,
@@ -32,16 +33,22 @@ from prioritydb.aic import (
     normalize_ground,
     r_updates,
     repairs_of_kind,
-    rules_constants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, facts_universe
 
 
+def prop_context(names, rules):
+    """The rules on the database of the named atoms, over every atom they
+    mention."""
+    atoms = sorted(set(names) | {a.predicate for r in rules for a in r.body})
+    return RuleContext(prop_db(*names), prop_schema(*atoms), rules)
+
+
 def table(db, schema, rules):
     return {
         frozenset(entry.actions): entry
-        for entry in classify_r_updates(db, schema, rules)
+        for entry in classify_r_updates(RuleContext(db, schema, rules))
     }
 
 
@@ -67,7 +74,8 @@ class TestApply:
 
 class TestRUpdates:
     def test_four_updates_on_layered_rules(self):
-        got = r_updates(prop_db("al", "be", "ga", "de"), prop_schema("al", "be", "ga", "de"), example9_rules())
+        names = ("al", "be", "ga", "de")
+        got = r_updates(RuleContext(prop_db(*names), prop_schema(*names), example9_rules()))
         assert got == {
             frozenset({action("al"), action("ga")}),
             frozenset({action("de"), action("ga")}),
@@ -77,11 +85,11 @@ class TestRUpdates:
 
     def test_consistent_database_empty_update(self):
         rules = (prop_rule([("al", True), ("be", True)], [("be", False)]),)
-        got = r_updates(prop_db("al"), prop_schema("al", "be"), rules)
+        got = r_updates(RuleContext(prop_db("al"), prop_schema("al", "be"), rules))
         assert got == {frozenset()}
 
     def test_additions_only_instance(self):
-        got = r_updates(frozenset(), prop_schema("al", "be", "ga"), example6_rules())
+        got = r_updates(RuleContext(frozenset(), prop_schema("al", "be", "ga"), example6_rules()))
         assert got == {
             frozenset({action("al", add=True), action("be", add=True), action("ga", add=True)})
         }
@@ -92,11 +100,11 @@ class TestBudget:
     def test_caller_budget_caps_action_subsets(self, check):
         db = prop_db("al", "be", "ga", "de")
         schema = prop_schema("al", "be", "ga", "de")
-        rules = example5_rules()
-        ground = ground_rules(rules, rules_constants(db, rules))
+        ctx = RuleContext(db, schema, example5_rules())
+        ground = ctx.ground
         universe = facts_universe(db, schema)
         update = frozenset({action("be"), action("ga")})
-        assert update in r_updates(db, schema, rules)
+        assert update in r_updates(ctx)
         run = {
             "wellfounded": lambda budget: is_well_founded(update, db, ground, budget),
             "grounded": lambda budget: is_grounded(update, db, ground, budget),
@@ -118,13 +126,15 @@ class TestBudget:
             for i in range(3)
         )
         with pytest.raises(BudgetExceededError, match="^r-update class product has 6 elements"):
-            repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=4))
-        assert len(repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=6))) == 8
+            repairs_of_kind(RuleContext(db, schema, rules, Budget(max_universe=4)), "founded")
+        ctx = RuleContext(db, schema, rules, Budget(max_universe=6))
+        assert len(repairs_of_kind(ctx, "founded")) == 8
         # with one action per rule each group has one founded update
         rules = tuple(
             prop_rule([(f"p{i}", True), (f"q{i}", True)], [(f"q{i}", False)]) for i in range(3)
         )
-        assert len(repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=2))) == 1
+        ctx = RuleContext(db, schema, rules, Budget(max_universe=2))
+        assert len(repairs_of_kind(ctx, "founded")) == 1
 
     def test_unknown_class_raises_before_any_classification(self):
         # three independent rules p_i, q_i -> { -q_i }: groups of 2 conflict
@@ -135,9 +145,9 @@ class TestBudget:
             prop_rule([(f"p{i}", True), (f"q{i}", True)], [(f"q{i}", False)]) for i in range(3)
         )
         with pytest.raises(BudgetExceededError, match="^conflict literal set has 2 elements"):
-            repairs_of_kind(db, schema, rules, "founded", Budget(max_universe=1))
+            repairs_of_kind(RuleContext(db, schema, rules, Budget(max_universe=1)), "founded")
         with pytest.raises(InputError, match="unknown r-update class: bogus"):
-            repairs_of_kind(db, schema, rules, "bogus", Budget(max_universe=1))
+            repairs_of_kind(RuleContext(db, schema, rules, Budget(max_universe=1)), "bogus")
 
 
 class TestClassification:
@@ -200,7 +210,7 @@ class TestClassification:
             (prop_db("al", "be", "ga", "de"), prop_schema("al", "be", "ga", "de"), example9_rules()),
         ]:
             normal = all(len(r.updates) == 1 for r in rules)
-            for entry in classify_r_updates(db, schema, rules):
+            for entry in classify_r_updates(RuleContext(db, schema, rules)):
                 assert not entry.grounded or entry.founded
                 assert not entry.grounded or entry.well_founded
                 assert not entry.justified or entry.founded
@@ -214,9 +224,9 @@ class TestClassification:
             (frozenset(), prop_schema("al", "be", "ga"), example6_rules()),
             (prop_db("al", "be", "ga", "de"), prop_schema("al", "be", "ga", "de"), example9_rules()),
         ]:
-            constants = rules_constants(db, rules)
-            ground = ground_rules(rules, constants)
-            for actions in r_updates(db, schema, rules):
+            ctx = RuleContext(db, schema, rules)
+            ground = ctx.ground
+            for actions in r_updates(ctx):
                 assert is_grounded(actions, db, ground) == is_grounded_via_pruned_rules(
                     actions, db, ground
                 )
@@ -242,7 +252,7 @@ class TestMaskClassifier:
     def setup_method(self):
         self.db = prop_db("al", "be", "ga", "de")
         self.rules = example5_rules()
-        self.ground = ground_rules(self.rules, rules_constants(self.db, self.rules))
+        self.ground = RuleContext(self.db, prop_schema("al", "be", "ga", "de"), self.rules).ground
         self.universe = facts_universe(self.db, prop_schema("al", "be", "ga", "de"))
 
     def classify(self, actions):
@@ -282,9 +292,10 @@ class TestMaskClassifier:
                  [("R", ("X", "Z"), False)], [("Y", "Z")]),
         )
         schema = Schema.of([("R", 2)])
-        ground = ground_rules(rules, rules_constants(db, rules))
+        ctx = RuleContext(db, schema, rules)
+        ground = ctx.ground
         universe = facts_universe(db, schema)
-        updates = r_updates(db, schema, rules)
+        updates = r_updates(ctx)
         assert len(updates) == 2
         for entry in classify_updates(db, ground, updates):
             assert _flags(entry) == _reference_flags(entry.actions, db, ground, universe)
@@ -314,8 +325,8 @@ class TestRewrites:
         assert anti_normalize_ground(normalize_ground(merged)) == merged
 
     def test_minimal_bodies_drops_redundant_rules(self):
-        constants = rules_constants(prop_db("al", "be", "ga", "de"), example9_rules())
-        ground = ground_rules(example9_rules(), constants)
+        db, schema = prop_db("al", "be", "ga", "de"), prop_schema("al", "be", "ga", "de")
+        ground = RuleContext(db, schema, example9_rules()).ground
         kept = minimal_bodies_ground(ground)
         bodies = {frozenset(str(l) for l in rule.lits) for rule in kept}
         assert bodies == {frozenset({"al", "de"}), frozenset({"be", "ga"})}
@@ -338,14 +349,14 @@ class TestRewrites:
             prop_rule([("ga", True), ("de", True)], [("de", False)]),
         )
         db = prop_db("al", "be", "ga", "de")
-        report = check_properties(rules, db)
+        ctx = RuleContext(db, prop_schema("al", "be", "ga", "de"), rules)
+        report = check_properties(ctx)
         assert report.preserves_actions_strengthening
-        constants = rules_constants(db, rules)
-        ground = ground_rules(rules, constants)
+        ground = ctx.ground
         merged = anti_normalize_ground(ground)
         trimmed = minimal_bodies_ground(ground)
         assert len(trimmed) < len(merged)
-        for actions in r_updates(db, prop_schema("al", "be", "ga", "de"), rules):
+        for actions in r_updates(ctx):
             for check in (is_founded, is_well_founded, is_grounded):
                 base = check(actions, db, ground)
                 assert check(actions, db, merged) == base
@@ -354,37 +365,36 @@ class TestRewrites:
     def test_classes_invariant_under_normalization(self):
         db = prop_db("al", "be", "ga", "de")
         schema = prop_schema("al", "be", "ga", "de")
-        rules = example9_rules()
-        constants = rules_constants(db, rules)
-        ground = ground_rules(rules, constants)
+        ctx = RuleContext(db, schema, example9_rules())
+        ground = ctx.ground
         split = normalize_ground(ground)
-        for actions in r_updates(db, schema, rules):
+        for actions in r_updates(ctx):
             for check in (is_founded, is_well_founded, is_grounded):
                 assert check(actions, db, ground) == check(actions, db, split)
 
 
 class TestProperties:
     def test_closed_but_not_action_preserving(self):
-        report = check_properties(example7_rules(), prop_db("al", "be", "ga"))
+        report = check_properties(prop_context(("al", "be", "ga"), example7_rules()))
         assert report.closed_under_resolution
         assert not report.preserves_actions_resolution
 
     def test_not_closed_versus_closed(self):
         eta1, eta2 = example8_rules()
-        first = check_properties(eta1, prop_db("al", "be", "ga"))
+        first = check_properties(prop_context(("al", "be", "ga"), eta1))
         assert not first.closed_under_resolution
-        second = check_properties(eta2, prop_db("al", "be", "ga"))
+        second = check_properties(prop_context(("al", "be", "ga"), eta2))
         assert second.closed_under_resolution
         assert not second.preserves_actions_resolution
 
     def test_monotone_but_not_strengthening(self):
-        report = check_properties(example9_rules(), prop_db("al", "be", "ga", "de"))
+        report = check_properties(prop_context(("al", "be", "ga", "de"), example9_rules()))
         assert report.monotone
         assert report.preserves_actions_resolution
         assert not report.preserves_actions_strengthening
 
     def test_counterexamples_reported(self):
-        report = check_properties(example7_rules(), prop_db("al", "be", "ga"))
+        report = check_properties(prop_context(("al", "be", "ga"), example7_rules()))
         kinds = [kind for kind, _ in report.counterexamples]
         assert kinds.count("preserves_actions_resolution") == 1
 

@@ -19,7 +19,7 @@ from conftest import (
     prop_schema,
 )
 from corpus import random_instance, with_random_priority
-from prioritydb.aic import repairs_of_kind
+from prioritydb.aic import RuleContext, repairs_of_kind
 from prioritydb.bridges import (
     check_denial_image,
     check_roundtrip,
@@ -174,7 +174,7 @@ class TestTranslationEquivalence:
                 ("grounded", report.grounded),
                 ("justified", report.justified),
             ):
-                assert got == repairs_of_kind(pdb.db, pdb.schema, rules, kind)
+                assert got == repairs_of_kind(RuleContext(pdb.db, pdb.schema, rules), kind)
 
     def test_well_founded_may_be_larger(self):
         """Rules shaped like the layered removal example keep a well-founded
@@ -183,8 +183,9 @@ class TestTranslationEquivalence:
 
         db = prop_db("al", "be", "ga", "de")
         schema = prop_schema("al", "be", "ga", "de")
-        founded = repairs_of_kind(db, schema, example5_rules(), "founded")
-        wf = repairs_of_kind(db, schema, example5_rules(), "wellfounded")
+        ctx = RuleContext(db, schema, example5_rules())
+        founded = repairs_of_kind(ctx, "founded")
+        wf = repairs_of_kind(ctx, "wellfounded")
         assert set(founded.repairs) < set(wf.repairs)
 
 
@@ -293,9 +294,10 @@ class TestStoredPriorityRules:
         }
         pdb = PrioritizedDatabase(db, schema, fd, priority)
         pareto = optimal_repairs(pdb, "pareto")
-        founded = repairs_of_kind(db, schema, rules, "founded")
-        grounded = repairs_of_kind(db, schema, rules, "grounded")
-        justified = repairs_of_kind(db, schema, rules, "justified")
+        ctx = RuleContext(db, schema, rules)
+        founded = repairs_of_kind(ctx, "founded")
+        grounded = repairs_of_kind(ctx, "grounded")
+        justified = repairs_of_kind(ctx, "justified")
         assert (
             set(pareto.repairs)
             == set(founded.repairs)
@@ -309,7 +311,7 @@ class TestRulesToPriority:
     def test_cycle_is_reported(self):
         db = frozenset({fact("A", "a"), fact("B", "a"), fact("C", "a")})
         schema = Schema.of([("A", 1), ("B", 1), ("C", 1)])
-        derived = rules_to_priority(db, schema, cyclic_rules())
+        derived = rules_to_priority(RuleContext(db, schema, cyclic_rules()))
         assert derived.cycle is not None
         assert derived.priority is None
         names = [str(l) for l in derived.cycle]
@@ -317,7 +319,8 @@ class TestRulesToPriority:
 
     def test_layered_rules_edges(self):
         db = prop_db("al", "be", "ga", "de")
-        derived = rules_to_priority(db, prop_schema("al", "be", "ga", "de"), example9_rules())
+        derived = rules_to_priority(
+            RuleContext(db, prop_schema("al", "be", "ga", "de"), example9_rules()))
         assert {(str(a), str(b)) for a, b in derived.priority.edges} == {
             ("al", "de"),
             ("be", "ga"),
@@ -327,51 +330,51 @@ class TestRulesToPriority:
         from conftest import prop_rule
 
         rules = (prop_rule([("al", True), ("be", True)], [("be", False)]),)
-        derived = rules_to_priority(prop_db("al", "be"), prop_schema("al", "be"), rules)
+        derived = rules_to_priority(RuleContext(prop_db("al", "be"), prop_schema("al", "be"), rules))
         assert {(str(a), str(b)) for a, b in derived.priority.edges} == {("al", "be")}
 
 
 class TestRoundtrip:
     def test_binary_well_behaved_equality(self, example3):
         rules = ground_rules_as_aics(priority_to_rules(example3.pdb()))
-        report = check_roundtrip(example3.db, example3.schema, rules)
+        report = check_roundtrip(RuleContext(example3.db, example3.schema, rules))
         assert report.applicable and report.binary_conflicts
         assert report.equal()
 
     def test_not_closed_counterexample(self):
-        report = check_roundtrip(
+        report = check_roundtrip(RuleContext(
             prop_db("al", "be", "ga"), prop_schema("al", "be", "ga"), nonclosed_rules()
-        )
+        ))
         assert "rule set is not closed under resolution" in report.warnings
         assert set(report.founded.repairs) == {prop_db("al")}
         assert set(report.pareto.repairs) == {prop_db("al"), prop_db("be", "ga")}
 
     def test_not_action_preserving_counterexample(self):
-        report = check_roundtrip(
+        report = check_roundtrip(RuleContext(
             prop_db("al", "be", "ga"),
             prop_schema("al", "be", "ga", "de"),
             example7_rules(),
-        )
+        ))
         assert "rule set does not preserve actions under resolution" in report.warnings
         assert set(report.pareto.repairs) == {prop_db("be")}
         assert prop_db("al", "ga", "de") in set(report.founded.repairs)
 
     def test_not_strengthening_counterexample(self):
-        report = check_roundtrip(
+        report = check_roundtrip(RuleContext(
             prop_db("al", "be", "ga", "de"),
             prop_schema("al", "be", "ga", "de"),
             example9_rules(),
-        )
+        ))
         assert "rule set does not preserve actions under strengthening" in report.warnings
         assert set(report.pareto.repairs) == {prop_db("al", "be")}
         assert prop_db("be", "de") in set(report.founded.repairs)
 
     def test_general_case_strict_inclusion(self):
-        report = check_roundtrip(
+        report = check_roundtrip(RuleContext(
             prop_db("al", "be", "ga", "de", "ep"),
             prop_schema("al", "be", "ga", "de", "ep"),
             general_case_rules(),
-        )
+        ))
         assert report.applicable and not report.binary_conflicts
         assert report.founded_within_pareto()
         assert report.strictness_witnesses() == (prop_db("be", "ep", "ga"),)

@@ -255,9 +255,9 @@ class TestAicCommands:
             db_file.write_text(format_database(inst.db))
             rules_file.write_text(format_aics(inst.rules))
             code, out = run(capsys, "--db", db_file, "--aics", rules_file, "aic", "classify")
-            ground = aic.ground_rules(inst.rules, aic.rules_constants(inst.db, inst.rules))
-            table = aic.classify_updates(
-                inst.db, ground, aic.r_updates(inst.db, inst.schema, inst.rules))
+            ctx = aic.RuleContext(inst.db, inst.schema, inst.rules)
+            ground = ctx.ground
+            table = aic.classify_updates(inst.db, ground, aic.r_updates(ctx))
             expected = "".join(
                 f"{format_update_set(entry.actions)}: "
                 f"{' '.join(k for k, on in entry.classes().items() if on) or '-'}\n"

@@ -64,3 +64,42 @@ def test_no_module_imports_a_private_name_of_another():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def _callers(name):
+    """Each call of the named function in the package, as its module and the
+    classes and functions it sits in, dotted."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+                found.append(".".join(inside))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for module, tree in sorted(MODULES.items()):
+        visit(tree, (module,))
+    return found
+
+
+def test_only_the_rule_context_grounds_active_rules():
+    assert _callers("ground_rules") == ["aic.RuleContext.ground"]
+
+
+def test_only_the_rule_context_turns_the_rule_bodies_into_an_instance():
+    """The rule bodies as constraints, the input of every ``Instance`` and
+    ``PrioritizedDatabase`` of active rules, are built in one place."""
+    assert _callers("constraints_of") == ["aic.RuleContext.pdb"]
+
+
+def test_the_rule_grounding_pool_is_the_instance_pool():
+    defined = [
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "rules_constants"
+    ]
+    assert defined == []

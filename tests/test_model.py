@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import atom, example6_rules, example7_rules, fact, lit, neg
 from corpus import random_instance, random_rule_instance
-from prioritydb.aic import _rule_key, ground_rules, rules_constants
+from prioritydb.aic import RuleContext, _rule_key, ground_rules
 from prioritydb.errors import InputError
 import prioritydb
 from prioritydb.model import (
@@ -279,7 +279,7 @@ class TestResolutions:
         pairs = 0
         for _ in range(200):
             inst = random_rule_instance(rng)
-            ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+            ground = RuleContext(inst.db, inst.schema, inst.rules).ground
             terms = _canonical({r.lits for r in ground})
             rng.shuffle(terms)
             expected = list(_resolutions_all_pairs(terms))
@@ -301,7 +301,7 @@ class TestResolutions:
     @pytest.mark.parametrize("rules", [example6_rules, example7_rules])
     def test_matches_all_pairs_loop_on_paper_rules(self, rules):
         ground = sorted(ground_rules(rules(), frozenset()), key=_rule_key)
-        terms = list(dict.fromkeys(r.lits for r in ground))  # as check_ground_properties
+        terms = list(dict.fromkeys(r.lits for r in ground))  # as check_properties
         expected = list(_resolutions_all_pairs(terms))
         assert list(resolutions(terms)) == expected
         assert expected

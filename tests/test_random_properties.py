@@ -36,11 +36,11 @@ from prioritydb.aic import (
     _consistent_rule_set,
     actions_between,
     apply_actions,
+    check_properties,
     classify_components,
     classify_r_updates,
     classify_updates,
     constraints_of,
-    ground_rules,
     is_founded,
     is_grounded,
     is_grounded_via_pruned_rules,
@@ -51,7 +51,6 @@ from prioritydb.aic import (
     reached_by_kind,
     repair_action_for,
     repairs_of_kind,
-    rules_constants,
     satisfies_rules,
 )
 from prioritydb.bridges import (
@@ -316,9 +315,9 @@ def test_oracle_repair_membership_without_the_universe():
 
 def test_oracle_grounded_characterization():
     for inst in rule_corpus():
-        constants = rules_constants(inst.db, inst.rules)
-        ground = ground_rules(inst.rules, constants)
-        for actions in r_updates(inst.db, inst.schema, inst.rules):
+        ctx = inst.context()
+        ground = ctx.ground
+        for actions in r_updates(ctx):
             assert is_grounded(actions, inst.db, ground) == is_grounded_via_pruned_rules(
                 actions, inst.db, ground
             )
@@ -348,9 +347,10 @@ def test_oracle_mask_classifier_matches_definitions():
     rng = random.Random(0xC1A55)
     checked = {"r-update": 0, "other": 0, "empty": 0, "stray": 0}
     for inst in rule_corpus() + monotone_rule_corpus():
-        ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
-        universe = Instance(inst.db, inst.schema, constraints_of(inst.rules)).facts
-        known = r_updates(inst.db, inst.schema, inst.rules)
+        ctx = inst.context()
+        ground = ctx.ground
+        universe = ctx.pdb.instance.facts
+        known = r_updates(ctx)
         facts = sorted(universe)
         candidates = {actions: "r-update" for actions in known}
         for _ in range(3):
@@ -371,13 +371,14 @@ def test_oracle_r_update_check_without_enumeration():
     rng = random.Random(0xC4EC)
     seen = {"member": 0, "inconsistent": 0, "no-op": 0, "outside": 0}
     for inst in rule_corpus():
-        known = r_updates(inst.db, inst.schema, inst.rules)
-        facts = sorted(Instance(inst.db, inst.schema, constraints_of(inst.rules)).facts)
+        ctx = inst.context()
+        known = r_updates(ctx)
+        facts = sorted(ctx.pdb.instance.facts)
         candidates = set(known)
         for _ in range(4):
             candidates.add(_random_action_set(rng, facts + [STRAY], consistent=False))
         for actions in candidates:
-            got = is_r_update(inst.db, inst.schema, inst.rules, actions)
+            got = is_r_update(ctx, actions)
             assert got == (actions in known), (actions, inst)
             seen["member"] += got
             seen["inconsistent"] += len({a.fact for a in actions}) < len(actions)
@@ -1102,7 +1103,7 @@ def test_property_translated_rules_equivalence():
 
 def test_property_monotone_rule_collapse():
     for inst in monotone_rule_corpus():
-        table = classify_r_updates(inst.db, inst.schema, inst.rules)
+        table = classify_r_updates(inst.context())
         for entry in table:
             assert entry.founded == entry.grounded == entry.justified
             if entry.founded:
@@ -1112,7 +1113,7 @@ def test_property_monotone_rule_collapse():
 def test_property_inclusion_diagram_on_random_rules():
     for inst in rule_corpus():
         normal = all(len(r.updates) == 1 for r in inst.rules)
-        for entry in classify_r_updates(inst.db, inst.schema, inst.rules):
+        for entry in classify_r_updates(inst.context()):
             assert not entry.grounded or (entry.founded and entry.well_founded)
             assert not entry.justified or (entry.founded and entry.well_founded)
             if normal:
@@ -1122,25 +1123,75 @@ def test_property_inclusion_diagram_on_random_rules():
 def test_property_well_behaved_rule_collapse():
     """When the ground rules are closed under resolution and preserve actions
     under it, the justified, grounded, and founded classes coincide."""
-    from prioritydb.aic import check_properties
-
     seen = 0
     for inst in rule_corpus():
-        report = check_properties(inst.rules, inst.db)
+        report = check_properties(inst.context())
         if not (report.closed_under_resolution and report.preserves_actions_resolution):
             continue
         seen += 1
-        for entry in classify_r_updates(inst.db, inst.schema, inst.rules):
+        for entry in classify_r_updates(inst.context()):
             assert entry.founded == entry.grounded == entry.justified
             if entry.founded:
                 assert entry.well_founded
     assert seen >= 20
 
 
+def _priority_by_literal_pairs(ctx):
+    """The derivation that one pass over the rules replaced: for every ordered
+    pair of literals of the body-minimal violated ground rules, an edge when
+    some rule holding both offers to repair the second and none holding both
+    offers to repair the first.  Returns the priority, its cycle and the
+    property warnings."""
+    ground, db = ctx.ground, ctx.db
+    report = check_properties(ctx)
+    warnings = tuple(text for holds, text in (
+        (report.closed_under_resolution, "rule set is not closed under resolution"),
+        (report.preserves_actions_resolution,
+         "rule set does not preserve actions under resolution"),
+        (report.preserves_actions_strengthening,
+         "rule set does not preserve actions under strengthening"),
+    ) if not holds)
+    minimal = [r for r in ground if not any(other.lits < r.lits for other in ground)]
+    violated = [r for r in minimal if r.violated_by(db)]
+    literals = sorted({l for r in violated for l in r.lits}, key=literal_key)
+    edges = set()
+    for strong in literals:
+        for weak in literals:
+            together = [r for r in violated if strong in r.lits and weak in r.lits]
+            if strong != weak and together and any(
+                repair_action_for(weak) in r.updates for r in together
+            ) and all(repair_action_for(strong) not in r.updates for r in together):
+                edges.add((strong, weak))
+    priority = PriorityRelation(frozenset(edges))
+    return priority, priority.find_cycle(), warnings
+
+
+def test_oracle_rules_to_priority_matches_the_literal_pair_loop():
+    rng = random.Random(0xC1C1E)  # about one in thirty derives a cyclic priority
+    corpora = {
+        "plain": rule_corpus(),
+        "monotone": monotone_rule_corpus(),
+        "linked": linked_rule_corpus(),
+        "well-behaved": well_behaved_corpus() + [random_binary_well_behaved(rng) for _ in range(800)],
+    }
+    seen = dict.fromkeys(["edges", "cyclic", "warned"], 0)
+    for name, corpus in corpora.items():
+        for inst in corpus:
+            derived = rules_to_priority(inst.context())
+            priority, cycle, warnings = _priority_by_literal_pairs(inst.context())
+            expected = (None if cycle else priority, cycle, warnings)
+            assert (derived.priority, derived.cycle, derived.property_warnings) == expected, (
+                name, inst)
+            seen["edges"] += bool(priority.edges)
+            seen["cyclic"] += cycle is not None
+            seen["warned"] += bool(warnings)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_roundtrip_binary_well_behaved():
     cyclic = 0
     for inst in well_behaved_corpus():
-        report = check_roundtrip(inst.db, inst.schema, inst.rules)
+        report = check_roundtrip(inst.context())
         if report.cycle is not None:
             cyclic += 1
             continue
@@ -1156,8 +1207,8 @@ def test_roundtrip_binary_well_behaved():
 
 
 def _whole_instance_table(inst) -> tuple:
-    ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
-    return classify_updates(inst.db, ground, r_updates(inst.db, inst.schema, inst.rules))
+    ctx = inst.context()
+    return classify_updates(inst.db, ctx.ground, r_updates(ctx))
 
 
 def _reached(db, table, kind: str) -> tuple:
@@ -1177,17 +1228,18 @@ def _whole_instance_classes(pdb, ground) -> dict:
 def _assert_rules_match_whole_instance(inst):
     """``classify_r_updates``, ``repairs_of_kind`` and ``check_roundtrip``
     against the oracles."""
-    table = classify_r_updates(inst.db, inst.schema, inst.rules)
+    ctx = inst.context()
+    table = classify_r_updates(ctx)
     expected_table = _whole_instance_table(inst)
     assert table == expected_table, inst
     for kind in ("all",) + R_UPDATE_CLASSES:
-        got = repairs_of_kind(inst.db, inst.schema, inst.rules, kind).repairs
+        got = repairs_of_kind(ctx, kind).repairs
         assert got == _reached(inst.db, expected_table, kind), (kind, inst)
-    report = check_roundtrip(inst.db, inst.schema, inst.rules)
+    report = check_roundtrip(ctx)
     if report.cycle is None:
-        derived = rules_to_priority(inst.db, inst.schema, inst.rules)
+        derived = rules_to_priority(ctx)
         pdb = PrioritizedDatabase(inst.db, inst.schema, derived.constraints, derived.priority)
-        expected = _whole_instance_classes(pdb, derived.ground)
+        expected = _whole_instance_classes(pdb, ctx.ground)
         got = {"founded": report.founded, "grounded": report.grounded, "justified": report.justified}
         assert {k: v.repairs for k, v in got.items()} == {k: expected[k] for k in got}, inst
     return table
@@ -1274,7 +1326,7 @@ def test_oracle_rule_satisfiability_matches_the_subset_scan():
     unsatisfiable = dict.fromkeys(corpora, 0)
     for name, corpus in corpora.items():
         for inst in corpus:
-            ground = ground_rules(inst.rules, rules_constants(inst.db, inst.rules))
+            ground = inst.context().ground
             expected = _consistent_rule_set_by_scan(ground)
             assert _consistent_rule_set(ground) == expected, inst
             unsatisfiable[name] += not expected
@@ -1318,6 +1370,20 @@ def cyclic_corpus():
 def test_oracle_translated_classes_under_cyclic_priorities():
     for pdb in cyclic_corpus():
         _assert_translation_matches_whole_instance(pdb)
+
+
+def test_oracle_pareto_under_a_literal_ranked_above_itself():
+    """The Pareto optima are the delta repairs that no delta repair
+    Pareto-improves, also where a literal outranks itself, and Proposition 8
+    holds there."""
+    self_ranked = 0
+    for pdb in cyclic_corpus():
+        repairs = pdb.delta_repairs().repairs
+        expected = {r for r in repairs if not any(is_pareto_improvement(o, r, pdb) for o in repairs)}
+        assert set(optimal_repairs(pdb, "pareto").repairs) == expected, pdb
+        assert check_translation_equivalence(pdb).ok(), pdb
+        self_ranked += any(strong == weak for strong, weak in pdb.priority.edges)
+    assert self_ranked >= 40, self_ranked
 
 
 def _translation_corpora() -> dict:
