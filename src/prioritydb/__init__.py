@@ -32,7 +32,6 @@ from .bridges import (
     priority_to_rules,
     rules_to_priority,
     stored_priority_rules,
-    to_denial,
 )
 from .conflicts import (
     Conflict,

@@ -526,19 +526,13 @@ def class_choices(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]], kind: s
     return [[t for t, flags in row if flags & flag == flag] for _, row in rows]
 
 
-def reached_by_kind(
-    masks: ConflictMasks, rows: Sequence[tuple[int, Sequence[tuple[int, int]]]], kind: str
-) -> RepairSet:
-    """The delta repairs whose updates have the given support property: the
-    product of ``class_choices`` (``ConflictMasks.repair_product``)."""
-    return masks.repair_product(rows, class_choices(rows, kind), "r-update class product")
-
-
 def repairs_of_kind(ctx: RuleContext, kind: str) -> RepairSet:
-    """Databases reached by the r-updates with the given support property;
-    an unknown property raises before anything is computed."""
+    """Databases reached by the r-updates with the given support property:
+    the product of ``class_choices`` (``ConflictMasks.repair_product``); an
+    unknown property raises before anything is computed."""
     _class_flag(kind)
-    return reached_by_kind(ctx.pdb._conflict_masks, ctx.rows, kind)
+    return ctx.pdb._conflict_masks.repair_product(ctx.rows, class_choices(ctx.rows, kind),
+                                                  "r-update class product")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,17 @@ constraints with a stored preference relation to data-independent active
 rules; and well-behaved active rules back to a prioritized database.  The
 last direction, ``rules_to_priority`` and ``check_roundtrip``, reads the
 ground rules and the prioritized database of one ``aic.RuleContext``.
+
+Propositions 8 and 10 count the Pareto optima per part of a ``MaskContext``
+and each r-update class per group of classified rows (not always the same
+parts) in one ``EquivalenceReport``, and compare them by its ``within``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 from typing import Optional, Sequence
 
@@ -26,7 +30,6 @@ from .aic import (
     check_properties,
     class_choices,
     minimal_bodies_ground,
-    reached_by_kind,
     repair_action_for,
 )
 from .errors import DEFAULT_BUDGET, Budget, InputError
@@ -41,16 +44,13 @@ from .model import (
     Schema,
     Term,
     UniversalConstraint,
+    constraint_constants,
     fact_key,
     is_variable,
     literal_key,
 )
-from .priorities import (
-    PrioritizedDatabase,
-    PriorityRelation,
-    optimal_repairs,
-)
-from .repairs import RepairSet, delta_repairs_of
+from .priorities import PrioritizedDatabase, PriorityRelation
+from .repairs import delta_repairs_of
 
 
 def signed_predicate_name(name: str, schema: Schema) -> str:
@@ -81,15 +81,9 @@ class DenialImage:
         return frozenset(self.signed_fact(l) for l in lits)
 
 
-def to_denial(
-    db: Database, schema: Schema, constraints: Sequence[UniversalConstraint]
-) -> DenialImage:
+def _denial_image(inst: Instance) -> DenialImage:
     """Encode negative literals as facts of fresh absence predicates, with one
     ground denial constraint per conflict."""
-    return _denial_image(Instance(db, schema, tuple(constraints)))
-
-
-def _denial_image(inst: Instance) -> DenialImage:
     mapping = []
     pairs = list(inst.schema.predicates)
     for name, arity in inst.schema.predicates:
@@ -190,11 +184,12 @@ def _listed(family: str, what: str) -> cached_property:
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """Pareto-optimal repairs against the r-update classes of the translated
-    rules.  ``families`` maps each attribute name to parts ``(vertex mask,
-    excluded masks)``, those of ``ctx`` for 'pareto' and the conflict
-    components for the classes, and per part the excluded masks of the
-    family's restrictions to it.  A family is their product."""
+    """Pareto-optimal repairs against r-update classes.  ``families`` maps
+    each attribute name to parts ``(vertex mask, excluded masks)`` and per
+    part the excluded masks of the family's restrictions to it: for
+    'pareto' the parts of ``ctx``, for a class the groups of the classified
+    rows, which are the conflict components that the rules join.  A family
+    is their product."""
 
     ctx: MaskContext
     families: dict[str, tuple[Sequence[tuple[int, object]], Sequence[Sequence[int]]]]
@@ -208,35 +203,57 @@ class EquivalenceReport:
     def count(self, family: str) -> int:
         return prod(map(len, self.families[family][1]))
 
+    def within(self, small: str, large: str) -> bool:
+        """Every repair of ``small`` is one of ``large``: per part of
+        ``large``, each union of one restriction to it per part of ``small``
+        that meets it is one of its choices.  The unions are distinct, so a
+        part tries at most one more than its choices.  An empty ``small`` is
+        within every family."""
+        parts, choices = self.families[small]
+        if not all(choices):
+            return True
+        owner = {i: p for p, (comp, _) in enumerate(parts) for i in bits(comp)}
+        for (comp, _), allowed in zip(*self.families[large]):
+            allowed = set(allowed)
+            meeting = [{t & comp for t in choices[p]} for p in {owner[i] for i in bits(comp)}]
+            if not all(sum(pick) in allowed for pick in product(*meeting)):
+                return False
+        return True
+
+    def equal(self, first: str, *others: str) -> bool:
+        """As many repairs in each family, and ``first`` within the others."""
+        return all(self.count(f) == self.count(first) and self.within(first, f) for f in others)
+
     def ok(self) -> bool:
-        """Every class holds every Pareto-optimal repair, and founded,
-        grounded and justified hold as many repairs.  A class holds them when
-        each component's choices hold the Pareto optima of its part
-        restricted to it."""
-        n, exact = self.count("pareto"), ("founded", "grounded", "justified")
-        optima, part_of = self.families["pareto"][1], self.ctx.part_of
-        return all(self.count(f) == n for f in exact) and (not n or all(
-            {t & comp for t in optima[part_of[(comp & -comp).bit_length() - 1]]} <= set(ts)
-            for f in exact + ("well_founded",) for (comp, _), ts in zip(*self.families[f])))
+        """Proposition 8: founded, grounded and justified hold the
+        Pareto-optimal repairs, which are well-founded."""
+        return (self.equal("pareto", "founded", "grounded", "justified")
+                and self.within("pareto", "well_founded"))
+
+
+def _compared(ctx: MaskContext, rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+              classes: Sequence[str]) -> EquivalenceReport:
+    """The Pareto optima per part of ``ctx``, then the given classes per group
+    of the classified ``rows``, each capped as if it were listed."""
+    families = {"pareto": (ctx.parts, ctx.optima("pareto"))}
+    ctx.masks.check_product(*families["pareto"], "optimal repair product")
+    groups = [(group, [t for t, _ in row]) for group, row in rows]
+    for name in classes:
+        # the R_UPDATE_CLASSES names drop the underscore
+        families[name] = groups, class_choices(rows, name.replace("_", ""))
+        ctx.masks.check_product(*families[name], "r-update class product")
+    return EquivalenceReport(ctx, families)
 
 
 def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport:
-    """Proposition 8 without listing: the Pareto optima per part of the mask
-    context, and per conflict component its restrictions classified under
-    the translated rules.  Each family is capped as if it were listed."""
-    # The translated rule bodies are exactly the conflicts, so no two of them
-    # clash and their r-updates are the updates to the pdb's own delta
-    # repairs; each rule lies in one component, so its groups are masks.parts.
+    """Proposition 8 without listing: the classes of the translated rules.
+    Their bodies are exactly the conflicts, so no two of them clash, their
+    r-updates are the updates to the pdb's own delta repairs, and each rule
+    lies in one conflict component."""
     ctx = pdb._masks
     masks = ctx.masks
     rows = masks.classified(ctx.rule_rows, masks.full & ~masks.absent)
-    families = {"pareto": (ctx.parts, ctx.optima("pareto"))}
-    masks.check_product(*families["pareto"], "optimal repair product")
-    for name in ("founded", "grounded", "justified", "well_founded"):
-        # the R_UPDATE_CLASSES names drop the underscore
-        families[name] = masks.parts, class_choices(rows, name.replace("_", ""))
-        masks.check_product(*families[name], "r-update class product")
-    return EquivalenceReport(ctx, families)
+    return _compared(ctx, rows, ("founded", "grounded", "justified", "well_founded"))
 
 
 def refine_constraint(
@@ -360,9 +377,7 @@ def minimized_denials(
 ) -> tuple[UniversalConstraint, ...]:
     """Refine every denial constraint and drop the subsumed refinements, so
     that violations are witnessed by injective body images."""
-    pool = frozenset()
-    for constraint in constraints:
-        pool |= constraint.constants()
+    pool = constraint_constants(constraints)
     refined: set[UniversalConstraint] = set()
     for constraint in constraints:
         if len(constraint.variables()) + len(pool) > 8:
@@ -412,10 +427,7 @@ def stored_priority_rules(
 
 
 def priority_from_stored_facts(
-    db: Database,
-    constraints: Sequence[UniversalConstraint],
-    schema: Schema,
-    precedence_predicate: str = "prec",
+    db: Database, precedence_predicate: str = "prec"
 ) -> PriorityRelation:
     """Read the preference edges off the stored precedence facts: an edge joins
     two database facts when their identifiers are related."""
@@ -478,60 +490,39 @@ class RoundTripReport:
 
     applicable: bool  # preconditions held and the derived priority was acyclic
     binary_conflicts: bool
-    pareto: Optional[RepairSet]
-    founded: Optional[RepairSet]
-    grounded: Optional[RepairSet]
-    justified: Optional[RepairSet]
+    equivalence: Optional[EquivalenceReport]  # None when the derived priority is cyclic
     cycle: Optional[tuple[Literal, ...]]
     warnings: tuple[str, ...]
 
+    # the families, listed when read
+    pareto = property(lambda r: r.equivalence and r.equivalence.pareto)
+    founded = property(lambda r: r.equivalence and r.equivalence.founded)
+    grounded = property(lambda r: r.equivalence and r.equivalence.grounded)
+    justified = property(lambda r: r.equivalence and r.equivalence.justified)
+
     def equal(self) -> bool:
-        return (
-            self.applicable
-            and self.pareto is not None
-            and self.founded is not None
-            and self.pareto.repairs == self.founded.repairs
-            and self.founded.repairs == self.grounded.repairs
-            and self.grounded.repairs == self.justified.repairs
-        )
+        return self.applicable and self.equivalence.equal(
+            "pareto", "founded", "grounded", "justified")
 
     def founded_within_pareto(self) -> bool:
-        return (
-            self.applicable
-            and self.founded is not None
-            and set(self.founded.repairs) <= set(self.pareto.repairs)
-        )
+        return self.applicable and self.equivalence.within("founded", "pareto")
 
     def strictness_witnesses(self) -> tuple[Database, ...]:
-        if not self.applicable or self.pareto is None or self.founded is None:
+        if not self.applicable or self.equivalence.within("pareto", "founded"):
             return ()
-        return tuple(
-            r for r in self.pareto.repairs if r not in set(self.founded.repairs)
-        )
+        founded = set(self.founded.repairs)
+        return tuple(r for r in self.pareto.repairs if r not in founded)
 
 
 def check_roundtrip(ctx: RuleContext) -> RoundTripReport:
     derived = rules_to_priority(ctx)
     if derived.cycle is not None:
-        return RoundTripReport(
-            applicable=False,
-            binary_conflicts=False,
-            pareto=None,
-            founded=None,
-            grounded=None,
-            justified=None,
-            cycle=derived.cycle,
-            warnings=derived.property_warnings,
-        )
+        return RoundTripReport(False, False, None, derived.cycle, derived.property_warnings)
     pdb = ctx.pdb.with_priority(derived.priority)
-    masks, rows = pdb._conflict_masks, ctx.rows
     return RoundTripReport(
         applicable=not derived.property_warnings,
+        equivalence=_compared(pdb._masks, ctx.rows, ("founded", "grounded", "justified")),
         binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),
-        pareto=optimal_repairs(pdb, "pareto"),
-        founded=reached_by_kind(masks, rows, "founded"),
-        grounded=reached_by_kind(masks, rows, "grounded"),
-        justified=reached_by_kind(masks, rows, "justified"),
         cycle=None,
         warnings=derived.property_warnings,
     )

@@ -339,8 +339,8 @@ def cmd_verify(ws: Workspace, args) -> int:
             print(f"derived priority is cyclic: {cycle}")
             return EXIT_FALSE
         print(f"binary conflicts: {'yes' if report.binary_conflicts else 'no'}")
-        print(f"pareto-optimal repairs: {len(report.pareto)}")
-        print(f"founded repairs: {len(report.founded)}")
+        print(f"pareto-optimal repairs: {report.equivalence.count('pareto')}")
+        print(f"founded repairs: {report.equivalence.count('founded')}")
         if report.applicable and report.binary_conflicts:
             good = report.equal()
             print(f"classes coincide: {'yes' if good else 'no'}")

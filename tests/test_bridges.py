@@ -288,7 +288,7 @@ class TestStoredPriorityRules:
         db = frozenset(
             {fact("S", "i1", "a", "b"), fact("S", "i2", "a", "i1"), fact("prec", "i1", "i2")}
         )
-        priority = priority_from_stored_facts(db, fd, schema)
+        priority = priority_from_stored_facts(db)
         assert priority.edges == {
             (lit("S", "i1", "a", "b"), lit("S", "i2", "a", "i1"))
         }

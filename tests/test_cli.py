@@ -556,6 +556,32 @@ class TestVerify:
         assert "founded within pareto: yes" in out
         assert "pareto-only repair: {be, ep, ga}" in out
 
+    def test_roundtrip_lists_only_the_repairs_it_prints(self, capsys, tmp_path, monkeypatch):
+        # 5 independent rules, 2 of them open: 4 repairs in each class
+        listed = []
+        build = ConflictMasks.repair_product
+        monkeypatch.setattr(ConflictMasks, "repair_product",
+                            lambda *args: listed.append(args[3]) or build(*args))
+        code, out = run(capsys, *_independent_rules(tmp_path, 5), "verify", "prop10")
+        assert (code, listed) == (0, [])
+        assert out == (
+            "binary conflicts: yes\npareto-optimal repairs: 4\nfounded repairs: 4\n"
+            "classes coincide: yes\n"
+        )
+        # a Pareto-only repair is printed from the listed founded and Pareto repairs
+        self.test_roundtrip_strictness(capsys, tmp_path)
+        assert listed == ["r-update class product", "optimal repair product"]
+
+    def test_roundtrip_at_30_rules_counts_without_listing(self, capsys, tmp_path):
+        # 2^15 repairs in each class, one choice of 2 per open rule
+        flags = _independent_rules(tmp_path, 30)
+        code, out = run(capsys, "--max-universe", "64", *flags, "verify", "prop10")
+        assert code == 0
+        assert out == (
+            "binary conflicts: yes\npareto-optimal repairs: 32768\nfounded repairs: 32768\n"
+            "classes coincide: yes\n"
+        )
+
 
 class TestScoreMode:
     def test_lexicographic_optimal_with_scores(self, capsys, tmp_path):
@@ -582,6 +608,16 @@ class TestScoreMode:
                 "optimal", "--opt", opt,
             )
             assert code == 0 and "{A(a), C(a)}" in out and ": 1" in out
+
+
+def _independent_rules(tmp_path, rules: int) -> list[str]:
+    """Global flags for ``P(a_j)``, ``Q(a_j)`` under ``P(a_j), Q(a_j) -> {
+    -Q(a_j) }``, whose rule also offers ``-P(a_j)`` for odd ``j``."""
+    (tmp_path / "db.pdb").write_text("".join(f"P(a{j}).\nQ(a{j}).\n" for j in range(rules)))
+    (tmp_path / "rules.pdb").write_text("".join(
+        f"P(a{j}), Q(a{j}) -> {{ {'-P(a%d), ' % j if j % 2 else ''}-Q(a{j}) }}.\n"
+        for j in range(rules)))
+    return ["--db", str(tmp_path / "db.pdb"), "--aics", str(tmp_path / "rules.pdb")]
 
 
 def _key_violations(tmp_path, keys: int, oriented) -> list[str]:

@@ -37,6 +37,7 @@ from prioritydb.aic import (
     actions_between,
     apply_actions,
     check_properties,
+    class_choices,
     classify_components,
     classify_r_updates,
     classify_updates,
@@ -48,7 +49,6 @@ from prioritydb.aic import (
     is_r_update,
     is_well_founded,
     r_updates,
-    reached_by_kind,
     repair_action_for,
     repairs_of_kind,
     satisfies_rules,
@@ -1419,10 +1419,10 @@ def _listed_verdict(report) -> bool:
     )
 
 
-def _dented(rng: random.Random, report):
-    """The report with one family's choices in one part changed: emptied,
-    short of its first restriction, or with one restriction added."""
-    family = rng.choice(TRANSLATION_FAMILIES)
+def _dented(rng: random.Random, report, families=TRANSLATION_FAMILIES):
+    """The report with one of the families' choices in one part changed:
+    emptied, short of its first restriction, or with one restriction added."""
+    family = rng.choice(families)
     parts, choices = report.families[family]
     choices = [list(ts) for ts in choices]
     p = rng.randrange(len(choices))
@@ -1450,6 +1450,44 @@ def test_translation_counts_and_verdict_match_the_listed_sets():
     assert joined >= 60 and min(verdicts.values()) >= 1000, (joined, verdicts)
 
 
+ROUNDTRIP_FAMILIES = ("pareto", "founded", "grounded", "justified")
+
+
+def test_roundtrip_counts_and_verdicts_match_the_listed_sets():
+    """Each count is the length of the listed family, and ``equal``,
+    ``founded_within_pareto`` and ``strictness_witnesses`` are the verdicts
+    on the listed sets, also on comparisons with one part's choices changed.
+    ``EquivalenceReport.within`` decides them per part of the larger family;
+    on some instances the Pareto parts are finer than the class groups,
+    which rules on two components join."""
+    rng = random.Random(0x10A)
+    corpus = rule_corpus() + monotone_rule_corpus() + well_behaved_corpus() + linked_rule_corpus()
+    verdicts = dict.fromkeys([(m, v) for m in ("equal", "within") for v in (True, False)], 0)
+    differ = 0
+    for inst in corpus:
+        report = check_roundtrip(inst.context())
+        compared = report.equivalence
+        if compared is None:
+            continue
+        groups = [[comp for comp, _ in compared.families[f][0]] for f in ("pareto", "founded")]
+        differ += groups[0] != groups[1]
+        for got in [report] + [replace(report, equivalence=_dented(rng, compared, ROUNDTRIP_FAMILIES))
+                               for _ in range(3) if compared.ctx.parts]:
+            listed = {f: set(getattr(got, f).repairs) for f in ROUNDTRIP_FAMILIES}
+            counts = {f: got.equivalence.count(f) for f in ROUNDTRIP_FAMILIES}
+            assert counts == {f: len(s) for f, s in listed.items()}, inst
+            pareto, founded = listed["pareto"], listed["founded"]
+            equal = pareto == founded == listed["grounded"] == listed["justified"]
+            assert got.equal() == (got.applicable and equal), (inst, got.equivalence.families)
+            assert got.founded_within_pareto() == (got.applicable and founded <= pareto), inst
+            witnesses = sorted_repair_set("delta", pareto - founded).repairs
+            assert got.strictness_witnesses() == (witnesses if got.applicable else ()), inst
+            if got.applicable:
+                verdicts["equal", got.equal()] += 1
+                verdicts["within", got.founded_within_pareto()] += 1
+    assert differ >= 40 and min(verdicts.values()) >= 150, (differ, verdicts)
+
+
 def _stopped_at(run) -> str | None:
     try:
         run()
@@ -1475,7 +1513,7 @@ def test_translation_caps_each_family_where_its_listing_does():
                 rows = classify_components(masks, _priority_to_rules_by_literals(fresh))
                 optimal_repairs(fresh, "pareto")
                 for kind in ("founded", "grounded", "justified", "wellfounded"):
-                    reached_by_kind(masks, rows, kind)
+                    masks.repair_product(rows, class_choices(rows, kind), "r-update class product")
 
             got = _stopped_at(lambda: check_translation_equivalence(fresh))
             assert got == _stopped_at(listed), (pdb, cap)
