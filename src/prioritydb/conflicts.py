@@ -1,7 +1,8 @@
 """Conflicts: minimal literal sets whose joint truth forces a constraint violation.
 
-``conflicts`` reads ``Instance.conflicts``, the consensus closure of the
-constraint bodies (see ``model``).  Two test oracles recover the same sets:
+``conflicts`` reads ``Instance.conflicts``: the minimal joined fact sets
+under denial constraints, otherwise the consensus closure of the constraint
+bodies (see ``model``).  Two test oracles recover the same sets:
 ``prime_implicants`` over the full grounding, and ``conflicts_via_hitting_sets``
 from the differences between the database and its brute-force repairs.
 ``minimal_hitting_sets`` runs ``masks.minimal_transversals`` on sets of any
@@ -32,7 +33,7 @@ Conflict = frozenset[Literal]
 def conflicts(
     db: Database, schema: Schema, constraints: Sequence[UniversalConstraint]
 ) -> frozenset[Conflict]:
-    """Conflicts of the database w.r.t. the constraints, via consensus closure."""
+    """Conflicts of the database w.r.t. the constraints (``Instance.conflicts``)."""
     return Instance(db, schema, tuple(constraints)).conflicts
 
 

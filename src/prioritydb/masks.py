@@ -280,8 +280,7 @@ class MaskContext:
     ``optima`` keeps, per kind and for as long as the context lives, the
     restrictions that are."""
 
-    def __init__(self, masks: ConflictMasks, edges: Collection[tuple[Literal, Literal]],
-                 acyclic: bool):
+    def __init__(self, masks: ConflictMasks, edges: Collection[tuple[Literal, Literal]]):
         self.masks = masks
         index = dict(masks.index)
         for lit in sorted({l for e in edges for l in e} - index.keys(), key=literal_key):
@@ -291,7 +290,6 @@ class MaskContext:
         for strong, weak in edges:
             self.dom[index[strong]] |= 1 << index[weak]
             self.beaten_by[index[weak]] |= 1 << index[strong]
-        self.acyclic = acyclic
         self._optima: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def is_pareto_optimal(self, agree: int) -> bool:
@@ -393,16 +391,25 @@ class MaskContext:
             out.append(nodes)
         return tuple(out)
 
+    @cached_property
+    def acyclic(self) -> bool:
+        """The priority has no cycle, a self-loop included: ``_rounds``
+        decides every node of the repair that excludes nothing.  Only
+        completion reads it."""
+        return self._rounds((1 << len(self.dom)) - 1, 0)
+
     def _replays(self, nodes: int, excluded: int) -> bool:
         """The greedy construction replays the repair that excludes
         ``excluded`` on ``nodes`` (Staworko, Chomicki & Marcinkowski, AMAI
-        2012): each round takes the undecided nodes that no undecided node
+        2012).  Under a cyclic priority only a repair that excludes nothing
+        passes."""
+        return self._rounds(nodes, excluded) if self.acyclic else not excluded
+
+    def _rounds(self, nodes: int, excluded: int) -> bool:
+        """Each round takes the undecided nodes that no undecided node
         outranks, keeps those the repair keeps (nodes off the conflicts
         always) and drops the excluded ones that complete a conflict with the
-        kept ones; a round that decides nothing fails.  Under a cyclic
-        priority only a repair that excludes nothing passes."""
-        if not self.acyclic:
-            return not excluded
+        kept ones; a round that decides nothing fails."""
         witnesses = self.masks.witnesses
         kept, left = 0, nodes
         while left:

@@ -14,9 +14,13 @@ after the first indexes its facts on the positions that constants or earlier
 atoms bind, so a partial binding meets only the facts that agree with it, and
 an inequality is tested as soon as both its sides are bound.  It yields the
 matched facts with each binding, and ground bodies reuse them as literals.
-The ground bodies range every variable over the constant pool; ``satisfies``
-and the oracles use them.  Conflicts start from fewer bodies: positive atoms
-of predicates that occur negated in no constraint are joined with the
+A caller that passes an ``index`` shares those indexes between joins, one per
+predicate, arity and bound positions; ``Instance.conflicts`` passes one for
+all its constraints.  The ground bodies range every variable over the
+constant pool; ``satisfies`` and the oracles use them.  Under denial
+constraints alone the conflicts are the subset-minimal sets of database facts
+that the join matches.  Otherwise they start from fewer bodies: positive
+atoms of predicates that occur negated in no constraint are joined with the
 database facts, and consensus (``prime_implicants`` over ``resolutions``,
 which finds clashing pairs through an index by signed fact) closes what that
 yields.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -338,7 +342,16 @@ class Instance:
         """The prime implicants of the ground bodies that lie inside the
         literal universe.
 
-        Consensus runs on a part of ``bodies`` only.  Let a literal ``l``
+        When no constraint has a negated atom, these are the subset-minimal
+        sets of database facts that some constraint's atoms match.  Every
+        atom then joins the database (no predicate occurs negated), so every
+        joined body is a set of positive literals of database facts, all
+        inside the universe, and no two of them clash: consensus adds no
+        resolvent and the filter drops nothing.  So the joined bodies are
+        read straight from ``matches`` and only their antichain is kept; the
+        constant pool is not built.  All joins of one call share an index.
+
+        Otherwise consensus runs on a part of ``bodies`` only.  Let a literal ``l``
         outside the universe have its complement in no body.  The violation
         formula, the disjunction of the bodies, is then monotone in ``l``.  No
         prime implicant holds the complement of ``l``, since dropping it would
@@ -355,8 +368,16 @@ class Instance:
         what they yield.
         """
         self.check_facts()
+        facts, index = self.db_by_predicate, {}
+        if all(c.is_denial() for c in self.constraints):
+            return frozenset(antichain(
+                frozenset([Literal(f) for f in matched])
+                for c in self.constraints
+                for _, matched in matches(
+                    [(a.predicate, a.terms) for a in c.body], facts, c.inequalities, index
+                )
+            ))
         negated = {a.predicate for c in self.constraints for a in c.body if not a.positive}
-        facts = self.db_by_predicate
         join = {
             a.predicate: facts.get(a.predicate, [])
             for c in self.constraints
@@ -366,7 +387,7 @@ class Instance:
         bodies = {
             literals
             for c in self.constraints
-            for literals, _ in ground_body(c.body, c.inequalities, self.constants, join)
+            for literals, _ in ground_body(c.body, c.inequalities, self.constants, join, index)
         }
         primes = prime_implicants(bodies)
         return frozenset(
@@ -464,6 +485,7 @@ def matches(
     atoms: Iterable[tuple[str, Sequence[Term]]],
     facts_by_predicate: Mapping[str, Sequence[Fact]],
     inequalities: Collection[tuple[Term, Term]] = (),
+    index: Optional[dict] = None,
 ) -> Iterator[tuple[dict[Term, Constant], tuple[Fact, ...]]]:
     """Every binding of the atoms' variables that maps each ``(predicate,
     terms)`` atom onto a fact listed for its predicate, with those facts in
@@ -478,11 +500,17 @@ def matches(
     nested loop over the lists.  A partial binding is dropped at the first
     atom that binds both sides of an inequality to one constant; a pair of
     equal constants leaves no binding, and a pair that the atoms do not bind
-    is not tested."""
+    is not tested.
+
+    With an ``index`` (a dict, empty at first, that serves only joins over
+    ``facts_by_predicate``), every atom reads the index of its predicate,
+    arity and bound positions from it, building it there when missing, so
+    joins that share it index each such combination once."""
     if any(l == r and not is_variable(l) for l, r in inequalities):
         return
     pending = [pair for pair in inequalities if any(map(is_variable, pair))]
     steps = []
+    built = {} if index is None else index
     bound: set[Term] = set()
     for predicate, terms in atoms:
         keyed = [i for i, t in enumerate(terms) if t in bound or not is_variable(t)]
@@ -491,16 +519,19 @@ def matches(
         tested = [p for p in pending if bound.issuperset(filter(is_variable, p))]
         pending = [p for p in pending if p not in tested]
         n = len(terms)
-        facts = [f for f in facts_by_predicate.get(predicate, ()) if len(f.args) == n]
-        if not steps or not keyed:  # the first atom meets one partial binding
+        if index is None and (not steps or not keyed):  # the first atom, or one left unbound
+            facts = [f for f in facts_by_predicate.get(predicate, ()) if len(f.args) == n]
             if keyed:
                 facts = [f for f in facts if all(f.args[i] == terms[i] for i in keyed)]
             steps.append((facts, None, fresh, tested))
-        else:
-            index: dict[tuple[Constant, ...], list[Fact]] = {}
-            for fact in facts:
-                index.setdefault(tuple([fact.args[i] for i in keyed]), []).append(fact)
-            steps.append((index, [terms[i] for i in keyed], fresh, tested))
+            continue
+        shape = (predicate, n, tuple(keyed))
+        if shape not in built:
+            bucket = built[shape] = {}
+            for fact in facts_by_predicate.get(predicate, ()):
+                if len(fact.args) == n:
+                    bucket.setdefault(tuple([fact.args[i] for i in keyed]), []).append(fact)
+        steps.append((built[shape], [terms[i] for i in keyed], fresh, tested))
     stack: list[tuple[int, dict[Term, Constant], tuple[Fact, ...]]] = [(0, {}, ())]
     while stack:
         depth, partial, matched = stack.pop()
@@ -526,12 +557,14 @@ def ground_body(
     inequalities: frozenset[tuple[Term, Term]],
     constants: Iterable[Constant],
     join: Optional[Mapping[str, Sequence[Fact]]] = None,
+    index: Optional[dict] = None,
 ) -> Iterator[tuple[frozenset[Literal], dict[Term, Constant]]]:
     """Ground instances of a constraint body over the given constants.
 
     A positive atom whose predicate is a key of ``join`` ranges over the facts
-    listed for it (a join with the database), and its literal holds the
-    matched fact; every other variable ranges over the constants.  Instances
+    listed for it (a join with the database, through ``matches`` with
+    ``index``), and its literal holds the matched fact; every other variable
+    ranges over the constants, which are sorted only when one does.  Instances
     with a false inequality are dropped, true inequalities are erased, and
     instances whose literal set is contradictory (both signs of a fact) are
     dropped because no database can satisfy them.
@@ -543,8 +576,10 @@ def ground_body(
     free = sorted({v for a in rest for v in a.variables()} - bound)
     late = [p for p in inequalities if any(is_variable(t) and t not in bound for t in p)]
     mixed = len({(a.predicate, a.positive) for a in body}) > len({a.predicate for a in body})
-    pool = sorted(set(constants))
-    for partial, facts in matches([(a.predicate, a.terms) for a in joined], join, inequalities):
+    pool = sorted(set(constants)) if free else ()
+    for partial, facts in matches(
+        [(a.predicate, a.terms) for a in joined], join, inequalities, index
+    ):
         bindings = (
             ({**partial, **dict(zip(free, values))} for values in product(pool, repeat=len(free)))
             if free else (partial,)
@@ -578,12 +613,12 @@ def ground_all(
 
 
 def antichain(terms: Iterable[frozenset]) -> set[frozenset]:
-    """Keep only the subset-minimal members."""
-    ordered = sorted(set(terms), key=len)
+    """Keep only the subset-minimal members.  Distinct terms of one size are
+    never subsets of each other, so each term meets only the kept terms of
+    smaller sizes."""
     kept: list[frozenset] = []
-    for term in ordered:
-        if not any(other <= term for other in kept):
-            kept.append(term)
+    for _, same in groupby(sorted(set(terms), key=len), key=len):
+        kept += [term for term in same if not any(other <= term for other in kept)]
     return set(kept)
 
 

@@ -60,7 +60,7 @@ class PriorityRelation:
 
     @cached_property
     def _cycle(self) -> Optional[tuple[Literal, ...]]:
-        """Validation and the mask context share one search."""
+        """One search serves ``validate_priority`` and the bridges."""
         succ: dict[Literal, list[Literal]] = {}
         for a, b in self.edges:
             succ.setdefault(a, []).append(b)
@@ -151,7 +151,7 @@ class PrioritizedDatabase:
 
     @cached_property
     def _masks(self) -> MaskContext:
-        return MaskContext(self._conflict_masks, self.priority.edges, self.priority.is_acyclic())
+        return MaskContext(self._conflict_masks, self.priority.edges)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
         copy = replace(self, priority=priority)

@@ -11,7 +11,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from prioritydb.aic import AIC, UpdateAction, UpdateAtom
-from prioritydb.model import BodyAtom, Fact, Literal, Schema, UniversalConstraint
+from prioritydb.model import (
+    BodyAtom,
+    Fact,
+    Literal,
+    Schema,
+    UniversalConstraint,
+    ground_body,
+    prime_implicants,
+)
 from prioritydb.priorities import PrioritizedDatabase, PriorityRelation
 
 
@@ -49,6 +57,28 @@ def prop_rule(body, updates) -> AIC:
 
 def action(name: str, *args: str, add: bool = False) -> UpdateAction:
     return UpdateAction(add, Fact(name, tuple(args)))
+
+
+def joined_consensus(inst) -> frozenset:
+    """The general conflicts path of a ``model.Instance``, on any constraints:
+    consensus over the bodies whose positive atoms of predicates negated in
+    no constraint are joined with the database, then the universe filter."""
+    negated = {a.predicate for c in inst.constraints for a in c.body if not a.positive}
+    join = {
+        a.predicate: inst.db_by_predicate.get(a.predicate, [])
+        for c in inst.constraints
+        for a in c.body
+        if a.positive and a.predicate not in negated
+    }
+    bodies = {
+        literals
+        for c in inst.constraints
+        for literals, _ in ground_body(c.body, c.inequalities, inst.constants, join)
+    }
+    return frozenset(
+        t for t in prime_implicants(bodies)
+        if all(inst.in_universe(l.fact) and (l.fact in inst.db) == l.positive for l in t)
+    )
 
 
 @dataclass(frozen=True)

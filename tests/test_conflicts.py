@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import atom, chain_instance, example3_instance, fact, lit, neg
+from conftest import atom, chain_instance, example3_instance, fact, joined_consensus, lit, neg
 from prioritydb.conflicts import (
     conflict_hypergraph,
     conflicts,
@@ -18,7 +18,7 @@ from prioritydb.conflicts import (
     prime_implicants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
-from prioritydb.model import Instance, Schema, UniversalConstraint, satisfies
+from prioritydb.model import Instance, Schema, UniversalConstraint, by_predicate, satisfies
 
 
 def cascade_conflicts():
@@ -119,6 +119,75 @@ class TestJoinedGrounding:
         inst = Instance(db, schema, constraints)
         assert inst.conflicts == {frozenset()}
         assert inst.conflicts == _full_consensus(inst)
+
+
+class TestDenialPath:
+    """Under denial constraints alone ``Instance.conflicts`` keeps the minimal
+    sets of facts that the join matches, without the constant pool.  Hand
+    cases where that must equal the general path and both oracles."""
+
+    def _check(self, db, schema, constraints, expected):
+        inst = Instance(db, schema, constraints)
+        assert inst.conflicts == expected
+        assert "constants" not in inst.__dict__
+        assert joined_consensus(Instance(db, schema, constraints)) == expected
+        assert _full_consensus(Instance(db, schema, constraints)) == expected
+        assert conflicts_via_hitting_sets(db, schema, constraints) == expected
+
+    def test_repeated_variable(self):
+        db = frozenset({fact("R", "a", "a"), fact("R", "a", "b"), fact("R", "b", "b")})
+        self._check(db, Schema.of([("R", 2)]), (UniversalConstraint.make([atom("R", "X", "X")]),),
+                    {frozenset({lit("R", "a", "a")}), frozenset({lit("R", "b", "b")})})
+
+    def test_constant_in_an_atom(self):
+        db = frozenset({fact("R", "a", "b"), fact("R", "b", "a"), fact("S", "a"), fact("S", "b")})
+        constraint = UniversalConstraint.make([atom("R", "X", "b"), atom("S", "X")])
+        self._check(db, Schema.of([("R", 2), ("S", 1)]), (constraint,),
+                    {frozenset({lit("R", "a", "b"), lit("S", "a")})})
+
+    def test_zero_ary_atom(self):
+        # {e, P(b)} is matched too, and dropped for the conflict {P(b)}
+        db = frozenset({fact("e"), fact("P", "a"), fact("P", "b")})
+        constraints = (
+            UniversalConstraint.make([atom("e"), atom("P", "X")]),
+            UniversalConstraint.make([atom("P", "b")]),
+        )
+        self._check(db, Schema.of([("e", 0), ("P", 1)]), constraints,
+                    {frozenset({lit("e"), lit("P", "a")}), frozenset({lit("P", "b")})})
+
+    def test_inequality_against_a_constant(self):
+        db = frozenset({fact("R", "a", "b"), fact("R", "a", "c")})
+        constraint = UniversalConstraint.make([atom("R", "X", "Y")], [("Y", "b")])
+        self._check(db, Schema.of([("R", 2)]), (constraint,), {frozenset({lit("R", "a", "c")})})
+
+    def test_two_atoms_matching_one_fact(self):
+        # with no inequality each fact is a conflict alone, and the pair is dropped
+        db = frozenset({fact("R", "a", "b"), fact("R", "a", "c")})
+        constraint = UniversalConstraint.make([atom("R", "X", "Y"), atom("R", "X", "Z")])
+        self._check(db, Schema.of([("R", 2)]), (constraint,),
+                    {frozenset({lit("R", "a", "b")}), frozenset({lit("R", "a", "c")})})
+
+    def test_each_join_index_is_built_once(self):
+        # 400 ground constraints share the one index of P and of Q on their
+        # bound argument, so the facts of each predicate are read once
+        n = 400
+        db = frozenset(fact(pred, f"a{j}") for j in range(n) for pred in "PQ")
+        constraints = tuple(
+            UniversalConstraint.make([atom("P", f"a{j}"), atom("Q", f"a{j}")]) for j in range(n)
+        )
+        inst = Instance(db, Schema.of([("P", 1), ("Q", 1)]), constraints)
+        reads = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        inst.__dict__["db_by_predicate"] = Counting(by_predicate(db))
+        assert inst.conflicts == {
+            frozenset({lit("P", f"a{j}"), lit("Q", f"a{j}")}) for j in range(n)
+        }
+        assert sorted(reads) == ["P", "Q"]
 
 
 class TestUniverseFilter:

@@ -415,6 +415,36 @@ class TestInstanceContext:
         assert ref() is None
 
 
+class TestMaskAcyclicity:
+    """``MaskContext.acyclic`` is decided on the mask nodes, only when
+    completion asks, and agrees with ``PriorityRelation.is_acyclic``."""
+
+    def test_decided_only_for_completion(self):
+        pdb = _exclusion_pairs(["a", "b"], {"a": "P"})
+        optimal_repairs(pdb, "pareto")
+        optimal_repairs(pdb, "global")
+        assert "acyclic" not in pdb._masks.__dict__
+        optimal_repairs(pdb, "completion")
+        assert pdb._masks.acyclic
+
+    @pytest.mark.parametrize("edges, acyclic", [
+        ([(lit("P", "a"), lit("P", "a"))], False),
+        ([(neg("T", "a"), neg("U", "a"))], True),
+        ([(neg("T", "a"), neg("U", "a")), (neg("U", "a"), neg("T", "a"))], False),
+        ([(neg("T", "a"), neg("T", "a"))], False),
+        ([(lit("Q", "a"), neg("T", "a")), (neg("T", "a"), lit("P", "a"))], True),
+    ], ids=["self-loop", "off the conflicts", "cycle off the conflicts",
+            "self-loop off the conflicts", "chain through a literal off the conflicts"])
+    def test_self_loops_and_edges_off_the_conflicts(self, edges, acyclic):
+        base = _exclusion_pairs(["a"], {})
+        pdb = PrioritizedDatabase(
+            base.db, Schema.of([("P", 1), ("Q", 1), ("T", 1), ("U", 1)]), base.constraints,
+            PriorityRelation.of(edges),
+        )
+        assert pdb.priority.is_acyclic() == acyclic
+        assert pdb._masks.acyclic == acyclic
+
+
 class TestLibraryPriorities:
     """Priorities that the library takes and the CLI rejects: edges across
     conflict components, edges through literals off the conflicts, cycles."""

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from conftest import atom, fact
+from conftest import atom, fact, joined_consensus
 from corpus import (
     conflict_components,
     key_violations,
@@ -153,6 +153,43 @@ def test_oracle_conflicts_two_characterizations():
         # consensus over the full grounding, without the join
         inst = Instance(base.db, base.schema, base.constraints)
         assert fast == {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
+
+
+def _exclusion_pairs(n: int) -> Instance:
+    pair = UniversalConstraint.make([atom("P", "X"), atom("Q", "X")])
+    db = frozenset(fact(pred, f"a{j}") for j in range(n) for pred in "PQ")
+    return Instance(db, schema_from(db, (pair,)), (pair,))
+
+
+def test_oracle_denial_conflicts_match_the_general_path():
+    """Without negated atoms ``Instance.conflicts`` keeps the minimal joined
+    fact sets.  That equals the general path (consensus over the joined
+    bodies, then the filter) and full consensus on the negation-free parts of
+    the corpus instances and on the key, rook and exclusion-pair families,
+    and the hitting-set oracle where the fact universe is small."""
+    rng = random.Random(0xDE41)
+    bases = [random_instance(rng) for _ in range(150)]
+    bases += [random_component_instance(rng) for _ in range(100)]
+    cases = []
+    for base in bases:
+        denials = tuple(c for c in base.constraints if c.is_denial())
+        if denials:
+            cases.append(((base.db, base.schema, denials), True))
+    families = [(key_violations(n), n <= 2) for n in range(1, 7)]
+    families += [(rook(m), m <= 2) for m in range(1, 5)]
+    families += [(_exclusion_pairs(n), n <= 5) for n in range(1, 9)]
+    cases += [((f.db, f.schema, f.constraints), small) for f, small in families]
+    nonempty = 0
+    for args, small in cases:
+        inst = Instance(*args)
+        expected = joined_consensus(Instance(*args))
+        assert inst.conflicts == expected, args
+        assert "constants" not in inst.__dict__
+        assert expected == {t for t in prime_implicants(inst.bodies) if t <= inst.literals}
+        if small:
+            assert expected == conflicts_via_hitting_sets(*args)
+        nonempty += bool(expected)
+    assert len(cases) >= 240 and nonempty >= 170, (len(cases), nonempty)
 
 
 def test_oracle_consistency_join_matches_pool_grounding():
@@ -1384,6 +1421,23 @@ def test_oracle_pareto_under_a_literal_ranked_above_itself():
         assert check_translation_equivalence(pdb).ok(), pdb
         self_ranked += any(strong == weak for strong, weak in pdb.priority.edges)
     assert self_ranked >= 40, self_ranked
+
+
+def test_mask_acyclicity_matches_the_priority_search():
+    """``MaskContext.acyclic``, decided by rounds over ``beaten_by``, equals
+    ``PriorityRelation.is_acyclic`` on the cyclic and off-conflict corpora and
+    on random edges between universe literals, self-loops included."""
+    rng = random.Random(0xACC)
+    priorities = cyclic_corpus() + off_conflict_corpus()
+    for base, *_ in pdb_corpus()[:100]:
+        literals = sorted(base.literal_universe(), key=literal_key)
+        edges = [tuple(rng.choice(literals) for _ in range(2)) for _ in range(rng.randint(1, 6))]
+        priorities.append(base.with_priority(PriorityRelation.of(edges)))
+    seen = {True: 0, False: 0}
+    for pdb in priorities:
+        assert pdb._masks.acyclic == pdb.priority.is_acyclic(), pdb
+        seen[pdb._masks.acyclic] += 1
+    assert min(seen.values()) >= 140, seen
 
 
 def _translation_corpora() -> dict:
