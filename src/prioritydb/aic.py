@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (
@@ -40,7 +40,6 @@ from .model import (
     Schema,
     Term,
     UniversalConstraint,
-    fact_key,
     ground_body,
     prime_implicants,
     resolutions,
@@ -64,8 +63,7 @@ class UpdateAtom:
         return f"{sign}{Fact(self.predicate, self.terms)}"
 
 
-@dataclass(frozen=True, order=True)
-class UpdateAction:
+class UpdateAction(NamedTuple):
     """A ground update action: add or remove one fact."""
 
     add: bool
@@ -76,7 +74,7 @@ class UpdateAction:
 
 
 def action_key(action: UpdateAction) -> tuple:
-    return (fact_key(action.fact), not action.add)
+    return (action.fact, not action.add)
 
 
 def repair_action_for(literal: Literal) -> UpdateAction:
@@ -449,13 +447,13 @@ def r_update_table(
     the ascending positions of its actions there and its classes as flag bits
     (bit ``k`` for ``R_UPDATE_CLASSES[k]``).  The table is the product of the
     context's ``rows``: unions of positions with ANDed flags.
-    Vertex facts are distinct, so ``action_key`` order is ``fact_key`` order
+    Vertex facts are distinct, so ``action_key`` order is fact order
     and sorting the position lists sorts the updates.  The budget caps the
     whole conflict literal set, since every r-update is listed."""
     masks = ctx.pdb._conflict_masks
     ctx.budget.check_universe(len(masks.index), "conflict literal set")
     facts = masks.facts
-    order = sorted(range(len(facts)), key=lambda i: fact_key(facts[i]))
+    order = sorted(range(len(facts)), key=facts.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     table: list[tuple[tuple[int, ...], int]] = [((), 15)]
     for _, row in ctx.rows:
@@ -559,9 +557,7 @@ def check_properties(ctx: RuleContext) -> PropertyReport:
             facts_by_sign.setdefault(lit.fact, set()).add(lit.positive)
     monotone = all(len(signs) == 1 for signs in facts_by_sign.values())
     if not monotone:
-        culprit = sorted(
-            (f for f, signs in facts_by_sign.items() if len(signs) == 2), key=fact_key
-        )[0]
+        culprit = min(f for f, signs in facts_by_sign.items() if len(signs) == 2)
         notes.append(("monotone", f"fact {culprit} occurs with both signs"))
 
     by_body: dict[frozenset[Literal], list[GroundAIC]] = {}

@@ -45,7 +45,6 @@ from .model import (
     Term,
     UniversalConstraint,
     constraint_constants,
-    fact_key,
     is_variable,
     literal_key,
 )
@@ -97,7 +96,7 @@ def _denial_image(inst: Instance) -> DenialImage:
     for conflict in sorted(inst.conflicts, key=lambda e: sorted(map(literal_key, e))):
         body = tuple(
             BodyAtom(True, fact.predicate, fact.args)
-            for fact in sorted(image.signed_literals(conflict), key=fact_key)
+            for fact in sorted(image.signed_literals(conflict))
         )
         denials.append(UniversalConstraint.make(body))
     return DenialImage(signed_db, signed_schema, tuple(denials), tuple(mapping))

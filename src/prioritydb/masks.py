@@ -28,7 +28,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import Budget, InputError
 from .model import (
-    Database, Fact, Instance, Literal, RepairSet, by_predicate, fact_key, literal_key,
+    Database, Fact, Instance, Literal, RepairSet, by_predicate, literal_key,
     sorted_repair_set,
 )
 
@@ -473,12 +473,12 @@ def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
     ``add`` and ``fact``) mention, their rows over those bits, and the mask of
     the mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0``
     to ``len(known) - 1``, keep theirs; the others take the next bits in
-    ``fact_key`` order."""
+    fact order."""
     ground = list(ground)
     mentioned = {l.fact for rule in ground for l in rule.lits}
     mentioned |= {a.fact for rule in ground for a in rule.updates}
     bit = {f: known[f] for f in mentioned if f in known}
-    fresh = sorted(mentioned - bit.keys(), key=fact_key)
+    fresh = sorted(mentioned - bit.keys())
     bit.update((f, 1 << (len(known) + k)) for k, f in enumerate(fresh))
     rows = [
         (sum(bit[l.fact] for l in rule.lits if l.positive),

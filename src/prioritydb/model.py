@@ -27,7 +27,8 @@ yields.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.  Facts and literals
-hash once, at construction.
+are named tuples, so they hash, compare and order as their field tuples, in C:
+a fact orders by predicate, then arguments, the canonical fact order.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
-from operator import attrgetter
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -48,32 +48,7 @@ def is_variable(term: Term) -> bool:
     return term[:1].isupper() or term[:1] == "_"
 
 
-def _hashed_once(cls: type) -> type:
-    """Give a frozen dataclass the hash of its field tuple, computed once at
-    construction and again on unpickling (string hashes differ between
-    processes), and an equality that tests identity, then the hash, then the
-    fields.  ``@dataclass`` above it keeps these methods."""
-    fields = attrgetter(*cls.__annotations__)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(fields(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not cls:
-            return NotImplemented
-        return self._hash == other._hash and fields(self) == fields(other)
-
-    cls.__post_init__, cls.__eq__ = __post_init__, __eq__
-    cls.__hash__ = lambda self: self._hash
-    cls.__reduce__ = lambda self: (cls, fields(self))
-    return cls
-
-
-@dataclass(frozen=True, order=True)
-@_hashed_once
-class Fact:
+class Fact(NamedTuple):
     predicate: str
     args: tuple[Constant, ...] = ()
 
@@ -83,9 +58,7 @@ class Fact:
         return f"{self.predicate}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-@_hashed_once
-class Literal:
+class Literal(NamedTuple):
     fact: Fact
     positive: bool = True
 
@@ -98,11 +71,7 @@ class Literal:
 
 def literal_key(lit: Literal) -> tuple:
     """Canonical total order on literals: positive literals first, then by fact."""
-    return (not lit.positive, lit.fact.predicate, lit.fact.args)
-
-
-def fact_key(fact: Fact) -> tuple:
-    return (fact.predicate, fact.args)
+    return (not lit.positive, lit.fact)
 
 
 Database = frozenset[Fact]
@@ -125,7 +94,7 @@ class RepairSet:
 
 
 def sorted_repair_set(kind: str, repairs) -> RepairSet:
-    ordered = sorted(set(repairs), key=lambda r: (len(r), sorted(r, key=fact_key)))
+    ordered = sorted(set(repairs), key=lambda r: (len(r), sorted(r)))
     return RepairSet(kind, tuple(ordered))
 
 
@@ -433,7 +402,7 @@ class Instance:
         with the database: kept facts plus jointly absent facts."""
         stray = repair - self.facts
         if stray:
-            raise InputError(f"candidate repair fact {sorted(stray, key=fact_key)[0]} "
+            raise InputError(f"candidate repair fact {min(stray)} "
                              f"is outside the fact universe")
         kept = repair & self.db
         jointly_absent = self.facts - (repair | self.db)

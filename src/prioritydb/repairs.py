@@ -9,7 +9,7 @@ from typing import Sequence
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .masks import ConflictMasks, consistent_mask
 from .model import (  # re-exports RepairSet and sorted_repair_set
-    Database, Instance, Literal, RepairSet, Schema, UniversalConstraint, fact_key,
+    Database, Instance, Literal, RepairSet, Schema, UniversalConstraint,
     sorted_repair_set,
 )
 
@@ -34,7 +34,7 @@ def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairS
 
 
 def _as_bitmask_problem(inst: Instance):
-    universe = sorted(inst.facts, key=fact_key)
+    universe = sorted(inst.facts)
     index = {fact: i for i, fact in enumerate(universe)}
     bodies = []
     for body in inst.bodies:
@@ -98,7 +98,7 @@ def is_delta_repair_of(inst: Instance, candidate: Database) -> bool:
     literals and each of them is the only one in some conflict."""
     stray = [f for f in candidate if not inst.in_universe(f)]
     if stray:
-        raise InputError(f"candidate repair fact {min(stray, key=fact_key)} "
+        raise InputError(f"candidate repair fact {min(stray)} "
                          f"is outside the fact universe")
     dropped = {Literal(f, f in inst.db) for f in candidate ^ inst.db}
     critical = set()
@@ -122,7 +122,7 @@ def subset_repairs(
 
 
 def subset_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
-    facts = sorted(inst.db, key=fact_key)
+    facts = sorted(inst.db)
     keepers = [s for s in subsets(facts, budget, "database") if inst.consistent(s)]
     maximal = [s for s in keepers if not any(s < t for t in keepers)]
     return sorted_repair_set("subset", maximal)
@@ -140,7 +140,7 @@ def superset_repairs(
 
 
 def superset_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairSet:
-    pool = sorted(inst.facts - inst.db, key=fact_key)
+    pool = sorted(inst.facts - inst.db)
     keepers = [
         inst.db | added
         for added in subsets(pool, budget, "addition pool")

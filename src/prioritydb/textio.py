@@ -37,7 +37,6 @@ from .model import (
     Schema,
     Term,
     UniversalConstraint,
-    fact_key,
     is_variable,
     literal_key,
 )
@@ -303,7 +302,7 @@ def format_fact(fact: Fact) -> str:
 
 
 def format_database(db: Database) -> str:
-    return "".join(f"{format_fact(f)}.\n" for f in sorted(db, key=fact_key))
+    return "".join(f"{format_fact(f)}.\n" for f in sorted(db))
 
 
 def format_literal(lit: Literal) -> str:
@@ -316,7 +315,7 @@ def format_literal_set(lits: Iterable[Literal]) -> str:
 
 
 def format_fact_set(facts: Iterable[Fact]) -> str:
-    inner = ", ".join(format_fact(f) for f in sorted(facts, key=fact_key))
+    inner = ", ".join(format_fact(f) for f in sorted(facts))
     return "{" + inner + "}"
 
 

@@ -14,7 +14,7 @@ import prioritydb
 from prioritydb import aic, cli
 from prioritydb.cli import main
 from prioritydb.errors import Budget
-from prioritydb.model import Instance, Schema, fact_key
+from prioritydb.model import Instance, Schema
 from prioritydb.masks import ConflictMasks
 from prioritydb.textio import (
     format_aics,
@@ -268,7 +268,7 @@ class TestAicCommands:
                 Instance(inst.db, inst.schema, aic.constraints_of(inst.rules)), Budget())
             facts = [l.fact for l in masks.index]
             seen["add"] += any(not l.positive for l in masks.index)
-            seen["reordered"] += facts != sorted(facts, key=fact_key)
+            seen["reordered"] += facts != sorted(facts)
             components = {comp for comp, _ in masks.parts}
             groups = [group for group, _ in aic.classify_components(masks, ground)]
             seen["groups"] += len(groups) >= 2
@@ -343,19 +343,6 @@ class TestAicCommands:
             "preserves actions under strengthening: yes\n"
         )
 
-    def test_props_independent_of_hash_seed(self):
-        argv = ["--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", "aic", "props"]
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
-            proc = subprocess.run(
-                [sys.executable, "-m", "prioritydb.cli", *map(str, argv)],
-                capture_output=True, env=env, check=True,
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
-        assert outputs[0].count(b"preserves_actions_strengthening:") == 4
-
     @pytest.mark.parametrize(
         "command",
         [
@@ -381,6 +368,49 @@ class TestAicCommands:
         code, _ = run(capsys, "--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb", *command)
         assert code in (0, 1)
         assert len(calls) == 1
+
+
+class TestDeterminism:
+    def test_every_command_independent_of_hash_seed(self):
+        """Every command on the fixtures prints the same bytes and exit code
+        under two string hash seeds: no output follows set or dict order."""
+        ex3 = ["--db", EX3 / "db.pdb", "--constraints", EX3 / "constraints.pdb",
+               "--priority", EX3 / "priority.pdb"]
+        aic9 = ["--db", AIC9 / "db.pdb", "--aics", AIC9 / "rules.pdb"]
+        commands = [
+            ex3 + ["conflicts"],
+            ex3 + ["repairs"],
+            ex3 + ["repairs", "--kind", "subset"],
+            *(ex3 + ["optimal", "--opt", opt] for opt in ("p", "g", "c", "lex")),
+            *(ex3 + ["answer", "--query", EX3 / query, "--sem", sem, "--opt", "p"]
+              for query in ("q_a.pdb", "q_open.pdb") for sem in ("brave", "cqa", "int")),
+            ex3 + ["check-repair", "--repair", EX3 / "repair_rdc.pdb", "--opt", "completion"],
+            ex3 + ["verify", "prop8"],
+            ex3 + ["translate", "to-denial"],
+            ex3 + ["translate", "prio-to-aic"],
+            aic9 + ["aic", "classify"],
+            aic9 + ["aic", "props"],
+            aic9 + ["aic", "check-update", "--update", AIC9 / "update1.pdb"],
+            aic9 + ["translate", "aic-to-prio"],
+            aic9 + ["verify", "prop10"],
+        ]
+        script = (
+            "from prioritydb.cli import main\n"
+            "for argv in %r:\n"
+            "    print('$', *argv, flush=True)\n"
+            "    print('exit', main(argv), flush=True)\n"
+        ) % [[str(a) for a in argv] for argv in commands]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env, check=True
+            )
+            outputs.append((proc.stdout, proc.stderr))
+        assert outputs[0] == outputs[1]
+        stdout = outputs[0][0]
+        assert stdout.count(b"\nexit ") == len(commands)
+        assert stdout.count(b"preserves_actions_strengthening:") == 4
 
 
 class TestTranslate:

@@ -6,7 +6,6 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import atom, example6_rules, example7_rules, fact, lit, neg
 from corpus import random_instance, random_rule_instance
-from prioritydb.aic import RuleContext, _rule_key, ground_rules
+from prioritydb.aic import RuleContext, UpdateAction, _rule_key, ground_rules
 from prioritydb.errors import InputError
 import prioritydb
 from prioritydb.model import (
@@ -413,6 +412,9 @@ _FACT = st.builds(
 
 
 class TestHashedOnce:
+    """Facts, literals and update actions hash, compare and order as their
+    field tuples, in one process and across pickling."""
+
     @given(_FACT, _FACT, st.booleans(), st.booleans())
     def test_equality_hash_and_order_follow_the_field_tuples(self, a, b, sign_a, sign_b):
         assert (a == b) == ((a.predicate, a.args) == (b.predicate, b.args)) != (a != b)
@@ -420,10 +422,17 @@ class TestHashedOnce:
         assert hash(a) == hash((a.predicate, a.args))
         la, lb = Literal(a, sign_a), Literal(b, sign_b)
         assert (la == lb) == ((a, sign_a) == (b, sign_b)) != (la != lb)
+        assert (la < lb) == ((a, sign_a) < (b, sign_b))
         assert hash(la) == hash((a, sign_a))
-        assert replace(a, args=b.args) == Fact(a.predicate, b.args)
-        assert hash(replace(la, positive=sign_b)) == hash((a, sign_b))
+        assert a._replace(args=b.args) == Fact(a.predicate, b.args)
+        assert hash(la._replace(positive=sign_b)) == hash((a, sign_b))
         assert pickle.loads(pickle.dumps(la)) == la
+        ua, ub = UpdateAction(sign_a, a), UpdateAction(sign_b, b)
+        assert (ua == ub) == ((sign_a, a) == (sign_b, b)) != (ua != ub)
+        assert (ua < ub) == ((sign_a, a) < (sign_b, b))
+        assert hash(ua) == hash((sign_a, a))
+        assert hash(ua._replace(fact=b)) == hash((sign_a, b))
+        assert pickle.loads(pickle.dumps(ua)) == ua
 
     def test_value_pickled_under_another_hash_seed_is_found_in_a_set(self):
         seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"

@@ -73,7 +73,6 @@ from prioritydb.model import (
     Instance,
     UniversalConstraint,
     active_domain,
-    fact_key,
     is_variable,
     literal_key,
     satisfies,
@@ -1347,7 +1346,7 @@ def test_oracle_component_classes_on_linked_components():
 def _consistent_rule_set_by_scan(ground) -> bool:
     """The check that consensus replaced: some database over the facts the
     rules mention satisfies every rule."""
-    mentioned = sorted({l.fact for rule in ground for l in rule.lits}, key=fact_key)
+    mentioned = sorted({l.fact for rule in ground for l in rule.lits})
     return any(
         satisfies_rules(db, ground) for db in subsets(mentioned, Budget(), "mentioned fact set")
     )
