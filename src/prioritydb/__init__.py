@@ -1,38 +1,16 @@
 """Repairs and inconsistency-tolerant query answering for prioritized
 databases under universal constraints, with the full active-integrity-rule
-r-update taxonomy and translations between the two frameworks."""
+r-update taxonomy and translations between the two frameworks.
 
-from .aic import (
-    AIC,
-    GroundAIC,
-    PropertyReport,
-    RUpdate,
-    RuleContext,
-    UpdateAction,
-    UpdateAtom,
-    apply_actions,
-    check_properties,
-    classify_r_updates,
-    ground_rules,
-    is_founded,
-    is_grounded,
-    is_grounded_via_pruned_rules,
-    is_justified,
-    is_well_founded,
-    normalize,
-    r_updates,
-    repairs_of_kind,
-)
-from .bridges import (
-    DenialImage,
-    check_denial_image,
-    check_roundtrip,
-    check_translation_equivalence,
-    minimized_denials,
-    priority_to_rules,
-    rules_to_priority,
-    stored_priority_rules,
-)
+The prioritized-database side loads with the package.  The rule side,
+``aic`` and ``bridges``, loads on first use: their names resolve through the
+module ``__getattr__`` (PEP 562), so ``import prioritydb`` and a run that
+never touches active rules compile neither.  The rule syntax (``AIC``,
+``UpdateAtom``, ``UpdateAction``) is defined in ``model`` and loads with it.
+"""
+
+import importlib
+
 from .conflicts import (
     Conflict,
     ConflictHypergraph,
@@ -46,6 +24,7 @@ from .conflicts import (
 )
 from .errors import Budget, BudgetExceededError, InputError, ParseError
 from .model import (
+    AIC,
     BodyAtom,
     Database,
     Fact,
@@ -53,6 +32,8 @@ from .model import (
     Literal,
     Schema,
     UniversalConstraint,
+    UpdateAction,
+    UpdateAtom,
     agreement,
     facts_universe,
     literal_universe,
@@ -86,4 +67,56 @@ from .repairs import (
     superset_repairs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+# The rule-side names by the module that defines them.  The first lookup of
+# a name, or of the module itself, loads the module.
+_RULE_SIDE = {
+    "aic": (
+        "GroundAIC",
+        "PropertyReport",
+        "RUpdate",
+        "RuleContext",
+        "apply_actions",
+        "check_properties",
+        "classify_r_updates",
+        "ground_rules",
+        "is_founded",
+        "is_grounded",
+        "is_grounded_via_pruned_rules",
+        "is_justified",
+        "is_well_founded",
+        "normalize",
+        "r_updates",
+        "repairs_of_kind",
+    ),
+    "bridges": (
+        "DenialImage",
+        "check_denial_image",
+        "check_roundtrip",
+        "check_translation_equivalence",
+        "minimized_denials",
+        "priority_to_rules",
+        "rules_to_priority",
+        "stored_priority_rules",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _RULE_SIDE.items() for name in (module, *names)}
+
+__all__ = sorted(
+    ({name for name in dir() if not name.startswith("_")} - {"importlib"}) | _DEFINED_IN.keys()
+)
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | __all__)

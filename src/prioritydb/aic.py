@@ -21,6 +21,11 @@ r-update tables and classes are products of those rows' flag bits, and an
 ``is_justified`` follow the definitions on frozensets; they are the reference
 the classifier is tested against, and ``classify_updates`` over ``r_updates``
 the whole-instance one.
+
+The rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``, ``action_key``)
+is defined in ``model`` and re-exported here.  The package loads this module
+and ``bridges`` on first use only, so a run on a prioritized database never
+compiles them.
 """
 
 from __future__ import annotations
@@ -28,18 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
-from .model import (
-    BodyAtom,
+from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateAction, action_key
+    AIC,
     Constant,
     Database,
     Fact,
     Literal,
     Schema,
-    Term,
     UniversalConstraint,
+    UpdateAction,
+    UpdateAtom,
+    action_key,
     ground_body,
     prime_implicants,
     resolutions,
@@ -50,74 +57,10 @@ from .priorities import PrioritizedDatabase
 from .repairs import RepairSet, is_delta_repair_of
 
 
-@dataclass(frozen=True)
-class UpdateAtom:
-    """A possibly non-ground +P(..) or -P(..) update template."""
-
-    add: bool
-    predicate: str
-    terms: tuple[Term, ...]
-
-    def __str__(self) -> str:
-        sign = "+" if self.add else "-"
-        return f"{sign}{Fact(self.predicate, self.terms)}"
-
-
-class UpdateAction(NamedTuple):
-    """A ground update action: add or remove one fact."""
-
-    add: bool
-    fact: Fact
-
-    def __str__(self) -> str:
-        return f"{'+' if self.add else '-'}{self.fact}"
-
-
-def action_key(action: UpdateAction) -> tuple:
-    return (action.fact, not action.add)
-
-
 def repair_action_for(literal: Literal) -> UpdateAction:
     """The action that falsifies a body literal: remove a present fact, add an
     absent one."""
     return UpdateAction(add=not literal.positive, fact=literal.fact)
-
-
-@dataclass(frozen=True)
-class AIC:
-    """body -> { update atoms }; every update atom must repair a body literal."""
-
-    body: tuple[BodyAtom, ...]
-    inequalities: frozenset[tuple[Term, Term]]
-    updates: tuple[UpdateAtom, ...]
-
-    @staticmethod
-    def make(
-        body: Sequence[BodyAtom],
-        updates: Sequence[UpdateAtom],
-        inequalities: Iterable[tuple[Term, Term]] = (),
-    ) -> "AIC":
-        if not updates:
-            raise InputError("active rule must offer at least one update action")
-        constraint = UniversalConstraint.make(body, inequalities)
-        body_index = {(atom.positive, atom.predicate, atom.terms) for atom in body}
-        for update in updates:
-            if (not update.add, update.predicate, update.terms) not in body_index:
-                raise InputError(
-                    f"update action {update} does not repair any body literal"
-                )
-        return AIC(constraint.body, constraint.inequalities, tuple(updates))
-
-    def constraint(self) -> UniversalConstraint:
-        return UniversalConstraint(self.body, self.inequalities)
-
-    def schema_pairs(self) -> frozenset[tuple[str, int]]:
-        return self.constraint().schema_pairs()
-
-    def __str__(self) -> str:
-        lhs = str(self.constraint()).removesuffix(" -> false")
-        rhs = ", ".join(str(u) for u in self.updates)
-        return f"{lhs} -> {{ {rhs} }}"
 
 
 @dataclass(frozen=True)

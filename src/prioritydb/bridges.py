@@ -22,11 +22,8 @@ from math import prod
 from typing import Optional, Sequence
 
 from .aic import (
-    AIC,
     GroundAIC,
     RuleContext,
-    UpdateAtom,
-    action_key,
     check_properties,
     class_choices,
     minimal_bodies_ground,
@@ -35,6 +32,7 @@ from .aic import (
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .masks import MaskContext, bits
 from .model import (
+    AIC,
     BodyAtom,
     Constant,
     Database,
@@ -44,6 +42,8 @@ from .model import (
     Schema,
     Term,
     UniversalConstraint,
+    UpdateAtom,
+    action_key,
     constraint_constants,
     is_variable,
     literal_key,

@@ -5,6 +5,10 @@ false, 2 malformed input, 3 enumeration budget exceeded, 4 internal error (a
 defect of the program, reported as one ``internal error:`` line on stderr).
 Output is sorted canonically, so identical inputs produce byte-identical
 reports.
+
+The rule commands (``aic``, ``translate``, ``verify``) reach ``aic`` and
+``bridges`` as attributes of the package, which loads them on first use, so
+the prioritized commands never load the rule side.
 """
 
 from __future__ import annotations
@@ -13,19 +17,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import bridges, query as query_mod, textio
-from .aic import (
-    AIC,
-    R_UPDATE_CLASSES,
-    RuleContext,
-    check_properties,
-    classify_updates,
-    is_r_update,
-    r_update_table,
-)
+import prioritydb
+
+from . import query as query_mod, textio
 from .conflicts import ConflictHypergraph, max_conflict_size
 from .errors import Budget, BudgetExceededError, InputError
-from .model import Database, Schema, UniversalConstraint, schema_from
+from .masks import R_UPDATE_CLASSES
+from .model import AIC, Database, Schema, UniversalConstraint, schema_from
 from .priorities import (
     PrioritizedDatabase,
     PriorityRelation,
@@ -99,12 +97,12 @@ class Workspace:
             )
         return pdb
 
-    def rule_context(self, missing: str) -> RuleContext:
+    def rule_context(self, missing: str) -> prioritydb.aic.RuleContext:
         """The loaded rules on the database; ``missing`` is the error when
         there are none."""
         if not self.rules:
             raise InputError(missing)
-        return RuleContext(self.db, self.schema, self.rules, self.budget)
+        return prioritydb.aic.RuleContext(self.db, self.schema, self.rules, self.budget)
 
     def score_structure(self) -> Optional[ScoreStructure]:
         if not self.scores:
@@ -234,9 +232,10 @@ def cmd_optimal(ws: Workspace, args) -> int:
 
 
 def cmd_aic(ws: Workspace, args) -> int:
+    aic = prioritydb.aic
     ctx = ws.rule_context("aic commands require --aics")
     if args.action == "classify":
-        actions, table = r_update_table(ctx)
+        actions, table = aic.r_update_table(ctx)
         texts = [str(action) for action in actions]
         lines = [f"{{{', '.join([texts[r] for r in ranks])}}}: {CLASS_LABELS[flags]}\n"
                  for ranks, flags in table]
@@ -246,10 +245,10 @@ def cmd_aic(ws: Workspace, args) -> int:
         if not args.update:
             raise InputError("aic check-update requires --update")
         actions = textio.parse_updates(_read(args.update))
-        if not is_r_update(ctx, actions):
+        if not aic.is_r_update(ctx, actions):
             print("not an r-update")
             return EXIT_FALSE
-        (entry,) = classify_updates(ctx.db, ctx.ground, [actions], ctx.budget)
+        (entry,) = aic.classify_updates(ctx.db, ctx.ground, [actions], ctx.budget)
         checks = entry.classes()
         for name, on in checks.items():
             print(f"{name}: {'yes' if on else 'no'}")
@@ -257,7 +256,7 @@ def cmd_aic(ws: Workspace, args) -> int:
             return EXIT_OK if checks[args.kind] else EXIT_FALSE
         return EXIT_OK
     if args.action == "props":
-        report = check_properties(ctx)
+        report = aic.check_properties(ctx)
         print(f"monotone: {'yes' if report.monotone else 'no'}")
         print(f"closed under resolution: {'yes' if report.closed_under_resolution else 'no'}")
         print(
@@ -283,6 +282,7 @@ def _write_or_print(path: Optional[str], text: str, label: str) -> None:
 
 
 def cmd_translate(ws: Workspace, args) -> int:
+    bridges = prioritydb.bridges
     if args.direction == "to-denial":
         image, report = bridges.check_denial_image(
             ws.db, ws.schema, ws.constraints, ws.budget
@@ -321,6 +321,7 @@ def cmd_translate(ws: Workspace, args) -> int:
 
 
 def cmd_verify(ws: Workspace, args) -> int:
+    bridges = prioritydb.bridges
     if args.check == "prop8":
         report = bridges.check_translation_equivalence(ws.pdb())
         for family, label in (("pareto", "pareto-optimal"), ("founded", "founded"),

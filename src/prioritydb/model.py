@@ -29,6 +29,11 @@ Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.  Facts and literals
 are named tuples, so they hash, compare and order as their field tuples, in C:
 a fact orders by predicate, then arguments, the canonical fact order.
+
+The syntax of active integrity rules is defined here too: ``AIC``, its
+``UpdateAtom`` templates, the ground ``UpdateAction`` and ``action_key``.
+Parsing and printing rules (``textio``) needs only these, so it loads no
+rule semantics; ``aic`` re-exports them.
 """
 
 from __future__ import annotations
@@ -238,6 +243,70 @@ class UniversalConstraint:
         parts = [str(atom) for atom in self.body]
         parts += [f"{l} != {r}" for l, r in sorted(self.inequalities)]
         return f"{', '.join(parts)} -> false"
+
+
+@dataclass(frozen=True)
+class UpdateAtom:
+    """A possibly non-ground +P(..) or -P(..) update template."""
+
+    add: bool
+    predicate: str
+    terms: tuple[Term, ...]
+
+    def __str__(self) -> str:
+        sign = "+" if self.add else "-"
+        return f"{sign}{Fact(self.predicate, self.terms)}"
+
+
+class UpdateAction(NamedTuple):
+    """A ground update action: add or remove one fact."""
+
+    add: bool
+    fact: Fact
+
+    def __str__(self) -> str:
+        return f"{'+' if self.add else '-'}{self.fact}"
+
+
+def action_key(action: UpdateAction) -> tuple:
+    return (action.fact, not action.add)
+
+
+@dataclass(frozen=True)
+class AIC:
+    """body -> { update atoms }; every update atom must repair a body literal."""
+
+    body: tuple[BodyAtom, ...]
+    inequalities: frozenset[tuple[Term, Term]]
+    updates: tuple[UpdateAtom, ...]
+
+    @staticmethod
+    def make(
+        body: Sequence[BodyAtom],
+        updates: Sequence[UpdateAtom],
+        inequalities: Iterable[tuple[Term, Term]] = (),
+    ) -> "AIC":
+        if not updates:
+            raise InputError("active rule must offer at least one update action")
+        constraint = UniversalConstraint.make(body, inequalities)
+        body_index = {(atom.positive, atom.predicate, atom.terms) for atom in body}
+        for update in updates:
+            if (not update.add, update.predicate, update.terms) not in body_index:
+                raise InputError(
+                    f"update action {update} does not repair any body literal"
+                )
+        return AIC(constraint.body, constraint.inequalities, tuple(updates))
+
+    def constraint(self) -> UniversalConstraint:
+        return UniversalConstraint(self.body, self.inequalities)
+
+    def schema_pairs(self) -> frozenset[tuple[str, int]]:
+        return self.constraint().schema_pairs()
+
+    def __str__(self) -> str:
+        lhs = str(self.constraint()).removesuffix(" -> false")
+        rhs = ", ".join(str(u) for u in self.updates)
+        return f"{lhs} -> {{ {rhs} }}"
 
 
 def active_domain(db: Database) -> frozenset[Constant]:

@@ -20,6 +20,9 @@ Formats:
   query        q(X, ...) :- P(t, ...), ... .       one query per file
   active rules lit, ... -> { +P(c...), -P(c...) }.
   updates      +P(c...).  or  -P(c...).            one action per line
+
+Active rules and update actions are parsed into the rule syntax of
+``model``, so this module loads neither ``aic`` nor ``bridges``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional, Sequence
 
-from .aic import AIC, UpdateAction, UpdateAtom, action_key
 from .errors import InputError, ParseError
 from .model import (
+    AIC,
     BodyAtom,
     Database,
     Fact,
@@ -37,6 +40,9 @@ from .model import (
     Schema,
     Term,
     UniversalConstraint,
+    UpdateAction,
+    UpdateAtom,
+    action_key,
     is_variable,
     literal_key,
 )

@@ -103,3 +103,39 @@ def test_the_rule_grounding_pool_is_the_instance_pool():
         if isinstance(node, ast.FunctionDef) and node.name == "rules_constants"
     ]
     assert defined == []
+
+
+# The modules a run on a prioritized database loads; the rule side (``aic``,
+# ``bridges``) loads on first use, through the package's ``__getattr__``.
+PRIORITIZED_PATH = ("cli", "textio", "query", "priorities", "repairs", "conflicts", "masks",
+                    "model", "errors")
+RULE_SIDE = {"aic", "bridges"}
+
+
+def test_the_prioritized_path_imports_no_rule_module():
+    assert set(PRIORITIZED_PATH) | RULE_SIDE | {"__init__"} == set(MODULES)
+    found = []
+    for module in PRIORITIZED_PATH:
+        for node, _ in _imports(MODULES[module]):
+            if isinstance(node, ast.Import):  # import prioritydb, import prioritydb.aic
+                names = [a.name.partition(".")[2] for a in node.names if a.name.startswith("prioritydb")]
+            else:
+                names = [source for source, _ in _package_imports(ast.Module([node], []))]
+            found += [f"{module}.py:{node.lineno} imports {name}" for name in names if name in RULE_SIDE]
+    assert found == []
+
+
+def test_model_alone_defines_the_rule_syntax():
+    syntax = {"AIC", "UpdateAtom", "UpdateAction", "action_key"}
+    defined = sorted(
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in syntax
+    )
+    assert defined == sorted(f"model.{name}" for name in syntax)
+
+
+def test_only_the_package_getattr_imports_by_name():
+    assert _callers("import_module") == ["__init__.__getattr__"]
+    assert _callers("__import__") == []
