@@ -3,13 +3,20 @@ databases under universal constraints, with the full active-integrity-rule
 r-update taxonomy and translations between the two frameworks.
 
 The prioritized-database side loads with the package.  The rule side,
-``aic`` and ``bridges``, loads on first use: their names resolve through the
-module ``__getattr__`` (PEP 562), so ``import prioritydb`` and a run that
-never touches active rules compile neither.  The rule syntax (``AIC``,
-``UpdateAtom``, ``UpdateAction``) is defined in ``model`` and loads with it.
+``aic`` and ``bridges``, runs on first use.  Both submodules are in
+``sys.modules`` and bound here from the start, but a module's code runs only
+at the first lookup of one of its attributes, and the rule-side names
+resolve through the module ``__getattr__`` (PEP 562).  So ``import
+prioritydb`` and a run that never touches active rules compile neither.  The
+rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``) is defined in
+``model`` and loads with it.
 """
 
-import importlib
+from _thread import RLock as _RLock  # threading.RLock, without importing threading
+from importlib.util import find_spec as _find_spec
+from importlib.util import module_from_spec as _module_from_spec
+from sys import modules as _modules
+from types import ModuleType as _ModuleType
 
 from .conflicts import (
     Conflict,
@@ -68,8 +75,45 @@ from .repairs import (
 )
 
 
+_FIRST_USE = _RLock()
+_RUNNING: set = set()
+
+
+class _RunsOnFirstUse(_ModuleType):
+    """A submodule whose code has not run yet.  The first attribute lookup
+    runs it in place, so every holder of the module object sees the result,
+    and then makes it a plain module.  Lookups from other threads wait for
+    that run; the module's own lookups while it runs go through, as in a
+    circular import.  (``importlib.util.LazyLoader`` lets other threads see
+    the half-run module on Python 3.11.)"""
+
+    def __getattribute__(self, name):
+        with _FIRST_USE:
+            if type(self) is _RunsOnFirstUse and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    _ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = _ModuleType
+                finally:
+                    _RUNNING.discard(self)
+        return _ModuleType.__getattribute__(self, name)
+
+
+def _on_first_use(name: str) -> _ModuleType:
+    """The submodule ``name``, entered in ``sys.modules`` now and run at the
+    first lookup of one of its attributes."""
+    spec = _find_spec(f"{__name__}.{name}")
+    module = _module_from_spec(spec)
+    module.__class__ = _RunsOnFirstUse
+    _modules[spec.name] = module
+    return module
+
+
+aic = _on_first_use("aic")
+bridges = _on_first_use("bridges")
+
 # The rule-side names by the module that defines them.  The first lookup of
-# a name, or of the module itself, loads the module.
+# a name runs the module.
 _RULE_SIDE = {
     "aic": (
         "GroundAIC",
@@ -100,20 +144,16 @@ _RULE_SIDE = {
         "stored_priority_rules",
     ),
 }
-_DEFINED_IN = {name: module for module, names in _RULE_SIDE.items() for name in (module, *names)}
+_DEFINED_IN = {name: module for module, names in _RULE_SIDE.items() for name in names}
 
-__all__ = sorted(
-    ({name for name in dir() if not name.startswith("_")} - {"importlib"}) | _DEFINED_IN.keys()
-)
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _DEFINED_IN.keys())
 
 
 def __getattr__(name: str):
     module = _DEFINED_IN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f".{module}", __name__)
-    if name != module:
-        value = getattr(value, name)
+    value = getattr(globals()[module], name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -23,7 +23,7 @@ the classifier is tested against, and ``classify_updates`` over ``r_updates``
 the whole-instance one.
 
 The rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``, ``action_key``)
-is defined in ``model`` and re-exported here.  The package loads this module
+is defined in ``model`` and re-exported here.  The package runs this module
 and ``bridges`` on first use only, so a run on a prioritized database never
 compiles them.
 """

@@ -7,8 +7,8 @@ Output is sorted canonically, so identical inputs produce byte-identical
 reports.
 
 The rule commands (``aic``, ``translate``, ``verify``) reach ``aic`` and
-``bridges`` as attributes of the package, which loads them on first use, so
-the prioritized commands never load the rule side.
+``bridges`` as attributes of the package, which runs them on first use, so
+the prioritized commands never run the rule side.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ def test_the_rule_grounding_pool_is_the_instance_pool():
     assert defined == []
 
 
-# The modules a run on a prioritized database loads; the rule side (``aic``,
-# ``bridges``) loads on first use, through the package's ``__getattr__``.
+# The modules a run on a prioritized database runs; the rule side (``aic``,
+# ``bridges``) runs on first use, deferred by the package's ``__init__``.
 PRIORITIZED_PATH = ("cli", "textio", "query", "priorities", "repairs", "conflicts", "masks",
                     "model", "errors")
 RULE_SIDE = {"aic", "bridges"}
@@ -119,8 +119,9 @@ def test_the_prioritized_path_imports_no_rule_module():
         for node, _ in _imports(MODULES[module]):
             if isinstance(node, ast.Import):  # import prioritydb, import prioritydb.aic
                 names = [a.name.partition(".")[2] for a in node.names if a.name.startswith("prioritydb")]
-            else:
-                names = [source for source, _ in _package_imports(ast.Module([node], []))]
+            else:  # from . import aic, from .aic import ..., from prioritydb import aic
+                names = [name for source, imported in _package_imports(ast.Module([node], []))
+                         for name in (imported if source == "" else [source])]
             found += [f"{module}.py:{node.lineno} imports {name}" for name in names if name in RULE_SIDE]
     assert found == []
 
@@ -136,6 +137,14 @@ def test_model_alone_defines_the_rule_syntax():
     assert defined == sorted(f"model.{name}" for name in syntax)
 
 
-def test_only_the_package_getattr_imports_by_name():
-    assert _callers("import_module") == ["__init__.__getattr__"]
-    assert _callers("__import__") == []
+def test_only_the_package_defers_a_module():
+    importlib_users = {
+        module
+        for module, tree in MODULES.items()
+        for node, _ in _imports(tree)
+        if any(name.partition(".")[0] == "importlib" for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]))
+    }
+    assert importlib_users == {"__init__"}
+    assert _callers("_find_spec") == ["__init__._on_first_use"]
+    assert _callers("import_module") == _callers("__import__") == []

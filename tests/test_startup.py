@@ -1,8 +1,11 @@
-"""Start-up: the rule side (``aic``, ``bridges``) loads on first use only, and
-the package's public names are the same whichever side is loaded.
+"""Start-up: the rule side (``aic``, ``bridges``) runs on first use only, and
+the package's public names are the same whichever side has run.
 
-The checks of what a process loads run in a fresh interpreter, since this
-test session has already imported every module."""
+Both rule modules are in ``sys.modules`` from the package import on, as lazy
+modules: a module's code runs at the first lookup of one of its attributes,
+and until then its type is a subclass of ``types.ModuleType``.  The checks of
+what a process runs use a fresh interpreter, since this test session has
+already run every module."""
 
 import json
 import os
@@ -22,6 +25,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EX3 = FIXTURES / "example3"
 AIC9 = FIXTURES / "aic9"
 RULE_MODULES = ("prioritydb.aic", "prioritydb.bridges")
+# In a fresh-process script: the rule modules whose code has run.
+RAN = ("ran = lambda: sorted(m for m in %r if type(sys.modules.get(m)) is types.ModuleType)\n"
+       % (RULE_MODULES,))
 
 PRIORITIZED = [
     ["conflicts"],
@@ -87,7 +93,7 @@ def _fresh(script: str) -> dict:
     """Run ``script`` in a fresh interpreter; it prints one JSON line."""
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -97,27 +103,51 @@ def _strs(argvs):
 
 
 class TestRuleSideStaysUnloaded:
-    def test_import_and_prioritized_commands_load_neither_rule_module(self):
+    def test_import_and_prioritized_commands_run_neither_rule_module(self):
         script = (
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, json, sys, types\n"
             "import prioritydb, prioritydb.cli\n"
-            "loaded = lambda: sorted(m for m in %r if m in sys.modules)\n"
-            "report = {'import': loaded()}\n"
+            + RAN +
+            "report = {'import': ran()}\n"
             "for argv in %r:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = prioritydb.cli.main(%r + argv)\n"
-            "    report[' '.join(argv)] = [code, loaded()]\n"
+            "    report[' '.join(argv)] = [code, ran()]\n"
             "print(json.dumps(report))\n"
-        ) % (RULE_MODULES, _strs(PRIORITIZED), _strs([EX3_INPUTS])[0])
+        ) % (_strs(PRIORITIZED), _strs([EX3_INPUTS])[0])
         report = _fresh(script)
         assert report.pop("import") == []
         assert len(report) == len(PRIORITIZED)
         # none crashed (4): 1 answers "no", 2 is lex on a priority without
         # scores, 3 the budget of superset repairs
-        assert {command: loaded for command, (_, loaded) in report.items()} == {
+        assert {command: ran for command, (_, ran) in report.items()} == {
             command: [] for command in report
         }
         assert {code for code, _ in report.values()} <= {0, 1, 2, 3}
+
+    def test_the_rule_modules_are_registered_and_run_on_first_lookup(self):
+        """A tool that walks ``sys.modules`` after ``import prioritydb.cli``
+        (a profiler wrapping entry points, say) finds every module of the
+        package, and its first attribute lookup runs the rule module."""
+        script = (
+            "import json, sys, types\n"
+            "import prioritydb.cli\n"
+            + RAN +
+            "names = sorted(m for m in sys.modules if m.startswith('prioritydb.'))\n"
+            "out = [names, ran()]\n"
+            "check = getattr(sys.modules['prioritydb.aic'], 'check_properties')\n"
+            "out += [ran(), check.__module__]\n"
+            "import prioritydb.bridges\n"
+            "out.append(ran())\n"
+            "print(json.dumps(out))\n"
+        )
+        names, before, after_lookup, module, after_import = _fresh(script)
+        assert names == sorted(f"prioritydb.{m}" for m in (
+            "aic", "bridges", "cli", "conflicts", "errors", "masks", "model", "priorities",
+            "query", "repairs", "textio"))
+        assert before == []
+        assert (after_lookup, module) == (["prioritydb.aic"], "prioritydb.aic")
+        assert after_import == list(RULE_MODULES)
 
     @pytest.mark.parametrize("command", RULE_COMMANDS)
     def test_rule_command_first_in_a_fresh_process_matches_in_process(self, capsys, command):
@@ -130,6 +160,27 @@ class TestRuleSideStaysUnloaded:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
         assert code in (0, 1) and captured.out
+
+    def test_threads_that_first_use_a_rule_module_at_once_all_see_it_whole(self):
+        script = (
+            "import json, sys, threading\n"
+            "import prioritydb\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "aic = sys.modules['prioritydb.aic']\n"
+            "barrier = threading.Barrier(4)\n"
+            "seen = []\n"
+            "def use():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        seen.append(aic.check_properties.__qualname__)\n"
+            "    except Exception as exc:\n"
+            "        seen.append(repr(exc))\n"
+            "threads = [threading.Thread(target=use) for _ in range(4)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join()\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert _fresh(script) == ["check_properties"] * 4
 
 
 class TestPublicNames:
@@ -159,27 +210,29 @@ class TestPublicNames:
 
     def test_star_import_and_dir_list_every_name_in_a_fresh_process(self):
         script = (
-            "import json, sys, prioritydb\n"
+            "import json, sys, types, prioritydb\n"
+            + RAN +
             "listed = dir(prioritydb)\n"
-            "before = sorted(m for m in %r if m in sys.modules)\n"
+            "before = ran()\n"
             "star = {}\n"
             "exec('from prioritydb import *', star)\n"
             "print(json.dumps([listed, before, sorted(n for n in star if n != '__builtins__')]))\n"
-        ) % (RULE_MODULES,)
+        )
         listed, before, star = _fresh(script)
         assert set(PUBLIC_NAMES) <= set(listed)
-        assert before == []  # listing the names loads nothing
+        assert before == []  # listing the names runs nothing
         assert star == sorted(PUBLIC_NAMES)
 
     def test_rule_modules_as_attributes_in_a_fresh_process(self):
         script = (
-            "import json, sys, prioritydb\n"
-            "out = [prioritydb.aic.__name__, 'prioritydb.bridges' in sys.modules,\n"
+            "import json, sys, types, prioritydb\n"
+            + RAN +
+            "out = [prioritydb.aic.__name__, ran(),\n"
             "       prioritydb.bridges.check_roundtrip.__module__,\n"
             "       prioritydb.RuleContext is sys.modules['prioritydb.aic'].RuleContext]\n"
             "print(json.dumps(out))\n"
         )
-        assert _fresh(script) == ["prioritydb.aic", False, "prioritydb.bridges", True]
+        assert _fresh(script) == ["prioritydb.aic", ["prioritydb.aic"], "prioritydb.bridges", True]
 
     def test_update_action_pickles(self):
         action = UpdateAction(True, Fact("R", ("a", "b")))
