@@ -9,7 +9,9 @@ at the first lookup of one of its attributes, and the rule-side names
 resolve through the module ``__getattr__`` (PEP 562).  So ``import
 prioritydb`` and a run that never touches active rules compile neither.  The
 rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``) is defined in
-``model`` and loads with it.
+``model`` and loads with it.  The value classes are named tuples or
+``model.Frozen`` subclasses, so no module imports ``dataclasses``, which
+would bring ``inspect`` with it.
 """
 
 from _thread import RLock as _RLock  # threading.RLock, without importing threading

@@ -30,10 +30,9 @@ compiles them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
 from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateAction, action_key
@@ -41,6 +40,7 @@ from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateActio
     Constant,
     Database,
     Fact,
+    Frozen,
     Literal,
     Schema,
     UniversalConstraint,
@@ -63,10 +63,9 @@ def repair_action_for(literal: Literal) -> UpdateAction:
     return UpdateAction(add=not literal.positive, fact=literal.fact)
 
 
-@dataclass(frozen=True)
-class GroundAIC:
-    lits: frozenset[Literal]
-    updates: frozenset[UpdateAction]
+class GroundAIC(Frozen):
+    def __init__(self, lits: frozenset[Literal], updates: frozenset[UpdateAction]):
+        self.__dict__.update(lits=lits, updates=updates)
 
     def violated_by(self, db: Database) -> bool:
         return violates_ground(db, self.lits)
@@ -128,8 +127,7 @@ def actions_between(db: Database, target: Database) -> frozenset[UpdateAction]:
     )
 
 
-@dataclass(frozen=True)
-class RuleContext:
+class RuleContext(Frozen):
     """Active rules on a database, the rule-side ``PrioritizedDatabase``.
     Each is built on first use, once: ``pdb``, the prioritized database of
     the rule bodies as constraints (its ``Instance`` and ``ConflictMasks``);
@@ -137,10 +135,9 @@ class RuleContext:
     update atoms only repeat body terms; and ``rows``, their
     ``classify_components`` rows."""
 
-    db: Database
-    schema: Schema
-    rules: tuple[AIC, ...]
-    budget: Budget = DEFAULT_BUDGET
+    def __init__(self, db: Database, schema: Schema, rules: tuple[AIC, ...],
+                 budget: Budget = DEFAULT_BUDGET):
+        self.__dict__.update(db=db, schema=schema, rules=rules, budget=budget)
 
     @cached_property
     def pdb(self) -> PrioritizedDatabase:
@@ -356,8 +353,7 @@ def is_justified(
     return True
 
 
-@dataclass(frozen=True)
-class RUpdate:
+class RUpdate(NamedTuple):
     actions: frozenset[UpdateAction]
     founded: bool
     well_founded: bool
@@ -476,8 +472,7 @@ def repairs_of_kind(ctx: RuleContext, kind: str) -> RepairSet:
                                                   "r-update class product")
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     monotone: bool
     closed_under_resolution: bool
     preserves_actions_resolution: bool

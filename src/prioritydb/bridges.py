@@ -15,11 +15,10 @@ parts) in one ``EquivalenceReport``, and compare them by its ``within``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .aic import (
     GroundAIC,
@@ -37,6 +36,7 @@ from .model import (
     Constant,
     Database,
     Fact,
+    Frozen,
     Instance,
     Literal,
     Schema,
@@ -60,8 +60,7 @@ def signed_predicate_name(name: str, schema: Schema) -> str:
     return candidate
 
 
-@dataclass(frozen=True)
-class DenialImage:
+class DenialImage(NamedTuple):
     """A database and ground denial constraints over the signed schema whose
     conflicts and repairs mirror the source instance's."""
 
@@ -102,8 +101,7 @@ def _denial_image(inst: Instance) -> DenialImage:
     return DenialImage(signed_db, signed_schema, tuple(denials), tuple(mapping))
 
 
-@dataclass(frozen=True)
-class DenialCorrespondence:
+class DenialCorrespondence(NamedTuple):
     conflicts_match: bool
     repairs_match: bool
     source_conflicts: int
@@ -181,8 +179,7 @@ def _listed(family: str, what: str) -> cached_property:
     return cached_property(lambda r: r.ctx.masks.repair_product(*r.families[family], what))
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceReport:
+class EquivalenceReport(Frozen):
     """Pareto-optimal repairs against r-update classes.  ``families`` maps
     each attribute name to parts ``(vertex mask, excluded masks)`` and per
     part the excluded masks of the family's restrictions to it: for
@@ -190,8 +187,11 @@ class EquivalenceReport:
     rows, which are the conflict components that the rules join.  A family
     is their product."""
 
-    ctx: MaskContext
-    families: dict[str, tuple[Sequence[tuple[int, object]], Sequence[Sequence[int]]]]
+    def __init__(self, ctx: MaskContext,
+                 families: dict[str, tuple[Sequence[tuple[int, object]], Sequence[Sequence[int]]]]):
+        self.__dict__.update(ctx=ctx, families=families)
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     pareto = _listed("pareto", "optimal repair product")
     founded = _listed("founded", "r-update class product")
@@ -443,8 +443,7 @@ def priority_from_stored_facts(
     return PriorityRelation(frozenset(edges))
 
 
-@dataclass(frozen=True)
-class DerivedPriority:
+class DerivedPriority(NamedTuple):
     """Result of reading a priority off a set of active rules: the constraint
     set, and the derived edges or the cycle that blocks them."""
 
@@ -482,8 +481,7 @@ def rules_to_priority(ctx: RuleContext) -> DerivedPriority:
     )
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(NamedTuple):
     """Comparison of the r-update classes of a rule set with the Pareto-optimal
     repairs of the derived prioritized database."""
 

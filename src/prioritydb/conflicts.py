@@ -11,8 +11,7 @@ hashable elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .masks import bits, minimal_transversals
@@ -84,8 +83,7 @@ def is_conflict(
     return litset in inst.conflicts
 
 
-@dataclass(frozen=True)
-class ConflictHypergraph:
+class ConflictHypergraph(NamedTuple):
     """Vertices are the literals occurring in some conflict; hyperedges are the
     conflicts.  Vertex order is canonical."""
 

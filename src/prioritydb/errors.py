@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -25,8 +24,7 @@ class BudgetExceededError(Exception):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Caps on the exponential enumerations.
 
     max_universe bounds the number of elements a subset, minimal-transversal

@@ -9,26 +9,18 @@ repairs and subsets of the literal universe and are mutually inverse.  An
 ``Instance`` derives each of these, the ground bodies and the conflicts at most
 once for one database, schema and constraint set.
 
-One join, ``matches``, serves grounding, consistency and queries.  Each atom
-after the first indexes its facts on the positions that constants or earlier
-atoms bind, so a partial binding meets only the facts that agree with it, and
-an inequality is tested as soon as both its sides are bound.  It yields the
-matched facts with each binding, and ground bodies reuse them as literals.
-A caller that passes an ``index`` shares those indexes between joins, one per
-predicate, arity and bound positions; ``Instance.conflicts`` passes one for
-all its constraints.  The ground bodies range every variable over the
-constant pool; ``satisfies`` and the oracles use them.  Under denial
-constraints alone the conflicts are the subset-minimal sets of database facts
-that the join matches.  Otherwise they start from fewer bodies: positive
-atoms of predicates that occur negated in no constraint are joined with the
-database facts, and consensus (``prime_implicants`` over ``resolutions``,
-which finds clashing pairs through an index by signed fact) closes what that
-yields.
+One join, ``matches``, serves grounding, consistency and queries.  The
+ground bodies range every variable over the constant pool; ``satisfies`` and
+the oracles use them.  ``Instance.conflicts`` derives the conflicts from the
+join, and through consensus (``prime_implicants`` over ``resolutions``) when
+a constraint has a negated atom.
 
 Terms are plain strings.  An identifier starting with an upper-case letter or
-an underscore is a variable; anything else is a constant.  Facts and literals
-are named tuples, so they hash, compare and order as their field tuples, in C:
-a fact orders by predicate, then arguments, the canonical fact order.
+an underscore is a variable; anything else is a constant.  The value classes
+are named tuples, so they hash, compare and order as their field tuples, in
+C: a fact orders by predicate, then arguments, the canonical fact order.
+``Frozen`` is the base of the rest: those with ``cached_property`` state, and
+``RepairSet``.
 
 The syntax of active integrity rules is defined here too: ``AIC``, its
 ``UpdateAtom`` templates, the ground ``UpdateAction`` and ``action_key``.
@@ -38,7 +30,6 @@ rule semantics; ``aic`` re-exports them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -83,10 +74,38 @@ Database = frozenset[Fact]
 GroundConstraint = frozenset[Literal]
 
 
-@dataclass(frozen=True)
-class RepairSet:
-    kind: str  # "delta" | "subset" | "superset"
-    repairs: tuple[Database, ...]
+class Frozen:
+    """As a frozen dataclass: equal by class and fields, hashed as the field
+    tuple, and closed to assignment.  The fields are the parameters of the
+    subclass's ``__init__``, which stores them by ``__dict__.update`` with
+    keywords: attribute reads then stay fast, also after a cached property."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RepairSet(Frozen):
+    def __init__(self, kind: str, repairs: tuple[Database, ...]):  # "delta" | "subset" | "superset"
+        self.__dict__.update(kind=kind, repairs=repairs)
 
     def __contains__(self, candidate: Database) -> bool:
         return candidate in self.repairs
@@ -103,11 +122,11 @@ def sorted_repair_set(kind: str, repairs) -> RepairSet:
     return RepairSet(kind, tuple(ordered))
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Frozen):
     """Relation names with arities; names unique, arity 0 permitted."""
 
-    predicates: tuple[tuple[str, int], ...]
+    def __init__(self, predicates: tuple[tuple[str, int], ...]):
+        self.__dict__.update(predicates=predicates)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, int]]) -> "Schema":
@@ -149,8 +168,7 @@ class Schema:
             )
 
 
-@dataclass(frozen=True)
-class BodyAtom:
+class BodyAtom(NamedTuple):
     """A possibly negated relational atom occurring in a constraint body."""
 
     positive: bool
@@ -158,11 +176,7 @@ class BodyAtom:
     terms: tuple[Term, ...]
 
     def substituted(self, binding: dict[Term, Constant]) -> "BodyAtom":
-        return BodyAtom(
-            self.positive,
-            self.predicate,
-            tuple(binding.get(t, t) for t in self.terms),
-        )
+        return self._replace(terms=tuple(binding.get(t, t) for t in self.terms))
 
     def variables(self) -> frozenset[Term]:
         return frozenset(t for t in self.terms if is_variable(t))
@@ -172,8 +186,7 @@ class BodyAtom:
         return atom if self.positive else f"not {atom}"
 
 
-@dataclass(frozen=True)
-class UniversalConstraint:
+class UniversalConstraint(NamedTuple):
     """A universally quantified rule normalized to the body-implies-false form.
 
     Head atoms supplied at construction are folded into the body as negated
@@ -223,18 +236,11 @@ class UniversalConstraint:
         return all(atom.positive for atom in self.body)
 
     def variables(self) -> frozenset[Term]:
-        out: set[Term] = set()
-        for atom in self.body:
-            out |= atom.variables()
-        return frozenset(out)
+        return frozenset().union(*(atom.variables() for atom in self.body))
 
     def constants(self) -> frozenset[Constant]:
-        out: set[Constant] = set()
-        for atom in self.body:
-            out |= {t for t in atom.terms if not is_variable(t)}
-        for left, right in self.inequalities:
-            out |= {t for t in (left, right) if not is_variable(t)}
-        return frozenset(out)
+        terms = [t for a in self.body for t in a.terms] + [t for p in self.inequalities for t in p]
+        return frozenset(t for t in terms if not is_variable(t))
 
     def schema_pairs(self) -> frozenset[tuple[str, int]]:
         return frozenset((a.predicate, len(a.terms)) for a in self.body)
@@ -245,8 +251,7 @@ class UniversalConstraint:
         return f"{', '.join(parts)} -> false"
 
 
-@dataclass(frozen=True)
-class UpdateAtom:
+class UpdateAtom(NamedTuple):
     """A possibly non-ground +P(..) or -P(..) update template."""
 
     add: bool
@@ -272,8 +277,7 @@ def action_key(action: UpdateAction) -> tuple:
     return (action.fact, not action.add)
 
 
-@dataclass(frozen=True)
-class AIC:
+class AIC(NamedTuple):
     """body -> { update atoms }; every update atom must repair a body literal."""
 
     body: tuple[BodyAtom, ...]
@@ -289,9 +293,8 @@ class AIC:
         if not updates:
             raise InputError("active rule must offer at least one update action")
         constraint = UniversalConstraint.make(body, inequalities)
-        body_index = {(atom.positive, atom.predicate, atom.terms) for atom in body}
         for update in updates:
-            if (not update.add, update.predicate, update.terms) not in body_index:
+            if BodyAtom(not update.add, update.predicate, update.terms) not in constraint.body:
                 raise InputError(
                     f"update action {update} does not repair any body literal"
                 )
@@ -310,17 +313,11 @@ class AIC:
 
 
 def active_domain(db: Database) -> frozenset[Constant]:
-    out: set[Constant] = set()
-    for fact in db:
-        out |= set(fact.args)
-    return frozenset(out)
+    return frozenset(c for fact in db for c in fact.args)
 
 
 def constraint_constants(constraints: Iterable[UniversalConstraint]) -> frozenset[Constant]:
-    out: set[Constant] = set()
-    for constraint in constraints:
-        out |= constraint.constants()
-    return frozenset(out)
+    return frozenset().union(*(constraint.constants() for constraint in constraints))
 
 
 def universe_constants(
@@ -331,19 +328,16 @@ def universe_constants(
     return active_domain(db) | constraint_constants(constraints)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """A database under a schema and constraints, with what derives from it.
 
-    The constant pool, the fact and literal universes, the database's index by
-    predicate, the ground constraint bodies and the conflicts are each
-    computed on first use, at most once, and live exactly as long as the
-    instance.
+    Each derived value is computed on first use, at most once, and lives
+    exactly as long as the instance.
     """
 
-    db: Database
-    schema: Schema
-    constraints: tuple[UniversalConstraint, ...] = ()
+    def __init__(self, db: Database, schema: Schema,
+                 constraints: tuple[UniversalConstraint, ...] = ()):
+        self.__dict__.update(db=db, schema=schema, constraints=constraints)
 
     @cached_property
     def constants(self) -> frozenset[Constant]:
@@ -387,7 +381,7 @@ class Instance:
         inside the universe, and no two of them clash: consensus adds no
         resolvent and the filter drops nothing.  So the joined bodies are
         read straight from ``matches`` and only their antichain is kept; the
-        constant pool is not built.  All joins of one call share an index.
+        constant pool is not built.
 
         Otherwise consensus runs on a part of ``bodies`` only.  Let a literal ``l``
         outside the universe have its complement in no body.  The violation
@@ -644,10 +638,7 @@ def ground(
 def ground_all(
     constraints: tuple[UniversalConstraint, ...], constants: frozenset[Constant]
 ) -> frozenset[GroundConstraint]:
-    out: set[GroundConstraint] = set()
-    for constraint in constraints:
-        out |= ground(constraint, constants)
-    return frozenset(out)
+    return frozenset().union(*(ground(constraint, constants) for constraint in constraints))
 
 
 def antichain(terms: Iterable[frozenset]) -> set[frozenset]:

@@ -7,9 +7,8 @@ need a witness per sacrificed literal, and completion-optimal repairs are
 those optimal under some total extension of the priority.
 
 Each ``PrioritizedDatabase`` decides the notions per part on one
-``masks.MaskContext``, whose priority-independent half its ``with_priority``
-copies share.  ``optimal_repairs`` and ``lexicographic_repairs`` keep the
-optimal restrictions of each part and build only their product.
+``masks.MaskContext``.  ``optimal_repairs`` and ``lexicographic_repairs`` keep
+the optimal restrictions of each part and build only their product.
 ``is_pareto_improvement``, ``is_global_improvement`` and
 ``completion_optimal_repairs_bruteforce`` follow the definitions on literal
 sets; the tests hold the filters to them.
@@ -17,29 +16,28 @@ sets; the tests hold the filters to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .conflicts import Conflict
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .masks import ConflictMasks, MaskContext, optimality_check, unbeaten
-from .model import Database, Instance, Literal, Schema, UniversalConstraint, literal_key
+from .model import Database, Frozen, Instance, Literal, Schema, UniversalConstraint, literal_key
 from .repairs import RepairSet, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
 
 
-@dataclass(frozen=True)
-class PriorityRelation:
+class PriorityRelation(Frozen):
     """Directed edges (stronger, weaker) between co-conflicting literals.
 
     Dominance is edge membership; it is not transitively closed, since edges
     only relate literals that share a conflict.
     """
 
-    edges: frozenset[Edge] = frozenset()
+    def __init__(self, edges: frozenset[Edge] = frozenset()):
+        self.__dict__.update(edges=edges)
 
     @staticmethod
     def of(pairs) -> "PriorityRelation":
@@ -101,8 +99,7 @@ def _depth_first(
     return list(finished), None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     cycle: Optional[tuple[Literal, ...]] = None
     stray_edges: tuple[Edge, ...] = ()
@@ -128,18 +125,16 @@ def validate_priority(
     return ValidationReport(ok=not stray and cycle is None, cycle=cycle, stray_edges=stray)
 
 
-@dataclass(frozen=True)
-class PrioritizedDatabase:
+class PrioritizedDatabase(Frozen):
     """A prioritized instance.  It owns one ``Instance`` and one mask context
     (``_masks``, see ``masks.MaskContext``), each built on first use.  A copy made
     by ``with_priority`` shares the instance and the priority-independent
     half of the context, delta repairs included."""
 
-    db: Database
-    schema: Schema
-    constraints: tuple[UniversalConstraint, ...]
-    priority: PriorityRelation = PriorityRelation()
-    budget: Budget = DEFAULT_BUDGET
+    def __init__(self, db: Database, schema: Schema, constraints: tuple[UniversalConstraint, ...],
+                 priority: PriorityRelation = PriorityRelation(), budget: Budget = DEFAULT_BUDGET):
+        self.__dict__.update(db=db, schema=schema, constraints=constraints, priority=priority,
+                             budget=budget)
 
     @cached_property
     def instance(self) -> Instance:
@@ -154,9 +149,8 @@ class PrioritizedDatabase:
         return MaskContext(self._conflict_masks, self.priority.edges)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
-        copy = replace(self, priority=priority)
-        copy.__dict__["instance"] = self.instance
-        copy.__dict__["_conflict_masks"] = self._conflict_masks
+        copy = PrioritizedDatabase(self.db, self.schema, self.constraints, priority, self.budget)
+        copy.__dict__.update(instance=self.instance, _conflict_masks=self._conflict_masks)
         return copy
 
     def constants(self) -> frozenset[str]:
@@ -181,9 +175,7 @@ class PrioritizedDatabase:
         return validate_priority(self.priority, self.conflicts())
 
 
-def is_pareto_improvement(
-    better: Database, repair: Database, pdb: PrioritizedDatabase
-) -> bool:
+def is_pareto_improvement(better: Database, repair: Database, pdb: PrioritizedDatabase) -> bool:
     """True when ``better`` is consistent and one of its newly kept literals
     outranks every literal sacrificed from ``repair``'s agreement set."""
     if not pdb.instance.consistent(better):
@@ -192,14 +184,10 @@ def is_pareto_improvement(
     theirs = pdb.agreement(repair)
     gained = mine - theirs
     lost = theirs - mine
-    return any(
-        all(pdb.priority.outranks(mu, lam) for lam in lost) for mu in gained
-    )
+    return any(all(pdb.priority.outranks(mu, lam) for lam in lost) for mu in gained)
 
 
-def is_global_improvement(
-    better: Database, repair: Database, pdb: PrioritizedDatabase
-) -> bool:
+def is_global_improvement(better: Database, repair: Database, pdb: PrioritizedDatabase) -> bool:
     """True when ``better`` is consistent, differs in agreement, and every
     sacrificed literal is outranked by some newly kept one."""
     if not pdb.instance.consistent(better):
@@ -209,9 +197,7 @@ def is_global_improvement(
     return mine != theirs and pdb.priority.covers(mine - theirs, theirs - mine)
 
 
-def is_optimal_repair(
-    repair: Database, pdb: PrioritizedDatabase, kind: str
-) -> bool:
+def is_optimal_repair(repair: Database, pdb: PrioritizedDatabase, kind: str) -> bool:
     """Membership check for one repair; kind is 'pareto', 'global', or
     'completion' ('none' checks plain repair membership).  An unknown kind
     raises ``InputError`` whether or not the candidate is a repair."""
@@ -246,15 +232,8 @@ def greedy_optimal_repair(
     pending = set(lits)
     chosen: set[Literal] = set()
     while pending:
-        candidates = [
-            lit
-            for lit in pending
-            if not any(
-                pdb.priority.outranks(other, lit)
-                for other in pending
-                if other != lit
-            )
-        ]
+        candidates = [lit for lit in pending if not any(
+            pdb.priority.outranks(other, lit) for other in pending if other != lit)]
         if not candidates:
             raise InputError("priority relation is cyclic")
         lit = min(candidates, key=sort_key)
@@ -300,8 +279,7 @@ def completion_optimal_repairs_bruteforce(pdb: PrioritizedDatabase) -> RepairSet
     return sorted_repair_set("delta", out)
 
 
-@dataclass(frozen=True)
-class ScoreStructure:
+class ScoreStructure(NamedTuple):
     """Reliability levels inducing the priority: a literal outranks a
     co-conflicting one exactly when its score is higher.  ``levels`` lists the
     literals by descending score."""

@@ -17,11 +17,10 @@ group's parts, holding when some group keeps a support under every choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
 from operator import and_, or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .model import Database, Fact, Term, by_predicate, is_variable, matches
@@ -29,8 +28,7 @@ from .masks import bits, join, optimality_check
 from .priorities import PrioritizedDatabase
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(NamedTuple):
     """Free variables plus a conjunction of positive relational atoms."""
 
     head_vars: tuple[Term, ...]
@@ -71,8 +69,7 @@ def _ordered(query: ConjunctiveQuery, facts: dict[str, list[Fact]]) -> list:
     return sorted(query.atoms, key=lambda atom: (len(facts.get(atom[0], ())), atom))
 
 
-@dataclass(frozen=True)
-class AnswerSet:
+class AnswerSet(NamedTuple):
     query: ConjunctiveQuery
     semantics: str  # "brave" | "cqa" | "intersection"
     optimality: str  # "none" | "pareto" | "global" | "completion"

@@ -14,7 +14,6 @@ is optimal; criterion 3 reads the judgments off those rows.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 from conftest import (
@@ -135,7 +134,7 @@ def test_acceptance_02_optimal_repair_sets():
         problems.append("candidate scan is not the 64 subsets with 16 consistent")
 
     def unimproved(improves, priority) -> set:
-        under = replace(pdb, priority=priority)
+        under = pdb.with_priority(priority)
         return {
             r for r in reps.values() if not any(improves(c, r, under) for c in candidates)
         }

@@ -137,14 +137,31 @@ def test_model_alone_defines_the_rule_syntax():
     assert defined == sorted(f"model.{name}" for name in syntax)
 
 
+def _top_level(node):
+    """The top-level names of the modules an import statement imports from."""
+    names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+    return {name.partition(".")[0] for name in names}
+
+
 def test_only_the_package_defers_a_module():
     importlib_users = {
         module
         for module, tree in MODULES.items()
         for node, _ in _imports(tree)
-        if any(name.partition(".")[0] == "importlib" for name in (
-            [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]))
+        if "importlib" in _top_level(node)
     }
     assert importlib_users == {"__init__"}
     assert _callers("_find_spec") == ["__init__._on_first_use"]
     assert _callers("import_module") == _callers("__import__") == []
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """The value classes are named tuples or ``model.Frozen`` subclasses, so
+    neither side of the package pays for ``dataclasses`` and ``inspect``."""
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node, _ in _imports(tree)
+        if {"dataclasses", "inspect"} & _top_level(node)
+    ]
+    assert found == []

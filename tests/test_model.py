@@ -14,15 +14,36 @@ from hypothesis import strategies as st
 
 from conftest import atom, example6_rules, example7_rules, fact, lit, neg
 from corpus import random_instance, random_rule_instance
-from prioritydb.aic import RuleContext, UpdateAction, _rule_key, ground_rules
-from prioritydb.errors import InputError
+from prioritydb.aic import (
+    GroundAIC,
+    PropertyReport,
+    RUpdate,
+    RuleContext,
+    UpdateAction,
+    _rule_key,
+    ground_rules,
+)
+from prioritydb.bridges import (
+    DenialCorrespondence,
+    DenialImage,
+    DerivedPriority,
+    EquivalenceReport,
+    RoundTripReport,
+)
+from prioritydb.conflicts import ConflictHypergraph
+from prioritydb.errors import Budget, InputError
 import prioritydb
 from prioritydb.model import (
+    AIC,
+    BodyAtom,
     Fact,
+    Frozen,
     Instance,
     Literal,
+    RepairSet,
     Schema,
     UniversalConstraint,
+    UpdateAtom,
     agreement,
     by_predicate,
     facts_universe,
@@ -37,6 +58,13 @@ from prioritydb.model import (
     satisfies,
     universe_constants,
 )
+from prioritydb.priorities import (
+    PrioritizedDatabase,
+    PriorityRelation,
+    ScoreStructure,
+    ValidationReport,
+)
+from prioritydb.query import AnswerSet, ConjunctiveQuery
 
 
 class TestFactsUniverse:
@@ -448,6 +476,122 @@ class TestHashedOnce:
         assert their_hash != hash("R")  # the string hashes did differ
         assert f in {fact("S", "a"), fact("R", "a", "b")}
         assert l in {neg("R", "a", "b")} and l not in {lit("R", "a", "b")}
+
+
+# One value of each class that was a frozen dataclass, with the repr the
+# dataclass gave it.  Single-member sets keep the text free of hash order.
+_R = Fact("R", ("a",))
+_LR = Literal(_R)
+_R_SCHEMA = Schema((("R", 1),))
+_ATOM = BodyAtom(True, "R", ("X",))
+_DENIAL = UniversalConstraint((_ATOM,))
+_PRIORITY = PriorityRelation(frozenset({(_LR, _LR.negated())}))
+_QUERY = ConjunctiveQuery(("X",), (("R", ("X",)),))
+_RULE = AIC((_ATOM,), frozenset(), (UpdateAtom(False, "R", ("X",)),))
+_TEXT = {
+    "R": "Fact(predicate='R', args=('a',))",
+    "LR": "Literal(fact=Fact(predicate='R', args=('a',)), positive=True)",
+    "ATOM": "BodyAtom(positive=True, predicate='R', terms=('X',))",
+    "SCHEMA": "Schema(predicates=(('R', 1),))",
+    "QUERY": "ConjunctiveQuery(head_vars=('X',), atoms=(('R', ('X',)),))",
+}
+_TEXT["DENIAL"] = f"UniversalConstraint(body=({_TEXT['ATOM']},), inequalities=frozenset())"
+_TEXT["PRIORITY"] = (f"PriorityRelation(edges=frozenset({{({_TEXT['LR']}, "
+                     f"{_TEXT['LR'][:-5]}False))}}))")
+_TEXT["RULE"] = (f"AIC(body=({_TEXT['ATOM']},), inequalities=frozenset(), "
+                 "updates=(UpdateAtom(add=False, predicate='R', terms=('X',)),))")
+_DROP_R = "UpdateAction(add=False, fact=Fact(predicate='R', args=('a',)))"
+VALUE_CLASSES = [
+    (_ATOM, _TEXT["ATOM"]),
+    (UniversalConstraint((_ATOM,), frozenset({("X", "b")})),
+     f"UniversalConstraint(body=({_TEXT['ATOM']},), inequalities=frozenset({{('X', 'b')}}))"),
+    (UpdateAtom(True, "R", ("X",)), "UpdateAtom(add=True, predicate='R', terms=('X',))"),
+    (_RULE, _TEXT["RULE"]),
+    (ValidationReport(False, (_LR, _LR)),
+     f"ValidationReport(ok=False, cycle=({_TEXT['LR']}, {_TEXT['LR']}), stray_edges=())"),
+    (ScoreStructure(((_LR, 2),), ((_LR,),)),
+     f"ScoreStructure(score=(({_TEXT['LR']}, 2),), levels=(({_TEXT['LR']},),))"),
+    (_QUERY, _TEXT["QUERY"]),
+    (AnswerSet(_QUERY, "cqa", "pareto", (("a",),)),
+     f"AnswerSet(query={_TEXT['QUERY']}, semantics='cqa', optimality='pareto', tuples=(('a',),))"),
+    (ConflictHypergraph((_LR,), (frozenset({_LR}),)),
+     f"ConflictHypergraph(vertices=({_TEXT['LR']},), hyperedges=(frozenset({{{_TEXT['LR']}}}),))"),
+    (Budget(8), "Budget(max_universe=8)"),
+    (RepairSet("delta", (frozenset({_R}),)),
+     f"RepairSet(kind='delta', repairs=(frozenset({{{_TEXT['R']}}}),))"),
+    (_R_SCHEMA, _TEXT["SCHEMA"]),
+    (Instance(frozenset({_R}), _R_SCHEMA, (_DENIAL,)),
+     f"Instance(db=frozenset({{{_TEXT['R']}}}), schema={_TEXT['SCHEMA']}, "
+     f"constraints=({_TEXT['DENIAL']},))"),
+    (_PRIORITY, _TEXT["PRIORITY"]),
+    (PrioritizedDatabase(frozenset({_R}), _R_SCHEMA, (_DENIAL,), _PRIORITY, Budget(8)),
+     f"PrioritizedDatabase(db=frozenset({{{_TEXT['R']}}}), schema={_TEXT['SCHEMA']}, "
+     f"constraints=({_TEXT['DENIAL']},), priority={_TEXT['PRIORITY']}, "
+     "budget=Budget(max_universe=8))"),
+    (GroundAIC(frozenset({_LR}), frozenset({UpdateAction(False, _R)})),
+     f"GroundAIC(lits=frozenset({{{_TEXT['LR']}}}), updates=frozenset({{{_DROP_R}}}))"),
+    (RuleContext(frozenset({_R}), _R_SCHEMA, (_RULE,)),
+     f"RuleContext(db=frozenset({{{_TEXT['R']}}}), schema={_TEXT['SCHEMA']}, "
+     f"rules=({_TEXT['RULE']},), budget=Budget(max_universe=22))"),
+    (RUpdate(frozenset({UpdateAction(False, _R)}), True, True, False, False),
+     f"RUpdate(actions=frozenset({{{_DROP_R}}}), founded=True, well_founded=True, "
+     "grounded=False, justified=False)"),
+    (PropertyReport(True, False, True, True, (("monotone", "fact R(a)"),)),
+     "PropertyReport(monotone=True, closed_under_resolution=False, "
+     "preserves_actions_resolution=True, preserves_actions_strengthening=True, "
+     "counterexamples=(('monotone', 'fact R(a)'),))"),
+    (DenialImage(frozenset({_R}), _R_SCHEMA, (_DENIAL,), (("R", "no_R"),)),
+     f"DenialImage(db=frozenset({{{_TEXT['R']}}}), schema={_TEXT['SCHEMA']}, "
+     f"constraints=({_TEXT['DENIAL']},), absence_predicates=(('R', 'no_R'),))"),
+    (DenialCorrespondence(True, False, 1, 1, 2, 3),
+     "DenialCorrespondence(conflicts_match=True, repairs_match=False, source_conflicts=1, "
+     "image_conflicts=1, source_repairs=2, image_repairs=3)"),
+    (EquivalenceReport(None, {}), "EquivalenceReport(ctx=None, families={})"),
+    (DerivedPriority((_DENIAL,), _PRIORITY, None, ("w",)),
+     f"DerivedPriority(constraints=({_TEXT['DENIAL']},), priority={_TEXT['PRIORITY']}, "
+     "cycle=None, property_warnings=('w',))"),
+    (RoundTripReport(False, True, None, (_LR,), ("w",)),
+     f"RoundTripReport(applicable=False, binary_conflicts=True, equivalence=None, "
+     f"cycle=({_TEXT['LR']},), warnings=('w',))"),
+]
+
+
+class TestValueClasses:
+    """The classes that were frozen dataclasses keep their repr, their
+    equality and hash by field tuple, their immutability and their pickling.
+    Named tuples also equal a plain tuple of their fields; ``Frozen``
+    subclasses equal only their own class, and ``EquivalenceReport`` only
+    itself."""
+
+    @pytest.mark.parametrize("value, text", VALUE_CLASSES,
+                             ids=[type(v).__name__ for v, _ in VALUE_CLASSES])
+    def test_repr_equality_hash_immutability_and_pickling(self, value, text):
+        cls = type(value)
+        assert repr(value) == text
+        fields = tuple(getattr(value, name) for name in cls._fields)
+        again, changed = cls(*fields), cls(*fields[:-1], "other")
+        if cls is EquivalenceReport:
+            assert value == value and again != value and hash(again) != hash(value)
+        else:
+            assert again == value and hash(again) == hash(value) == hash(fields)
+            assert changed != value and hash(changed) == hash(fields[:-1] + ("other",))
+            assert (value == fields) == (not isinstance(value, Frozen))
+        for name in (cls._fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[0])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        unpickled = pickle.loads(pickle.dumps(value))
+        assert type(unpickled) is cls and repr(unpickled) == text
+        assert unpickled == value or cls is EquivalenceReport
+
+    def test_with_priority_shares_instance_and_conflict_masks(self):
+        pdb = VALUE_CLASSES[14][0]
+        copy = pdb.with_priority(PriorityRelation())
+        assert copy == PrioritizedDatabase(pdb.db, pdb.schema, pdb.constraints,
+                                           PriorityRelation(), pdb.budget)
+        assert copy.instance is pdb.instance
+        assert copy._conflict_masks is pdb._conflict_masks
 
 
 class TestSatisfies:

@@ -7,7 +7,6 @@ discrepancies.  The acceptance module reuses these helpers.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -54,6 +53,7 @@ from prioritydb.aic import (
     satisfies_rules,
 )
 from prioritydb.bridges import (
+    EquivalenceReport,
     check_denial_image,
     check_roundtrip,
     check_translation_equivalence,
@@ -1481,7 +1481,7 @@ def _dented(rng: random.Random, report, families=TRANSLATION_FAMILIES):
     p = rng.randrange(len(choices))
     spare = sorted(set(parts[p][1]) - set(choices[p]))
     choices[p] = sorted(rng.choice([[], choices[p][1:], choices[p] + spare[:1]]))
-    return replace(report, families={**report.families, family: (parts, choices)})
+    return EquivalenceReport(report.ctx, {**report.families, family: (parts, choices)})
 
 
 def test_translation_counts_and_verdict_match_the_listed_sets():
@@ -1524,7 +1524,7 @@ def test_roundtrip_counts_and_verdicts_match_the_listed_sets():
             continue
         groups = [[comp for comp, _ in compared.families[f][0]] for f in ("pareto", "founded")]
         differ += groups[0] != groups[1]
-        for got in [report] + [replace(report, equivalence=_dented(rng, compared, ROUNDTRIP_FAMILIES))
+        for got in [report] + [report._replace(equivalence=_dented(rng, compared, ROUNDTRIP_FAMILIES))
                                for _ in range(3) if compared.ctx.parts]:
             listed = {f: set(getattr(got, f).repairs) for f in ROUNDTRIP_FAMILIES}
             counts = {f: got.equivalence.count(f) for f in ROUNDTRIP_FAMILIES}

@@ -1,5 +1,6 @@
-"""Start-up: the rule side (``aic``, ``bridges``) runs on first use only, and
-the package's public names are the same whichever side has run.
+"""Start-up: the rule side (``aic``, ``bridges``) runs on first use only, the
+prioritized side imports neither ``dataclasses`` nor ``inspect``, and the
+package's public names are the same whichever side has run.
 
 Both rule modules are in ``sys.modules`` from the package import on, as lazy
 modules: a module's code runs at the first lookup of one of its attributes,
@@ -102,20 +103,28 @@ def _strs(argvs):
     return [[str(a) for a in argv] for argv in argvs]
 
 
+def _prioritized_run(probe: str) -> dict:
+    """In a fresh process, ``probe`` (an expression over ``sys`` and
+    ``ran``) after ``import prioritydb.cli``, under the key ``import``, and
+    after each command of ``PRIORITIZED`` on example 3, with its exit code."""
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "import prioritydb, prioritydb.cli\n"
+        + RAN +
+        "probe = lambda: " + probe + "\n"
+        "report = {'import': probe()}\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = prioritydb.cli.main(%r + argv)\n"
+        "    report[' '.join(argv)] = [code, probe()]\n"
+        "print(json.dumps(report))\n"
+    ) % (_strs(PRIORITIZED), _strs([EX3_INPUTS])[0])
+    return _fresh(script)
+
+
 class TestRuleSideStaysUnloaded:
     def test_import_and_prioritized_commands_run_neither_rule_module(self):
-        script = (
-            "import contextlib, io, json, sys, types\n"
-            "import prioritydb, prioritydb.cli\n"
-            + RAN +
-            "report = {'import': ran()}\n"
-            "for argv in %r:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            "        code = prioritydb.cli.main(%r + argv)\n"
-            "    report[' '.join(argv)] = [code, ran()]\n"
-            "print(json.dumps(report))\n"
-        ) % (_strs(PRIORITIZED), _strs([EX3_INPUTS])[0])
-        report = _fresh(script)
+        report = _prioritized_run("ran()")
         assert report.pop("import") == []
         assert len(report) == len(PRIORITIZED)
         # none crashed (4): 1 answers "no", 2 is lex on a priority without
@@ -124,6 +133,17 @@ class TestRuleSideStaysUnloaded:
             command: [] for command in report
         }
         assert {code for code, _ in report.values()} <= {0, 1, 2, 3}
+
+    def test_import_and_prioritized_commands_import_neither_dataclasses_nor_inspect(self):
+        """The value classes are named tuples or ``model.Frozen`` subclasses.
+        ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and
+        ``tokenize`` with it."""
+        report = _prioritized_run("[m for m in ('dataclasses', 'inspect') if m in sys.modules]")
+        assert report.pop("import") == []
+        assert len(report) == len(PRIORITIZED)
+        assert {command: loaded for command, (_, loaded) in report.items()} == {
+            command: [] for command in report
+        }
 
     def test_the_rule_modules_are_registered_and_run_on_first_lookup(self):
         """A tool that walks ``sys.modules`` after ``import prioritydb.cli``
