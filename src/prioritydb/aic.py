@@ -30,7 +30,6 @@ compiles them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,6 +46,7 @@ from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateActio
     UpdateAction,
     UpdateAtom,
     action_key,
+    cached,
     ground_body,
     prime_implicants,
     resolutions,
@@ -70,7 +70,7 @@ class GroundAIC(Frozen):
     def violated_by(self, db: Database) -> bool:
         return violates_ground(db, self.lits)
 
-    @cached_property
+    @cached
     def asserters(self) -> frozenset[UpdateAction]:
         """The actions that make the non-updatable literals true, i.e. the
         body literals that no update action of the rule falsifies."""
@@ -139,16 +139,16 @@ class RuleContext(Frozen):
                  budget: Budget = DEFAULT_BUDGET):
         self.__dict__.update(db=db, schema=schema, rules=rules, budget=budget)
 
-    @cached_property
+    @cached
     def pdb(self) -> PrioritizedDatabase:
         return PrioritizedDatabase(self.db, self.schema, constraints_of(self.rules),
                                    budget=self.budget)
 
-    @cached_property
+    @cached
     def ground(self) -> frozenset[GroundAIC]:
         return ground_rules(self.rules, self.pdb.constants())
 
-    @cached_property
+    @cached
     def rows(self) -> list[tuple[int, list[tuple[int, int]]]]:
         return classify_components(self.pdb._conflict_masks, self.ground)
 

@@ -15,7 +15,6 @@ parts) in one ``EquivalenceReport``, and compare them by its ``within``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, permutations, product
 from math import prod
 from typing import NamedTuple, Optional, Sequence
@@ -44,6 +43,7 @@ from .model import (
     UniversalConstraint,
     UpdateAtom,
     action_key,
+    cached,
     constraint_constants,
     is_variable,
     literal_key,
@@ -174,9 +174,9 @@ def ground_rules_as_aics(rules: Sequence[GroundAIC]) -> tuple[AIC, ...]:
     return tuple(out)
 
 
-def _listed(family: str, what: str) -> cached_property:
+def _listed(family: str, what: str) -> cached:
     """A family of an ``EquivalenceReport``, listed on first access."""
-    return cached_property(lambda r: r.ctx.masks.repair_product(*r.families[family], what))
+    return cached(lambda r: r.ctx.masks.repair_product(*r.families[family], what))
 
 
 class EquivalenceReport(Frozen):

@@ -1,13 +1,14 @@
 """The integer layer: conflict vertices, repairs and ground active rules as bit masks.
 
 Bit ``i`` of a vertex mask stands for the ``i``-th conflict vertex (a literal
-of some conflict) in ``literal_key`` order.  A delta repair's agreement set is
-the literal universe minus one minimal transversal of the conflicts, so the
-repair is named by the mask of the vertices it excludes, whose facts it
-toggles.  A part is a conflict component, or a group of components that
-links join, with its vertex mask and the excluded-vertex masks of the delta
-repairs' restrictions to it.  A set of repairs is a product of per-part
-choices, capped by ``ConflictMasks.check_product`` whether it is listed
+of some conflict) in ``literal_key`` order; its witnesses come in no promised
+order.  A delta repair's agreement set is the literal universe minus one
+minimal transversal of the conflicts, so the repair is named by the mask of
+the vertices it excludes, whose facts it toggles.  A part is a conflict
+component, or a group of components that links join, with its vertex mask
+and the excluded-vertex masks of the delta repairs' restrictions to it.  A
+set of repairs is a product of per-part choices, capped by
+``ConflictMasks.check_product`` whether it is listed
 (``ConflictMasks.repair_product``) or only counted.
 
 A ground active rule is a ``(pos, neg, add, rem)`` row of the fact masks of
@@ -21,15 +22,14 @@ restriction that excludes ``t`` is the update ``(t & absent, t & ~absent)``.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, product
 from operator import or_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import Budget, InputError
 from .model import (
-    Database, Fact, Instance, Literal, RepairSet, by_predicate, literal_key,
-    sorted_repair_set,
+    Database, Fact, Instance, Literal, RepairSet, by_predicate, cached, literal_key,
 )
 
 R_UPDATE_CLASSES = ("founded", "wellfounded", "grounded", "justified")
@@ -46,7 +46,7 @@ def bits(mask: int) -> Iterator[int]:
 def join(links: Iterable[int]) -> list[int]:
     """The unions of the links that share a bit, transitively, ascending.  A
     zero link stays a group of its own."""
-    groups: list[int] = []
+    groups = []
     for link in links:
         for group in [g for g in groups if g & link]:
             groups.remove(group)
@@ -101,42 +101,43 @@ def minimal_transversals(edges: Sequence[int]) -> list[int]:
 
 class ConflictMasks:
     """The conflict vertices of one instance and the delta repairs'
-    restrictions to its parts.  The whole list of delta repairs is built
-    only for ``repairs``."""
+    restrictions to its parts.  ``witnesses`` lists per vertex the conflicts
+    on it, less it, in no promised order.  The whole list of delta repairs
+    is built only for ``repairs``."""
 
     def __init__(self, instance: Instance, budget: Budget):
-        self.instance = instance
-        self.budget = budget
+        self.__dict__.update(instance=instance, budget=budget)
 
-    @cached_property
+    @cached
     def index(self) -> dict[Literal, int]:
-        vertices = {l for c in self.instance.conflicts for l in c}
-        return {l: i for i, l in enumerate(sorted(vertices, key=literal_key))}
+        """Each vertex's bit, in ``literal_key`` order: positives, then negatives."""
+        vertices = set().union(*self.instance.conflicts)
+        order = sorted([l for l in vertices if l.positive])
+        order += sorted([l for l in vertices if not l.positive])
+        return dict(zip(order, range(len(order))))
 
-    @cached_property
+    @cached
     def full(self) -> int:
         return (1 << len(self.index)) - 1
 
-    @cached_property
+    @cached
     def conflicts(self) -> tuple[int, ...]:
-        return tuple(sum(1 << self.index[l] for l in c) for c in self.instance.conflicts)
+        return tuple([sum([1 << self.index[l] for l in c]) for c in self.instance.conflicts])
 
-    @cached_property
+    @cached
     def witnesses(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, every conflict holding it with it removed, ordered by
-        their members' bits (the ``literal_key`` order of their members)."""
-        found: list[list[int]] = [[] for _ in self.index]
+        found = [[] for _ in self.index]
         for conflict in self.conflicts:
             for i in bits(conflict):
                 found[i].append(conflict & ~(1 << i))
-        return tuple(tuple(sorted(ws, key=lambda w: list(bits(w)))) for ws in found)
+        return tuple(map(tuple, found))
 
-    @cached_property
+    @cached
     def _owner(self) -> dict[int, int]:
         """Each conflict vertex's component mask, by bit."""
         return {i: comp for comp in join(self.conflicts) for i in bits(comp)}
 
-    @cached_property
+    @cached
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per connected component of the conflicts, its vertex mask and the
         masks of its minimal transversals; the budget caps each component's
@@ -145,7 +146,7 @@ class ConflictMasks:
         part is ``(0, ())``."""
         if 0 in self.conflicts:
             return ((0, ()),)
-        members: dict[int, list[int]] = {}
+        members = {}
         for c in self.conflicts:
             members.setdefault(self._owner[(c & -c).bit_length() - 1], []).append(c)
         out = []
@@ -174,22 +175,22 @@ class ConflictMasks:
                 out.append((comp, tuple(sum(pick) for pick in product(*members))))
         return tuple(out)
 
-    @cached_property
+    @cached
     def facts(self) -> tuple[Fact, ...]:
         """The fact of each vertex, by bit."""
         return tuple(l.fact for l in self.index)
 
-    @cached_property
+    @cached
     def fact_bits(self) -> dict[Fact, int]:
         """Each vertex fact's bit mask."""
         return {l.fact: 1 << i for l, i in self.index.items()}
 
-    @cached_property
+    @cached
     def absent(self) -> int:
         """The vertices whose facts are outside the database."""
         return sum(1 << i for l, i in self.index.items() if not l.positive)
 
-    @cached_property
+    @cached
     def pool(self) -> dict[str, list[Fact]]:
         """The database and the vertex facts, by predicate: every delta
         repair lies inside them.  Only the absent vertices' facts are added
@@ -203,7 +204,7 @@ class ConflictMasks:
         does not toggle."""
         return self.full & ~sum(self.fact_bits[f] for f in repair ^ self.instance.db)
 
-    @cached_property
+    @cached
     def repairs(self) -> RepairSet:
         """Every delta repair.  Every one is listed, so the budget caps the
         whole vertex set before any component's transversals are sought."""
@@ -223,24 +224,23 @@ class ConflictMasks:
     def repair_product(self, parts: Sequence[tuple[int, object]],
                        choices: Sequence[Sequence[int]], what: str) -> RepairSet:
         """The databases that toggle, per part ``(vertex mask, …)``, the vertex
-        facts of one of its excluded-vertex masks in ``choices``, in canonical
-        order, once ``check_product`` passes; the parts with one choice form
-        a fixed base."""
+        facts of one of its distinct excluded-vertex masks in ``choices``, in
+        canonical order, once ``check_product`` passes; parts with one choice
+        form a fixed base, and the others' facts order equal sizes."""
         self.check_product(parts, choices, what)
         if not all(choices):
             return RepairSet("delta", ())
-        facts = self.facts
-        fixed = 0
-        free = []
+        facts, fixed, free = self.facts, 0, []
         for masks in choices:
             if len(masks) == 1:
                 fixed |= masks[0]
             else:
                 free.append([[facts[i] for i in bits(t)] for t in masks])
         base = self.instance.db ^ {facts[i] for i in bits(fixed)}
-        return sorted_repair_set(
-            "delta", (base.symmetric_difference(chain(*pick)) for pick in product(*free))
-        )
+        out = [base.symmetric_difference(chain(*pick)) for pick in product(*free)]
+        loose = frozenset(chain(*chain(*free)))
+        out.sort(key=lambda r: (len(r), sorted(r & loose)))
+        return RepairSet("delta", tuple(out))
 
     def classified(self, rows: Sequence[tuple[int, int, int, int]], db: int
                    ) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -259,11 +259,8 @@ class ConflictMasks:
 def unbeaten(excluded: tuple[int, ...], beats: Callable[[int, int], bool]) -> tuple[int, ...]:
     """The excluded-vertex masks of one part that no other mask of it beats;
     ``beats(other, mine)`` compares two of them."""
-    return tuple(
-        mine
-        for mine in excluded
-        if not any(other != mine and beats(other, mine) for other in excluded)
-    )
+    return tuple(mine for mine in excluded
+                 if not any(other != mine and beats(other, mine) for other in excluded))
 
 
 class MaskContext:
@@ -281,16 +278,17 @@ class MaskContext:
     restrictions that are."""
 
     def __init__(self, masks: ConflictMasks, edges: Collection[tuple[Literal, Literal]]):
-        self.masks = masks
-        index = dict(masks.index)
-        for lit in sorted({l for e in edges for l in e} - index.keys(), key=literal_key):
-            index[lit] = len(index)
-        self.dom = [0] * len(index)
-        self.beaten_by = [0] * len(index)
+        index = masks.index
+        off = set().union(*edges).difference(index)
+        if off:
+            index = dict(index)
+            for lit in sorted(off, key=literal_key):
+                index[lit] = len(index)
+        dom, beaten_by = [0] * len(index), [0] * len(index)
         for strong, weak in edges:
-            self.dom[index[strong]] |= 1 << index[weak]
-            self.beaten_by[index[weak]] |= 1 << index[strong]
-        self._optima: dict[str, tuple[tuple[int, ...], ...]] = {}
+            dom[index[strong]] |= 1 << index[weak]
+            beaten_by[index[weak]] |= 1 << index[strong]
+        self.__dict__.update(masks=masks, dom=dom, beaten_by=beaten_by, _optima={})
 
     def is_pareto_optimal(self, agree: int) -> bool:
         """A Pareto improvement exists exactly when some excluded vertex can be
@@ -298,19 +296,24 @@ class MaskContext:
         conflict; since the repair completes none, that conflict holds the
         vertex.  Check that every excluded vertex is blocked so.  The vertex
         is kept even when it outranks itself."""
-        for i in bits(self.masks.full & ~agree):
-            bit = 1 << i
-            keep = (agree & ~self.dom[i]) | bit
-            if not any((w | bit) & ~keep == 0 for w in self.masks.witnesses[i]):
+        dom, witnesses, excluded = self.dom, self.masks.witnesses, self.masks.full & ~agree
+        while excluded:
+            i = (excluded & -excluded).bit_length() - 1
+            excluded ^= 1 << i
+            keep = agree & ~dom[i]
+            for w in witnesses[i]:
+                if not w & ~keep:
+                    break
+            else:
                 return False
         return True
 
-    @cached_property
+    @cached
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``ConflictMasks.joined`` along the priority edges."""
         return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
 
-    @cached_property
+    @cached
     def rule_rows(self) -> tuple[tuple[int, int, int, int], ...]:
         """The ground rules the priority translates to, as rule rows over the
         vertex bits, by their members' bits: each conflict's rule repairs the
@@ -322,7 +325,7 @@ class MaskContext:
             out.append((c & ~absent, c & absent, acts & absent, acts & ~absent))
         return tuple(out)
 
-    @cached_property
+    @cached
     def part_of(self) -> tuple[int, ...]:
         """Each conflict vertex's position in ``parts``, by bit."""
         out = [0] * len(self.masks.index)
@@ -346,36 +349,31 @@ class MaskContext:
         is (swap in that part of the improving repair).  An unknown kind
         raises before anything is computed."""
         found = self._optima.get(kind)
-        if found is not None:
-            return found
-        if kind == "global":
-            keep = lambda p, excluded: unbeaten(excluded, self._improves)
-        elif kind == "completion":
-            keep = lambda p, excluded: tuple(
-                t for t in excluded if self._replays(self.part_nodes[p], t)
-            )
-        else:
-            check, full = optimality_check(kind), self.masks.full
-            keep = lambda p, excluded: tuple(t for t in excluded if check(self, full & ~t))
-        found = self._optima[kind] = tuple(
-            keep(p, excluded) for p, (_, excluded) in enumerate(self.parts)
-        )
+        if found is None:
+            if kind == "global":
+                keep = [unbeaten(excluded, self._improves) for _, excluded in self.parts]
+            elif kind == "completion":
+                keep = [tuple([t for t in excluded if self._replays(nodes, t)])
+                        for (_, excluded), nodes in zip(self.parts, self.part_nodes)]
+            else:
+                check, full = optimality_check(kind), self.masks.full
+                keep = [tuple([t for t in excluded if check(self, full & ~t)])
+                        for _, excluded in self.parts]
+            found = self._optima[kind] = tuple(keep)
         return found
 
     def is_globally_optimal(self, agree: int) -> bool:
         """No other delta repair globally improves this one: its restriction
         to every part is globally optimal there."""
         excluded = self.masks.full & ~agree
-        return all(
-            (excluded & comp) in optimal
-            for (comp, _), optimal in zip(self.parts, self.optima("global"))
-        )
+        return all((excluded & comp) in optimal
+                   for (comp, _), optimal in zip(self.parts, self.optima("global")))
 
     def is_completion_optimal(self, agree: int) -> bool:
         """``_replays`` over every node."""
         return self._replays((1 << len(self.dom)) - 1, self.masks.full & ~agree)
 
-    @cached_property
+    @cached
     def part_nodes(self) -> tuple[int, ...]:
         """Per part, its vertices and the priority endpoints off the
         conflicts that edges join to them."""
@@ -391,7 +389,7 @@ class MaskContext:
             out.append(nodes)
         return tuple(out)
 
-    @cached_property
+    @cached
     def acyclic(self) -> bool:
         """The priority has no cycle, a self-loop included: ``_rounds``
         decides every node of the repair that excludes nothing.  Only
@@ -415,10 +413,8 @@ class MaskContext:
         while left:
             ready = sum(1 << i for i in bits(left) if not self.beaten_by[i] & left)
             kept |= ready & ~excluded
-            drop = sum(
-                1 << i for i in bits(ready & excluded)
-                if any(not w & ~kept for w in witnesses[i])
-            )
+            drop = sum(1 << i for i in bits(ready & excluded)
+                       if any(not w & ~kept for w in witnesses[i]))
             if not ready & ~excluded | drop:
                 return False
             left &= ~(ready & ~excluded | drop)
@@ -431,11 +427,8 @@ def optimality_check(kind: str) -> Callable[[MaskContext, int], bool]:
     repair.  An unknown kind raises."""
     if kind in ("none", "delta"):
         return lambda ctx, agree: True
-    checks = {
-        "pareto": MaskContext.is_pareto_optimal,
-        "global": MaskContext.is_globally_optimal,
-        "completion": MaskContext.is_completion_optimal,
-    }
+    checks = {"pareto": MaskContext.is_pareto_optimal, "global": MaskContext.is_globally_optimal,
+              "completion": MaskContext.is_completion_optimal}
     if kind not in checks:
         raise InputError(f"unknown optimality kind: {kind}")
     return checks[kind]
@@ -451,8 +444,7 @@ def _proper_submasks(mask: int) -> Iterator[int]:
 def _reaches(update: int, ready: Callable[[int], int]) -> bool:
     """Some order applies every action of ``update`` while it is ready: a
     depth-first search over the applied submasks, each visited once."""
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         sub = stack.pop()
         if sub == update:
@@ -484,9 +476,7 @@ def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
         (sum(bit[l.fact] for l in rule.lits if l.positive),
          sum(bit[l.fact] for l in rule.lits if not l.positive),
          sum(bit[a.fact] for a in rule.updates if a.add),
-         sum(bit[a.fact] for a in rule.updates if not a.add))
-        for rule in ground
-    ]
+         sum(bit[a.fact] for a in rule.updates if not a.add)) for rule in ground]
     return bit, rows, sum(b for f, b in bit.items() if f in db)
 
 
@@ -499,9 +489,9 @@ class RuleMasks:
 
     def __init__(self, rows: Iterable[tuple[int, int, int, int]], db: int):
         # (pos, neg) bodies of the rules offering each action, by (add, bit)
-        self.firing: dict[tuple[bool, int], list[tuple[int, int]]] = {}
+        self.firing = {}
         # per rule: its update actions, then its asserters, as (added, removed)
-        self.closure: list[tuple[int, int, int, int]] = []
+        self.closure = []
         self.mentioned = 0
         for pos, neg, add, rem in rows:
             self.mentioned |= pos | neg | add | rem
@@ -551,10 +541,8 @@ class RuleMasks:
         def closed(sub: int) -> bool:
             on_add = idle_add | (sub & added)
             on_rem = idle_rem | (sub & removed)
-            return all(
-                add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
-                for add, rem, ast_add, ast_rem in self.closure
-            )
+            return all(add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
+                       for add, rem, ast_add, ast_rem in self.closure)
 
         update = added | removed
         return closed(update) and not any(map(closed, _proper_submasks(update)))

@@ -19,7 +19,7 @@ Terms are plain strings.  An identifier starting with an upper-case letter or
 an underscore is a variable; anything else is a constant.  The value classes
 are named tuples, so they hash, compare and order as their field tuples, in
 C: a fact orders by predicate, then arguments, the canonical fact order.
-``Frozen`` is the base of the rest: those with ``cached_property`` state, and
+``Frozen`` is the base of the rest: those with ``cached`` state, and
 ``RepairSet``.
 
 The syntax of active integrity rules is defined here too: ``AIC``, its
@@ -30,7 +30,6 @@ rule semantics; ``aic`` re-exports them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import groupby, product
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -74,11 +73,28 @@ Database = frozenset[Fact]
 GroundConstraint = frozenset[Literal]
 
 
+class cached:
+    """``functools.cached_property`` as from Python 3.12: the first read on an
+    instance writes the value to its ``__dict__``, and takes no lock."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Frozen:
     """As a frozen dataclass: equal by class and fields, hashed as the field
     tuple, and closed to assignment.  The fields are the parameters of the
     subclass's ``__init__``, which stores them by ``__dict__.update`` with
-    keywords: attribute reads then stay fast, also after a cached property."""
+    keywords: attribute reads then stay fast, also after a ``cached`` value."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
@@ -141,7 +157,7 @@ class Schema(Frozen):
             seen[name] = arity
         return Schema(tuple(sorted(seen.items())))
 
-    @cached_property
+    @cached
     def arities(self) -> dict[str, int]:
         return dict(self.predicates)
 
@@ -213,10 +229,7 @@ class UniversalConstraint(NamedTuple):
         return constraint
 
     def _check_safety(self) -> None:
-        bound: set[Term] = set()
-        for atom in self.body:
-            if atom.positive:
-                bound |= atom.variables()
+        bound = frozenset().union(*(atom.variables() for atom in self.body if atom.positive))
         for atom in self.body:
             if not atom.positive:
                 loose = atom.variables() - bound
@@ -339,11 +352,11 @@ class Instance(Frozen):
                  constraints: tuple[UniversalConstraint, ...] = ()):
         self.__dict__.update(db=db, schema=schema, constraints=constraints)
 
-    @cached_property
+    @cached
     def constants(self) -> frozenset[Constant]:
         return universe_constants(self.db, self.constraints)
 
-    @cached_property
+    @cached
     def facts(self) -> frozenset[Fact]:
         """All facts over the schema built from the constant pool; an empty
         pool still yields every arity-0 fact."""
@@ -355,49 +368,45 @@ class Instance(Frozen):
             for args in product(constants, repeat=arity)
         )
 
-    @cached_property
+    @cached
     def literals(self) -> frozenset[Literal]:
         """The database facts plus explicit negations of every absent fact."""
         return frozenset(Literal(fact, positive=fact in self.db) for fact in self.facts)
 
-    @cached_property
+    @cached
     def bodies(self) -> frozenset[GroundConstraint]:
         return ground_all(self.constraints, self.constants)
 
-    @cached_property
+    @cached
     def db_by_predicate(self) -> dict[str, list[Fact]]:
         """The database facts, by predicate."""
         return by_predicate(self.db)
 
-    @cached_property
+    @cached
     def conflicts(self) -> frozenset[frozenset[Literal]]:
-        """The prime implicants of the ground bodies that lie inside the
-        literal universe.
+        """The prime implicants of the ground bodies inside the literal
+        universe.
 
-        When no constraint has a negated atom, these are the subset-minimal
-        sets of database facts that some constraint's atoms match.  Every
-        atom then joins the database (no predicate occurs negated), so every
-        joined body is a set of positive literals of database facts, all
-        inside the universe, and no two of them clash: consensus adds no
-        resolvent and the filter drops nothing.  So the joined bodies are
-        read straight from ``matches`` and only their antichain is kept; the
-        constant pool is not built.
+        Without negated atoms these are the subset-minimal sets of database
+        facts that some constraint's atoms match: every atom joins the
+        database, so every joined body is a set of positive literals inside
+        the universe and no two clash; consensus adds no resolvent and the
+        filter drops nothing.  So only the antichain of what ``matches``
+        joins is kept, and the constant pool is not built.
 
-        Otherwise consensus runs on a part of ``bodies`` only.  Let a literal ``l``
-        outside the universe have its complement in no body.  The violation
-        formula, the disjunction of the bodies, is then monotone in ``l``.  No
-        prime implicant holds the complement of ``l``, since dropping it would
-        leave an implicant.  A term mentioning neither ``l`` nor its
-        complement implies the formula iff it implies the formula with ``l``
-        false, which is the disjunction of the bodies without ``l``.  So the
-        prime implicants inside the universe are those of the bodies without
-        ``l``, and every body holding ``l`` can be dropped.  Grounding applies
-        this per predicate: a positive atom whose predicate occurs negated in
-        no constraint yields such an ``l`` unless it matches a database fact,
-        so it is joined with the database facts of its predicate instead of
-        ranging over the pool.  Bodies left holding another literal outside
-        the universe still go through consensus, and the final filter drops
-        what they yield.
+        Otherwise consensus runs on a part of ``bodies`` only.  Let a literal
+        ``l`` outside the universe have its complement in no body.  The
+        violation formula, the disjunction of the bodies, is then monotone in
+        ``l``: no prime implicant holds the complement of ``l`` (dropping it
+        leaves an implicant), and a term mentioning neither implies the
+        formula iff it implies the disjunction of the bodies without ``l``.
+        So every body holding ``l`` can be dropped.  Grounding applies this
+        per predicate: a positive atom whose predicate occurs negated in no
+        constraint yields such an ``l`` unless it matches a database fact, so
+        it joins the database facts of its predicate instead of ranging over
+        the pool.  Bodies left holding another literal outside the universe
+        still go through consensus, and the final filter drops what they
+        yield.
         """
         self.check_facts()
         facts, index = self.db_by_predicate, {}
@@ -438,10 +447,8 @@ class Instance(Frozen):
     def in_universe(self, fact: Fact) -> bool:
         """Membership in ``facts``, decided without building it: the fact's
         predicate and arity are in the schema and its arguments in the pool."""
-        return (
-            self.schema.arities.get(fact.predicate) == len(fact.args)
-            and self.constants.issuperset(fact.args)
-        )
+        return (self.schema.arities.get(fact.predicate) == len(fact.args)
+                and self.constants.issuperset(fact.args))
 
     def consistent(self, candidate: Database) -> bool:
         """No constraint's positive atoms join with the candidate under a
@@ -449,15 +456,11 @@ class Instance(Frozen):
         Safety binds every variable, so this is exact for every candidate."""
         facts = by_predicate(candidate)
         return not any(
-            not any(
-                Fact(a.predicate, tuple([b.get(t, t) for t in a.terms])) in candidate
-                for a in c.body
-                if not a.positive
-            )
+            not any(Fact(a.predicate, tuple([b.get(t, t) for t in a.terms])) in candidate
+                    for a in c.body if not a.positive)
             for c in self.constraints
             for b, _ in matches(
-                [(a.predicate, a.terms) for a in c.body if a.positive], facts, c.inequalities
-            )
+                [(a.predicate, a.terms) for a in c.body if a.positive], facts, c.inequalities)
         )
 
     def agreement(self, repair: Database) -> frozenset[Literal]:
@@ -467,11 +470,9 @@ class Instance(Frozen):
         if stray:
             raise InputError(f"candidate repair fact {min(stray)} "
                              f"is outside the fact universe")
-        kept = repair & self.db
         jointly_absent = self.facts - (repair | self.db)
-        return frozenset(
-            {Literal(f, True) for f in kept} | {Literal(f, False) for f in jointly_absent}
-        )
+        return frozenset([Literal(f, True) for f in repair & self.db]
+                         + [Literal(f, False) for f in jointly_absent])
 
     def restriction(self, litset: frozenset[Literal]) -> Database:
         """The candidate repair induced by a set of kept literals: retained facts
@@ -507,7 +508,7 @@ def restriction(db: Database, schema: Schema, litset: frozenset[Literal]) -> Dat
 
 
 def by_predicate(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
-    out: dict[str, list[Fact]] = {}
+    out = {}
     for fact in facts:
         out.setdefault(fact.predicate, []).append(fact)
     return out
@@ -528,11 +529,13 @@ def matches(
     The first atom scans its facts, as does a later one that no constant or
     earlier atom binds.  Every other atom indexes its facts once on its bound
     positions, so a partial binding meets only the facts that agree with it
-    there.  Buckets keep list order, so bindings come in the order of a
-    nested loop over the lists.  A partial binding is dropped at the first
-    atom that binds both sides of an inequality to one constant; a pair of
-    equal constants leaves no binding, and a pair that the atoms do not bind
-    is not tested.
+    there.  Buckets keep list order and the stack pops the last fact first,
+    so bindings come in the reverse order of a nested loop over the lists:
+    ``P(a|b|c), Q(x|y)`` gives ``(c, y), (c, x), (b, y)`` … ``(a, x)``, with
+    or without an ``index``.  A partial binding is dropped at the first atom
+    that binds both sides of an inequality to one constant; a pair of equal
+    constants leaves no binding, and a pair that the atoms do not bind is
+    not tested.
 
     With an ``index`` (a dict, empty at first, that serves only joins over
     ``facts_by_predicate``), every atom reads the index of its predicate,
@@ -732,9 +735,5 @@ def schema_from(
     extra: Iterable[tuple[str, int]] = (),
 ) -> Schema:
     """Infer a schema from the predicates mentioned by the given artifacts."""
-    pairs: list[tuple[str, int]] = list(extra)
-    for fact in db:
-        pairs.append((fact.predicate, len(fact.args)))
-    for constraint in constraints:
-        pairs.extend(constraint.schema_pairs())
-    return Schema.of(pairs)
+    pairs = list(extra) + [(fact.predicate, len(fact.args)) for fact in db]
+    return Schema.of(pairs + [pair for c in constraints for pair in c.schema_pairs()])

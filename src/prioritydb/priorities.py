@@ -16,14 +16,15 @@ sets; the tests hold the filters to them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .conflicts import Conflict
 from .errors import DEFAULT_BUDGET, Budget, InputError
 from .masks import ConflictMasks, MaskContext, optimality_check, unbeaten
-from .model import Database, Frozen, Instance, Literal, Schema, UniversalConstraint, literal_key
+from .model import (
+    Database, Frozen, Instance, Literal, Schema, UniversalConstraint, cached, literal_key,
+)
 from .repairs import RepairSet, is_delta_repair_of, sorted_repair_set
 
 Edge = tuple[Literal, Literal]
@@ -56,7 +57,7 @@ class PriorityRelation(Frozen):
     def find_cycle(self) -> Optional[tuple[Literal, ...]]:
         return self._cycle
 
-    @cached_property
+    @cached
     def _cycle(self) -> Optional[tuple[Literal, ...]]:
         """One search serves ``validate_priority`` and the bridges."""
         succ: dict[Literal, list[Literal]] = {}
@@ -136,15 +137,15 @@ class PrioritizedDatabase(Frozen):
         self.__dict__.update(db=db, schema=schema, constraints=constraints, priority=priority,
                              budget=budget)
 
-    @cached_property
+    @cached
     def instance(self) -> Instance:
         return Instance(self.db, self.schema, self.constraints)
 
-    @cached_property
+    @cached
     def _conflict_masks(self) -> ConflictMasks:
         return ConflictMasks(self.instance, self.budget)
 
-    @cached_property
+    @cached
     def _masks(self) -> MaskContext:
         return MaskContext(self._conflict_masks, self.priority.edges)
 

@@ -165,3 +165,18 @@ def test_no_module_imports_dataclasses_or_inspect():
         if {"dataclasses", "inspect"} & _top_level(node)
     ]
     assert found == []
+
+
+def test_no_module_uses_functools_cached_property():
+    """Cached values go through ``model.cached``, which writes the instance
+    dict without the class-wide lock that ``functools.cached_property``
+    takes before Python 3.12."""
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and "cached_property" in [a.name for a in node.names]
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+    ]
+    assert found == []

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import atom, example6_rules, example7_rules, fact, lit, neg
-from corpus import random_instance, random_rule_instance
+from corpus import key_violations, random_instance, random_rule_instance
 from prioritydb.aic import (
     GroundAIC,
     PropertyReport,
@@ -29,9 +29,11 @@ from prioritydb.bridges import (
     DerivedPriority,
     EquivalenceReport,
     RoundTripReport,
+    check_translation_equivalence,
 )
 from prioritydb.conflicts import ConflictHypergraph
 from prioritydb.errors import Budget, InputError
+from prioritydb.masks import ConflictMasks
 import prioritydb
 from prioritydb.model import (
     AIC,
@@ -46,6 +48,7 @@ from prioritydb.model import (
     UpdateAtom,
     agreement,
     by_predicate,
+    cached,
     facts_universe,
     ground,
     ground_body,
@@ -63,6 +66,7 @@ from prioritydb.priorities import (
     PriorityRelation,
     ScoreStructure,
     ValidationReport,
+    optimal_repairs,
 )
 from prioritydb.query import AnswerSet, ConjunctiveQuery
 
@@ -344,15 +348,16 @@ class TestResolutions:
 
 
 def _matches_nested_loop(atoms, facts_by_predicate):
-    """Reference join: a nested loop over each atom's facts of its arity,
-    last fact first (the order in which an explicit stack pops them)."""
+    """Reference join: a nested loop over each atom's facts of its arity, in
+    list order.  ``matches`` yields its bindings in reverse, since its
+    explicit stack pops the last fact first."""
 
     def extend(depth, binding):
         if depth == len(atoms):
             yield binding
             return
         predicate, terms = atoms[depth]
-        for fact in reversed(facts_by_predicate.get(predicate, [])):
+        for fact in facts_by_predicate.get(predicate, []):
             if len(fact.args) != len(terms):
                 continue
             out = dict(binding)
@@ -396,10 +401,19 @@ class TestMatches:
     @example([("R", ("X",)), ("R", ("X", "Y")), ("p", ())], [Fact("R", ("a",)), Fact("R", ("a", "b"))])
     @example([("S", ("X", "a")), ("T", ("X",))], [Fact("S", ("b", "a"))])
     def test_same_bindings_in_the_same_order_as_a_nested_loop(self, atoms, facts):
+        """The nested loop's bindings, reversed, with or without an index."""
         indexed = by_predicate(facts)
-        found = list(matches(atoms, indexed))
-        assert [binding for binding, _ in found] == _matches_nested_loop(atoms, indexed)
-        _assert_facts_are_the_matched_ones(atoms, indexed, found)
+        for index in (None, {}):
+            found = list(matches(atoms, indexed, (), index))
+            assert [binding for binding, _ in found] == _matches_nested_loop(atoms, indexed)[::-1]
+            _assert_facts_are_the_matched_ones(atoms, indexed, found)
+
+    def test_the_last_fact_comes_first(self):
+        indexed = by_predicate([fact("P", c) for c in "abc"] + [fact("Q", c) for c in "xy"])
+        expected = [("c", "y"), ("c", "x"), ("b", "y"), ("b", "x"), ("a", "y"), ("a", "x")]
+        for index in (None, {}):
+            found = matches([("P", ("X",)), ("Q", ("Y",))], indexed, (), index)
+            assert [(b["X"], b["Y"]) for b, _ in found] == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -418,7 +432,7 @@ class TestMatches:
         indexed = by_predicate(facts)
         found = list(matches(atoms, indexed, inequalities))
         assert [binding for binding, _ in found] == [
-            b for b in _matches_nested_loop(atoms, indexed)
+            b for b in _matches_nested_loop(atoms, indexed)[::-1]
             if all(
                 b.get(l, l) != b.get(r, r)
                 for l, r in inequalities
@@ -592,6 +606,68 @@ class TestValueClasses:
                                            PriorityRelation(), pdb.budget)
         assert copy.instance is pdb.instance
         assert copy._conflict_masks is pdb._conflict_masks
+
+
+def _counted_box():
+    """A class with one ``cached`` value and the log of its computations."""
+    calls = []
+
+    class Box:
+        def __init__(self, n: int):
+            self.n = n
+
+        @cached
+        def double(self) -> list:
+            """Twice ``n``, in a fresh list."""
+            calls.append(self.n)
+            return [2 * self.n]
+
+    return Box, calls
+
+
+class TestCached:
+    """``model.cached`` computes a value on the first read of each instance
+    and keeps it in that instance's ``__dict__``, leaving the class alone."""
+
+    def test_computed_once_per_instance(self):
+        Box, calls = _counted_box()
+        one, two = Box(1), Box(2)
+        assert one.double == [2] and one.double is one.double
+        assert two.double == [4] and two.double is two.double
+        assert calls == [1, 2]
+        assert one.__dict__["double"] == [2] and two.__dict__["double"] == [4]
+        assert isinstance(Box.__dict__["double"], cached)
+
+    def test_read_on_the_class_it_is_the_descriptor_with_the_functions_doc(self):
+        Box, calls = _counted_box()
+        assert isinstance(Box.double, cached) and Box.double is Box.__dict__["double"]
+        assert Box.double.__doc__ == "Twice ``n``, in a fresh list."
+        assert Instance.conflicts.__doc__.startswith("The prime implicants of the ground bodies")
+        assert calls == []
+
+    def test_frozen_subclasses_cache_and_stay_closed_to_assignment(self, example1):
+        inst = Instance(example1.db, example1.schema, example1.constraints)
+        found = inst.conflicts
+        assert found and inst.conflicts is found and inst.__dict__["conflicts"] is found
+        for change in (lambda: setattr(inst, "conflicts", frozenset()),
+                       lambda: delattr(inst, "conflicts")):
+            with pytest.raises(AttributeError):
+                change()
+        assert inst.conflicts is found
+        again = Instance(example1.db, example1.schema, example1.constraints)
+        assert inst == again and hash(inst) == hash(again) and "conflicts" not in again.__dict__
+
+    def test_report_families_are_listed_once_per_report(self, monkeypatch):
+        pdb = key_violations(3)
+        listed = []
+        product = ConflictMasks.repair_product
+        monkeypatch.setattr(ConflictMasks, "repair_product",
+                            lambda self, *args: listed.append(args[-1]) or product(self, *args))
+        first, second = check_translation_equivalence(pdb), check_translation_equivalence(pdb)
+        assert isinstance(EquivalenceReport.pareto, cached)
+        assert first.pareto is first.pareto and second.pareto is second.pareto
+        assert first.pareto == second.pareto == optimal_repairs(pdb, "pareto")
+        assert listed.count("optimal repair product") == 3
 
 
 class TestSatisfies:

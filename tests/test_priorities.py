@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import threading
 
 import pytest
 
@@ -417,6 +418,33 @@ class TestInstanceContext:
         session()
         gc.collect()
         assert sys.getrefcount(tag) == 2
+
+    def test_threads_that_first_read_one_database_get_equal_optima(self):
+        """Cached values are written without a lock, so threads that read
+        one first at once may each compute it; every thread still gets what
+        a fresh database gives."""
+        tags = [f"k{j}" for j in range(7)]
+        make = lambda: _exclusion_pairs(tags, {tag: "PQ"[j % 2] for j, tag in enumerate(tags[:5])})
+        kinds = ("pareto", "global", "completion")
+        expected = {kind: optimal_repairs(make(), kind) for kind in kinds}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                pdb, barrier, found = make(), threading.Barrier(4), []
+
+                def first_requests() -> None:
+                    barrier.wait()
+                    found.append({kind: optimal_repairs(pdb, kind) for kind in kinds})
+
+                threads = [threading.Thread(target=first_requests) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert found == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMaskAcyclicity:

@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from conftest import atom, fact, joined_consensus
+from conftest import atom, fact, joined_consensus, lit
 from corpus import (
     conflict_components,
     key_violations,
@@ -73,6 +73,7 @@ from prioritydb.model import (
     Instance,
     UniversalConstraint,
     active_domain,
+    cached,
     is_variable,
     literal_key,
     satisfies,
@@ -92,7 +93,7 @@ from prioritydb.priorities import (
     score_structure_from_scores,
     validate_priority,
 )
-from prioritydb.masks import bits
+from prioritydb.masks import ConflictMasks, MaskContext, bits, join, unbeaten
 from prioritydb.query import ConjunctiveQuery, answers, evaluate, repairs_intersection
 from prioritydb.repairs import (
     delta_repairs,
@@ -1572,3 +1573,129 @@ def test_translation_caps_each_family_where_its_listing_does():
             assert got == _stopped_at(listed), (pdb, cap)
             stopped += got is not None
     assert stopped >= 500, stopped
+
+
+class _FirstMasks(ConflictMasks):
+    """The vertex layout as ``ConflictMasks`` first built it: the vertices
+    sorted by ``literal_key``, and each vertex's witnesses sorted by their
+    members' bits.  The product of per-part choices toggles every choice's
+    facts in the database and sorts the whole databases."""
+
+    def repair_product(self, parts, choices, what):
+        self.check_product(parts, choices, what)
+        return sorted_repair_set("delta", (
+            self.instance.db ^ {self.facts[i] for i in bits(sum(pick))}
+            for pick in product(*choices)))
+
+    @cached
+    def index(self):
+        vertices = {l for c in self.instance.conflicts for l in c}
+        return {l: i for i, l in enumerate(sorted(vertices, key=literal_key))}
+
+    @cached
+    def conflicts(self):
+        return tuple(sum(1 << self.index[l] for l in c) for c in self.instance.conflicts)
+
+    @cached
+    def witnesses(self):
+        found = [[] for _ in self.index]
+        for conflict in self.conflicts:
+            for i in bits(conflict):
+                found[i].append(conflict & ~(1 << i))
+        return tuple(tuple(sorted(ws, key=lambda w: list(bits(w)))) for ws in found)
+
+
+class _FirstContext(MaskContext):
+    """``MaskContext`` as first written: a copy of the index extended by the
+    priority endpoints off the conflicts, the Pareto check with ``any`` per
+    excluded vertex, and one keep function per kind of optima."""
+
+    def __init__(self, masks, edges):
+        index = dict(masks.index)
+        for lit in sorted({l for e in edges for l in e} - index.keys(), key=literal_key):
+            index[lit] = len(index)
+        dom, beaten_by = [0] * len(index), [0] * len(index)
+        for strong, weak in edges:
+            dom[index[strong]] |= 1 << index[weak]
+            beaten_by[index[weak]] |= 1 << index[strong]
+        self.__dict__.update(masks=masks, dom=dom, beaten_by=beaten_by, _optima={})
+
+    def is_pareto_optimal(self, agree):
+        for i in bits(self.masks.full & ~agree):
+            bit = 1 << i
+            keep = (agree & ~self.dom[i]) | bit
+            if not any((w | bit) & ~keep == 0 for w in self.masks.witnesses[i]):
+                return False
+        return True
+
+    def optima(self, kind):
+        if kind not in self._optima:
+            if kind == "global":
+                keep = lambda p, excluded: unbeaten(excluded, self._improves)
+            elif kind == "completion":
+                keep = lambda p, excluded: tuple(
+                    t for t in excluded if self._replays(self.part_nodes[p], t))
+            else:
+                full = self.masks.full
+                keep = lambda p, excluded: tuple(
+                    t for t in excluded if self.is_pareto_optimal(full & ~t))
+            self._optima[kind] = tuple(
+                keep(p, excluded) for p, (_, excluded) in enumerate(self.parts))
+        return self._optima[kind]
+
+
+def _exclusion_pdbs():
+    """Exclusion pairs P(a_j), Q(a_j) on 1 to 8 tags, all but two oriented,
+    alternately either way."""
+    out = []
+    for n in range(1, 9):
+        inst = _exclusion_pairs(n)
+        edges = [(lit(s, f"a{j}"), lit(w, f"a{j}"))
+                 for j, (s, w) in zip(range(n - 2), ["PQ", "QP"] * n)]
+        out.append(PrioritizedDatabase(inst.db, inst.schema, inst.constraints,
+                                       PriorityRelation.of(edges)))
+    return out
+
+
+def test_oracle_conflict_vertex_layout_on_the_corpora():
+    """``ConflictMasks`` puts the vertices in ``literal_key`` order, each
+    conflict on the bits of its members and each vertex's witnesses, in any
+    order, on the conflicts holding it, and its components are those of
+    ``join``.  The parts, every kind of optima, the optimal repairs and the
+    delta repairs equal those of the layout, the mask context and the
+    product as first written."""
+    corpora = {
+        "prioritized": [p for _, prio, total, _ in pdb_corpus() for p in (prio, total)],
+        "key": [key_violations(n) for n in range(1, 7)],
+        "rook": [rook(m) for m in range(1, 5)],
+        "exclusion pairs": _exclusion_pdbs(),
+        "cyclic": cyclic_corpus(),
+        "off the conflicts": off_conflict_corpus(),
+    }
+    negative = 0
+    for name, pdbs in corpora.items():
+        for pdb in pdbs:
+            masks, first = pdb._conflict_masks, _FirstMasks(pdb.instance, pdb.budget)
+            index, conflicts = masks.index, pdb.instance.conflicts
+            assert list(index) == sorted(set().union(*conflicts), key=literal_key), (name, pdb)
+            assert list(index.values()) == list(range(len(index)))
+            assert len(masks.conflicts) == len(conflicts)
+            members = [frozenset(l for l in index if c >> index[l] & 1) for c in masks.conflicts]
+            assert members == list(conflicts), (name, pdb)
+            for i, ws in enumerate(masks.witnesses):
+                expected = [c & ~(1 << i) for c in masks.conflicts if c >> i & 1]
+                assert len(ws) == len(expected) and set(ws) == set(expected), (name, pdb, i)
+            components = join(masks.conflicts)
+            assert masks._owner == {i: comp for comp in components for i in bits(comp)}
+            assert sorted(set(masks._owner.values())) == [comp for comp in components if comp]
+            assert masks.index == first.index and masks.parts == first.parts, (name, pdb)
+            ctx, first_ctx = pdb._masks, _FirstContext(first, pdb.priority.edges)
+            assert (ctx.dom, ctx.beaten_by, ctx.parts) == (first_ctx.dom, first_ctx.beaten_by,
+                                                           first_ctx.parts), (name, pdb)
+            for kind in ("pareto", "global", "completion"):
+                assert ctx.optima(kind) == first_ctx.optima(kind), (name, kind, pdb)
+                assert optimal_repairs(pdb, kind) == first.repair_product(
+                    first_ctx.parts, first_ctx.optima(kind), "optimal repair product"), (name, pdb)
+            assert masks.repairs == first.repairs, (name, pdb)
+            negative += any(not l.positive for l in index)
+    assert negative >= 50, negative
