@@ -2,16 +2,17 @@
 databases under universal constraints, with the full active-integrity-rule
 r-update taxonomy and translations between the two frameworks.
 
-The prioritized-database side loads with the package.  The rule side,
-``aic`` and ``bridges``, runs on first use.  Both submodules are in
-``sys.modules`` and bound here from the start, but a module's code runs only
-at the first lookup of one of its attributes, and the rule-side names
-resolve through the module ``__getattr__`` (PEP 562).  So ``import
-prioritydb`` and a run that never touches active rules compile neither.  The
-rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``) is defined in
-``model`` and loads with it.  The value classes are named tuples or
-``model.Frozen`` subclasses, so no module imports ``dataclasses``, which
-would bring ``inspect`` with it.
+The prioritized-database side loads with the package.  Three submodules run
+on first use: the rule side, ``aic`` and ``bridges``, and ``oracles``, the
+definition-direct reference paths that the tests hold the production code
+to.  They are in ``sys.modules`` and bound here from the start, but a
+module's code runs only at the first lookup of one of its attributes, and
+their names resolve through the module ``__getattr__`` (PEP 562).  So
+``import prioritydb`` and a run that never touches active rules compile none
+of them, and no production path runs an oracle.  The rule syntax (``AIC``,
+``UpdateAtom``, ``UpdateAction``) is defined in ``model`` and loads with it.
+The value classes are named tuples or ``model.Frozen`` subclasses, so no
+module imports ``dataclasses``, which would bring ``inspect`` with it.
 """
 
 from _thread import RLock as _RLock  # threading.RLock, without importing threading
@@ -25,10 +26,8 @@ from .conflicts import (
     ConflictHypergraph,
     conflict_hypergraph,
     conflicts,
-    conflicts_via_hitting_sets,
     is_conflict,
     max_conflict_size,
-    minimal_hitting_sets,
     prime_implicants,
 )
 from .errors import Budget, BudgetExceededError, InputError, ParseError
@@ -54,13 +53,8 @@ from .priorities import (
     PrioritizedDatabase,
     PriorityRelation,
     ScoreStructure,
-    completion_optimal_repairs_bruteforce,
-    completions,
     detect_score_structure,
-    greedy_optimal_repair,
-    is_global_improvement,
     is_optimal_repair,
-    is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
     score_structure_from_scores,
@@ -70,7 +64,6 @@ from .query import AnswerSet, ConjunctiveQuery, answers, evaluate, repairs_inter
 from .repairs import (
     RepairSet,
     delta_repairs,
-    delta_repairs_bruteforce,
     is_delta_repair,
     subset_repairs,
     superset_repairs,
@@ -113,10 +106,11 @@ def _on_first_use(name: str) -> _ModuleType:
 
 aic = _on_first_use("aic")
 bridges = _on_first_use("bridges")
+oracles = _on_first_use("oracles")
 
-# The rule-side names by the module that defines them.  The first lookup of
-# a name runs the module.
-_RULE_SIDE = {
+# The names of the modules that run on first use, by the module that defines
+# them.  The first lookup of a name runs the module.
+_ON_FIRST_USE = {
     "aic": (
         "GroundAIC",
         "PropertyReport",
@@ -126,11 +120,6 @@ _RULE_SIDE = {
         "check_properties",
         "classify_r_updates",
         "ground_rules",
-        "is_founded",
-        "is_grounded",
-        "is_grounded_via_pruned_rules",
-        "is_justified",
-        "is_well_founded",
         "normalize",
         "r_updates",
         "repairs_of_kind",
@@ -145,10 +134,27 @@ _RULE_SIDE = {
         "rules_to_priority",
         "stored_priority_rules",
     ),
+    "oracles": (
+        "completion_optimal_repairs_bruteforce",
+        "completions",
+        "conflicts_via_hitting_sets",
+        "delta_repairs_bruteforce",
+        "greedy_optimal_repair",
+        "is_founded",
+        "is_global_improvement",
+        "is_grounded",
+        "is_grounded_via_pruned_rules",
+        "is_justified",
+        "is_pareto_improvement",
+        "is_well_founded",
+        "minimal_hitting_sets",
+    ),
 }
-_DEFINED_IN = {name: module for module, names in _RULE_SIDE.items() for name in names}
+_DEFINED_IN = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
 
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | _DEFINED_IN.keys())
+# The oracles are public by name; the module itself stays out of a star import.
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"oracles"}
+                 | _DEFINED_IN.keys())
 
 
 def __getattr__(name: str):

@@ -14,13 +14,21 @@ A ``RuleContext`` holds the rules on one database, as a
 ``r_update_table``, ``classify_r_updates``, ``repairs_of_kind`` and
 ``check_properties`` take it, and it grounds the rules and classifies them
 at most once.  ``classify_components`` maps the ground rules to
-``masks.rule_rows`` once and runs ``masks.RuleMasks.classify`` once per
-restriction of each group of conflict components that the rules join; the
-r-update tables and classes are products of those rows' flag bits, and an
-``RUpdate`` is built only for an action set returned.  ``is_founded``, ``is_well_founded``, ``is_grounded`` and
-``is_justified`` follow the definitions on frozensets; they are the reference
-the classifier is tested against, and ``classify_updates`` over ``r_updates``
-the whole-instance one.
+``rule_rows`` once and runs ``RuleMasks.classify`` once per restriction of
+each group of conflict components that the rules join; the r-update tables
+and classes are products of those rows' flag bits, and an ``RUpdate`` is
+built only for an action set returned.
+
+The rule side's integer layer is defined here.  A ground active rule is a
+``(pos, neg, add, rem)`` row of the fact masks of its positive and negative
+body literals and of the facts it adds and removes (``rule_rows``).  An
+update is the pair ``(added, removed)`` of fact masks, so the restriction
+that excludes the conflict vertices of ``t`` is the update ``(t & absent,
+t & ~absent)``.  ``RuleMasks.classify`` returns an update's support classes
+as flag bits, bit ``k`` for ``R_UPDATE_CLASSES[k]``.  The frozenset
+definitions the classifier is tested against (``is_founded`` and the others)
+are in ``oracles``; ``classify_updates`` over ``r_updates`` is the
+whole-instance reference.
 
 The rule syntax (``AIC``, ``UpdateAtom``, ``UpdateAction``, ``action_key``)
 is defined in ``model`` and re-exported here.  The package runs this module
@@ -31,9 +39,9 @@ compiles them.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
+from .errors import DEFAULT_BUDGET, Budget, InputError
 from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateAction, action_key
     AIC,
     Constant,
@@ -52,7 +60,7 @@ from .model import (  # re-exports the rule syntax: AIC, UpdateAtom, UpdateActio
     resolutions,
     violates_ground,
 )
-from .masks import R_UPDATE_CLASSES, ConflictMasks, RuleMasks, bits, rule_rows
+from .masks import R_UPDATE_CLASSES, ConflictMasks, bits
 from .priorities import PrioritizedDatabase
 from .repairs import RepairSet, is_delta_repair_of
 
@@ -150,7 +158,7 @@ class RuleContext(Frozen):
 
     @cached
     def rows(self) -> list[tuple[int, list[tuple[int, int]]]]:
-        return classify_components(self.pdb._conflict_masks, self.ground)
+        return classify_components(self.pdb.conflict_masks, self.ground)
 
 
 def r_updates(ctx: RuleContext) -> frozenset[frozenset[UpdateAction]]:
@@ -172,57 +180,6 @@ def is_r_update(ctx: RuleContext, actions: frozenset[UpdateAction]) -> bool:
     return all(map(inst.in_universe, updated)) and is_delta_repair_of(inst, updated)
 
 
-def satisfies_rules(db: Database, ground: Iterable[GroundAIC]) -> bool:
-    return not any(rule.violated_by(db) for rule in ground)
-
-
-def is_founded(
-    actions: frozenset[UpdateAction],
-    db: Database,
-    ground: frozenset[GroundAIC],
-) -> bool:
-    """Every action appears in some rule that the update would violate if just
-    that action were dropped."""
-    for action in actions:
-        relaxed = apply_actions(db, actions - {action})
-        if not any(
-            action in rule.updates and rule.violated_by(relaxed) for rule in ground
-        ):
-            return False
-    return True
-
-
-def is_well_founded(
-    actions: frozenset[UpdateAction],
-    db: Database,
-    ground: frozenset[GroundAIC],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Some ordering applies each action while its rule is still violated.
-
-    Whether an action can fire depends only on the set already applied, so the
-    search memoizes on that set.
-    """
-    budget.check_universe(len(actions), "action set")
-    seen: set[frozenset[UpdateAction]] = set()
-    firing = {a: [r for r in ground if a in r.updates] for a in actions}
-
-    def reachable(applied: frozenset[UpdateAction]) -> bool:
-        if applied == actions:
-            return True
-        if applied in seen:
-            return False
-        seen.add(applied)
-        state = apply_actions(db, applied)
-        for action in sorted(actions - applied, key=action_key):
-            if any(rule.violated_by(state) for rule in firing[action]):
-                if reachable(applied | {action}):
-                    return True
-        return False
-
-    return reachable(frozenset())
-
-
 def normalize(rules: Sequence[AIC]) -> tuple[AIC, ...]:
     """Split each rule into one rule per update action."""
     out = []
@@ -230,15 +187,6 @@ def normalize(rules: Sequence[AIC]) -> tuple[AIC, ...]:
         for update in rule.updates:
             out.append(AIC(rule.body, rule.inequalities, (update,)))
     return tuple(dict.fromkeys(out))
-
-
-def normalize_ground(ground: Iterable[GroundAIC]) -> frozenset[GroundAIC]:
-    """Split each ground rule into one rule per update action."""
-    return frozenset(
-        GroundAIC(rule.lits, frozenset({action}))
-        for rule in ground
-        for action in rule.updates
-    )
 
 
 def anti_normalize_ground(ground: Iterable[GroundAIC]) -> frozenset[GroundAIC]:
@@ -259,98 +207,6 @@ def minimal_bodies_ground(ground: Iterable[GroundAIC]) -> frozenset[GroundAIC]:
         for rule in merged
         if not any(other.lits < rule.lits for other in merged)
     )
-
-
-def restrict_rules_to_actions(
-    ground: Iterable[GroundAIC], actions: frozenset[UpdateAction]
-) -> frozenset[GroundAIC]:
-    """Drop update actions outside the given set, and rules left with none."""
-    out = set()
-    for rule in ground:
-        kept = rule.updates & actions
-        if kept:
-            out.add(GroundAIC(rule.lits, kept))
-    return frozenset(out)
-
-
-def is_grounded(
-    actions: frozenset[UpdateAction],
-    db: Database,
-    ground: frozenset[GroundAIC],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Definition-direct check over the normalized rules: every proper subset
-    leaves some rule violated whose action lies in the remaining actions."""
-    normalized = [r for r in normalize_ground(ground) if r.updates <= actions]
-    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
-        if subset == actions:
-            continue
-        state = apply_actions(db, subset)
-        if not any(
-            not rule.updates & subset and rule.violated_by(state)
-            for rule in normalized
-        ):
-            return False
-    return True
-
-
-def is_grounded_via_pruned_rules(
-    actions: frozenset[UpdateAction],
-    db: Database,
-    ground: frozenset[GroundAIC],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Oracle path: an r-update is grounded exactly when it stays minimal for
-    the rule set pruned to its own actions."""
-    pruned = restrict_rules_to_actions(ground, actions)
-    if not satisfies_rules(apply_actions(db, actions), pruned):
-        return False
-    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
-        if subset == actions:
-            continue
-        if satisfies_rules(apply_actions(db, subset), pruned):
-            return False
-    return True
-
-
-def no_effect_actions(
-    db: Database, updated: Database, universe: frozenset[Fact]
-) -> frozenset[UpdateAction]:
-    """Actions that re-assert the status quo: keep facts surviving the update,
-    keep out universe facts that were and remain absent."""
-    return frozenset(
-        {UpdateAction(True, f) for f in db & updated}
-        | {UpdateAction(False, f) for f in universe - (db | updated)}
-    )
-
-
-def _closed_under(
-    actions: frozenset[UpdateAction], ground: Iterable[GroundAIC]
-) -> bool:
-    """Closed action sets honor every rule whose non-updatable literals they
-    assert: they must then contain one of the rule's update actions."""
-    return all(rule.updates & actions or not rule.asserters <= actions for rule in ground)
-
-
-def is_justified(
-    actions: frozenset[UpdateAction],
-    db: Database,
-    ground: frozenset[GroundAIC],
-    universe: frozenset[Fact],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """The actions plus all no-effect actions form a minimal closed set
-    containing the no-effect actions."""
-    updated = apply_actions(db, actions)
-    idle = no_effect_actions(db, updated, universe)
-    if not _closed_under(idle | actions, ground):
-        return False
-    for subset in subsets(sorted(actions, key=action_key), budget, "action set"):
-        if subset == actions:
-            continue
-        if _closed_under(idle | subset, ground):
-            return False
-    return True
 
 
 class RUpdate(NamedTuple):
@@ -389,7 +245,7 @@ def r_update_table(
     Vertex facts are distinct, so ``action_key`` order is fact order
     and sorting the position lists sorts the updates.  The budget caps the
     whole conflict literal set, since every r-update is listed."""
-    masks = ctx.pdb._conflict_masks
+    masks = ctx.pdb.conflict_masks
     ctx.budget.check_universe(len(masks.index), "conflict literal set")
     facts = masks.facts
     order = sorted(range(len(facts)), key=facts.__getitem__)
@@ -400,6 +256,140 @@ def r_update_table(
         table = [(ranks + more, flags & mine) for ranks, flags in table for more, mine in entries]
     actions = tuple(UpdateAction(facts[i] not in ctx.db, facts[i]) for i in order)
     return actions, sorted([(tuple(sorted(ranks)), flags) for ranks, flags in table])
+
+
+def consistent_mask(mask: int, bodies) -> bool:
+    """No ``(pos, neg)`` body is matched by ``mask``: none has every fact of
+    ``pos`` in ``mask`` and every fact of ``neg`` outside it."""
+    return not any((mask & pos) == pos and (mask & neg) == 0 for pos, neg in bodies)
+
+
+def _proper_submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        yield sub
+
+
+def _reaches(update: int, ready: Callable[[int], int]) -> bool:
+    """Some order applies every action of ``update`` while it is ready: a
+    depth-first search over the applied submasks, each visited once."""
+    seen, stack = {0}, [0]
+    while stack:
+        sub = stack.pop()
+        if sub == update:
+            return True
+        fresh = ready(sub)
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            if sub | bit not in seen:
+                seen.add(sub | bit)
+                stack.append(sub | bit)
+    return False
+
+
+def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
+              ) -> tuple[dict[Fact, int], list[tuple[int, int, int, int]], int]:
+    """The bit of each fact that the ground rules (``lits``, ``updates`` with
+    ``add`` and ``fact``) mention, their rows over those bits, and the mask of
+    the mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0``
+    to ``len(known) - 1``, keep theirs; the others take the next bits in
+    fact order."""
+    ground = list(ground)
+    mentioned = {l.fact for rule in ground for l in rule.lits}
+    mentioned |= {a.fact for rule in ground for a in rule.updates}
+    bit = {f: known[f] for f in mentioned if f in known}
+    fresh = sorted(mentioned - bit.keys())
+    bit.update((f, 1 << (len(known) + k)) for k, f in enumerate(fresh))
+    rows = [
+        (sum(bit[l.fact] for l in rule.lits if l.positive),
+         sum(bit[l.fact] for l in rule.lits if not l.positive),
+         sum(bit[a.fact] for a in rule.updates if a.add),
+         sum(bit[a.fact] for a in rule.updates if not a.add)) for rule in ground]
+    return bit, rows, sum(b for f, b in bit.items() if f in db)
+
+
+class RuleMasks:
+    """Ground rules as ``(pos, neg, add, rem)`` rows of fact masks (see
+    ``rule_rows``) on a database mask.  A consistent update has one action
+    per fact, so its subsets are the submasks of ``added | removed``.  Only
+    mentioned facts decide a rule's violation or closure, so the no-effect
+    actions of the justified check range over them alone."""
+
+    def __init__(self, rows: Iterable[tuple[int, int, int, int]], db: int):
+        # (pos, neg) bodies of the rules offering each action, by (add, bit)
+        self.firing = {}
+        # per rule: its update actions, then its asserters, as (added, removed)
+        self.closure = []
+        self.mentioned = 0
+        for pos, neg, add, rem in rows:
+            self.mentioned |= pos | neg | add | rem
+            for adds, acts in ((True, add), (False, rem)):
+                for i in bits(acts):
+                    self.firing.setdefault((adds, 1 << i), []).append((pos, neg))
+            self.closure.append((add, rem, pos & ~rem, neg & ~add))
+        self.db = db & self.mentioned
+
+    def classify(self, added: int, removed: int) -> int:
+        """The support classes of the update that adds the facts of ``added``
+        and removes those of ``removed`` (disjoint masks), as flag bits."""
+        moves = [(1 << i, self.firing.get((True, 1 << i))) for i in bits(added)]
+        moves += [(1 << i, self.firing.get((False, 1 << i))) for i in bits(removed)]
+        if not all(bodies for _, bodies in moves):
+            # an action that no rule offers is never ready, and dropping it
+            # keeps a closed set closed: all four checks fail
+            return 0
+        update = added | removed
+
+        def state(sub: int) -> int:
+            return (self.db & ~(sub & removed)) | (sub & added)
+
+        def ready(sub: int) -> int:
+            """The actions outside ``sub`` that a rule offers which the
+            result of applying ``sub`` violates."""
+            now = state(sub)
+            out = 0
+            for bit, bodies in moves:
+                if not sub & bit and not consistent_mask(now, bodies):
+                    out |= bit
+            return out
+
+        # dropping an action from the update leaves a proper subset, and a
+        # path of proper subsets with a ready action each reaches the update:
+        # a grounded update is founded and well-founded
+        grounded = all(map(ready, _proper_submasks(update)))
+        founded = grounded or all(ready(update & ~bit) for bit, _ in moves)
+        well_founded = grounded or _reaches(update, ready)
+        justified = self._justified(added, removed, state(update))
+        return founded | well_founded << 1 | grounded << 2 | justified << 3
+
+    def _justified(self, added: int, removed: int, updated: int) -> bool:
+        idle_add = self.db & updated
+        idle_rem = self.mentioned & ~(self.db | updated)
+
+        def closed(sub: int) -> bool:
+            on_add = idle_add | (sub & added)
+            on_rem = idle_rem | (sub & removed)
+            return all(add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
+                       for add, rem, ast_add, ast_rem in self.closure)
+
+        update = added | removed
+        return closed(update) and not any(map(closed, _proper_submasks(update)))
+
+
+def classify_rows(masks: ConflictMasks, rows: Sequence[tuple[int, int, int, int]], db: int
+                  ) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Per group of the conflict components of ``masks`` that the rule rows
+    on the database mask ``db`` join through the vertices they meet, its
+    vertex mask and each excluded mask ``t`` with the flags of the update
+    ``(t & absent, t & ~absent)`` under the group's rows."""
+    touched = [masks.full & (pos | neg | add | rem) for pos, neg, add, rem in rows]
+    absent, out = masks.absent, []
+    for group, excluded in masks.joined(mask for mask in touched if mask):
+        rules = RuleMasks([row for row, mask in zip(rows, touched) if mask & group], db)
+        out.append((group, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded]))
+    return out
 
 
 def classify_components(
@@ -414,7 +404,7 @@ def classify_components(
     closed, and an update's flags are the AND of its restrictions'.  The
     budget caps each group's vertices; a caller that lists every r-update
     caps the whole conflict literal set itself."""
-    return masks.classified(*rule_rows(ground, masks.fact_bits, masks.instance.db)[1:])
+    return classify_rows(masks, *rule_rows(ground, masks.fact_bits, masks.instance.db)[1:])
 
 
 def classify_updates(
@@ -426,8 +416,9 @@ def classify_updates(
     """The support properties of the given consistent action sets on ``db``
     under the ground rules, whose facts lie in the fact universe.
 
-    Agrees with ``is_founded``, ``is_well_founded``, ``is_grounded`` and
-    ``is_justified`` (over that universe), but runs ``RuleMasks.classify``.
+    Agrees with the oracles ``is_founded``, ``is_well_founded``,
+    ``is_grounded`` and ``is_justified`` (over that universe), but runs
+    ``RuleMasks.classify``.
     """
     bit, rows, db_mask = rule_rows(ground, {}, db)
     rules = RuleMasks(rows, db_mask)
@@ -468,7 +459,7 @@ def repairs_of_kind(ctx: RuleContext, kind: str) -> RepairSet:
     the product of ``class_choices`` (``ConflictMasks.repair_product``); an
     unknown property raises before anything is computed."""
     _class_flag(kind)
-    return ctx.pdb._conflict_masks.repair_product(ctx.rows, class_choices(ctx.rows, kind),
+    return ctx.pdb.conflict_masks.repair_product(ctx.rows, class_choices(ctx.rows, kind),
                                                   "r-update class product")
 
 

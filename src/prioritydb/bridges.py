@@ -24,6 +24,7 @@ from .aic import (
     RuleContext,
     check_properties,
     class_choices,
+    classify_rows,
     minimal_bodies_ground,
     repair_action_for,
 )
@@ -145,15 +146,27 @@ def check_denial_image(
     )
 
 
+def _translated_rows(ctx: MaskContext) -> list[tuple[int, int, int, int]]:
+    """The ground rules the priority translates to, as rule rows over the
+    vertex bits, by their members' bits: each conflict's rule repairs the
+    members that outrank no other member."""
+    absent, dom = ctx.masks.absent, ctx.dom
+    out = []
+    for c in sorted(ctx.masks.conflicts, key=lambda c: list(bits(c))):
+        acts = sum(1 << i for i in bits(c) if not dom[i] & c & ~(1 << i))
+        out.append((c & ~absent, c & absent, acts & absent, acts & ~absent))
+    return out
+
+
 def priority_to_rules(pdb: PrioritizedDatabase) -> tuple[GroundAIC, ...]:
     """One ground rule per conflict, repairing exactly the literals that do not
-    outrank any other member of that conflict: ``MaskContext.rule_rows`` on
-    the conflict literals."""
-    vertices = tuple(pdb._conflict_masks.index)
+    outrank any other member of that conflict: ``_translated_rows`` on the
+    conflict literals."""
+    vertices = tuple(pdb.conflict_masks.index)
     return tuple(
         GroundAIC(frozenset(vertices[i] for i in bits(pos | neg)),
                   frozenset(repair_action_for(vertices[i]) for i in bits(add | rem)))
-        for pos, neg, add, rem in pdb._masks.rule_rows
+        for pos, neg, add, rem in _translated_rows(pdb.mask_context)
     )
 
 
@@ -249,9 +262,9 @@ def check_translation_equivalence(pdb: PrioritizedDatabase) -> EquivalenceReport
     Their bodies are exactly the conflicts, so no two of them clash, their
     r-updates are the updates to the pdb's own delta repairs, and each rule
     lies in one conflict component."""
-    ctx = pdb._masks
+    ctx = pdb.mask_context
     masks = ctx.masks
-    rows = masks.classified(ctx.rule_rows, masks.full & ~masks.absent)
+    rows = classify_rows(masks, _translated_rows(ctx), masks.full & ~masks.absent)
     return _compared(ctx, rows, ("founded", "grounded", "justified", "well_founded"))
 
 
@@ -502,7 +515,10 @@ class RoundTripReport(NamedTuple):
             "pareto", "founded", "grounded", "justified")
 
     def founded_within_pareto(self) -> bool:
-        return self.applicable and self.equivalence.within("founded", "pareto")
+        """Every founded repair is Pareto-optimal, whether or not
+        ``applicable`` says that Proposition 10 promises it.  False under a
+        cyclic derived priority, which leaves no Pareto family."""
+        return self.equivalence is not None and self.equivalence.within("founded", "pareto")
 
     def strictness_witnesses(self) -> tuple[Database, ...]:
         if not self.applicable or self.equivalence.within("pareto", "founded"):
@@ -518,7 +534,7 @@ def check_roundtrip(ctx: RuleContext) -> RoundTripReport:
     pdb = ctx.pdb.with_priority(derived.priority)
     return RoundTripReport(
         applicable=not derived.property_warnings,
-        equivalence=_compared(pdb._masks, ctx.rows, ("founded", "grounded", "justified")),
+        equivalence=_compared(pdb.mask_context, ctx.rows, ("founded", "grounded", "justified")),
         binary_conflicts=all(len(e) <= 2 for e in pdb.conflicts()),
         cycle=None,
         warnings=derived.property_warnings,

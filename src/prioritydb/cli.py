@@ -137,6 +137,7 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# The --opt spellings of every command that takes one; optimal also takes lex.
 OPTIMALITY = {"s": "none", "p": "pareto", "g": "global", "c": "completion",
               "none": "none", "pareto": "pareto", "global": "global",
               "completion": "completion"}
@@ -196,10 +197,11 @@ def cmd_check_repair(ws: Workspace, args) -> int:
     candidate = textio.parse_database(_read(args.repair))
     if not all(map(ws.instance.in_universe, candidate)):
         raise InputError("candidate repair contains facts outside the fact universe")
-    if args.opt == "none":
+    kind = OPTIMALITY[args.opt]
+    if kind == "none":
         verdict = is_delta_repair_of(ws.instance, candidate)
     else:
-        verdict = is_optimal_repair(candidate, ws.pdb(), args.opt)
+        verdict = is_optimal_repair(candidate, ws.pdb(), kind)
     print("yes" if verdict else "no")
     return EXIT_OK if verdict else EXIT_FALSE
 
@@ -347,9 +349,10 @@ def cmd_verify(ws: Workspace, args) -> int:
             print(f"classes coincide: {'yes' if good else 'no'}")
             return EXIT_OK if good else EXIT_FALSE
         good = report.founded_within_pareto()
-        witnesses = report.strictness_witnesses()
         print(f"founded within pareto: {'yes' if good else 'no'}")
-        for witness in witnesses:
+        if not report.applicable:  # the warnings above say why
+            print("proposition 10: does not apply")
+        for witness in report.strictness_witnesses():
             print(f"pareto-only repair: {textio.format_fact_set(witness)}")
         return EXIT_OK if good else EXIT_FALSE
     raise InputError(f"unknown verification: {args.check}")
@@ -390,14 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-repair", help="check one candidate repair")
     p.add_argument("--repair", required=True, help="facts file with the candidate")
-    p.add_argument(
-        "--opt", choices=["none", "pareto", "global", "completion"], default="none"
-    )
+    p.add_argument("--opt", choices=list(OPTIMALITY), default="none")
 
     p = sub.add_parser("answer", help="answer a query under a tolerant semantics")
     p.add_argument("--query", required=True)
     p.add_argument("--sem", choices=["brave", "cqa", "int"], required=True)
-    p.add_argument("--opt", choices=["s", "p", "g", "c"], required=True)
+    p.add_argument("--opt", choices=list(OPTIMALITY), required=True)
 
     p = sub.add_parser("aic", help="active-rule commands")
     p.add_argument("action", choices=["classify", "check-update", "props"])

@@ -29,8 +29,8 @@ class Budget(NamedTuple):
 
     max_universe bounds the number of elements a subset, minimal-transversal
     or product enumeration may range over: facts, literals, actions, or the
-    undirected co-conflicting pairs whose orientations ``completions``
-    enumerates.
+    undirected co-conflicting pairs whose orientations the oracle
+    ``completions`` enumerates.
     """
 
     max_universe: int = 22

@@ -9,15 +9,11 @@ component, or a group of components that links join, with its vertex mask
 and the excluded-vertex masks of the delta repairs' restrictions to it.  A
 set of repairs is a product of per-part choices, capped by
 ``ConflictMasks.check_product`` whether it is listed
-(``ConflictMasks.repair_product``) or only counted.
+(``ConflictMasks.repair_product``) or only counted.  ``MaskContext`` decides
+the three optimality notions on these masks.
 
-A ground active rule is a ``(pos, neg, add, rem)`` row of the fact masks of
-its positive and negative body literals and of the facts it adds and
-removes (``rule_rows``; ``MaskContext.rule_rows`` for the translated
-priority).  An update is the pair ``(added, removed)`` of fact masks, so the
-restriction that excludes ``t`` is the update ``(t & absent, t & ~absent)``.
-``RuleMasks.classify`` returns an update's support classes as flag bits, bit
-``k`` for ``R_UPDATE_CLASSES[k]``.
+This is the prioritized side's integer layer alone: the rule side's rows of
+ground active rules are in ``aic``.
 """
 
 from __future__ import annotations
@@ -25,13 +21,16 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, product
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import Budget, InputError
 from .model import (
     Database, Fact, Instance, Literal, RepairSet, by_predicate, cached, literal_key,
 )
 
+# The r-update support classes by flag bit, bit ``k`` for the ``k``-th
+# (``aic.RuleMasks.classify``); here, so that ``cli`` names them without
+# running ``aic``.
 R_UPDATE_CLASSES = ("founded", "wellfounded", "grounded", "justified")
 
 
@@ -53,12 +52,6 @@ def join(links: Iterable[int]) -> list[int]:
             link |= group
         groups.append(link)
     return sorted(groups)
-
-
-def consistent_mask(mask: int, bodies) -> bool:
-    """No ``(pos, neg)`` body is matched by ``mask``: none has every fact of
-    ``pos`` in ``mask`` and every fact of ``neg`` outside it."""
-    return not any((mask & pos) == pos and (mask & neg) == 0 for pos, neg in bodies)
 
 
 def minimal_transversals(edges: Sequence[int]) -> list[int]:
@@ -242,19 +235,6 @@ class ConflictMasks:
         out.sort(key=lambda r: (len(r), sorted(r & loose)))
         return RepairSet("delta", tuple(out))
 
-    def classified(self, rows: Sequence[tuple[int, int, int, int]], db: int
-                   ) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Per group of components that the rule rows on the database mask
-        ``db`` join through the vertices they meet, its vertex mask and each
-        excluded mask ``t`` with the flags of the update ``(t & absent, t &
-        ~absent)`` under the group's rows."""
-        touched = [self.full & (pos | neg | add | rem) for pos, neg, add, rem in rows]
-        absent, out = self.absent, []
-        for group, excluded in self.joined(mask for mask in touched if mask):
-            rules = RuleMasks([row for row, mask in zip(rows, touched) if mask & group], db)
-            out.append((group, [(t, rules.classify(t & absent, t & ~absent)) for t in excluded]))
-        return out
-
 
 def unbeaten(excluded: tuple[int, ...], beats: Callable[[int, int], bool]) -> tuple[int, ...]:
     """The excluded-vertex masks of one part that no other mask of it beats;
@@ -312,18 +292,6 @@ class MaskContext:
     def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``ConflictMasks.joined`` along the priority edges."""
         return self.masks.joined(d | 1 << i for i, d in enumerate(self.dom) if d)
-
-    @cached
-    def rule_rows(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The ground rules the priority translates to, as rule rows over the
-        vertex bits, by their members' bits: each conflict's rule repairs the
-        members that outrank no other member."""
-        absent, dom = self.masks.absent, self.dom
-        out = []
-        for c in sorted(self.masks.conflicts, key=lambda c: list(bits(c))):
-            acts = sum(1 << i for i in bits(c) if not dom[i] & c & ~(1 << i))
-            out.append((c & ~absent, c & absent, acts & absent, acts & ~absent))
-        return tuple(out)
 
     @cached
     def part_of(self) -> tuple[int, ...]:
@@ -432,117 +400,3 @@ def optimality_check(kind: str) -> Callable[[MaskContext, int], bool]:
     if kind not in checks:
         raise InputError(f"unknown optimality kind: {kind}")
     return checks[kind]
-
-
-def _proper_submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        yield sub
-
-
-def _reaches(update: int, ready: Callable[[int], int]) -> bool:
-    """Some order applies every action of ``update`` while it is ready: a
-    depth-first search over the applied submasks, each visited once."""
-    seen, stack = {0}, [0]
-    while stack:
-        sub = stack.pop()
-        if sub == update:
-            return True
-        fresh = ready(sub)
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            if sub | bit not in seen:
-                seen.add(sub | bit)
-                stack.append(sub | bit)
-    return False
-
-
-def rule_rows(ground: Iterable, known: Mapping[Fact, int], db: Database
-              ) -> tuple[dict[Fact, int], list[tuple[int, int, int, int]], int]:
-    """The bit of each fact that the ground rules (``lits``, ``updates`` with
-    ``add`` and ``fact``) mention, their rows over those bits, and the mask of
-    the mentioned facts of ``db``.  Facts in ``known``, the masks of bits ``0``
-    to ``len(known) - 1``, keep theirs; the others take the next bits in
-    fact order."""
-    ground = list(ground)
-    mentioned = {l.fact for rule in ground for l in rule.lits}
-    mentioned |= {a.fact for rule in ground for a in rule.updates}
-    bit = {f: known[f] for f in mentioned if f in known}
-    fresh = sorted(mentioned - bit.keys())
-    bit.update((f, 1 << (len(known) + k)) for k, f in enumerate(fresh))
-    rows = [
-        (sum(bit[l.fact] for l in rule.lits if l.positive),
-         sum(bit[l.fact] for l in rule.lits if not l.positive),
-         sum(bit[a.fact] for a in rule.updates if a.add),
-         sum(bit[a.fact] for a in rule.updates if not a.add)) for rule in ground]
-    return bit, rows, sum(b for f, b in bit.items() if f in db)
-
-
-class RuleMasks:
-    """Ground rules as ``(pos, neg, add, rem)`` rows of fact masks (see
-    ``rule_rows``) on a database mask.  A consistent update has one action
-    per fact, so its subsets are the submasks of ``added | removed``.  Only
-    mentioned facts decide a rule's violation or closure, so the no-effect
-    actions of the justified check range over them alone."""
-
-    def __init__(self, rows: Iterable[tuple[int, int, int, int]], db: int):
-        # (pos, neg) bodies of the rules offering each action, by (add, bit)
-        self.firing = {}
-        # per rule: its update actions, then its asserters, as (added, removed)
-        self.closure = []
-        self.mentioned = 0
-        for pos, neg, add, rem in rows:
-            self.mentioned |= pos | neg | add | rem
-            for adds, acts in ((True, add), (False, rem)):
-                for i in bits(acts):
-                    self.firing.setdefault((adds, 1 << i), []).append((pos, neg))
-            self.closure.append((add, rem, pos & ~rem, neg & ~add))
-        self.db = db & self.mentioned
-
-    def classify(self, added: int, removed: int) -> int:
-        """The support classes of the update that adds the facts of ``added``
-        and removes those of ``removed`` (disjoint masks), as flag bits."""
-        moves = [(1 << i, self.firing.get((True, 1 << i))) for i in bits(added)]
-        moves += [(1 << i, self.firing.get((False, 1 << i))) for i in bits(removed)]
-        if not all(bodies for _, bodies in moves):
-            # an action that no rule offers is never ready, and dropping it
-            # keeps a closed set closed: all four checks fail
-            return 0
-        update = added | removed
-
-        def state(sub: int) -> int:
-            return (self.db & ~(sub & removed)) | (sub & added)
-
-        def ready(sub: int) -> int:
-            """The actions outside ``sub`` that a rule offers which the
-            result of applying ``sub`` violates."""
-            now = state(sub)
-            out = 0
-            for bit, bodies in moves:
-                if not sub & bit and not consistent_mask(now, bodies):
-                    out |= bit
-            return out
-
-        # dropping an action from the update leaves a proper subset, and a
-        # path of proper subsets with a ready action each reaches the update:
-        # a grounded update is founded and well-founded
-        grounded = all(map(ready, _proper_submasks(update)))
-        founded = grounded or all(ready(update & ~bit) for bit, _ in moves)
-        well_founded = grounded or _reaches(update, ready)
-        justified = self._justified(added, removed, state(update))
-        return founded | well_founded << 1 | grounded << 2 | justified << 3
-
-    def _justified(self, added: int, removed: int, updated: int) -> bool:
-        idle_add = self.db & updated
-        idle_rem = self.mentioned & ~(self.db | updated)
-
-        def closed(sub: int) -> bool:
-            on_add = idle_add | (sub & added)
-            on_rem = idle_rem | (sub & removed)
-            return all(add & on_add or rem & on_rem or ast_add & ~on_add or ast_rem & ~on_rem
-                       for add, rem, ast_add, ast_rem in self.closure)
-
-        update = added | removed
-        return closed(update) and not any(map(closed, _proper_submasks(update)))

@@ -8,16 +8,15 @@ those optimal under some total extension of the priority.
 
 Each ``PrioritizedDatabase`` decides the notions per part on one
 ``masks.MaskContext``.  ``optimal_repairs`` and ``lexicographic_repairs`` keep
-the optimal restrictions of each part and build only their product.
-``is_pareto_improvement``, ``is_global_improvement`` and
-``completion_optimal_repairs_bruteforce`` follow the definitions on literal
-sets; the tests hold the filters to them.
+the optimal restrictions of each part and build only their product.  The
+definitions on literal sets, which the tests hold the filters to, are in
+``oracles``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .conflicts import Conflict
 from .errors import DEFAULT_BUDGET, Budget, InputError
@@ -25,7 +24,7 @@ from .masks import ConflictMasks, MaskContext, optimality_check, unbeaten
 from .model import (
     Database, Frozen, Instance, Literal, Schema, UniversalConstraint, cached, literal_key,
 )
-from .repairs import RepairSet, is_delta_repair_of, sorted_repair_set
+from .repairs import RepairSet, is_delta_repair_of
 
 Edge = tuple[Literal, Literal]
 
@@ -127,10 +126,11 @@ def validate_priority(
 
 
 class PrioritizedDatabase(Frozen):
-    """A prioritized instance.  It owns one ``Instance`` and one mask context
-    (``_masks``, see ``masks.MaskContext``), each built on first use.  A copy made
-    by ``with_priority`` shares the instance and the priority-independent
-    half of the context, delta repairs included."""
+    """A prioritized instance.  It owns one ``Instance``, its
+    ``conflict_masks`` (``masks.ConflictMasks``) and the ``mask_context`` on
+    them (``masks.MaskContext``), each built on first use.  A copy made by
+    ``with_priority`` shares the instance and the conflict masks, delta
+    repairs included."""
 
     def __init__(self, db: Database, schema: Schema, constraints: tuple[UniversalConstraint, ...],
                  priority: PriorityRelation = PriorityRelation(), budget: Budget = DEFAULT_BUDGET):
@@ -142,16 +142,16 @@ class PrioritizedDatabase(Frozen):
         return Instance(self.db, self.schema, self.constraints)
 
     @cached
-    def _conflict_masks(self) -> ConflictMasks:
+    def conflict_masks(self) -> ConflictMasks:
         return ConflictMasks(self.instance, self.budget)
 
     @cached
-    def _masks(self) -> MaskContext:
-        return MaskContext(self._conflict_masks, self.priority.edges)
+    def mask_context(self) -> MaskContext:
+        return MaskContext(self.conflict_masks, self.priority.edges)
 
     def with_priority(self, priority: PriorityRelation) -> "PrioritizedDatabase":
         copy = PrioritizedDatabase(self.db, self.schema, self.constraints, priority, self.budget)
-        copy.__dict__.update(instance=self.instance, _conflict_masks=self._conflict_masks)
+        copy.__dict__.update(instance=self.instance, conflict_masks=self.conflict_masks)
         return copy
 
     def constants(self) -> frozenset[str]:
@@ -164,7 +164,7 @@ class PrioritizedDatabase(Frozen):
         return self.instance.literals
 
     def delta_repairs(self) -> RepairSet:
-        return self._conflict_masks.repairs
+        return self.conflict_masks.repairs
 
     def agreement(self, candidate: Database) -> frozenset[Literal]:
         return self.instance.agreement(candidate)
@@ -176,108 +176,22 @@ class PrioritizedDatabase(Frozen):
         return validate_priority(self.priority, self.conflicts())
 
 
-def is_pareto_improvement(better: Database, repair: Database, pdb: PrioritizedDatabase) -> bool:
-    """True when ``better`` is consistent and one of its newly kept literals
-    outranks every literal sacrificed from ``repair``'s agreement set."""
-    if not pdb.instance.consistent(better):
-        return False
-    mine = pdb.agreement(better)
-    theirs = pdb.agreement(repair)
-    gained = mine - theirs
-    lost = theirs - mine
-    return any(all(pdb.priority.outranks(mu, lam) for lam in lost) for mu in gained)
-
-
-def is_global_improvement(better: Database, repair: Database, pdb: PrioritizedDatabase) -> bool:
-    """True when ``better`` is consistent, differs in agreement, and every
-    sacrificed literal is outranked by some newly kept one."""
-    if not pdb.instance.consistent(better):
-        return False
-    mine = pdb.agreement(better)
-    theirs = pdb.agreement(repair)
-    return mine != theirs and pdb.priority.covers(mine - theirs, theirs - mine)
-
-
 def is_optimal_repair(repair: Database, pdb: PrioritizedDatabase, kind: str) -> bool:
     """Membership check for one repair; kind is 'pareto', 'global', or
     'completion' ('none' checks plain repair membership).  An unknown kind
     raises ``InputError`` whether or not the candidate is a repair."""
     check = optimality_check(kind)
     return is_delta_repair_of(pdb.instance, repair) and check(
-        pdb._masks, pdb._conflict_masks.agreement(repair)
+        pdb.mask_context, pdb.conflict_masks.agreement(repair)
     )
 
 
 def optimal_repairs(pdb: PrioritizedDatabase, kind: str) -> RepairSet:
     """The delta repairs that are optimal of the given kind, in canonical
     order: the product of the per-part optima (``MaskContext.optima``)."""
-    ctx = pdb._masks
-    return pdb._conflict_masks.repair_product(
+    ctx = pdb.mask_context
+    return pdb.conflict_masks.repair_product(
         ctx.parts, ctx.optima(kind), "optimal repair product")
-
-
-def greedy_optimal_repair(
-    pdb: PrioritizedDatabase, tiebreak: Sequence[Literal] = ()
-) -> Database:
-    """Build a completion-optimal repair greedily: repeatedly take a literal
-    that no unconsidered literal outranks directly and keep it unless it
-    completes a conflict.  ``tiebreak`` literals are preferred, in order, over
-    the canonical order."""
-    lits = pdb.literal_universe()
-    conflict_set = pdb.conflicts()
-    rank = {lit: i for i, lit in enumerate(tiebreak)}
-
-    def sort_key(lit: Literal):
-        return (rank.get(lit, len(rank)), literal_key(lit))
-
-    pending = set(lits)
-    chosen: set[Literal] = set()
-    while pending:
-        candidates = [lit for lit in pending if not any(
-            pdb.priority.outranks(other, lit) for other in pending if other != lit)]
-        if not candidates:
-            raise InputError("priority relation is cyclic")
-        lit = min(candidates, key=sort_key)
-        pending.remove(lit)
-        if not any(e <= chosen | {lit} for e in conflict_set):
-            chosen.add(lit)
-    return pdb.restriction(frozenset(chosen))
-
-
-def completions(
-    priority: PriorityRelation,
-    conflict_set: frozenset[Conflict],
-    budget: Budget = DEFAULT_BUDGET,
-) -> Iterator[PriorityRelation]:
-    """Every acyclic orientation of the co-conflicting pairs that extends the
-    given priority."""
-    undirected = []
-    for pair in sorted(
-        co_conflicting_pairs(conflict_set),
-        key=lambda p: sorted(map(literal_key, p)),
-    ):
-        a, b = sorted(pair, key=literal_key)
-        if (a, b) in priority.edges or (b, a) in priority.edges:
-            continue
-        undirected.append((a, b))
-    budget.check_universe(len(undirected), "undirected pair set")
-    for choice in product((0, 1), repeat=len(undirected)):
-        edges = set(priority.edges)
-        for flip, (a, b) in zip(choice, undirected):
-            edges.add((b, a) if flip else (a, b))
-        candidate = PriorityRelation(frozenset(edges))
-        if candidate.is_acyclic():
-            yield candidate
-
-
-def completion_optimal_repairs_bruteforce(pdb: PrioritizedDatabase) -> RepairSet:
-    """Oracle path: a repair is completion-optimal exactly when it is the
-    single optimum under some total extension, which the greedy construction
-    produces."""
-    out = set()
-    for total in completions(pdb.priority, pdb.conflicts(), pdb.budget):
-        out.add(greedy_optimal_repair(pdb.with_priority(total)))
-    return sorted_repair_set("delta", out)
 
 
 class ScoreStructure(NamedTuple):
@@ -374,7 +288,7 @@ def lexicographic_repairs(
         structure = detect_score_structure(pdb.priority, pdb.conflicts())
     if structure is None:
         raise InputError("priority relation is not score-structured")
-    masks = pdb._conflict_masks
+    masks = pdb.conflict_masks
     index = masks.index
     levels = [sum(1 << index[l] for l in level if l in index) for level in structure.levels]
 

@@ -81,12 +81,12 @@ class AnswerSet(NamedTuple):
 
 
 def _missing(pdb: PrioritizedDatabase, optimality: str) -> Sequence[tuple[int, ...]]:
-    """Per part of ``pdb._masks``, for each optimal restriction to it, the
+    """Per part of ``pdb.mask_context``, for each optimal restriction to it, the
     mask of the vertex facts it lacks: the database facts it excludes and
     the other vertex facts, unless it adds them.  An unknown kind raises."""
-    ctx = pdb._masks
+    ctx = pdb.mask_context
     optima = ctx.optima(optimality)
-    absent = pdb._conflict_masks.absent
+    absent = pdb.conflict_masks.absent
     if not absent:  # every vertex fact is in the database, as under denials
         return optima
     return [
@@ -102,7 +102,7 @@ def repairs_intersection(pdb: PrioritizedDatabase, optimality: str) -> Database:
     missing = _missing(pdb, optimality)
     if not all(missing):
         return frozenset()
-    facts = pdb._conflict_masks.facts
+    facts = pdb.conflict_masks.facts
     gone = reduce(or_, chain(*missing), 0)
     return pdb.db.union(facts).difference([facts[i] for i in bits(gone)])
 
@@ -113,7 +113,7 @@ def _supports(
     """Per answer tuple over the pool of the database and the vertex facts,
     the vertex masks of the facts of its matches.  The pool holds every delta
     repair, which keeps the facts off the conflicts."""
-    masks = pdb._conflict_masks
+    masks = pdb.conflict_masks
     pool, fact_bits = masks.pool, masks.fact_bits
     out: dict[tuple[str, ...], list[int]] = {}
     for binding, matched in matches(_ordered(query, pool), pool):
@@ -149,7 +149,7 @@ def answers(
         always |= reduce(and_, masks)
 
     def touched(care: int) -> set[int]:
-        part_of = pdb._masks.part_of
+        part_of = pdb.mask_context.part_of
         return {part_of[i] for i in bits(care)}
 
     def holds(cares: list[int]) -> bool:
@@ -167,7 +167,7 @@ def answers(
         groups = join(reach.values())
         for group in groups:
             pdb.budget.check_universe(
-                sum(pdb._masks.parts[p][0].bit_count() for p in bits(group)),
+                sum(pdb.mask_context.parts[p][0].bit_count() for p in bits(group)),
                 "optimal repair product",
             )
         return any(

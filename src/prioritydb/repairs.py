@@ -1,13 +1,13 @@
 """Repair enumeration: symmetric-difference, subset, and superset repairs.
-Delta repairs come from ``masks.ConflictMasks``; the others and the oracle
-``delta_repairs_bruteforce`` scan subsets of the facts."""
+Delta repairs come from ``masks.ConflictMasks``; the others scan subsets of
+the facts, as the oracle ``oracles.delta_repairs_bruteforce`` does."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, InputError, subsets
-from .masks import ConflictMasks, consistent_mask
+from .masks import ConflictMasks
 from .model import (  # re-exports RepairSet and sorted_repair_set
     Database, Instance, Literal, RepairSet, Schema, UniversalConstraint,
     sorted_repair_set,
@@ -31,53 +31,6 @@ def delta_repairs_of(inst: Instance, budget: Budget = DEFAULT_BUDGET) -> RepairS
     The transversals are the products of those of the conflict components
     (``ConflictMasks.repairs``)."""
     return ConflictMasks(inst, budget).repairs
-
-
-def _as_bitmask_problem(inst: Instance):
-    universe = sorted(inst.facts)
-    index = {fact: i for i, fact in enumerate(universe)}
-    bodies = []
-    for body in inst.bodies:
-        pos = 0
-        neg = 0
-        for lit in body:
-            bit = 1 << index[lit.fact]
-            if lit.positive:
-                pos |= bit
-            else:
-                neg |= bit
-        bodies.append((pos, neg))
-    db_mask = 0
-    for fact in inst.db:
-        db_mask |= 1 << index[fact]
-    return universe, bodies, db_mask
-
-
-def delta_repairs_bruteforce(
-    db: Database,
-    schema: Schema,
-    constraints: tuple[UniversalConstraint, ...],
-    budget: Budget = DEFAULT_BUDGET,
-) -> RepairSet:
-    """Definition-direct oracle: scan every subset of the fact universe, keep
-    the consistent ones, retain those at minimal symmetric difference."""
-    universe, bodies, db_mask = _as_bitmask_problem(Instance(db, schema, tuple(constraints)))
-    budget.check_universe(len(universe))
-    minimal_diffs: list[int] = []
-    winners: list[int] = []
-    candidates = []
-    for mask in range(1 << len(universe)):
-        if consistent_mask(mask, bodies):
-            candidates.append((bin(mask ^ db_mask).count("1"), mask ^ db_mask, mask))
-    candidates.sort()
-    for _, diff, mask in candidates:
-        if not any((kept & diff) == kept for kept in minimal_diffs):
-            minimal_diffs.append(diff)
-            winners.append(mask)
-    out = []
-    for mask in winners:
-        out.append(frozenset(f for i, f in enumerate(universe) if mask & (1 << i)))
-    return sorted_repair_set("delta", out)
 
 
 def is_delta_repair(

@@ -46,8 +46,6 @@ from test_random_properties import (
 from prioritydb.aic import (
     RuleContext,
     classify_r_updates,
-    is_grounded,
-    is_grounded_via_pruned_rules,
     r_updates,
 )
 from prioritydb.bridges import (
@@ -56,22 +54,28 @@ from prioritydb.bridges import (
     check_translation_equivalence,
     rules_to_priority,
 )
-from prioritydb.conflicts import conflicts, conflicts_via_hitting_sets
+from prioritydb.conflicts import conflicts
 from prioritydb.model import satisfies
+from prioritydb.oracles import (
+    completion_optimal_repairs_bruteforce,
+    completions,
+    conflicts_via_hitting_sets,
+    delta_repairs_bruteforce,
+    is_global_improvement,
+    is_grounded,
+    is_grounded_via_pruned_rules,
+    is_pareto_improvement,
+)
 from prioritydb.priorities import (
     PriorityRelation,
     co_conflicting_pairs,
-    completion_optimal_repairs_bruteforce,
-    completions,
     detect_score_structure,
-    is_global_improvement,
-    is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
     validate_priority,
 )
 from prioritydb.query import ConjunctiveQuery, answers, repairs_intersection
-from prioritydb.repairs import delta_repairs, delta_repairs_bruteforce
+from prioritydb.repairs import delta_repairs
 
 
 def report(number: int, name: str, problems: list[str]) -> None:

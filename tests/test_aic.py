@@ -23,19 +23,21 @@ from prioritydb.aic import (
     classify_r_updates,
     classify_updates,
     ground_rules,
-    is_founded,
-    is_grounded,
-    is_grounded_via_pruned_rules,
-    is_justified,
-    is_well_founded,
     anti_normalize_ground,
     minimal_bodies_ground,
-    normalize_ground,
     r_updates,
     repairs_of_kind,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, facts_universe
+from prioritydb.oracles import (
+    is_founded,
+    is_grounded,
+    is_grounded_via_pruned_rules,
+    is_justified,
+    is_well_founded,
+    normalize_ground,
+)
 
 
 def prop_context(names, rules):

@@ -152,7 +152,7 @@ class TestTranslationEquivalence:
         report = check_translation_equivalence(pdb(8))
         families = ("pareto", "founded", "grounded", "justified", "well_founded")
         assert [report.count(f) for f in families] == [1, 1, 1, 1, 4] and report.ok()
-        assert len(pdb(8)._masks.parts) == 2
+        assert len(pdb(8).mask_context.parts) == 2
         # the well-founded product frees the two 4-literal components, not
         # the two 6-literal parts
         with pytest.raises(BudgetExceededError, match="r-update class product has 8 elements"):

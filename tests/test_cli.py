@@ -182,6 +182,68 @@ class TestCheckRepair:
         )
 
 
+EX3_FLAGS = ("--db", EX3 / "db.pdb", "--constraints", EX3 / "constraints.pdb",
+             "--priority", EX3 / "priority.pdb")
+SPELLINGS = [("s", "none"), ("p", "pareto"), ("g", "global"), ("c", "completion")]
+
+
+class TestOptSpellings:
+    """``optimal``, ``answer`` and ``check-repair`` read ``--opt`` from the
+    one table ``cli.OPTIMALITY``: a letter and the full name answer alike,
+    and only ``optimal`` also takes ``lex``."""
+
+    def test_one_table(self):
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        choices = {name: next(a.choices for a in commands[name]._actions if a.dest == "opt")
+                   for name in ("optimal", "answer", "check-repair")}
+        assert choices == {"optimal": list(cli.OPTIMALITY) + ["lex"],
+                           "answer": list(cli.OPTIMALITY),
+                           "check-repair": list(cli.OPTIMALITY)}
+        assert set(cli.OPTIMALITY) == {s for pair in SPELLINGS for s in pair}
+
+    @pytest.mark.parametrize("short, full", SPELLINGS)
+    def test_optimal(self, capsys, short, full):
+        code, out = run(capsys, *EX3_FLAGS, "optimal", "--opt", short)
+        assert code == 0 and out.endswith(f"optimal repairs ({short}): {out.count(chr(10)) - 1}\n")
+        # the count line names the spelling given
+        assert run(capsys, *EX3_FLAGS, "optimal", "--opt", full) == (
+            code, out.replace(f"({short})", f"({full})"))
+
+    @pytest.mark.parametrize("short, full", SPELLINGS)
+    @pytest.mark.parametrize("repair, verdicts", [
+        ("repair_big.pdb", {"none": 0, "pareto": 0, "global": 0, "completion": 0}),
+        ("repair_rdc.pdb", {"none": 0, "pareto": 0, "global": 0, "completion": 1}),
+    ])
+    def test_check_repair(self, capsys, short, full, repair, verdicts):
+        expected = (verdicts[full], "no\n" if verdicts[full] else "yes\n")
+        for spelling in (short, full):
+            argv = EX3_FLAGS + ("check-repair", "--repair", EX3 / repair, "--opt", spelling)
+            assert run(capsys, *argv) == expected, spelling
+
+    @pytest.mark.parametrize("short, full", SPELLINGS)
+    @pytest.mark.parametrize("sem, verdicts", [
+        ("cqa", {"none": 1, "pareto": 1, "global": 1, "completion": 1}),
+        ("brave", {"none": 0, "pareto": 0, "global": 0, "completion": 0}),
+    ])
+    def test_answer(self, capsys, short, full, sem, verdicts):
+        expected = (verdicts[full], "no\n" if verdicts[full] else "yes\n")
+        for spelling in (short, full):
+            argv = EX3_FLAGS + ("answer", "--query", EX3 / "q_a.pdb", "--sem", sem,
+                                "--opt", spelling)
+            assert run(capsys, *argv) == expected, spelling
+
+    @pytest.mark.parametrize("command", [
+        ("check-repair", "--repair", EX3 / "repair_big.pdb"),
+        ("answer", "--query", EX3 / "q_a.pdb", "--sem", "cqa"),
+    ], ids=["check-repair", "answer"])
+    def test_lex_is_for_optimal_only(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(a) for a in EX3_FLAGS + command + ("--opt", "lex")])
+        assert exit_info.value.code == 2
+        assert "argument --opt: invalid choice: 'lex'" in capsys.readouterr().err
+
+
 class TestAnswer:
     def test_brave_pareto_yes(self, capsys):
         code, out = run(
@@ -585,6 +647,33 @@ class TestVerify:
         assert code == 0
         assert "founded within pareto: yes" in out
         assert "pareto-only repair: {be, ep, ga}" in out
+
+    def test_roundtrip_outside_proposition_10_reports_the_inclusion(self, capsys, tmp_path):
+        """A rule set that is not closed under resolution is outside
+        Proposition 10, and the CLI says so apart from the inclusion, which
+        holds here: the one founded repair {al} is Pareto-optimal."""
+        db, rules = tmp_path / "db.pdb", tmp_path / "rules.pdb"
+        db.write_text("al.\nbe.\nga.\n")
+        rules.write_text("al, be -> { -be }.\nnot be, ga -> { -ga }.\n")
+        code, out = run(capsys, "--db", db, "--aics", rules, "verify", "prop10")
+        assert (code, out) == (0, (
+            "warning: rule set is not closed under resolution\n"
+            "binary conflicts: yes\npareto-optimal repairs: 2\nfounded repairs: 1\n"
+            "founded within pareto: yes\nproposition 10: does not apply\n"))
+
+    def test_roundtrip_outside_proposition_10_can_fail_the_inclusion(self, capsys, tmp_path):
+        """Outside the proposition the inclusion can fail: here 2 founded
+        repairs against 1 Pareto-optimal one (from ``rule_corpus``)."""
+        db, rules = tmp_path / "db.pdb", tmp_path / "rules.pdb"
+        db.write_text("p.\nq.\ns.\n")
+        rules.write_text("s, q, p -> { -p }.\nq, r -> { -q }.\nq, p -> { -q }.\n"
+                         "r, q, not s -> { +s, -q }.\n")
+        code, out = run(capsys, "--db", db, "--aics", rules, "verify", "prop10")
+        assert (code, out) == (1, (
+            "warning: rule set is not closed under resolution\n"
+            "warning: rule set does not preserve actions under strengthening\n"
+            "binary conflicts: yes\npareto-optimal repairs: 1\nfounded repairs: 2\n"
+            "founded within pareto: no\nproposition 10: does not apply\n"))
 
     def test_roundtrip_lists_only_the_repairs_it_prints(self, capsys, tmp_path, monkeypatch):
         # 5 independent rules, 2 of them open: 4 repairs in each class

@@ -11,14 +11,13 @@ from conftest import atom, chain_instance, example3_instance, fact, joined_conse
 from prioritydb.conflicts import (
     conflict_hypergraph,
     conflicts,
-    conflicts_via_hitting_sets,
     is_conflict,
     max_conflict_size,
-    minimal_hitting_sets,
     prime_implicants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Instance, Schema, UniversalConstraint, by_predicate, satisfies
+from prioritydb.oracles import conflicts_via_hitting_sets, minimal_hitting_sets
 
 
 def cascade_conflicts():

@@ -106,14 +106,16 @@ def test_the_rule_grounding_pool_is_the_instance_pool():
 
 
 # The modules a run on a prioritized database runs; the rule side (``aic``,
-# ``bridges``) runs on first use, deferred by the package's ``__init__``.
+# ``bridges``) and the oracles run on first use, deferred by the package's
+# ``__init__``.
 PRIORITIZED_PATH = ("cli", "textio", "query", "priorities", "repairs", "conflicts", "masks",
                     "model", "errors")
 RULE_SIDE = {"aic", "bridges"}
+ON_FIRST_USE = RULE_SIDE | {"oracles"}
 
 
 def test_the_prioritized_path_imports_no_rule_module():
-    assert set(PRIORITIZED_PATH) | RULE_SIDE | {"__init__"} == set(MODULES)
+    assert set(PRIORITIZED_PATH) | ON_FIRST_USE | {"__init__"} == set(MODULES)
     found = []
     for module in PRIORITIZED_PATH:
         for node, _ in _imports(MODULES[module]):
@@ -124,6 +126,60 @@ def test_the_prioritized_path_imports_no_rule_module():
                          for name in (imported if source == "" else [source])]
             found += [f"{module}.py:{node.lineno} imports {name}" for name in names if name in RULE_SIDE]
     assert found == []
+
+
+# The oracles, and the rule side's integer layer, with the helpers only they use.
+MOVED = {
+    "conflicts_via_hitting_sets", "minimal_hitting_sets", "delta_repairs_bruteforce",
+    "_as_bitmask_problem", "is_pareto_improvement", "is_global_improvement",
+    "greedy_optimal_repair", "completions", "completion_optimal_repairs_bruteforce",
+    "is_founded", "is_well_founded", "is_grounded", "is_grounded_via_pruned_rules",
+    "is_justified", "normalize_ground", "restrict_rules_to_actions", "satisfies_rules",
+    "no_effect_actions", "_closed_under",
+    "RuleMasks", "rule_rows", "_reaches", "_proper_submasks", "consistent_mask", "classified",
+}
+
+
+def test_the_prioritized_path_holds_no_oracle_and_no_rule_mask_code():
+    """Where the oracles and the rule side's integer code live: a module that
+    a prioritized run compiles defines none of them, at any depth, and
+    imports no module that runs on first use outside a function."""
+    hot = PRIORITIZED_PATH + ("__init__",)
+    defined = sorted(
+        f"{module}.{node.name}"
+        for module in hot
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in MOVED
+    )
+    assert defined == []
+    imported = []
+    for module in hot:
+        for node, inside in _imports(MODULES[module]):
+            if isinstance(node, ast.Import):
+                names = [a.name.partition(".")[2] for a in node.names if a.name.startswith("prioritydb")]
+            else:
+                names = [name for source, imported in _package_imports(ast.Module([node], []))
+                         for name in (imported if source == "" else [source])]
+            imported += [f"{module}.py:{node.lineno} imports {name}"
+                         for name in names if name in ON_FIRST_USE and not inside]
+    assert imported == []
+
+
+def test_the_oracles_and_the_rule_masks_live_on_the_side_that_runs_on_first_use():
+    defined = {
+        node.name: module
+        for module in ON_FIRST_USE
+        for node in MODULES[module].body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in MOVED
+    }
+    assert {name for name, module in defined.items() if module == "aic"} == {
+        "RuleMasks", "rule_rows", "_reaches", "_proper_submasks", "consistent_mask"}
+    assert MOVED - defined.keys() == {"classified"}  # aic.classify_rows, a function now
+    assert set(defined.values()) == {"aic", "oracles"}
+
+
+def test_conflicts_imports_neither_repairs_nor_masks():
+    assert {module for module, _ in _package_imports(MODULES["conflicts"])} <= {"errors", "model"}
 
 
 def test_model_alone_defines_the_rule_syntax():

@@ -605,7 +605,7 @@ class TestValueClasses:
         assert copy == PrioritizedDatabase(pdb.db, pdb.schema, pdb.constraints,
                                            PriorityRelation(), pdb.budget)
         assert copy.instance is pdb.instance
-        assert copy._conflict_masks is pdb._conflict_masks
+        assert copy.conflict_masks is pdb.conflict_masks
 
 
 def _counted_box():

@@ -17,16 +17,18 @@ from conftest import (
 from prioritydb.conflicts import conflicts
 from prioritydb.errors import Budget, BudgetExceededError, InputError
 from prioritydb.model import Schema, UniversalConstraint
+from prioritydb.oracles import (
+    completion_optimal_repairs_bruteforce,
+    completions,
+    greedy_optimal_repair,
+    is_global_improvement,
+    is_pareto_improvement,
+)
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
-    completion_optimal_repairs_bruteforce,
-    completions,
     detect_score_structure,
-    greedy_optimal_repair,
-    is_global_improvement,
     is_optimal_repair,
-    is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
     score_structure_from_scores,
@@ -455,9 +457,9 @@ class TestMaskAcyclicity:
         pdb = _exclusion_pairs(["a", "b"], {"a": "P"})
         optimal_repairs(pdb, "pareto")
         optimal_repairs(pdb, "global")
-        assert "acyclic" not in pdb._masks.__dict__
+        assert "acyclic" not in pdb.mask_context.__dict__
         optimal_repairs(pdb, "completion")
-        assert pdb._masks.acyclic
+        assert pdb.mask_context.acyclic
 
     @pytest.mark.parametrize("edges, acyclic", [
         ([(lit("P", "a"), lit("P", "a"))], False),
@@ -474,7 +476,7 @@ class TestMaskAcyclicity:
             PriorityRelation.of(edges),
         )
         assert pdb.priority.is_acyclic() == acyclic
-        assert pdb._masks.acyclic == acyclic
+        assert pdb.mask_context.acyclic == acyclic
 
 
 class TestLibraryPriorities:

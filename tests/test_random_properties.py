@@ -41,16 +41,10 @@ from prioritydb.aic import (
     classify_r_updates,
     classify_updates,
     constraints_of,
-    is_founded,
-    is_grounded,
-    is_grounded_via_pruned_rules,
-    is_justified,
     is_r_update,
-    is_well_founded,
     r_updates,
     repair_action_for,
     repairs_of_kind,
-    satisfies_rules,
 )
 from prioritydb.bridges import (
     EquivalenceReport,
@@ -63,8 +57,6 @@ from prioritydb.bridges import (
 from prioritydb.conflicts import (
     ConflictHypergraph,
     conflicts,
-    conflicts_via_hitting_sets,
-    minimal_hitting_sets,
     prime_implicants,
 )
 from prioritydb.errors import Budget, BudgetExceededError, InputError, subsets
@@ -79,15 +71,26 @@ from prioritydb.model import (
     satisfies,
     schema_from,
 )
+from prioritydb.oracles import (
+    completion_optimal_repairs_bruteforce,
+    conflicts_via_hitting_sets,
+    delta_repairs_bruteforce,
+    is_founded,
+    is_global_improvement,
+    is_grounded,
+    is_grounded_via_pruned_rules,
+    is_justified,
+    is_pareto_improvement,
+    is_well_founded,
+    minimal_hitting_sets,
+    satisfies_rules,
+)
 from prioritydb.priorities import (
     PrioritizedDatabase,
     PriorityRelation,
     co_conflicting_pairs,
-    completion_optimal_repairs_bruteforce,
     detect_score_structure,
-    is_global_improvement,
     is_optimal_repair,
-    is_pareto_improvement,
     lexicographic_repairs,
     optimal_repairs,
     score_structure_from_scores,
@@ -97,7 +100,6 @@ from prioritydb.masks import ConflictMasks, MaskContext, bits, join, unbeaten
 from prioritydb.query import ConjunctiveQuery, answers, evaluate, repairs_intersection
 from prioritydb.repairs import (
     delta_repairs,
-    delta_repairs_bruteforce,
     delta_repairs_of,
     is_delta_repair_of,
     sorted_repair_set,
@@ -295,7 +297,7 @@ def test_oracle_delta_repairs_match_the_whole_hypergraph():
     for pdb in pdbs:
         got = delta_repairs_of(pdb.instance, pdb.budget).repairs
         assert got == _delta_repairs_by_hitting_sets(pdb.instance, pdb.budget), pdb
-        several += len(pdb._conflict_masks.parts) > 1
+        several += len(pdb.conflict_masks.parts) > 1
     assert several >= 100, several
 
 
@@ -479,7 +481,7 @@ def _assert_replay_matches_certificate_search(pdb) -> int:
     """``is_completion_optimal`` (the replay over every node) and the
     per-part optima agree with the certificate search on every delta
     repair; returns how many repairs pass."""
-    ctx, masks = pdb._masks, pdb._conflict_masks
+    ctx, masks = pdb.mask_context, pdb.conflict_masks
     optima = set(optimal_repairs(pdb, "completion").repairs)
     passed = 0
     for repair in pdb.delta_repairs():
@@ -626,7 +628,7 @@ def _whole_hypergraph_filter(pdb, kind: str) -> tuple:
     repair, kept when the per-repair mask check accepts its agreement mask.
     Global compares, within each component that the conflicts and the
     priority edges join, the restrictions of every delta repair to it."""
-    masks, ctx = pdb._conflict_masks, pdb._masks
+    masks, ctx = pdb.conflict_masks, pdb.mask_context
     repairs = pdb.delta_repairs().repairs
     agreements = tuple(map(masks.agreement, repairs))
     if kind == "pareto":
@@ -677,7 +679,7 @@ def _lexicographic_whole_list(pdb, structure) -> tuple:
     delta repair, kept unless another one agrees equally down to some level
     and keeps a strict superset there.  Literals off the conflicts agree in
     every repair."""
-    masks = pdb._conflict_masks
+    masks = pdb.conflict_masks
     repairs = pdb.delta_repairs().repairs
     levels = [
         sum(1 << masks.index[l] for l in level if l in masks.index)
@@ -827,7 +829,7 @@ def _component_corpus():
 def test_oracle_parts_match_hitting_sets_per_component():
     lone = searched = 0
     for pdb in _component_corpus():
-        masks = pdb._conflict_masks
+        masks = pdb.conflict_masks
         assert masks.parts == _parts_by_hitting_sets(masks), pdb
         for comp, _ in masks.parts:
             if comp in masks.conflicts:
@@ -853,14 +855,14 @@ def _lone_conflicts_pdb(budget: Budget = Budget()) -> PrioritizedDatabase:
 
 
 def test_lone_conflicts_in_closed_form_keep_the_budget():
-    masks = _lone_conflicts_pdb()._conflict_masks
+    masks = _lone_conflicts_pdb().conflict_masks
     assert sorted(map(len, _lone_conflicts_pdb().conflicts())) == [1, 2, 2, 2, 5]
     assert masks.parts == _parts_by_hitting_sets(masks)
     assert sorted(len(ts) for _, ts in masks.parts) == [1, 2, 2, 5]
-    assert _lone_conflicts_pdb(Budget(max_universe=5))._conflict_masks.parts == masks.parts
+    assert _lone_conflicts_pdb(Budget(max_universe=5)).conflict_masks.parts == masks.parts
     for cap in (4, 2):
         # the 5-literal lone conflict trips the cap, and at 2 the S component too
-        tight = _lone_conflicts_pdb(Budget(max_universe=cap))._conflict_masks
+        tight = _lone_conflicts_pdb(Budget(max_universe=cap)).conflict_masks
         with pytest.raises(BudgetExceededError) as got:
             tight.parts
         with pytest.raises(BudgetExceededError) as want:
@@ -874,7 +876,7 @@ def test_parts_of_an_empty_conflict():
         UniversalConstraint.make([atom("Q", "X")]),
         UniversalConstraint.make([atom("Q", "a", positive=False)]),
     )
-    masks = PrioritizedDatabase(db, schema_from(db, constraints), constraints)._conflict_masks
+    masks = PrioritizedDatabase(db, schema_from(db, constraints), constraints).conflict_masks
     assert masks.conflicts == (0,)
     assert masks.parts == ((0, ()),) == _parts_by_hitting_sets(masks)
     assert masks.joined([]) == masks.parts == _joined_by_groups(masks, [])
@@ -883,7 +885,7 @@ def test_parts_of_an_empty_conflict():
 def test_oracle_joined_is_parts_on_internal_links():
     rng = random.Random(0x10E5)
     for pdb in _component_corpus():
-        masks, ctx = pdb._conflict_masks, pdb._masks
+        masks, ctx = pdb.conflict_masks, pdb.mask_context
         links = [d | 1 << i for i, d in enumerate(ctx.dom) if d]
         assert ctx.parts is masks.parts
         assert masks.parts == _joined_by_groups(masks, links)
@@ -901,7 +903,7 @@ def test_oracle_joined_falls_back_on_a_cross_component_edge():
             continue
         first, second = (min(c, key=str) for c in components[:2])
         crossed = pdb.with_priority(PriorityRelation(pdb.priority.edges | {(first, second)}))
-        masks, ctx = crossed._conflict_masks, crossed._masks
+        masks, ctx = crossed.conflict_masks, crossed.mask_context
         links = [d | 1 << i for i, d in enumerate(ctx.dom) if d]
         assert ctx.parts == _joined_by_groups(masks, links)
         assert len(ctx.parts) < len(masks.parts)
@@ -964,7 +966,7 @@ def test_oracle_lexicographic_matches_whole_list_on_many_components():
     for scored, structure in scored_component_corpus():
         _assert_lex_matches_whole_list(scored, structure)
         _assert_lex_matches_whole_list(scored)
-        parts.append(len(scored._masks.parts))
+        parts.append(len(scored.mask_context.parts))
     assert max(parts) >= 4 and sum(p >= 2 for p in parts) >= 60, parts
 
 
@@ -980,7 +982,7 @@ def test_oracle_lexicographic_across_a_cross_component_edge():
         crossed = scored.with_priority(
             PriorityRelation(scored.priority.edges | {(first, second)})
         )
-        assert len(crossed._masks.parts) < len(crossed._conflict_masks.parts)
+        assert len(crossed.mask_context.parts) < len(crossed.conflict_masks.parts)
         _assert_lex_matches_whole_list(crossed, structure)
         seen += 1
     assert seen >= 40, seen
@@ -1053,7 +1055,7 @@ def test_oracle_answers_match_the_product_on_many_components():
     adding = 0
     for pdb in many_component_corpus() + stray_corpus():
         _assert_answers_match_the_product(pdb, [random_query(rng, pdb) for _ in range(3)])
-        adding += bool(pdb._conflict_masks.absent)
+        adding += bool(pdb.conflict_masks.absent)
     # instances with vertex facts outside the database, which a repair adds
     assert adding >= 60, adding
 
@@ -1284,7 +1286,7 @@ def _assert_rules_match_whole_instance(inst):
 
 def _priority_to_rules_by_literals(pdb) -> tuple[GroundAIC, ...]:
     """The literal-level translation that ``priority_to_rules`` renders from
-    ``MaskContext.rule_rows``: one ground rule per conflict, repairing exactly
+    the rule rows of the mask context: one ground rule per conflict, repairing exactly
     the literals that do not outrank any other member of that conflict."""
     out = []
     for conflict in sorted(pdb.conflicts(), key=lambda e: sorted(map(literal_key, e))):
@@ -1435,8 +1437,8 @@ def test_mask_acyclicity_matches_the_priority_search():
         priorities.append(base.with_priority(PriorityRelation.of(edges)))
     seen = {True: 0, False: 0}
     for pdb in priorities:
-        assert pdb._masks.acyclic == pdb.priority.is_acyclic(), pdb
-        seen[pdb._masks.acyclic] += 1
+        assert pdb.mask_context.acyclic == pdb.priority.is_acyclic(), pdb
+        seen[pdb.mask_context.acyclic] += 1
     assert min(seen.values()) >= 140, seen
 
 
@@ -1495,7 +1497,7 @@ def test_translation_counts_and_verdict_match_the_listed_sets():
     for name, corpus in _translation_corpora().items():
         for pdb in corpus:
             report = check_translation_equivalence(pdb)
-            joined += len(pdb._masks.parts) < len(pdb._conflict_masks.parts)
+            joined += len(pdb.mask_context.parts) < len(pdb.conflict_masks.parts)
             for got in [report] + [_dented(rng, report) for _ in range(3) if report.ctx.parts]:
                 counts = {f: got.count(f) for f in TRANSLATION_FAMILIES}
                 assert counts == {f: len(s) for f, s in _listed(got).items()}, (name, pdb)
@@ -1533,7 +1535,7 @@ def test_roundtrip_counts_and_verdicts_match_the_listed_sets():
             pareto, founded = listed["pareto"], listed["founded"]
             equal = pareto == founded == listed["grounded"] == listed["justified"]
             assert got.equal() == (got.applicable and equal), (inst, got.equivalence.families)
-            assert got.founded_within_pareto() == (got.applicable and founded <= pareto), inst
+            assert got.founded_within_pareto() == (founded <= pareto), inst
             witnesses = sorted_repair_set("delta", pareto - founded).repairs
             assert got.strictness_witnesses() == (witnesses if got.applicable else ()), inst
             if got.applicable:
@@ -1558,12 +1560,12 @@ def test_translation_caps_each_family_where_its_listing_does():
     components even where stray edges join them into one part."""
     stopped = 0
     for pdb in stray_corpus() + cyclic_corpus():
-        for cap in range(len(pdb._conflict_masks.index) + 1):
+        for cap in range(len(pdb.conflict_masks.index) + 1):
             fresh = PrioritizedDatabase(pdb.db, pdb.schema, pdb.constraints, pdb.priority,
                                         Budget(max_universe=cap))
 
             def listed():
-                masks = fresh._conflict_masks
+                masks = fresh.conflict_masks
                 rows = classify_components(masks, _priority_to_rules_by_literals(fresh))
                 optimal_repairs(fresh, "pareto")
                 for kind in ("founded", "grounded", "justified", "wellfounded"):
@@ -1675,7 +1677,7 @@ def test_oracle_conflict_vertex_layout_on_the_corpora():
     negative = 0
     for name, pdbs in corpora.items():
         for pdb in pdbs:
-            masks, first = pdb._conflict_masks, _FirstMasks(pdb.instance, pdb.budget)
+            masks, first = pdb.conflict_masks, _FirstMasks(pdb.instance, pdb.budget)
             index, conflicts = masks.index, pdb.instance.conflicts
             assert list(index) == sorted(set().union(*conflicts), key=literal_key), (name, pdb)
             assert list(index.values()) == list(range(len(index)))
@@ -1689,7 +1691,7 @@ def test_oracle_conflict_vertex_layout_on_the_corpora():
             assert masks._owner == {i: comp for comp in components for i in bits(comp)}
             assert sorted(set(masks._owner.values())) == [comp for comp in components if comp]
             assert masks.index == first.index and masks.parts == first.parts, (name, pdb)
-            ctx, first_ctx = pdb._masks, _FirstContext(first, pdb.priority.edges)
+            ctx, first_ctx = pdb.mask_context, _FirstContext(first, pdb.priority.edges)
             assert (ctx.dom, ctx.beaten_by, ctx.parts) == (first_ctx.dom, first_ctx.beaten_by,
                                                            first_ctx.parts), (name, pdb)
             for kind in ("pareto", "global", "completion"):

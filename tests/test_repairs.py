@@ -7,9 +7,9 @@ import pytest
 from conftest import atom, example3_instance, example3_repairs, fact
 from prioritydb.errors import Budget, BudgetExceededError
 from prioritydb.model import Schema, UniversalConstraint, satisfies
+from prioritydb.oracles import delta_repairs_bruteforce
 from prioritydb.repairs import (
     delta_repairs,
-    delta_repairs_bruteforce,
     is_delta_repair,
     subset_repairs,
     superset_repairs,

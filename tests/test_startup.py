@@ -1,10 +1,12 @@
-"""Start-up: the rule side (``aic``, ``bridges``) runs on first use only, the
-prioritized side imports neither ``dataclasses`` nor ``inspect``, and the
-package's public names are the same whichever side has run.
+"""Start-up: the rule side (``aic``, ``bridges``) and the oracles run on
+first use only, the prioritized side imports neither ``dataclasses`` nor
+``inspect``, and the package's public names are the same whichever side has
+run.
 
-Both rule modules are in ``sys.modules`` from the package import on, as lazy
-modules: a module's code runs at the first lookup of one of its attributes,
-and until then its type is a subclass of ``types.ModuleType``.  The checks of
+The rule modules and ``oracles`` are in ``sys.modules`` from the package
+import on, as lazy modules: a module's code runs at the first lookup of one
+of its attributes, and until then its type is a subclass of
+``types.ModuleType``.  The checks of
 what a process runs use a fresh interpreter, since this test session has
 already run every module."""
 
@@ -81,6 +83,14 @@ PUBLIC_NAMES = [
     "superset_repairs", "validate_priority",
 ]
 
+# The public names that ``prioritydb.oracles`` defines.
+ORACLE_NAMES = [
+    "completion_optimal_repairs_bruteforce", "completions", "conflicts_via_hitting_sets",
+    "delta_repairs_bruteforce", "greedy_optimal_repair", "is_founded", "is_global_improvement",
+    "is_grounded", "is_grounded_via_pruned_rules", "is_justified", "is_pareto_improvement",
+    "is_well_founded", "minimal_hitting_sets",
+]
+
 # UpdateAction(True, Fact("R", ("a", "b"))) pickled (protocol 2) while the
 # class was defined in ``prioritydb.aic``.
 PICKLED_BY_AIC = (
@@ -104,15 +114,18 @@ def _strs(argvs):
 
 
 def _prioritized_run(probe: str) -> dict:
-    """In a fresh process, ``probe`` (an expression over ``sys`` and
-    ``ran``) after ``import prioritydb.cli``, under the key ``import``, and
-    after each command of ``PRIORITIZED`` on example 3, with its exit code."""
+    """In a fresh process, ``probe`` (an expression over ``sys``, ``types``
+    and ``ran``) after ``import prioritydb``, under the key ``package``,
+    after ``import prioritydb.cli``, under the key ``import``, and after each
+    command of ``PRIORITIZED`` on example 3, with its exit code."""
     script = (
         "import contextlib, io, json, sys, types\n"
-        "import prioritydb, prioritydb.cli\n"
         + RAN +
         "probe = lambda: " + probe + "\n"
-        "report = {'import': probe()}\n"
+        "import prioritydb\n"
+        "report = {'package': probe()}\n"
+        "import prioritydb.cli\n"
+        "report['import'] = probe()\n"
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        code = prioritydb.cli.main(%r + argv)\n"
@@ -125,7 +138,7 @@ def _prioritized_run(probe: str) -> dict:
 class TestRuleSideStaysUnloaded:
     def test_import_and_prioritized_commands_run_neither_rule_module(self):
         report = _prioritized_run("ran()")
-        assert report.pop("import") == []
+        assert report.pop("package") == report.pop("import") == []
         assert len(report) == len(PRIORITIZED)
         # none crashed (4): 1 answers "no", 2 is lex on a priority without
         # scores, 3 the budget of superset repairs
@@ -139,11 +152,24 @@ class TestRuleSideStaysUnloaded:
         ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and
         ``tokenize`` with it."""
         report = _prioritized_run("[m for m in ('dataclasses', 'inspect') if m in sys.modules]")
-        assert report.pop("import") == []
+        assert report.pop("package") == report.pop("import") == []
         assert len(report) == len(PRIORITIZED)
         assert {command: loaded for command, (_, loaded) in report.items()} == {
             command: [] for command in report
         }
+
+    def test_import_and_prioritized_commands_register_the_oracles_but_do_not_run_them(self):
+        """``prioritydb.oracles`` is in ``sys.modules`` from the package
+        import on, and no prioritized command runs it: it stays the lazy
+        module type."""
+        report = _prioritized_run("['prioritydb.oracles' in sys.modules, "
+                                  "type(sys.modules.get('prioritydb.oracles')) is types.ModuleType]")
+        assert report.pop("package") == report.pop("import") == [True, False]
+        assert len(report) == len(PRIORITIZED)
+        assert {command: state for command, (_, state) in report.items()} == {
+            command: [True, False] for command in report
+        }
+        assert {code for code, _ in report.values()} <= {0, 1, 2, 3}
 
     def test_the_rule_modules_are_registered_and_run_on_first_lookup(self):
         """A tool that walks ``sys.modules`` after ``import prioritydb.cli``
@@ -163,8 +189,8 @@ class TestRuleSideStaysUnloaded:
         )
         names, before, after_lookup, module, after_import = _fresh(script)
         assert names == sorted(f"prioritydb.{m}" for m in (
-            "aic", "bridges", "cli", "conflicts", "errors", "masks", "model", "priorities",
-            "query", "repairs", "textio"))
+            "aic", "bridges", "cli", "conflicts", "errors", "masks", "model", "oracles",
+            "priorities", "query", "repairs", "textio"))
         assert before == []
         assert (after_lookup, module) == (["prioritydb.aic"], "prioritydb.aic")
         assert after_import == list(RULE_MODULES)
@@ -201,6 +227,34 @@ class TestRuleSideStaysUnloaded:
             "print(json.dumps(seen))\n"
         )
         assert _fresh(script) == ["check_properties"] * 4
+
+
+    def test_threads_that_first_look_up_oracle_names_at_once_all_get_them(self):
+        """Four threads look up every oracle name through the package, each
+        starting at a different one, while the module has not run."""
+        script = (
+            "import json, sys, threading, types\n"
+            "import prioritydb\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "names = %r\n"
+            "barrier = threading.Barrier(4)\n"
+            "seen = []\n"
+            "def use(k):\n"
+            "    barrier.wait()\n"
+            "    for name in names[k:] + names[:k]:\n"
+            "        try:\n"
+            "            value = getattr(prioritydb, name)\n"
+            "            seen.append([name, value.__module__,\n"
+            "                         value is getattr(sys.modules['prioritydb.oracles'], name)])\n"
+            "        except Exception as exc:\n"
+            "            seen.append([name, repr(exc), False])\n"
+            "threads = [threading.Thread(target=use, args=(k,)) for k in range(4)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join()\n"
+            "print(json.dumps(sorted(seen)))\n"
+        ) % (ORACLE_NAMES,)
+        assert _fresh(script) == sorted(
+            [name, "prioritydb.oracles", True] for name in ORACLE_NAMES * 4)
 
 
 class TestPublicNames:
