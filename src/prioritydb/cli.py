@@ -120,13 +120,21 @@ class Workspace:
 
 
 def _read(path: str) -> str:
+    """The text of the file: its bytes in one unbuffered read, decoded as
+    strict UTF-8, with CRLF and lone CR line ends read as LF, as a read in
+    text mode reads them."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:  # its text would name the path a second time
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write(path: str, text: str) -> None:

@@ -5,11 +5,15 @@ All formats share one token stream: identifiers, integers, punctuation, with
 upper-case letter or underscore is a variable; everything else (including
 integers) is a constant.  Parse errors carry line and column.
 
-``tokenize`` makes two passes in C: one match finds the first character no
-token covers, and one ``findall`` lists the token texts.  The parser reads
-those plain strings.  A token's kind is read off its text where a check needs
-it (``isidentifier`` for a name, ``isdigit`` for a number, ``->`` for the
-arrow), and its offset is recomputed only when a ``ParseError`` is built.
+``tokenize`` scans in C.  It removes the comments (only when a ``#``
+occurs), one character-class search rejects a character that no token
+covers, and one ``findall`` of the token alternatives lists the token texts,
+skipping whitespace.  Only for a rejected text does the scan that finds the
+first such character run.  The parsers walk the list of those plain strings
+with an index of their own.  A token's kind is read off its text where a
+check needs it (``isidentifier`` for a name, ``isdigit`` for a number, ``->``
+for the arrow), and its offset is recomputed only when a ``ParseError`` is
+built.  A number of more digits than ``int`` converts is a ``ParseError``.
 
 Formats:
   facts        P(c, ...).          0-ary facts are bare names: ``p.``
@@ -43,19 +47,30 @@ from .model import (
     UpdateAction,
     UpdateAtom,
     action_key,
-    is_variable,
     literal_key,
 )
 from .priorities import PriorityRelation
 from .query import ConjunctiveQuery
 
-# Each match of ``_TOKEN`` is a token, in its group, or a run of whitespace or
-# a comment, for which the group reads ''.  ``_VALID`` matches the longest
-# prefix that the same alternatives cover.
-_TOKENS = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|:-|!=|[(),.{}|>!+\-=/]"
-_TOKEN = re.compile(rf"\s+|#[^\n]*|({_TOKENS})")
-_VALID = re.compile(rf"(?:\s+|#[^\n]*|{_TOKENS})*")
+# ``_TOKEN`` matches one token, the longest at its start (``->?`` and ``!=?``
+# read ``->`` and ``!=`` whole); the single characters come first, as they
+# are the most frequent.  ``_STRAY`` matches a character no token covers
+# (``:`` is checked apart, as it is one only in ``:-``) once the comments are
+# removed.
+_TOKENS = r"[(),.{}|>+=/]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->?|:-|!=?"
+_TOKEN = re.compile(_TOKENS)
+_STRAY = re.compile(r"[^A-Za-z0-9_(),.{}|>!+\-=/:\s]")
+# Patterns compiled on first use, by ``re``'s cache: a comment, then the
+# error path's two.  Each match of ``_SCAN`` is a token, in its group, or a
+# run of whitespace or a comment, for which the group reads ''.  ``_VALID``
+# matches the longest prefix that the same alternatives cover.
+_COMMENT = r"#[^\n]*"
+_SCAN = rf"\s+|{_COMMENT}|({_TOKENS})"
+_VALID = rf"(?:\s+|{_COMMENT}|{_TOKENS})*"
 _LABELS = {"->": "arrow", ":-": "neck", "!=": "neq"}
+# The first characters of a variable.  Tokens are ASCII, so on a token this
+# set answers as ``model.is_variable`` does, without a call per term.
+_VARIABLE_INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -63,12 +78,20 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
+def _first_variable(terms: tuple[Term, ...]) -> Optional[Term]:
+    for term in terms:
+        if term[0] in _VARIABLE_INITIALS:
+            return term
+    return None
+
+
 def tokenize(text: str) -> list[str]:
     """The token texts, ending with ``''`` for the end of the text."""
-    end = _VALID.match(text).end()
-    if end < len(text):
+    code = re.sub(_COMMENT, "", text) if "#" in text else text
+    if _STRAY.search(code) or code.count(":") != code.count(":-"):
+        end = re.match(_VALID, text).end()
         raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
-    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens = _TOKEN.findall(code)
     tokens.append("")
     return tokens
 
@@ -76,121 +99,143 @@ def tokenize(text: str) -> list[str]:
 class _Parser:
     """Reads the token texts.  A token's kind (name, number, arrow, ...) is
     read off its text where a check needs it, and its offset is recomputed
-    only when an error is reported."""
+    only when an error is reported.
+
+    The parsers walk the token list with an index of their own; each ``*_at``
+    method reads from token ``i`` and returns the index after what it read."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
-        self.index = 0
 
-    def error(self, message: str, index: Optional[int] = None) -> ParseError:
-        """An error at token ``index`` (default: the next token)."""
-        index = self.index if index is None else index
-        starts = [m.start(1) for m in _TOKEN.finditer(self.text) if m.start(1) >= 0]
+    def error(self, message: str, index: int) -> ParseError:
+        """An error at token ``index``."""
+        starts = [m.start(1) for m in re.finditer(_SCAN, self.text) if m.start(1) >= 0]
         offset = starts[index] if index < len(starts) else len(self.text)
         return ParseError(message, *_position(self.text, offset))
 
-    def peek(self) -> str:
-        return self.tokens[self.index]
+    def expected(self, text: str, i: int) -> ParseError:
+        """The error for token ``i``, which is not ``text``."""
+        label = _LABELS.get(text, repr(text))
+        return self.error(f"expected {label}, found {self.tokens[i]!r}", i)
 
-    def at_end(self) -> bool:
-        return not self.tokens[self.index]
+    def expect(self, text: str, i: int) -> int:
+        if self.tokens[i] != text:
+            raise self.expected(text, i)
+        return i + 1
 
-    def take(self, text: str) -> str:
-        token = self.tokens[self.index]
-        if token != text:
-            raise self.error(f"expected {_LABELS.get(text, repr(text))}, found {token!r}")
-        self.index += 1
-        return token
-
-    def take_kind(self, kind: str) -> str:
-        """The next token, which must be a ``name`` or a ``number``."""
-        token = self.tokens[self.index]
-        if not (token.isidentifier() if kind == "name" else token.isdigit()):
-            raise self.error(f"expected {kind}, found {token!r}")
-        self.index += 1
-        return token
-
-    def try_take(self, text: str) -> bool:
-        if self.tokens[self.index] == text:
-            self.index += 1
-            return True
-        return False
-
-    def term(self) -> Term:
-        token = self.tokens[self.index]
+    def term_at(self, i: int) -> Term:
+        token = self.tokens[i]
         if token.isidentifier() or token.isdigit():
-            self.index += 1
             return token
-        raise self.error(f"expected a term, found {token!r}")
+        raise self.error(f"expected a term, found {token!r}", i)
 
-    def atom(self) -> tuple[str, tuple[Term, ...]]:
-        name = self.take_kind("name")
-        terms: list[Term] = []
-        if self.try_take("("):
-            if not self.try_take(")"):
-                terms.append(self.term())
-                while self.try_take(","):
-                    terms.append(self.term())
-                self.take(")")
-        return name, tuple(terms)
+    def number_at(self, i: int) -> tuple[int, int]:
+        token = self.tokens[i]
+        if not token.isdigit():
+            raise self.error(f"expected number, found {token!r}", i)
+        try:
+            return int(token), i + 1
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"number too long: {len(token)} digits", i) from None
 
-    def ground_atom(self) -> Fact:
-        start = self.index
-        name, terms = self.atom()
-        loose = [t for t in terms if is_variable(t)]
-        if loose:
-            raise self.error(f"variable {loose[0]} where a constant is required", start)
-        return Fact(name, terms)
+    def atom_at(self, i: int) -> tuple[str, tuple[Term, ...], int]:
+        """The atom at token ``i``: its name, its terms and the index after it."""
+        tokens = self.tokens
+        name = tokens[i]
+        if not name.isidentifier():
+            raise self.error(f"expected name, found {name!r}", i)
+        i += 1
+        if tokens[i] != "(":
+            return name, (), i
+        i += 1
+        if tokens[i] == ")":
+            return name, (), i + 1
+        first = i
+        while True:
+            token = tokens[i]
+            if not (token.isidentifier() or token.isdigit()):
+                raise self.error(f"expected a term, found {token!r}", i)
+            token = tokens[i + 1]
+            if token == ")":
+                return name, tuple(tokens[first:i + 1:2]), i + 2
+            if token != ",":
+                raise self.expected(")", i + 1)
+            i += 2
+
+    def atoms_at(
+        self, i: int, separator: str
+    ) -> tuple[list[tuple[str, tuple[Term, ...]]], int]:
+        """One or more atoms from token ``i`` on, with ``separator`` between them."""
+        name, terms, i = self.atom_at(i)
+        atoms = [(name, terms)]
+        while self.tokens[i] == separator:
+            name, terms, i = self.atom_at(i + 1)
+            atoms.append((name, terms))
+        return atoms, i
+
+    def ground_atom_at(self, i: int) -> tuple[Fact, int]:
+        """The ground atom at token ``i`` as a fact, and the index after it."""
+        name, terms, end = self.atom_at(i)
+        loose = _first_variable(terms)
+        if loose is not None:
+            raise self.error(f"variable {loose} where a constant is required", i)
+        return Fact(name, terms), end
 
 
 def parse_database(text: str) -> Database:
     parser = _Parser(text)
+    tokens, ground_atom_at = parser.tokens, parser.ground_atom_at
     facts = set()
-    while not parser.at_end():
-        facts.add(parser.ground_atom())
-        parser.take(".")
+    i = 0
+    while tokens[i]:
+        fact, i = ground_atom_at(i)
+        if tokens[i] != ".":
+            raise parser.expected(".", i)
+        facts.add(fact)
+        i += 1
     return frozenset(facts)
 
 
-def _parse_body(parser: _Parser) -> tuple[list[BodyAtom], list[tuple[Term, Term]]]:
+def _body_at(
+    parser: _Parser, i: int
+) -> tuple[list[BodyAtom], list[tuple[Term, Term]], int]:
+    tokens = parser.tokens
     atoms: list[BodyAtom] = []
     inequalities: list[tuple[Term, Term]] = []
     while True:
-        if parser.try_take("not"):
-            name, terms = parser.atom()
+        if tokens[i] == "not":
+            name, terms, i = parser.atom_at(i + 1)
             atoms.append(BodyAtom(False, name, terms))
         else:
-            start = parser.index
-            left = parser.term()
-            if parser.try_take("!="):
-                right = parser.term()
-                inequalities.append((left, right))
+            left = parser.term_at(i)
+            if tokens[i + 1] == "!=":
+                inequalities.append((left, parser.term_at(i + 2)))
+                i += 3
             else:
-                parser.index = start
-                name, terms = parser.atom()
+                name, terms, i = parser.atom_at(i)
                 atoms.append(BodyAtom(True, name, terms))
-        if not parser.try_take(","):
-            break
-    return atoms, inequalities
+        if tokens[i] != ",":
+            return atoms, inequalities, i
+        i += 1
 
 
 def parse_constraints(text: str) -> tuple[UniversalConstraint, ...]:
     parser = _Parser(text)
+    tokens = parser.tokens
     out = []
-    while not parser.at_end():
-        atoms: list[BodyAtom] = []
-        inequalities: list[tuple[Term, Term]] = []
-        if parser.peek() != "->":
-            atoms, inequalities = _parse_body(parser)
-        arrow = parser.index
-        parser.take("->")
-        head: list[tuple[str, tuple[Term, ...]]] = []
-        if not parser.try_take("false"):
-            head.append(parser.atom())
-            while parser.try_take("|"):
-                head.append(parser.atom())
-        parser.take(".")
+    i = 0
+    while tokens[i]:
+        atoms, inequalities, head = [], [], []
+        if tokens[i] != "->":
+            atoms, inequalities, i = _body_at(parser, i)
+        arrow = i
+        i = parser.expect("->", i)
+        if tokens[i] == "false":
+            i += 1
+        else:
+            head, i = parser.atoms_at(i, "|")
+        i = parser.expect(".", i)
         try:
             out.append(UniversalConstraint.make(atoms, inequalities, head))
         except InputError as exc:
@@ -198,10 +243,10 @@ def parse_constraints(text: str) -> tuple[UniversalConstraint, ...]:
     return tuple(out)
 
 
-def _parse_signed_literal(parser: _Parser) -> Literal:
-    if parser.try_take("!"):
-        return Literal(parser.ground_atom(), positive=False)
-    return Literal(parser.ground_atom(), positive=True)
+def _literal_at(parser: _Parser, i: int) -> tuple[Literal, int]:
+    positive = parser.tokens[i] != "!"
+    fact, i = parser.ground_atom_at(i if positive else i + 1)
+    return Literal(fact, positive), i
 
 
 def parse_priority(
@@ -210,51 +255,58 @@ def parse_priority(
     """Edges plus any explicit scores.  Scores, when present, switch the engine
     to score-structured mode; unscored conflict literals default to score 0."""
     parser = _Parser(text)
+    tokens = parser.tokens
     edges = []
     scores: dict[Literal, int] = {}
-    while not parser.at_end():
-        if parser.try_take("score"):
-            lit = _parse_signed_literal(parser)
-            parser.take("=")
-            scores[lit] = int(parser.take_kind("number"))
+    i = 0
+    while tokens[i]:
+        if tokens[i] == "score":
+            lit, i = _literal_at(parser, i + 1)
+            scores[lit], i = parser.number_at(parser.expect("=", i))
         else:
-            strong = _parse_signed_literal(parser)
-            parser.take(">")
-            weak = _parse_signed_literal(parser)
+            strong, i = _literal_at(parser, i)
+            weak, i = _literal_at(parser, parser.expect(">", i))
             edges.append((strong, weak))
-        parser.take(".")
+        i = parser.expect(".", i)
     return PriorityRelation.of(edges), scores
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
     parser = _Parser(text)
-    head_name, head_terms = parser.atom()
-    parser.take(":-")
-    atoms = [parser.atom()]
-    while parser.try_take(","):
-        atoms.append(parser.atom())
-    parser.take(".")
-    if not parser.at_end():
-        raise parser.error("expected a single query")
+    _, head_terms, i = parser.atom_at(0)
+    atoms, i = parser.atoms_at(parser.expect(":-", i), ",")
+    i = parser.expect(".", i)
+    if parser.tokens[i]:
+        raise parser.error("expected a single query", i)
     try:
         return ConjunctiveQuery.make(head_terms, atoms)
     except InputError as exc:
         raise parser.error(str(exc), 0) from exc
 
 
+def _update_atom_at(parser: _Parser, i: int) -> tuple[UpdateAtom, int]:
+    sign = parser.tokens[i]
+    if sign != "+" and sign != "-":
+        raise parser.error("expected + or -", i)
+    name, terms, i = parser.atom_at(i + 1)
+    return UpdateAtom(sign == "+", name, terms), i
+
+
 def parse_aics(text: str) -> tuple[AIC, ...]:
     parser = _Parser(text)
+    tokens = parser.tokens
     out = []
-    while not parser.at_end():
-        start = parser.index
-        atoms, inequalities = _parse_body(parser)
-        parser.take("->")
-        parser.take("{")
-        updates = [_parse_update_atom(parser)]
-        while parser.try_take(","):
-            updates.append(_parse_update_atom(parser))
-        parser.take("}")
-        parser.take(".")
+    i = 0
+    while tokens[i]:
+        start = i
+        atoms, inequalities, i = _body_at(parser, i)
+        i = parser.expect("{", parser.expect("->", i))
+        update, i = _update_atom_at(parser, i)
+        updates = [update]
+        while tokens[i] == ",":
+            update, i = _update_atom_at(parser, i + 1)
+            updates.append(update)
+        i = parser.expect(".", parser.expect("}", i))
         try:
             out.append(AIC.make(atoms, updates, inequalities))
         except InputError as exc:
@@ -262,26 +314,17 @@ def parse_aics(text: str) -> tuple[AIC, ...]:
     return tuple(out)
 
 
-def _parse_update_atom(parser: _Parser) -> UpdateAtom:
-    if parser.try_take("+"):
-        add = True
-    elif parser.try_take("-"):
-        add = False
-    else:
-        raise parser.error("expected + or -")
-    name, terms = parser.atom()
-    return UpdateAtom(add, name, terms)
-
-
 def parse_updates(text: str) -> frozenset[UpdateAction]:
     parser = _Parser(text)
+    tokens = parser.tokens
     actions = set()
-    while not parser.at_end():
-        atom = _parse_update_atom(parser)
-        loose = [t for t in atom.terms if is_variable(t)]
-        if loose:
-            raise parser.error(f"variable {loose[0]} in a ground update")
-        parser.take(".")
+    i = 0
+    while tokens[i]:
+        atom, i = _update_atom_at(parser, i)
+        loose = _first_variable(atom.terms)
+        if loose is not None:
+            raise parser.error(f"variable {loose} in a ground update", i)
+        i = parser.expect(".", i)
         actions.add(UpdateAction(atom.add, Fact(atom.predicate, atom.terms)))
     return frozenset(actions)
 
@@ -289,14 +332,18 @@ def parse_updates(text: str) -> frozenset[UpdateAction]:
 def parse_schema(text: str) -> Schema:
     """Declarations ``P/2.`` or ``P.`` (arity 0), one per statement."""
     parser = _Parser(text)
+    tokens = parser.tokens
     pairs = []
-    while not parser.at_end():
-        name = parser.take_kind("name")
-        arity = 0
-        if parser.try_take("/"):
-            arity = int(parser.take_kind("number"))
+    i = 0
+    while tokens[i]:
+        name = tokens[i]
+        if not name.isidentifier():
+            raise parser.error(f"expected name, found {name!r}", i)
+        arity, i = 0, i + 1
+        if tokens[i] == "/":
+            arity, i = parser.number_at(i + 1)
         pairs.append((name, arity))
-        parser.take(".")
+        i = parser.expect(".", i)
     return Schema.of(pairs)
 
 

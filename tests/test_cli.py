@@ -820,6 +820,71 @@ class TestCompletionOnTheRookInstance:
                        "--opt", "none") == (0, "yes\n")
 
 
+class TestRead:
+    """Input files read as a read in text mode would: CRLF and lone CR line
+    ends are LF, and a file that cannot be read or decoded is named once."""
+
+    @staticmethod
+    def twins(folder, name, text):
+        """``text`` written with LF, CRLF and lone CR line ends."""
+        paths = []
+        for label, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = folder / f"{name}-{label}.pdb"
+            path.write_bytes(text.replace("\n", end).encode("utf-8"))
+            paths.append(path)
+        return paths
+
+    def test_crlf_and_cr_line_ends_read_as_lf(self, capsys, tmp_path):
+        names = ("db", "constraints", "priority")
+        twins = {name: self.twins(tmp_path, name, (EX3 / f"{name}.pdb").read_text())
+                 for name in names}
+        for name in names:
+            assert {cli._read(str(path)) for path in twins[name]} == {
+                (EX3 / f"{name}.pdb").read_text()
+            }
+        results = [
+            run(capsys, *[a for name in names for a in (f"--{name}", twins[name][k])],
+                "optimal", "--opt", "p")
+            for k in range(3)
+        ]
+        assert results[0][0] == 0 and results == [results[0]] * 3
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [("--db", "A(a).\n\nB(b;c).\n", "3:4: unexpected character ';'"),
+         ("--constraints", "A(X) -> false.\n# note\n  B(X) => false.\n",
+          "3:8: expected arrow, found '='"),
+         ("--priority", "A(a) > B(b).\n!A(a) > B(X).\n",
+          "2:9: variable X where a constant is required"),
+         ("--db", "A(a).\nB(b)\n", "3:1: expected '.', found ''")],
+        ids=["stray", "after-comment", "variable", "at-eof"],
+    )
+    def test_crlf_and_cr_line_ends_report_the_errors_of_lf(
+        self, capsys, tmp_path, flag, text, message
+    ):
+        for path in self.twins(tmp_path, "input", text):
+            code = main([flag, str(path), "conflicts"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), path
+
+    def test_invalid_utf8_names_the_byte_and_its_position(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pdb"
+        bad.write_bytes(b"R(a, b).\r\n" * 1000 + b"R(a, \xe9).\n")
+        code = main(["--db", str(bad), "conflicts"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 in position "
+            "10005: invalid continuation byte\n"
+        )
+
+    def test_a_directory_cannot_be_read(self, capsys, tmp_path):
+        code = main(["--db", str(tmp_path), "conflicts"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.pdb"
@@ -869,6 +934,22 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [("--priority", "score P(a) = " + "9" * 5000 + ".\n", "1:14: number too long: 5000 digits"),
+         ("--schema", "P/" + "9" * 5000 + ".\n", "1:3: number too long: 5000 digits")],
+        ids=["score", "arity"],
+    )
+    def test_number_beyond_int_conversion_is_an_input_error(
+        self, capsys, tmp_path, flag, text, message
+    ):
+        # int() refuses more than 4 300 digits by default
+        path = tmp_path / "long.pdb"
+        path.write_text(text)
+        code = main([flag, str(path), "conflicts"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     def test_unwritable_dot_path_is_an_input_error(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "g.dot"

@@ -34,22 +34,26 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EX3, AIC9 = FIXTURES / "example3", FIXTURES / "aic9"
 CASES = 40  # per format
 
+# A number of more digits than int() converts by default (4 300).
+LONG_NUMBER = "9" * 4301
 # The tokens the grammar knows, shared by every format, then each format's own.
-COMMON = ["R", "S", "P", "A", "a", "b", "c", "d", "X", "Y", "Z", "(", ")", ",", ".", " ", "\n"]
+# The line breaks include CRLF and lone CR, which the CLI reads as LF.
+COMMON = ["R", "S", "P", "A", "a", "b", "c", "d", "X", "Y", "Z", "(", ")", ",", ".", " ", "\n",
+          "\r\n", "\r"]
 TOKENS = {
     "facts": ["al", "be", "0", "_", "R(a, b).", "A(a).", "al."],
     "constraints": ["->", "false", "not", "!=", "|", "R(X, Y), R(X, Z), Y != Z -> false.",
                     "A(X) -> C(X).", "C(X), D(X) -> false."],
     "priority": [">", "!", "score", "=", "2", "-1", "R(d, b) > S(a, b).", "S(a, b) > !A(a).",
-                 "score R(d, b) = 1."],
+                 "score R(d, b) = 1.", f"score R(d, b) = {LONG_NUMBER}."],
     "query": ["q", ":-", "q(Y) :- R(d, Y).", "q :- S(a, b)."],
     "rules": ["->", "{", "}", "+", "-", "not", "al", "be", "ga", "de",
               "al, be -> { -be }.", "be, ga -> { -ga }.", "al, de -> { -de, +ga }."],
     "updates": ["+", "-", "al", "be", "ga", "de", "-al.", "+ga.", "-de."],
-    "schema": ["/", "0", "1", "2", "40", "R/2.", "S/2.", "A/1.", "P/0."],
+    "schema": ["/", "0", "1", "2", "40", "R/2.", "S/2.", "A/1.", "P/0.", f"P/{LONG_NUMBER}."],
 }
 STRAY = ["#", "%", "\t", "\\", "'", '"', "é", " ", "->", ":-", "{", "}", ">", "/", "=",
-         "!=", "!", "|", "+", "-", "1", "99999999999999999999", "not", "false"]
+         "!=", "!", "|", "+", "-", "1", "99999999999999999999", LONG_NUMBER, "not", "false"]
 
 EX3_FILES = {"db": EX3 / "db.pdb", "constraints": EX3 / "constraints.pdb",
              "priority": EX3 / "priority.pdb"}

@@ -229,6 +229,10 @@ MALFORMED = [
         "unexpected character '?'", 2, 6, id="facts-crlf",
     ),
     pytest.param(
+        "facts", "A(a).\nB(b, _c).\n",
+        "variable _c where a constant is required", 2, 1, id="facts-underscore-variable",
+    ),
+    pytest.param(
         "facts", "A(a,).",
         "expected a term, found ')'", 1, 5, id="facts-missing-term",
     ),
@@ -260,6 +264,10 @@ MALFORMED = [
     pytest.param(
         "priority", "score A(a) = x.\n",
         "expected number, found 'x'", 1, 14, id="priority-score-not-number",
+    ),
+    pytest.param(
+        "priority", "score P(a) = " + "9" * 5000 + ".\n",
+        "number too long: 5000 digits", 1, 14, id="priority-score-beyond-int-conversion",
     ),
     pytest.param(
         "priority", "A(a) >> B(b).\n",
@@ -330,6 +338,10 @@ MALFORMED = [
         "expected number, found 'x'", 1, 3, id="schema-arity-not-number",
     ),
     pytest.param(
+        "schema", "A/1.\nP/" + "9" * 5000 + ".\n",
+        "number too long: 5000 digits", 2, 3, id="schema-arity-beyond-int-conversion",
+    ),
+    pytest.param(
         "schema", "A/1\n",
         "expected '.', found ''", 2, 1, id="schema-missing-dot-at-eof",
     ),
@@ -375,10 +387,30 @@ def _oracle_tokens(text):
     return tokens + [("", end)], (end if end < len(text) else None)
 
 
+# The two-pass tokenizer that ``tokenize`` replaced, kept as its oracle: one
+# match finds the first character no token covers, one ``findall`` lists the
+# tokens and the runs of whitespace and comments, which read ''.
+_TWO_PASS_TOKENS = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|:-|!=|[(),.{}|>!+\-=/]"
+_TWO_PASS_TOKEN = re.compile(rf"\s+|#[^\n]*|({_TWO_PASS_TOKENS})")
+_TWO_PASS_VALID = re.compile(rf"(?:\s+|#[^\n]*|{_TWO_PASS_TOKENS})*")
+
+
+def _two_pass_tokens(text):
+    """The token texts, ending with '', or the offset of the first character
+    no token covers."""
+    end = _TWO_PASS_VALID.match(text).end()
+    if end < len(text):
+        return end
+    return list(filter(None, _TWO_PASS_TOKEN.findall(text))) + [""]
+
+
+# Beside the tokens: a number beyond int()'s default limit of 4 300 digits, a
+# lone carriage return and a no-break space, which is whitespace to ``\s``.
 _SOUP = st.lists(
     st.sampled_from(
         ["->", ":-", "!=", "-", ">", "!", ":", "# c(a) -> x", "#", " ", "\n", "\t", "\r\n",
-         "A", "x_1", "_", "9", "07", "(", ")", ",", ".", "{", "}", "|", "+", "=", "/"]
+         "\r", "\u00a0", "A", "x_1", "_", "9", "07", "9" * 4301, "(", ")", ",", ".", "{", "}",
+         "|", "+", "=", "/"]
     ),
     max_size=24,
 ).map("".join)
@@ -388,9 +420,12 @@ _SOUP = st.lists(
 @given(_SOUP, st.integers(0, 24), st.sampled_from(["?", "é", ";", "$", ""]))
 @example("p.\n# q(a) here\n", 0, "")
 @example("a:-b", 4, ":")
+@example("a # b ? c\nd", 0, "")
+@example("a:b:-c", 0, "")
 def test_tokenize_agrees_with_the_named_group_scanner(soup, at, stray):
     text = soup[:at] + stray + soup[at:]
     tokens, bad = _oracle_tokens(text)
+    assert _two_pass_tokens(text) == (bad if bad is not None else [t for t, _ in tokens])
     if bad is not None:
         with pytest.raises(ParseError) as err:
             tokenize(text)
